@@ -26,6 +26,7 @@ not re-pay the failed specialization on a warm cache.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import os
 import pickle
@@ -52,6 +53,12 @@ _SCHEMA = 6
 #: Default cache directory (relative to the current working directory)
 #: when none is given explicitly or via ``REPRO_MEMO_DIR``.
 DEFAULT_MEMO_DIR = ".repro_memo"
+
+#: Entries kept by each in-process invariant cache: workload key
+#: prefixes here, parsed modules and static baselines in the runner
+#: (ten workloads on every backend and codegen mode, with room for
+#: cost-model and input variants).
+INVARIANT_CACHE_CAPACITY = 64
 
 
 def resolve_memo_dir(directory: str | None) -> str:
@@ -112,25 +119,48 @@ def backend_env_fingerprint() -> tuple:
     )
 
 
+def _feed(hasher, part: object) -> None:
+    hasher.update(repr(part).encode("utf-8"))
+    hasher.update(b"\x00")
+
+
+@functools.lru_cache(maxsize=INVARIANT_CACHE_CAPACITY)
+def _workload_prefix(workload: Workload):
+    hasher = hashlib.sha256()
+    for part in (_SCHEMA, workload.name, workload.source, workload.entry,
+                 tuple(workload.region_functions),
+                 workload.icache_capacity_bytes,
+                 _fingerprint_inputs(workload)):
+        _feed(hasher, part)
+    return hasher
+
+
+def workload_prefix(workload: Workload):
+    """A fresh SHA-256 state fed the workload-only prefix of
+    :func:`memo_key`.
+
+    The prefix covers the program text, entry, region functions,
+    I-cache capacity and prepared inputs.  Fingerprinting the inputs
+    re-runs ``setup`` and ``repr``s the memory image, so the state is
+    computed once per workload and copied for each key; the runner
+    keys its static baselines on the same prefix.
+    """
+    return _workload_prefix(workload).copy()
+
+
+def reset_prefix_cache() -> None:
+    """Fingerprint every workload afresh next time."""
+    _workload_prefix.cache_clear()
+
+
 def memo_key(workload: Workload,
              config: OptConfig,
              cost_model: CostModel,
              overhead: OverheadModel,
              verify: bool = True) -> str:
     """SHA-256 key over everything that determines a run's statistics."""
-    hasher = hashlib.sha256()
-
-    def feed(part: object) -> None:
-        hasher.update(repr(part).encode("utf-8"))
-        hasher.update(b"\x00")
-
-    feed(_SCHEMA)
-    feed(workload.name)
-    feed(workload.source)
-    feed(workload.entry)
-    feed(tuple(workload.region_functions))
-    feed(workload.icache_capacity_bytes)
-    feed(_fingerprint_inputs(workload))
+    hasher = workload_prefix(workload)
+    feed = functools.partial(_feed, hasher)
     feed(sorted(dataclasses.asdict(config).items()))
     # Fault-injection and degradation settings change run statistics but
     # partly live in environment variables (REPRO_FAULTS/REPRO_DEGRADE),

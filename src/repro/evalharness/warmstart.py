@@ -47,7 +47,11 @@ import tempfile
 import time
 
 from repro.config import ALL_ON, OptConfig
-from repro.evalharness.runner import resolve_backend, run_workload
+from repro.evalharness.runner import (
+    reset_invariant_caches,
+    resolve_backend,
+    run_workload,
+)
 from repro.runtime import persist
 from repro.workloads import ALL_WORKLOADS
 
@@ -116,8 +120,10 @@ def _one_leg(workload, config: OptConfig, backend: str, store_dir: str):
 
     Returns ``(result, store_stats, work_seconds)`` where
     ``work_seconds`` is the total artifact-generation wall time the
-    store observed during this leg.
+    store observed during this leg.  The in-process invariant caches are
+    cleared first, so the leg's static run consults the store as well.
     """
+    reset_invariant_caches()
     persist.reset()
     persist.activate(store_dir)
     try:
