@@ -2,15 +2,17 @@
 
 ``python -m repro.serve`` exposes the eval harness's (workload, config)
 runs over HTTP with a sharded multi-tenant result cache, per-tenant
-admission control, heat-tiered backend selection, per-(tenant,
-workload) circuit breakers, and the degradation ladder wired into the
-request path.  ``python -m repro.serve.supervisor`` runs N such
-workers behind one shared socket with crash/hang recovery (heartbeat
-pipes), warm recycling from the persistent store, and graceful
-SIGTERM drain.  ``python -m repro.serve.loadgen`` is the matching
-deterministic traffic-replay load generator, with retry budgets and
-echo-token response accounting; ``python -m repro.chaos`` storms the
-whole stack with seeded faults and worker kills.
+admission control, per-(tenant, workload) circuit breakers, and the
+degradation ladder wired into the request path.  Every miss runs on
+one backend, resolved at start-up as the harness resolves it
+(``REPRO_BACKEND``, else ``threaded``).
+``python -m repro.serve.supervisor`` runs N such workers behind one
+shared socket with crash/hang recovery (heartbeat pipes), warm
+recycling from the persistent store, and graceful SIGTERM drain.
+``python -m repro.serve.loadgen`` is the matching deterministic
+traffic-replay load generator, with retry budgets and echo-token
+response accounting; ``python -m repro.chaos`` storms the whole stack
+with seeded faults and worker kills.
 
 Endpoints
 ---------
@@ -19,9 +21,10 @@ Endpoints
 ``POST /run``     execute (or serve from cache) a workload run; body
                   ``{"workload": ..., "tenant": ..., "config": {...},
                   "verify": true, "no_cache": false, "echo": ...}``
-``GET /stats``    cache shards, admission queue, tiers, degradation
-                  counters, per-tenant tallies, fault-point hits,
-                  circuit-breaker states, supervision counters
+``GET /stats``    cache shards, admission queue, executions per
+                  backend, degradation counters, per-tenant tallies,
+                  fault-point hits, circuit-breaker states,
+                  supervision counters
 ``GET /healthz``  liveness + in-flight + quarantine + drain status
 ``GET /workloads``  available workload names
 ================  ====================================================

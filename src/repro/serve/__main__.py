@@ -30,6 +30,11 @@ Flags::
                             the store before accepting traffic (a bad
                             snapshot is skipped; the daemon starts cold)
 
+Every miss runs on one backend, resolved at start-up as the eval
+harness resolves it: ``$REPRO_BACKEND``, else ``threaded``.  A bad
+``$REPRO_BACKEND`` or fault spec refuses to start (exit 2) before the
+socket is bound.
+
 The daemon prints one ``serving on http://host:port`` line to stderr
 once the socket is bound, so supervisors (and the CI smoke job) can
 wait for readiness by watching stderr or polling ``GET /healthz``.
@@ -39,8 +44,11 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import os
 import sys
 
+from repro.errors import FaultConfigError
+from repro.evalharness.runner import resolve_backend
 from repro.faults import combine_specs, parse_spec
 from repro.serve.app import (
     DEFAULT_CAPACITY_PER_SHARD,
@@ -104,12 +112,27 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
+def startup_error(faults: str | None) -> str | None:
+    """Why a daemon with fault spec ``faults`` must not start, if so.
+
+    Checked before binding (and, under the supervisor, before forking):
+    a bad fault spec or ``REPRO_BACKEND`` would otherwise fail every
+    request, or crash-loop every worker up to the restart cap.
+    """
+    try:
+        parse_spec(combine_specs(faults, os.environ.get("REPRO_FAULTS")))
+    except FaultConfigError as err:
+        return f"bad fault spec: {err}"
+    try:
+        resolve_backend(None)
+    except ValueError as err:
+        return f"bad REPRO_BACKEND: {err}"
+    return None
+
+
 def build_app(args: argparse.Namespace) -> ServeApp:
-    import os
     fault_spec = combine_specs(args.faults,
                                os.environ.get("REPRO_FAULTS"))
-    if fault_spec:
-        parse_spec(fault_spec)  # fail fast on typos, before binding
     return ServeApp(
         shards=args.shards,
         cache_capacity=args.cache_capacity,
@@ -143,6 +166,7 @@ async def _amain(args: argparse.Namespace) -> int:
     print(f"serving on http://{args.host}:{daemon.port} "
           f"(workers={app.admission.max_concurrency}, "
           f"shards={len(app.cache.stats()['shards'])}, "
+          f"backend={app.backend}, "
           f"faults={app.fault_spec or 'none'})",
           file=sys.stderr, flush=True)
     try:
@@ -155,6 +179,10 @@ async def _amain(args: argparse.Namespace) -> int:
 
 def main(argv: list[str]) -> int:
     args = _parse_args(argv)
+    error = startup_error(args.faults)
+    if error:
+        print(error, file=sys.stderr)
+        return 2
     _raise_nofile_limit()
     try:
         return asyncio.run(_amain(args))

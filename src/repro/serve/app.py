@@ -1,14 +1,14 @@
-"""The serve application: routing, single-flight, tiering, degradation.
+"""The serve application: routing, single-flight, execution, degradation.
 
 Request lifecycle for ``POST /run``:
 
 1. **Parse/validate** on the event loop (:mod:`repro.serve.protocol`);
    structural problems never reach a worker thread.
-2. **Cache lookup** in the sharded result cache (bumping the key's
-   heat).  Deterministic outcomes are cached: successful runs *and*
-   deterministic specialization failures (422s), mirroring the offline
-   memoizer's error memoization.  Cache hits bypass the circuit
-   breaker — serving known-good bytes is always safe.
+2. **Cache lookup** in the sharded result cache.  Deterministic
+   outcomes are cached: successful runs *and* deterministic
+   specialization failures (422s), mirroring the offline memoizer's
+   error memoization.  Cache hits bypass the circuit breaker — serving
+   known-good bytes is always safe.
 3. **Circuit breaker** (:mod:`repro.serve.breaker`) — a per-(tenant,
    workload) breaker that has seen ``REPRO_BREAKER_THRESHOLD``
    consecutive 5xx outcomes rejects the miss with a ``circuit_open``
@@ -26,13 +26,15 @@ Request lifecycle for ``POST /run``:
 6. **Admission queue** (:mod:`repro.serve.admission`): backpressure
    503s, per-tenant quota 429s, then a semaphore sized to the worker
    pool.
-7. **Tiered execution** — the key's heat picks the backend
-   (reference → threaded → pycodegen); the run executes on a thread
-   pool via ``run_in_executor``.  Runs are thread-safe because every
-   run builds a fresh runtime/machine stack (the thread-confinement
-   invariant documented on :class:`~repro.runtime.cache.CodeCache`);
-   per-request fault specs travel in ``OptConfig.faults``, never via
-   the (shared) process environment.
+7. **Execution** on the daemon's one backend, resolved when the app
+   is built exactly as the harness resolves it (``REPRO_BACKEND``,
+   else threaded), so a key's bytes never depend on how often it was
+   looked up.  The run executes on a thread pool via
+   ``run_in_executor``.  Runs are thread-safe because every run builds
+   a fresh runtime/machine stack (the thread-confinement invariant
+   documented on :class:`~repro.runtime.cache.CodeCache`); per-request
+   fault specs travel in ``OptConfig.faults``, never via the (shared)
+   process environment.
 8. **Degradation accounting** — ladder counters from the run's region
    stats are aggregated into daemon-wide and per-tenant totals,
    surfaced on ``/stats`` and ``/healthz``.
@@ -47,7 +49,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from repro.errors import SpecializationError, WorkerFault
 from repro.evalharness.memo import memo_key
-from repro.evalharness.runner import run_workload
+from repro.evalharness.runner import resolve_backend, run_workload
 from repro.faults import FaultRegistry
 from repro.machine.costs import ALPHA_21164
 from repro.runtime import persist
@@ -103,6 +105,9 @@ class ServeApp:
                  breaker_threshold: int | None = None,
                  breaker_cooldown: float | None = None):
         import os
+        # First, so a bad REPRO_BACKEND refuses the daemon before any
+        # store, thread or socket exists.
+        self.backend = resolve_backend(None)
         if workers is None:
             workers = min(8, os.cpu_count() or 2)
         self.started = time.time()
@@ -153,7 +158,6 @@ class ServeApp:
         self.coalesced = 0
         self.cache_served = 0
         self.executions = 0
-        self.tiers: dict[str, int] = {}
         self.degradation = {name: 0 for name in _DEGRADATION_KEYS}
         self.degraded_runs = 0
         self.tenants: dict[str, dict[str, int]] = {}
@@ -327,12 +331,9 @@ class ServeApp:
         tenant = request.tenant
         try:
             async with self.admission.slot(tenant):
-                backend = self.cache.backend_for(tenant, run_key)
                 payload = await asyncio.get_running_loop().run_in_executor(
-                    self.executor, self._execute, request, run_key,
-                    backend)
+                    self.executor, self._execute, request, run_key)
                 self.executions += 1
-                self.tiers[backend] = self.tiers.get(backend, 0) + 1
                 self._absorb_degradation(tenant, payload["degradation"])
                 return 200, payload
         except (QuotaExceeded, Backpressure) as exc:
@@ -349,13 +350,12 @@ class ServeApp:
                                {"status": 422, "body": body})
             return status, body
 
-    def _execute(self, request: RunRequest, run_key: str,
-                 backend: str) -> dict:
+    def _execute(self, request: RunRequest, run_key: str) -> dict:
         """Worker-thread body: run the workload, cache the payload."""
         workload = WORKLOADS_BY_NAME[request.workload]
         result = run_workload(workload, request.config,
-                              verify=request.verify, backend=backend)
-        payload = result_payload(result, backend)
+                              verify=request.verify, backend=self.backend)
+        payload = result_payload(result, self.backend)
         if not request.no_cache:
             # Insertion happens on the worker thread; the shard's lock
             # serializes it against event-loop lookups.
@@ -438,7 +438,8 @@ class ServeApp:
                 "executions": self.executions,
                 "cache_served": self.cache_served,
                 "coalesced": self.coalesced,
-                "tiers": dict(sorted(self.tiers.items())),
+                # Executions per backend; one daemon runs one backend.
+                "tiers": {self.backend: self.executions},
                 "respond_drops": self.respond_drops,
                 "draining": self.draining,
                 "fault_spec": self.fault_spec,

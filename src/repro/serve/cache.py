@@ -14,48 +14,20 @@ Shard choice is an FNV-1a hash of the key, independent of the
 in-shard probe hash, so hot tenants spread across shards instead of
 piling onto one lock.
 
-Heat-tiered backend selection
------------------------------
-
-Each key accumulates a *heat* counter (bumped on every lookup, hit or
-miss) that **survives eviction** — heat lives beside the shards, not in
-them.  :meth:`ShardedResultCache.backend_for` maps heat onto the
-backend ladder: cold keys execute on the reference interpreter (lowest
-setup cost), warm keys on the threaded backend, and hot keys on the
-Python-codegen backend (highest setup cost, fastest steady state).
-Because every counted backend produces byte-identical statistics, the
-tier choice is purely a latency/throughput trade — a re-computation
-after eviction returns the exact bytes the first computation did, just
-faster.  Thresholds come from ``REPRO_SERVE_TIER_THREADED`` /
-``REPRO_SERVE_TIER_PYCODEGEN`` (requests before promotion, defaults
-2 / 8).
-
 Thread safety: shard ``CodeCache`` objects are built with ``lock=True``
 and are touched from both the event loop (lookups) and executor worker
-threads (insertions after a run completes).  The heat table and the
-hit/miss tallies are touched **only from the event-loop thread** — the
-daemon bumps heat at admission time, before handing the request to a
-worker — so they need no lock.  Each shard gets its *own*
-:class:`~repro.faults.FaultRegistry` parsed from the daemon's fault
-spec, so ``cache.corrupt`` / ``cache.evict`` injection stays
-deterministic per shard and no registry is shared across threads.
+threads (insertions after a run completes).  The hit/miss tallies are
+touched **only from the event-loop thread**, so they need no lock.
+Each shard gets its *own* :class:`~repro.faults.FaultRegistry` parsed
+from the daemon's fault spec, so ``cache.corrupt`` / ``cache.evict``
+injection stays deterministic per shard and no registry is shared
+across threads.
 """
 
 from __future__ import annotations
 
-import os
-
 from repro.faults import FaultRegistry
 from repro.runtime.cache import CodeCache, entry_checksum
-
-#: Heat (lookups for one key) at which recomputation is promoted from
-#: the reference interpreter to the threaded backend.
-DEFAULT_TIER_THREADED = 2
-#: Heat at which recomputation is promoted to the pycodegen backend.
-DEFAULT_TIER_PYCODEGEN = 8
-
-ENV_TIER_THREADED = "REPRO_SERVE_TIER_THREADED"
-ENV_TIER_PYCODEGEN = "REPRO_SERVE_TIER_PYCODEGEN"
 
 
 def _fnv(text: str) -> int:
@@ -63,17 +35,6 @@ def _fnv(text: str) -> int:
     for byte in text.encode("utf-8"):
         h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
     return h
-
-
-def _resolve_tier(env: str, default: int) -> int:
-    raw = os.environ.get(env, "").strip()
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        return default
-    return max(1, value)
 
 
 class ShardedResultCache:
@@ -93,16 +54,8 @@ class ShardedResultCache:
                 faults=faults,
                 lock=True,
             ))
-        self._heat: dict[tuple[str, str], int] = {}
-        self._heat_cap = max(1024, 8 * capacity_per_shard * shards)
         self._hits = [0] * shards
         self._misses = [0] * shards
-        self.tier_threaded = _resolve_tier(
-            ENV_TIER_THREADED, DEFAULT_TIER_THREADED)
-        self.tier_pycodegen = _resolve_tier(
-            ENV_TIER_PYCODEGEN, DEFAULT_TIER_PYCODEGEN)
-        if self.tier_pycodegen < self.tier_threaded:
-            self.tier_pycodegen = self.tier_threaded
 
     # -- keying ----------------------------------------------------------
 
@@ -112,21 +65,12 @@ class ShardedResultCache:
     # -- lookup / insert (event loop + worker threads) -------------------
 
     def get(self, tenant: str, run_key: str):
-        """Lookup a cached payload, bumping the key's heat.
+        """Lookup a cached payload.
 
-        Event-loop thread only (heat and tallies are unlocked).
+        Event-loop thread only (the hit/miss tallies are unlocked).
         """
         index = self._shard_of(tenant, run_key)
-        key = (tenant, run_key)
-        heat = self._heat.get(key, 0) + 1
-        if heat == 1 and len(self._heat) >= self._heat_cap:
-            # Bound the heat table: forget the coldest half.  Rare
-            # (cap is 8x the cache population) and deterministic.
-            survivors = sorted(self._heat.items(),
-                               key=lambda item: (-item[1], item[0]))
-            self._heat = dict(survivors[:self._heat_cap // 2])
-        self._heat[key] = heat
-        found = self._shards[index].lookup(key)
+        found = self._shards[index].lookup((tenant, run_key))
         if found.hit:
             self._hits[index] += 1
             return found.value
@@ -137,20 +81,6 @@ class ShardedResultCache:
         """Insert a payload (any thread; the shard lock serializes)."""
         index = self._shard_of(tenant, run_key)
         self._shards[index].insert((tenant, run_key), payload)
-
-    # -- tiering ---------------------------------------------------------
-
-    def heat(self, tenant: str, run_key: str) -> int:
-        return self._heat.get((tenant, run_key), 0)
-
-    def backend_for(self, tenant: str, run_key: str) -> str:
-        """Pick an execution backend from the key's accumulated heat."""
-        heat = self.heat(tenant, run_key)
-        if heat >= self.tier_pycodegen:
-            return "pycodegen"
-        if heat >= self.tier_threaded:
-            return "threaded"
-        return "reference"
 
     # -- stats -----------------------------------------------------------
 
@@ -179,7 +109,6 @@ class ShardedResultCache:
             "misses": sum(self._misses),
             "evictions": sum(s["evictions"] for s in shards),
             "corrupt_hits": sum(s["corrupt_hits"] for s in shards),
-            "heat_tracked_keys": len(self._heat),
             # 1.0 = every shard saw the same traffic; 0.0 = one shard
             # took everything.
             "shard_balance": round(quietest / busiest, 4)

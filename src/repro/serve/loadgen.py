@@ -9,8 +9,8 @@ seeded, reproducible request mix:
   universe, so a few keys are hot and the long tail is cold.  This is
   the leg the cache is for.
 * **thrash** — adversarial: a stream of unique keys sized past the
-  cache capacity, forcing evictions (and exercising heat-tiered
-  *re*-computation, since heat survives eviction).
+  cache capacity, forcing evictions; every miss, first or after an
+  eviction, runs on the daemon's one backend.
 * **storm** — adversarial: waves of identical concurrent requests for
   a cold key; single-flight coalescing must collapse each wave onto
   one execution.
@@ -70,7 +70,7 @@ DEFAULT_BENCH_PATH = "BENCH_serve.json"
 DEFAULT_SEED = 20260807
 
 #: Workloads the generator mixes by default: the paper's kernels, which
-#: run in well under a second each on any tier.
+#: run in well under a second each on any backend.
 DEFAULT_WORKLOADS = tuple(w.name for w in KERNELS)
 
 

@@ -175,8 +175,8 @@ def _worker_main(args: argparse.Namespace, sock: socket.socket,
             loop.add_signal_handler(signal.SIGTERM, stop.set)
             daemon = ServeDaemon(app, sock=sock)
             await daemon.start()
-            print(f"[worker {worker}] pid {os.getpid()} serving",
-                  file=sys.stderr, flush=True)
+            print(f"[worker {worker}] pid {os.getpid()} serving "
+                  f"(backend={app.backend})", file=sys.stderr, flush=True)
             await stop.wait()
             app.draining = True
             completed = await daemon.drain(knobs.resolve_drain_timeout())
@@ -470,17 +470,11 @@ def main(argv: list[str]) -> int:
     if args.snapshot_out and not args.persist_dir:
         print("--snapshot-out requires --persist-dir", file=sys.stderr)
         return 2
-    # Fail fast on a bad fault spec: a typo that only surfaced inside
-    # the workers would crash-loop all the way to the restart cap.
-    from repro.errors import FaultConfigError
-    from repro.faults import combine_specs, parse_spec
-    try:
-        parse_spec(combine_specs(args.faults,
-                                 os.environ.get("REPRO_FAULTS")))
-    except FaultConfigError as err:
-        print(f"bad fault spec: {err}", file=sys.stderr)
+    from repro.serve.__main__ import _raise_nofile_limit, startup_error
+    error = startup_error(args.faults)
+    if error:
+        print(error, file=sys.stderr)
         return 2
-    from repro.serve.__main__ import _raise_nofile_limit
     _raise_nofile_limit()
     return Supervisor(args).run()
 

@@ -185,24 +185,6 @@ class TestShardedCache:
         assert cache.get("a", "key") == {"v": 1}
         assert cache.get("b", "key") is None   # other tenant: miss
 
-    def test_heat_survives_eviction_and_drives_tiers(self):
-        cache = ShardedResultCache(shards=1, capacity_per_shard=4)
-        assert cache.backend_for("t", "k") == "reference"
-        for _ in range(cache.tier_threaded):
-            cache.get("t", "k")
-        assert cache.backend_for("t", "k") == "threaded"
-        for _ in range(cache.tier_pycodegen):
-            cache.get("t", "k")
-        assert cache.backend_for("t", "k") == "pycodegen"
-        # Fill the single shard far past capacity; "k" may be evicted
-        # but its heat (tracked beside the shards) must persist.
-        for i in range(16):
-            cache.put("t", f"other-{i}", {"i": i})
-        assert cache.backend_for("t", "k") == "pycodegen"
-        stats = cache.stats()
-        assert stats["evictions"] > 0
-        assert stats["entries"] <= 4
-
     def test_stats_shape(self):
         cache = ShardedResultCache(shards=3, capacity_per_shard=8)
         cache.put("t", "a", {})
@@ -212,6 +194,14 @@ class TestShardedCache:
         assert len(stats["shards"]) == 3
         assert stats["hits"] == 1 and stats["misses"] == 1
         assert 0.0 <= stats["shard_balance"] <= 1.0
+        # Fill one shard far past its capacity: it evicts and stays
+        # bounded.
+        cache = ShardedResultCache(shards=1, capacity_per_shard=4)
+        for i in range(16):
+            cache.put("t", f"other-{i}", {"i": i})
+        stats = cache.stats()
+        assert stats["evictions"] > 0
+        assert stats["entries"] <= 4
 
 
 # ----------------------------------------------------------------------
@@ -262,7 +252,7 @@ class TestServeApp:
                 status, body = await _post_run(
                     app, {"workload": "binary", "tenant": "t1"})
                 assert status == 200
-                assert body["backend"] == "reference"  # cold key
+                assert body["backend"] == app.backend
                 assert "cached" not in body
                 status, again = await _post_run(
                     app, {"workload": "binary", "tenant": "t1"})
@@ -402,6 +392,91 @@ class TestServeApp:
                 app.close()
 
         _run(go())
+
+
+# ----------------------------------------------------------------------
+# One backend per daemon
+# ----------------------------------------------------------------------
+
+class TestServeBackend:
+    def test_every_backend_serves_the_same_bytes(self, monkeypatch):
+        async def served(backend):
+            if backend is None:
+                monkeypatch.delenv("REPRO_BACKEND", raising=False)
+            else:
+                monkeypatch.setenv("REPRO_BACKEND", backend)
+            app = _app()
+            try:
+                status, body = await _post_run(
+                    app, {"workload": "dotproduct", "tenant": "t"})
+                assert status == 200
+                assert body["backend"] == (backend or "threaded")
+                status, stats = await app.handle("GET", "/stats", b"")
+                assert stats["server"]["tiers"] == {body["backend"]: 1}
+                return body["fingerprint"]
+            finally:
+                app.close()
+
+        unset = _run(served(None))
+        assert _run(served("reference")) == unset
+        assert _run(served("pycodegen")) == unset
+
+    def test_bogus_backend_refuses_to_build(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "bogus")
+        with pytest.raises(ValueError, match="unknown backend"):
+            _app()
+
+    def test_bogus_backend_refuses_before_binding(self, monkeypatch,
+                                                  capsys):
+        from repro.serve import __main__ as serve_main
+
+        def no_daemon(*args, **kwargs):
+            raise AssertionError("daemon built despite a bad backend")
+
+        monkeypatch.setenv("REPRO_BACKEND", "bogus")
+        monkeypatch.setattr(serve_main, "ServeDaemon", no_daemon)
+        assert serve_main.main(["--port", "0"]) == 2
+        assert "bad REPRO_BACKEND" in capsys.readouterr().err
+
+
+class TestKeyHistory:
+    """A served key's bytes never depend on how often it was looked up.
+
+    One dotproduct key is served ten times from a one-entry cache, with
+    a filler key evicting it in between, so every request recomputes.
+    Both configs make the result backend-sensitive: ``threaded``
+    translation faults only degrade the threaded backend, and fast
+    codegen only changes pycodegen runs.
+    """
+
+    @pytest.mark.parametrize("config", [
+        {"faults": "threaded.translate"},
+        {"codegen_mode": "fast"},
+    ])
+    def test_recomputed_key_keeps_its_fingerprint(self, config):
+        async def go():
+            app = ServeApp(shards=1, cache_capacity=1, workers=1)
+            try:
+                fingerprints = set()
+                for _ in range(10):
+                    status, body = await _post_run(app, {
+                        "workload": "dotproduct", "tenant": "t",
+                        "config": config})
+                    assert status == 200 and "cached" not in body
+                    fingerprints.add(body["fingerprint"])
+                    status, _ = await _post_run(
+                        app, {"workload": "binary", "tenant": "t"})
+                    assert status == 200
+                assert len(fingerprints) == 1
+                assert app.executions == 20
+                return app.backend, fingerprints
+            finally:
+                app.close()
+
+        backend, fingerprints = _run(go())
+        offline = run_workload(_workload("dotproduct"),
+                               build_config(config), backend=backend)
+        assert fingerprints == {run_fingerprint(offline)}
 
 
 # ----------------------------------------------------------------------

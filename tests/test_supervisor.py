@@ -58,6 +58,16 @@ class TestArgValidation:
                      "serve.respond:every=3,persist.fsync:every=5"])
         assert code == 2
 
+    def test_bad_backend_exits_2_without_forking(self, monkeypatch,
+                                                 capsys):
+        def no_fork():
+            raise AssertionError("forked despite a bad REPRO_BACKEND")
+
+        monkeypatch.setenv("REPRO_BACKEND", "bogus")
+        monkeypatch.setattr("os.fork", no_fork)
+        assert main(["--port", "0"]) == 2
+        assert "bad REPRO_BACKEND" in capsys.readouterr().err
+
     def test_snapshot_out_requires_persist_dir(self, tmp_path, capsys):
         code = main(["--snapshot-out", str(tmp_path / "out.snap")])
         assert code == 2
