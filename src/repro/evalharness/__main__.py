@@ -38,16 +38,6 @@ them)::
 (bench only), and ``--compare`` (diff the committed report at
 ``--output`` against a fresh run instead of overwriting it; exits
 non-zero on semantic divergence).
-
-Fusion-profile feedback (see :mod:`repro.machine.fusionprofile`)::
-
-    --fusion-profile-out PATH        collect observed block transfers on
-                                     the threaded tier and write them as
-                                     JSON (serial runs only: pool-worker
-                                     transfers are not collected)
-    --fusion-profile-in PATH         order pycodegen trace layout by a
-                                     previously collected profile (sets
-                                     REPRO_FUSION_PROFILE_IN for workers)
 """
 
 from __future__ import annotations
@@ -160,15 +150,6 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
                         help="bench only: diff the committed report at "
                              "--output against a fresh run instead of "
                              "overwriting it")
-    parser.add_argument("--fusion-profile-out", default=None,
-                        metavar="PATH",
-                        help="collect threaded-tier block-transfer "
-                             "profiles and write them to PATH as JSON")
-    parser.add_argument("--fusion-profile-in", default=None,
-                        metavar="PATH",
-                        help="feed a collected profile back into the "
-                             "pycodegen trace layout (sets "
-                             "$REPRO_FUSION_PROFILE_IN for workers too)")
     return parser.parse_args(argv)
 
 
@@ -287,46 +268,15 @@ def _export_robustness_env(args: argparse.Namespace) -> None:
         persist.reset()
 
 
-def _arm_fusion_profile(args: argparse.Namespace):
-    """Install ``--fusion-profile-in`` / arm ``--fusion-profile-out``.
-
-    Returns the collecting profile (or None) so :func:`main` can save
-    it once the sweep finishes.
-    """
-    from repro.machine import fusionprofile
-    if args.fusion_profile_in is not None:
-        profile = fusionprofile.FusionProfile.load(args.fusion_profile_in)
-        fusionprofile.install(profile)
-        # Pool workers resolve the profile lazily from the environment.
-        os.environ[fusionprofile.ENV_PROFILE_IN] = args.fusion_profile_in
-    if args.fusion_profile_out is not None:
-        return fusionprofile.start_collecting()
-    return None
-
-
-def _save_fusion_profile(args: argparse.Namespace, profile) -> None:
-    if profile is None:
-        return
-    profile.save(args.fusion_profile_out)
-    print(f"fusion profile ({profile.total_edges} edges over "
-          f"{len(profile.edges)} function(s)) written to "
-          f"{args.fusion_profile_out}", file=sys.stderr)
-
-
 def main(argv: list[str]) -> int:
     args = _parse_args(argv)
     _export_robustness_env(args)
-    collecting = _arm_fusion_profile(args)
     start = time.time()
 
     if args.what == "bench":
-        code = _bench(args)
-        _save_fusion_profile(args, collecting)
-        return code
+        return _bench(args)
     if args.what == "warmstart":
-        code = _warmstart(args)
-        _save_fusion_profile(args, collecting)
-        return code
+        return _warmstart(args)
 
     memo = None if args.no_memo else Memoizer(args.memo_dir)
     kwargs = dict(jobs=args.jobs, memo=memo, backend=args.backend)
@@ -351,7 +301,6 @@ def main(argv: list[str]) -> int:
     elif args.what == "table5":
         _emit(build_table5(progress=_progress, **kwargs))
 
-    _save_fusion_profile(args, collecting)
     print(f"\n[{time.time() - start:.1f}s]", file=sys.stderr)
     return 0
 

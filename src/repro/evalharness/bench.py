@@ -15,7 +15,7 @@ The columns are:
 ``reference``
     The reference interpreter — the baseline every speedup is against.
 ``threaded``
-    The direct-threaded closure backend (with superinstruction fusion).
+    The direct-threaded closure backend.
 ``pycodegen_counted``
     The Python-codegen backend in counted mode: regions compiled to real
     code objects, statistics byte-identical to the reference

@@ -38,17 +38,16 @@ from repro.faults import resolve_degrade, resolve_fault_spec
 from repro.ir import Memory
 from repro.machine.costs import CostModel
 from repro.machine.pycodegen import resolve_source_limit
-from repro.machine.threaded import resolve_fusion_threshold
 from repro.runtime import persist
 from repro.runtime.overhead import OverheadModel
 from repro.workloads import WORKLOADS_BY_NAME
 from repro.workloads.base import Workload
 
 #: Bump when the RunResult layout or the fingerprint recipe changes;
-#: stale entries from older schemas simply never match.  Schema 6 keys
-#: the serve tier's resilience knobs (circuit-breaker threshold and
-#: cooldown, supervised worker count) into the environment fingerprint.
-_SCHEMA = 6
+#: stale entries from older schemas simply never match.  Schema 7 keys
+#: only the environment knobs that can change a RunResult (the codegen
+#: source limit and the pool task timeout).
+_SCHEMA = 7
 
 #: Default cache directory (relative to the current working directory)
 #: when none is given explicitly or via ``REPRO_MEMO_DIR``.
@@ -82,41 +81,22 @@ def _fingerprint_inputs(workload: Workload) -> str:
 
 
 def backend_env_fingerprint() -> tuple:
-    """Resolved values of backend-affecting environment knobs.
+    """Resolved values of the environment knobs that can change a run.
 
-    These knobs change *how* a run executes — when the threaded tier
-    quickens (``REPRO_FUSION_THRESHOLD``), when the codegen tier refuses
-    an oversize source and walks the backend ladder
-    (``REPRO_PYCODEGEN_SOURCE_LIMIT``, which bumps
-    ``degraded_compilations``), and when the supervised pool abandons a
-    round (``REPRO_TASK_TIMEOUT``, which decides whether a hung worker's
-    task is retried or reported).  None of them is visible in
-    ``OptConfig``, so without feeding the *resolved* values into the key
-    a warm hit could serve a result computed under a different
-    configuration.  The timeout is read through
-    :func:`repro.evalharness.parallel.resolve_task_timeout` lazily to
-    keep this module import-light.
+    ``REPRO_PYCODEGEN_SOURCE_LIMIT`` decides when the codegen tier
+    refuses an oversize source and walks the backend ladder (which bumps
+    ``degraded_compilations``); ``REPRO_TASK_TIMEOUT`` decides whether
+    the supervised pool retries or reports a hung worker's task.
+    Neither is visible in ``OptConfig``, so without feeding the
+    *resolved* values into the key a warm hit could serve a result
+    computed under a different configuration.  Knobs that only shape
+    operations (the serve tier's breakers and worker count) are left
+    out: they cannot change a ``RunResult``.  The timeout is read
+    through :func:`repro.evalharness.parallel.resolve_task_timeout`
+    lazily to keep this module import-light.
     """
     from repro.evalharness.parallel import resolve_task_timeout
-    from repro.serve.knobs import (
-        resolve_breaker_cooldown,
-        resolve_breaker_threshold,
-        resolve_serve_procs,
-    )
-    return (
-        resolve_fusion_threshold(),
-        resolve_source_limit(),
-        resolve_task_timeout(),
-        # Serve-tier resilience knobs.  They do not change run *bytes*,
-        # but results computed and persisted by a supervised fleet are
-        # replayed across worker recycles; keying the knobs makes a
-        # fleet reconfiguration (different breaker policy or worker
-        # count) start from a fresh key space instead of mixing
-        # artifacts produced under different supervision regimes.
-        resolve_breaker_threshold(),
-        resolve_breaker_cooldown(),
-        resolve_serve_procs(),
-    )
+    return (resolve_source_limit(), resolve_task_timeout())
 
 
 def _feed(hasher, part: object) -> None:

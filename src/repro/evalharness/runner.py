@@ -32,7 +32,7 @@ from repro.evalharness.memo import (
 from repro.evalharness.metrics import RegionMetrics
 from repro.frontend import compile_source
 from repro.ir import Memory, Module
-from repro.machine import ALPHA_21164, ICacheModel, Machine, fusionprofile
+from repro.machine import ALPHA_21164, ICacheModel, Machine
 from repro.machine.costs import CostModel
 from repro.machine.pycodegen import resolve_source_limit
 from repro.runtime import persist
@@ -358,10 +358,8 @@ def run_workload(workload: Workload,
     baseline_key = None
     if canonical_module:
         module = _parsed_module(workload.source)
-        if fusionprofile.collector() is None:
-            # A collecting fusion profile must observe the static run.
-            baseline_key = static_baseline_key(workload, cost_model,
-                                               backend, codegen_mode)
+        baseline_key = static_baseline_key(workload, cost_model, backend,
+                                           codegen_mode)
     static = static_baseline(workload, module, cost_model, backend,
                              codegen_mode, baseline_key)
 

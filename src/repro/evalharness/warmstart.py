@@ -2,8 +2,8 @@
 
 ``python -m repro.evalharness warmstart`` measures, per workload, the
 wall-clock cost of *generating* specialized artifacts (entry and
-continuation specializations, pycodegen compilations, fusion decisions)
-on a cold persistent store versus replaying them from a warm one:
+continuation specializations and pycodegen compilations) on a cold
+persistent store versus replaying them from a warm one:
 
 1. **Cold leg** — run the workload with a fresh, empty
    :mod:`repro.runtime.persist` store; every artifact is generated and

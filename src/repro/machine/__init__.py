@@ -9,7 +9,6 @@ asymptotic-speedup / break-even / overhead-per-instruction metrics.
 """
 
 from repro.machine.costs import CostModel, ALPHA_21164
-from repro.machine.fusionprofile import FusionProfile
 from repro.machine.icache import ICacheModel
 from repro.machine.intrinsics import INTRINSICS, Intrinsic
 from repro.machine.interp import BACKENDS, Machine, ExecutionStats
@@ -19,7 +18,6 @@ from repro.machine.threaded import ThreadedBackend
 __all__ = [
     "CostModel",
     "ALPHA_21164",
-    "FusionProfile",
     "ICacheModel",
     "INTRINSICS",
     "Intrinsic",

@@ -82,7 +82,6 @@ from repro.ir.instructions import (
     Store,
     UnOp,
 )
-from repro.machine import fusionprofile
 from repro.machine.costs import binop_terms, flat_term, move_terms
 from repro.machine.threaded import (
     BINOP_FUNCS,
@@ -151,7 +150,7 @@ def resolve_compile_threshold(
 
 
 #: Memoized ``REPRO_PYCODEGEN_SOURCE_LIMIT`` — parsed once per process,
-#: like the other env knobs (fusion threshold, persist dir); tests reset
+#: like the other env knobs (e.g. the persist dir); tests reset
 #: it via :func:`reset_source_limit_cache`.
 _SOURCE_LIMIT_CACHE: int | None = None
 
@@ -267,13 +266,7 @@ class _Emitter:
         self.counted = mode == "counted"
         self.version = fn.version
         self.step_limit = machine.step_limit
-        # Observed-transfer feedback (superinstruction fusion profiles
-        # collected on the threaded tier) reorders the trace layout so
-        # hot transfers become fallthrough; None falls back to the
-        # static heuristic.  Layout cannot affect counted stats.
-        self.shape = region_shape(
-            fn, fusionprofile.successors_for(fn.name)
-        )
+        self.shape = region_shape(fn)
         self.ids = self.shape.ids
         self.lines: list[str] = []
         self.consts: list = []
@@ -875,21 +868,16 @@ class PyCodegenBackend:
                         scale: float, region: bool) -> str:
         """Content key of one emission: everything the source embeds.
 
-        Cost literals, penalty/scale, the step limit, the codegen mode,
-        and the (profile-dependent) trace layout all shape the emitted
-        text, so they are all part of the key; the function text itself
-        covers name/version/blocks.
+        Cost literals, penalty/scale, the step limit and the codegen
+        mode all shape the emitted text, so they are all part of the key;
+        the function text itself covers name/version/blocks (and so the
+        trace layout, which is a pure function of the blocks).
         """
-        profile = fusionprofile.successors_for(fn.name)
-        profile_key = None if profile is None else sorted(
-            (src, tuple(sorted(dsts.items())))
-            for src, dsts in profile.items()
-        )
         return persist.digest(
             "pycodegen", persist.PERSIST_SCHEMA,
             persist.function_text(fn), penalty, scale, int(region),
             self.mode, self.machine.step_limit,
-            repr(self.machine.costs), profile_key,
+            repr(self.machine.costs),
         )
 
     def _code_object(self, fn: Function, source: str):

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import math
 import operator
-import os
 
 from repro.errors import MachineError, TrapError
 from repro.ir.eval import _c_div, _c_mod
@@ -70,9 +69,7 @@ from repro.ir.instructions import (
     Store,
     UnOp,
 )
-from repro.machine import fusionprofile
 from repro.machine.costs import binop_terms, flat_term, move_terms
-from repro.runtime import persist
 
 # ----------------------------------------------------------------------
 # Per-operator evaluators
@@ -151,25 +148,6 @@ def _undefined(name: str):
     raise TrapError(f"use of undefined variable {name!r}")
 
 
-#: Function entries before a translation is retranslated with
-#: superinstruction fusion (see ``_fuse_steps``).  Fusion costs one extra
-#: retranslation, so it is profile-guided: only translations hot enough
-#: to re-enter this many times pay for it.  Overridable via
-#: ``REPRO_FUSION_THRESHOLD``; 0 disables fusion entirely.
-DEFAULT_FUSION_THRESHOLD = 32
-
-
-def resolve_fusion_threshold(
-        default: int = DEFAULT_FUSION_THRESHOLD) -> int:
-    raw = os.environ.get("REPRO_FUSION_THRESHOLD", "").strip()
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return default
-
-
 class TranslationFault(MachineError):
     """An injected ``threaded.translate`` fault refused a translation.
 
@@ -195,21 +173,15 @@ class TranslationFault(MachineError):
 
 
 class _Translation:
-    __slots__ = ("function", "version", "penalty", "scale", "runners",
-                 "entries", "fused")
+    __slots__ = ("function", "version", "penalty", "scale", "runners")
 
     def __init__(self, function: Function, penalty: float, scale: float,
-                 runners: dict, fused: bool = False):
+                 runners: dict):
         self.function = function
         self.version = function.version
         self.penalty = penalty
         self.scale = scale
         self.runners = runners
-        #: Driver entries under this translation (the quickening
-        #: profile); reset by retranslation after a version bump, so
-        #: patched code re-warms before fusing again.
-        self.entries = 0
-        self.fused = fused
 
 
 class ThreadedBackend:
@@ -221,11 +193,6 @@ class ThreadedBackend:
         #: to their Function, so a cached id can never be recycled by a
         #: different object.
         self._cache: dict[int, _Translation] = {}
-        self.fusion_threshold = resolve_fusion_threshold()
-        # Quickening counters (tests / reporting).
-        self.quickened_functions = 0
-        self.fused_specialized = 0
-        self.fused_generic = 0
 
     # -- cache ----------------------------------------------------------
 
@@ -236,10 +203,6 @@ class ThreadedBackend:
                 and entry.version == fn.version
                 and entry.penalty == penalty
                 and entry.scale == scale):
-            if not entry.fused and self.fusion_threshold:
-                entry.entries += 1
-                if entry.entries >= self.fusion_threshold:
-                    entry = self._quicken(fn, entry)
             return entry
         runtime = self.machine.runtime
         if runtime is not None:
@@ -250,84 +213,13 @@ class ThreadedBackend:
                     f"injected fault translating {fn.name!r} "
                     f"(version {fn.version})"
                 )
-        fuse = False
-        if self.fusion_threshold:
-            store = persist.active_store()
-            if store is not None \
-                    and fusionprofile.collector() is None \
-                    and store.get(
-                        "fusion",
-                        self._fusion_digest(fn, penalty, scale),
-                        faults=self._persist_faults(),
-                    ) is not None:
-                # A previous process proved this translation hot enough
-                # to fuse: skip the re-warm and fuse eagerly.  Fused
-                # steps compose the originals, so this is
-                # stats-identical either way — a wrong (weak-key) hit
-                # costs only a needless eager fusion.
-                fuse = True
-        entry = self._translate(fn, penalty, scale, fuse=fuse)
+        entry = self._translate(fn, penalty, scale)
         self._cache[id(fn)] = entry
         return entry
 
     def invalidate(self, fn: Function) -> None:
         """Drop any cached translation of ``fn`` (tests / tooling)."""
         self._cache.pop(id(fn), None)
-
-    def _persist_faults(self):
-        runtime = self.machine.runtime
-        return getattr(runtime, "faults", None) \
-            if runtime is not None else None
-
-    def _fusion_digest(self, fn: Function, penalty: float,
-                       scale: float) -> str:
-        """Deliberately *weak* content key for a fusion decision.
-
-        Hashing the full block list on every fresh translation (regions
-        retranslate after every version bump) would cost more than
-        fusion saves, so the key is a cheap shape summary.  That is safe
-        precisely because fusion preserves stats and semantics — unlike
-        the entry/cont/pycodegen kinds, a stale hit cannot corrupt a
-        run, only fuse something lukewarm.
-        """
-        return persist.digest(
-            "fusion", persist.PERSIST_SCHEMA, fn.name, fn.version,
-            fn.entry, fn.instruction_count(), len(fn.blocks), penalty,
-            scale, self.fusion_threshold,
-        )
-
-    def _quicken(self, fn: Function, trans: _Translation) -> _Translation:
-        """Retranslate a hot function with superinstruction fusion.
-
-        Quickening is internal re-emission, not a fresh translation, so
-        it bypasses the ``threaded.translate`` fault point; the fused
-        steps compose the originals and stay byte-identical in stats.
-        """
-        entry = self._translate(fn, trans.penalty, trans.scale,
-                                fuse=True)
-        entry.entries = trans.entries
-        self._cache[id(fn)] = entry
-        self.quickened_functions += 1
-        store = persist.active_store()
-        if store is not None and fusionprofile.collector() is None:
-            store.put(
-                "fusion",
-                self._fusion_digest(fn, trans.penalty, trans.scale),
-                True, faults=self._persist_faults(),
-            )
-        return entry
-
-    def _fusion_fuel(self, trans: _Translation) -> int | None:
-        """Block dispatches a driver may run under ``trans`` before
-        quickening it mid-run, or None when fusion is settled.
-
-        Driver *entries* alone miss the hottest shape of all — a region
-        or host function entered once whose loops run entirely inside
-        the dispatch loop — so the drivers also count block transfers.
-        """
-        if trans.fused or not self.fusion_threshold:
-            return None
-        return self.fusion_threshold * 64
 
     # -- drivers --------------------------------------------------------
 
@@ -344,21 +236,11 @@ class ThreadedBackend:
             machine.stats.degraded_translations += 1
             return machine._exec_function_interp(function, env)
         runners = trans.runners
-        fuel = self._fusion_fuel(trans)
-        profile = fusionprofile.collector()
         label = function.entry
         while True:
             kind, payload = runners[label](env)
             if kind == "jump":
-                if profile is not None:
-                    profile.record(function.name, label, payload)
                 label = payload
-                if fuel is not None:
-                    fuel -= 1
-                    if fuel <= 0:
-                        trans = self._quicken(function, trans)
-                        runners = trans.runners
-                        fuel = None
             elif kind == "return":
                 return payload
             elif kind == "enter_region":
@@ -391,8 +273,6 @@ class ThreadedBackend:
             machine.stats.degraded_translations += 1
             return machine._exec_region_interp(code, env, footprint,
                                                code.entry)
-        fuel = self._fusion_fuel(trans)
-        profile = fusionprofile.collector()
         label = code.entry
         while True:
             if code.version != trans.version:
@@ -405,17 +285,9 @@ class ThreadedBackend:
                     return machine._exec_region_interp(
                         code, env, footprint, label
                     )
-                fuel = self._fusion_fuel(trans)
             kind, payload = trans.runners[label](env)
             if kind == "jump":
-                if profile is not None:
-                    profile.record(code.name, label, payload)
                 label = payload
-                if fuel is not None:
-                    fuel -= 1
-                    if fuel <= 0:
-                        trans = self._quicken(code, trans)
-                        fuel = None
             elif kind in ("exit", "return"):
                 return (kind, payload)
             elif kind == "promote":
@@ -428,32 +300,23 @@ class ThreadedBackend:
 
     # -- translation ----------------------------------------------------
 
-    def _translate(self, fn: Function, penalty: float, scale: float,
-                   fuse: bool = False) -> _Translation:
+    def _translate(self, fn: Function, penalty: float,
+                   scale: float) -> _Translation:
         runners = {
-            label: self._compile_block(block, penalty, scale, fuse)
+            label: self._compile_block(block, penalty, scale)
             for label, block in fn.blocks.items()
         }
-        return _Translation(fn, penalty, scale, runners, fused=fuse)
+        return _Translation(fn, penalty, scale, runners)
 
-    def _compile_block(self, block, penalty: float, scale: float,
-                       fuse: bool = False):
+    def _compile_block(self, block, penalty: float, scale: float):
         machine = self.machine
         costs = machine.costs
 
         call_segments: list[tuple] = []
         steps: list = []
-        #: Per-step shape descriptors, parallel to ``steps``; consumed
-        #: by ``_fuse_steps`` to pick specialized superinstructions.
-        metas: list = []
         const = 0.0
         count = 0
         finish = None
-
-        def seal(step_list, meta_list):
-            if fuse and len(step_list) > 1:
-                return tuple(self._fuse_steps(step_list, meta_list))
-            return tuple(step_list)
 
         for instr in block.instrs:
             cls = type(instr)
@@ -464,7 +327,6 @@ class ThreadedBackend:
                 const += base
                 count += 1
                 steps.append(self._binop_step(instr, fp_extra))
-                metas.append(self._binop_meta(instr, fp_extra))
             elif cls is Move:
                 if type(instr.src) is Imm:
                     value = instr.src.value
@@ -474,37 +336,30 @@ class ThreadedBackend:
                     )
                     count += 1
                     steps.append(self._move_imm_step(instr.dest, value))
-                    metas.append(("mi", (instr.dest, value)))
                 else:
                     base, fp_extra = move_terms(costs, scale, penalty)
                     const += base
                     count += 1
                     steps.append(self._move_reg_step(instr, fp_extra))
-                    metas.append(None)
             elif cls is Load:
                 const += flat_term(costs.load, scale, penalty)
                 count += 1
                 steps.append(self._load_step(instr))
-                metas.append(None)
             elif cls is Store:
                 const += flat_term(costs.store, scale, penalty)
                 count += 1
                 steps.append(self._store_step(instr))
-                metas.append(None)
             elif cls is UnOp:
                 base, fp_extra = binop_terms(costs, "alu", scale, penalty)
                 const += base
                 count += 1
                 steps.append(self._unop_step(instr, fp_extra))
-                metas.append(None)
             elif cls is Call:
                 count += 1
                 call_segments.append(
-                    (const, count, seal(steps, metas),
-                     self._call_step(instr))
+                    (const, count, tuple(steps), self._call_step(instr))
                 )
                 steps = []
-                metas = []
                 const = 0.0
                 count = 0
             elif cls is MakeStatic or cls is MakeDynamic:
@@ -547,7 +402,6 @@ class ThreadedBackend:
                 steps.append(self._error_step(
                     MachineError(f"cannot execute {name}")
                 ))
-                metas.append(None)
             if finish is not None:
                 break
 
@@ -565,7 +419,7 @@ class ThreadedBackend:
                 _commit(_const + extra, _count)
                 raise _error
 
-        final_steps = seal(steps, metas)
+        final_steps = tuple(steps)
 
         if not call_segments:
             n = len(final_steps)
@@ -633,115 +487,6 @@ class ThreadedBackend:
             return _finish(env, extra)
 
         return runner
-
-    # -- superinstruction fusion ----------------------------------------
-    #
-    # Quickening (Brunthaler-style speculative staging): once a
-    # translation proves hot, adjacent step pairs within a segment are
-    # fused into single closures, halving the per-step call overhead on
-    # straight-line runs.  Operand-specialized variants exist for the
-    # statistically dominant pair shapes; every other pair gets the
-    # generic composition ``s2(env, s1(env, extra))``, which is the
-    # original computation verbatim — fusion can therefore never change
-    # semantics or stats, only call counts.
-
-    def _binop_meta(self, instr: BinOp, fp_extra: float):
-        """Shape descriptor for specialized fusion, or None."""
-        fn = BINOP_FUNCS.get(instr.op)
-        if fn is None:
-            return None
-        lhs, rhs = instr.lhs, instr.rhs
-        if type(lhs) is Reg and type(rhs) is Reg:
-            return ("brr", (fn, instr.dest, lhs.name, rhs.name,
-                            fp_extra))
-        if (type(lhs) is Reg and type(rhs) is Imm
-                and type(rhs.value) is not float):
-            return ("bri", (fn, instr.dest, lhs.name, rhs.value,
-                            fp_extra))
-        return None
-
-    def _fuse_steps(self, steps: list, metas: list) -> list:
-        """Greedy left-to-right pairing of adjacent steps."""
-        out = []
-        i = 0
-        n = len(steps)
-        while i < n:
-            if i + 1 < n:
-                fused = self._fuse_pair(steps[i], metas[i],
-                                        steps[i + 1], metas[i + 1])
-                if fused is not None:
-                    out.append(fused)
-                    i += 2
-                    continue
-            out.append(steps[i])
-            i += 1
-        return out
-
-    def _fuse_pair(self, s1, m1, s2, m2):
-        k1 = m1[0] if m1 is not None else None
-        k2 = m2[0] if m2 is not None else None
-        if k1 == "mi" and k2 == "mi":
-            (d1, v1), (d2, v2) = m1[1], m2[1]
-            self.fused_specialized += 1
-
-            def fused(env, extra, _d1=d1, _v1=v1, _d2=d2, _v2=v2):
-                env[_d1] = _v1
-                env[_d2] = _v2
-                return extra
-
-            return fused
-        if k1 == "bri" and k2 == "bri":
-            (f1, d1, l1, b1, e1) = m1[1]
-            (f2, d2, l2, b2, e2) = m2[1]
-            self.fused_specialized += 1
-
-            def fused(env, extra, _f1=f1, _d1=d1, _l1=l1, _b1=b1,
-                      _e1=e1, _f2=f2, _d2=d2, _l2=l2, _b2=b2, _e2=e2):
-                try:
-                    a = env[_l1]
-                except KeyError:
-                    _undefined(_l1)
-                env[_d1] = _f1(a, _b1)
-                if type(a) is float:
-                    extra += _e1
-                try:
-                    a = env[_l2]
-                except KeyError:
-                    _undefined(_l2)
-                env[_d2] = _f2(a, _b2)
-                if type(a) is float:
-                    extra += _e2
-                return extra
-
-            return fused
-        if k1 == "mi" and k2 == "brr":
-            (d1, v1) = m1[1]
-            (fn, d2, ln, rn, e) = m2[1]
-            self.fused_specialized += 1
-
-            def fused(env, extra, _d1=d1, _v1=v1, _fn=fn, _d2=d2,
-                      _l=ln, _r=rn, _e=e):
-                env[_d1] = _v1
-                try:
-                    a = env[_l]
-                except KeyError:
-                    _undefined(_l)
-                try:
-                    b = env[_r]
-                except KeyError:
-                    _undefined(_r)
-                env[_d2] = _fn(a, b)
-                if type(a) is float or type(b) is float:
-                    extra += _e
-                return extra
-
-            return fused
-        self.fused_generic += 1
-
-        def fused(env, extra, _s1=s1, _s2=s2):
-            return _s2(env, _s1(env, extra))
-
-        return fused
 
     # -- step factories -------------------------------------------------
 

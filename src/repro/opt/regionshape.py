@@ -17,15 +17,6 @@ false arm (its true arm if the false arm is already placed) — until the
 chain dead-ends.  Every chain becomes one contiguous run of dense block
 ids, so the emitter can guard a chain with a single range test and let
 execution fall from one block into the next.
-
-With an observed-transfer ``profile`` (superinstruction fusion
-profiles collected by the threaded backend; see
-:mod:`repro.machine.fusionprofile`), trace growth prefers the *hottest
-observed* successor over the static heuristic, and finished chains are
-ordered hottest-first (the entry chain stays first) so hot transfers
-become fallthrough and get dense low ids.  Layout never changes
-semantics or cycle accounting, so a stale profile can only cost
-dispatches, never correctness.
 """
 
 from __future__ import annotations
@@ -66,14 +57,8 @@ class RegionShape:
     instruction_count: int
 
 
-def _preferred_successor(block, placed: set,
-                         hot: dict | None = None) -> str | None:
-    """The successor to place immediately after ``block``, if any.
-
-    ``hot`` (``dst label -> observed transfer count`` for this block)
-    overrides the static preference: the hottest unplaced successor
-    wins, with the static choice breaking ties deterministically.
-    """
+def _preferred_successor(block, placed: set) -> str | None:
+    """The successor to place immediately after ``block``, if any."""
     if not block.instrs:
         return None
     term = block.instrs[-1]
@@ -83,20 +68,6 @@ def _preferred_successor(block, placed: set,
             return term.target
         return None
     if cls is Branch:
-        if hot:
-            candidates = [
-                arm for arm in (term.if_false, term.if_true)
-                if arm not in placed
-            ]
-            if len(candidates) == 2:
-                t_heat = hot.get(term.if_true, 0)
-                f_heat = hot.get(term.if_false, 0)
-                if t_heat > f_heat:
-                    return term.if_true
-                return term.if_false
-            if candidates:
-                return candidates[0]
-            return None
         # Prefer the false arm (loop exits / else branches tend to
         # continue the trace); take the true arm if false is placed.
         if term.if_false not in placed:
@@ -106,25 +77,12 @@ def _preferred_successor(block, placed: set,
     return None
 
 
-def _chain_heat(chain: tuple, successors: dict) -> int:
-    """Total observed transfers leaving any block of ``chain``."""
-    return sum(
-        sum(successors.get(label, {}).values()) for label in chain
-    )
-
-
-def region_shape(fn: Function,
-                 profile: dict | None = None) -> RegionShape:
+def region_shape(fn: Function) -> RegionShape:
     """Compute the codegen layout for ``fn``.
 
     Unreachable-from-entry blocks are still placed: region code is
     entered at arbitrary labels (promotion continuations, region-exit
     resumes), so every block must be dispatchable.
-
-    ``profile`` is an optional ``src label -> {dst label -> count}``
-    map of observed block transfers (see
-    :func:`repro.machine.fusionprofile.successors_for`); when given,
-    trace growth and chain order follow the observed heat.
     """
     placed: set[str] = set()
     chains: list[tuple[str, ...]] = []
@@ -156,19 +114,8 @@ def region_shape(fn: Function,
                               else term.if_true)
                 cursor = exit_label if exit_label not in placed else None
             else:
-                hot = profile.get(cursor) if profile else None
-                cursor = _preferred_successor(block, placed, hot)
+                cursor = _preferred_successor(block, placed)
         chains.append(tuple(chain))
-
-    if profile and len(chains) > 1:
-        # Hot chains first (stable; the entry chain is pinned to the
-        # front so the common entry id stays in the first guard range).
-        entry_chain = chains[0]
-        rest = sorted(
-            chains[1:],
-            key=lambda chain: -_chain_heat(chain, profile),
-        )
-        chains = [entry_chain, *rest]
 
     order = tuple(label for chain in chains for label in chain)
     ids = {label: index for index, label in enumerate(order)}

@@ -18,10 +18,6 @@ specialized artifacts:
     The Python source + namespace metadata emitted by the codegen
     backend for one function version, so a warm process skips emission
     and (when the interpreter magic matches) bytecode compilation.
-``fusion``
-    Threaded-backend superinstruction decisions: "this function version
-    got hot enough to fuse", letting a warm process fuse eagerly instead
-    of re-measuring heat.
 
 Keys are content hashes derived the way :mod:`repro.evalharness.memo`
 keys runs — run context (workload content + resolved config/env knobs)
@@ -67,13 +63,14 @@ from repro.runtime.stats import RegionStats
 
 #: Bumped whenever the record layout or replay semantics change; a store
 #: written by any other schema is read as all-misses (and memo keys it).
-PERSIST_SCHEMA = 1
+#: The kind set (``KINDS``) is part of the layout.
+PERSIST_SCHEMA = 2
 
 ENV_PERSIST_DIR = "REPRO_PERSIST_DIR"
 DEFAULT_PERSIST_DIR = ".repro_persist"
 
 #: Artifact kinds the store accepts (also the filename prefix).
-KINDS = ("entry", "cont", "pycodegen", "fusion")
+KINDS = ("entry", "cont", "pycodegen")
 
 #: Live-entry bound of the in-process front cache over decoded records.
 _FRONT_CAPACITY = 256

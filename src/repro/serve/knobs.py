@@ -1,8 +1,7 @@
 """Resolved environment knobs for the serve tier's resilience layer.
 
-Import-light on purpose: :mod:`repro.evalharness.memo` feeds these
-resolved values into the run memo key (schema 6), so this module must
-not pull in the daemon, asyncio, or any workload code.
+These knobs shape how the daemon operates, never what a run computes,
+so the run memo key (:mod:`repro.evalharness.memo`) leaves them out.
 
 ==============================  =======  ==============================
 environment variable            default  meaning

@@ -153,7 +153,11 @@ def _worker_main(args: argparse.Namespace, sock: socket.socket,
     import threading
 
     os.environ[knobs.ENV_WORKER_ID] = str(worker)
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    # A SIGTERM that arrives while the app is still being built is
+    # recorded, not fatal: the worker drains as soon as it serves.
+    early_stop: list[int] = []
+    signal.signal(signal.SIGTERM,
+                  lambda signum, frame: early_stop.append(signum))
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
     exit_code = 0
@@ -173,6 +177,8 @@ def _worker_main(args: argparse.Namespace, sock: socket.socket,
             loop = asyncio.get_running_loop()
             stop = asyncio.Event()
             loop.add_signal_handler(signal.SIGTERM, stop.set)
+            if early_stop:
+                stop.set()
             daemon = ServeDaemon(app, sock=sock)
             await daemon.start()
             print(f"[worker {worker}] pid {os.getpid()} serving "

@@ -41,7 +41,7 @@ from repro.evalharness.warmstart import (
 )
 from repro.faults import resolve_degrade, resolve_fault_spec
 from repro.frontend import compile_source
-from repro.machine import ALPHA_21164, Machine, fusionprofile
+from repro.machine import ALPHA_21164, Machine
 from repro.machine.pycodegen import reset_source_limit_cache
 from repro.runtime import persist
 from repro.runtime.overhead import DEFAULT_OVERHEAD
@@ -308,24 +308,6 @@ class TestKeys:
 
 
 class TestObservedSideEffects:
-    def test_collecting_fusion_profile_sees_the_static_run(self):
-        def collect():
-            collecting = fusionprofile.start_collecting()
-            try:
-                run_workload(BINARY, backend="threaded")
-            finally:
-                fusionprofile.stop_collecting()
-            return collecting.edges
-
-        fusionprofile.reset()
-        try:
-            run_workload(BINARY, backend="threaded")
-            warm = collect()
-            reset_invariant_caches()
-            assert collect() == warm
-        finally:
-            fusionprofile.reset()
-
     def test_warm_start_legs_stay_cold(self):
         """Two reports from one process agree with the committed one:
         every leg's static run consults the store, however warm the

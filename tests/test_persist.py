@@ -8,6 +8,7 @@ artifact — never to a crash or to executing a stale artifact.
 """
 
 import dataclasses
+import hashlib
 import os
 import pickle
 import threading
@@ -155,6 +156,40 @@ class TestSnapshotRoundTrip:
         assert outcome.skipped == 1
         assert outcome.loaded == len(names) - 1
         assert names[0] not in _records(warm_dir)
+
+
+class TestSchemaOneArtifacts:
+    """Schema 2 dropped the ``fusion`` kind: artifacts written before
+    the change read as schema drift, never as corruption or hits."""
+
+    def test_schema_one_store_and_snapshot_are_refused(self, tmp_path):
+        store_dir = tmp_path / "store"
+        _run_with_store(WORKLOADS_BY_NAME["binary"], store_dir)
+        current = _records(store_dir)
+        payload = pickle.dumps(True)
+        digest = persist.digest("fusion", 1, "main")
+        (store_dir / f"fusion-{digest}.rec").write_bytes(pickle.dumps({
+            "schema": 1,
+            "kind": "fusion",
+            "digest": digest,
+            "payload": payload,
+            "sha256": hashlib.sha256(payload).hexdigest(),
+        }))
+        scan = persist.verify_store(str(store_dir))
+        assert scan["schema"] == 1
+        assert scan["corrupt"] == 0
+        assert scan["ok"] == len(current)
+
+        snap = tmp_path / "store.snap"
+        assert persist.save_snapshot(str(store_dir), str(snap)).ok
+        envelope = pickle.loads(snap.read_bytes())
+        envelope["schema"] = 1
+        snap.write_bytes(pickle.dumps(envelope))
+        outcome = persist.load_snapshot(str(snap), str(tmp_path / "warm"))
+        assert not outcome.ok
+        assert outcome.error == \
+            f"snapshot schema 1 != {persist.PERSIST_SCHEMA}"
+        assert _records(tmp_path / "warm") == []
 
 
 class TestRecordIntegrity:
@@ -310,15 +345,17 @@ class TestStoreApi:
         assert persist.resolve_persist_dir() == "/from/env"
         assert persist.resolve_persist_dir("explicit") == "explicit"
 
-    def test_memo_schema_is_six(self):
+    def test_memo_schema_is_seven(self):
         from repro.evalharness.memo import _SCHEMA
-        assert _SCHEMA == 6
+        assert _SCHEMA == 7
 
-    def test_memo_key_tracks_resilience_knobs(self, monkeypatch):
-        """Schema 6 keys the serve-tier knobs: changing the breaker
-        threshold, cooldown, or worker count must change memo keys."""
+    def test_memo_key_ignores_resilience_knobs(self, monkeypatch):
+        """Schema 7 keys only knobs that can change a RunResult: the
+        breaker threshold, cooldown and worker count leave memo keys
+        alone, while the codegen source limit still changes them."""
         from repro.evalharness.memo import memo_key
         from repro.machine.costs import ALPHA_21164
+        from repro.machine.pycodegen import reset_source_limit_cache
         from repro.runtime.overhead import DEFAULT_OVERHEAD
         from repro.serve import knobs
         workload = WORKLOADS_BY_NAME["binary"]
@@ -330,16 +367,20 @@ class TestStoreApi:
         monkeypatch.delenv(knobs.ENV_BREAKER_THRESHOLD, raising=False)
         monkeypatch.delenv(knobs.ENV_BREAKER_COOLDOWN, raising=False)
         monkeypatch.delenv(knobs.ENV_SERVE_PROCS, raising=False)
+        monkeypatch.delenv("REPRO_PYCODEGEN_SOURCE_LIMIT", raising=False)
+        reset_source_limit_cache()
         base = key()
         monkeypatch.setenv(knobs.ENV_BREAKER_THRESHOLD, "9")
-        assert key() != base
-        monkeypatch.delenv(knobs.ENV_BREAKER_THRESHOLD)
         monkeypatch.setenv(knobs.ENV_BREAKER_COOLDOWN, "2.5")
-        assert key() != base
-        monkeypatch.delenv(knobs.ENV_BREAKER_COOLDOWN)
         monkeypatch.setenv(knobs.ENV_SERVE_PROCS, "7")
-        assert key() != base
-        monkeypatch.delenv(knobs.ENV_SERVE_PROCS)
+        assert key() == base
+        monkeypatch.setenv("REPRO_PYCODEGEN_SOURCE_LIMIT", "10")
+        reset_source_limit_cache()
+        try:
+            assert key() != base
+        finally:
+            monkeypatch.delenv("REPRO_PYCODEGEN_SOURCE_LIMIT")
+            reset_source_limit_cache()
         assert key() == base
 
 

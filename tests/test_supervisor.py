@@ -8,13 +8,23 @@ heartbeat knobs — so the whole module stays in the seconds range.
 """
 
 import asyncio
+import os
 import pickle
+import select
 import signal
+import socket
 import time
 
+import repro.serve.__main__ as serve_main
 from repro.chaos.orchestrator import SupervisedFleet, kill_worker
 from repro.serve.loadgen import Client, wait_ready
-from repro.serve.supervisor import main, read_state, write_state
+from repro.serve.supervisor import (
+    _parse_args,
+    _worker_main,
+    main,
+    read_state,
+    write_state,
+)
 
 #: Heartbeats tuned for test speed (defaults are production-paced).
 FAST_BEAT = {
@@ -72,6 +82,64 @@ class TestArgValidation:
         code = main(["--snapshot-out", str(tmp_path / "out.snap")])
         assert code == 2
         assert "requires --persist-dir" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# Worker start-up (one forked worker, no supervisor)
+# ----------------------------------------------------------------------
+
+def _wait_exit(pid, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return status
+        time.sleep(0.05)
+    raise AssertionError(f"worker {pid} did not exit in {timeout}s")
+
+
+class TestWorkerStartup:
+    def test_sigterm_while_building_the_app_drains_and_exits_0(
+            self, monkeypatch):
+        """A SIGTERM that lands before the worker serves (the supervisor
+        forwards one as soon as its state file lists the worker) must
+        drain the worker, not kill it."""
+        building_r, building_w = os.pipe()
+        real_build = serve_main.build_app
+
+        def slow_build(args):
+            os.write(building_w, b"b")
+            time.sleep(1.0)
+            return real_build(args)
+
+        monkeypatch.setattr(serve_main, "build_app", slow_build)
+        args = _parse_args(["--port", "0", "--workers", "1"])
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        sock.bind(("127.0.0.1", 0))
+        sock.listen(8)
+        beat_r, beat_w = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            os.close(building_r)
+            os.close(beat_r)
+            _worker_main(args, sock, beat_w, 0)
+        status = None
+        try:
+            os.close(building_w)
+            os.close(beat_w)
+            ready, _, _ = select.select([building_r], [], [], 30.0)
+            assert ready, "worker never started building its app"
+            os.kill(pid, signal.SIGTERM)
+            status = _wait_exit(pid)
+        finally:
+            if status is None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            os.close(building_r)
+            os.close(beat_r)
+            sock.close()
+        assert os.WIFEXITED(status), status
+        assert os.WEXITSTATUS(status) == 0
 
 
 # ----------------------------------------------------------------------
