@@ -7,7 +7,9 @@ actions whose operands are already split into holes (run-time constants)
 and dynamic registers.  The runtime specializer simply interprets these
 action lists; it never re-runs the BTA or inspects the original IR, which
 is the paper's staging claim ("these functions are in effect hard-wired
-into the custom compiler for that region").
+into the custom compiler for that region").  Building an extension also
+proves which loop headers would unroll without bound
+(:func:`find_runaway_loops`), so the specializer can refuse them up front.
 """
 
 from __future__ import annotations
@@ -29,9 +31,13 @@ from repro.config import OptConfig
 from repro.dyc.plans import InstrPlan, plan_instruction
 from repro.errors import SpecializationError
 from repro.ir.instructions import (
+    BinOp,
     Branch,
+    Imm,
     Instr,
     Jump,
+    Op,
+    Reg,
     Return,
 )
 
@@ -165,6 +171,10 @@ class GeneratingExtension:
     #: Loop structure of the template, for SW/MW unrolling attribution:
     #: header label -> frozenset of body labels.
     loops: dict[str, frozenset[str]] = field(default_factory=dict)
+    #: Loop-header contexts whose specialization provably never
+    #: converges (:func:`find_runaway_loops`), read by the specializer
+    #: and by lint code DYC106.
+    runaway: dict[ContextKey, RunawayLoop] = field(default_factory=dict)
 
     def block(self, key: ContextKey) -> ActionBlock:
         try:
@@ -229,6 +239,7 @@ def build_generating_extension(region: RegionInfo,
 
     _fix_entry_start(genext)
     _prune_unreachable(genext)
+    genext.runaway = find_runaway_loops(genext)
     return genext
 
 
@@ -366,3 +377,274 @@ def _prune_unreachable(genext: GeneratingExtension) -> None:
         key: block for key, block in genext.blocks.items()
         if key in reachable
     }
+
+
+# ----------------------------------------------------------------------
+# Runaway unrolling (§2.2.2, §2.2.4), proved when the extension is built
+# ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class RunawayLoop:
+    """A loop-header context whose specialization never converges.
+
+    A cycle of contexts leads from the header back to itself, and every
+    trip around it steps the static ``variable`` by constants of one
+    sign (``direction``) while nothing that steers specialization reads
+    it, so each trip reaches the header with a value it never had and
+    mints a fresh context.  ``guards`` pair each header key variable a
+    static branch on the cycle tests with the truth value the cycle
+    needs; the cycle never writes them, so they hold on every trip once
+    they hold at the header.
+    """
+
+    header: str
+    variable: str
+    direction: int
+    guards: tuple[tuple[str, bool], ...]
+
+    def applies(self, store: dict) -> bool:
+        """Does the header context with this static store run away?"""
+        if type(store.get(self.variable)) is not int:
+            return False
+        return all(bool(store.get(name)) is want
+                   for name, want in self.guards)
+
+    @property
+    def reason(self) -> str:
+        trend = "grows" if self.direction > 0 else "shrinks"
+        return (f"static {self.variable!r} {trend} on every trip around "
+                f"loop {self.header!r} and no static exit test reads it, "
+                "so every trip mints a fresh context")
+
+
+@dataclass(frozen=True)
+class _Leg:
+    """One context as a leg of a runaway cycle for one variable."""
+
+    step: int  # sign of the variable's change across the context
+    leaked: frozenset[str]  # other static names derived from it at exit
+    writes: frozenset[str]
+
+
+def find_runaway_loops(genext: GeneratingExtension
+                       ) -> dict[ContextKey, RunawayLoop]:
+    """Loop-header contexts whose specialization provably never ends.
+
+    A header context qualifies when a cycle of contexts leads back to
+    it on which
+
+    * no context has a promotion point;
+    * every branch is dynamic (both arms are specialized), or static on
+      a header key variable that the cycle never writes;
+    * one static key variable changes only by adding nonzero constants
+      of one sign;
+    * values derived from that variable reach only itself, template
+      holes, ``pure`` calls and arithmetic: no static branch or other
+      context key reads them;
+    * no set-up code can trap: no static ``@`` load, and division,
+      modulus and shifts only by constants that cannot trap.
+
+    The specializer fails such a context before processing it, and lint
+    code DYC106 reports it.
+    """
+    # Only a variable some context steps by a constant can qualify.
+    stepped = {
+        action.instr.dest
+        for block in genext.blocks.values() for action in block.actions
+        if isinstance(action, EvalAction)
+        and _constant_step(action.instr, action.instr.dest)
+    }
+    candidates = [
+        (key, var) for key, block in genext.blocks.items()
+        if key[0] in genext.loops
+        for var in block.key_vars if var in stepped
+    ]
+    if not candidates:
+        return {}
+    edges = {key: _context_edges(genext, block)
+             for key, block in genext.blocks.items()}
+    legs_by_var: dict[str, dict[ContextKey, _Leg]] = {}
+    found: dict[ContextKey, RunawayLoop] = {}
+    for key, var in candidates:
+        header = genext.blocks[key]
+        # Most loops fail at the header itself: its exit test reads
+        # ``var``, or a value that is not a header key.
+        if key in found or _leg(header, var) is None or any(
+                guard and guard[0] not in header.key_vars
+                for _, guard in edges[key]):
+            continue
+        if var not in legs_by_var:
+            legs_by_var[var] = {
+                other: leg for other, block in genext.blocks.items()
+                if (leg := _leg(block, var)) is not None
+            }
+        loop = _runaway_cycle(genext, edges, legs_by_var[var], key, var)
+        if loop is not None:
+            found[key] = loop
+    return found
+
+
+def _context_edges(genext: GeneratingExtension, block: ActionBlock
+                   ) -> list[tuple[ContextKey, tuple[str, bool] | None]]:
+    """Successor contexts the specializer can reach from ``block``, each
+    with the ``(variable, truth)`` guard its static branch needs."""
+    term = block.terminator
+    if isinstance(term, TermStatic):
+        instr = term.instr
+        if isinstance(instr.cond, Reg):
+            arms = [(instr.if_true, (instr.cond.name, True)),
+                    (instr.if_false, (instr.cond.name, False))]
+        else:
+            arms = [(instr.if_true if instr.cond.value else instr.if_false,
+                     None)]
+    elif isinstance(term, TermReturn):
+        arms = []
+    else:
+        arms = [(label, None) for label in block.succ_info]
+    edges = []
+    for label, guard in arms:
+        kind, payload = block.succ_info[label]
+        if kind != "context":
+            continue
+        try:
+            edges.append((genext.resolve_context(*payload), guard))
+        except SpecializationError:
+            continue
+    return edges
+
+
+def _leg(block: ActionBlock, var: str) -> _Leg | None:
+    """Summarize ``block`` as a leg of a runaway cycle for ``var``.
+
+    ``None`` when the block cannot lie on one: ``var`` is not one of its
+    keys, it promotes, it makes ``var`` dynamic or redefines it other
+    than by adding constants of one sign, its set-up code can trap, or a
+    value derived from ``var`` decides its static branch.
+    """
+    if var not in block.key_vars:
+        return None
+    derived = {var}
+    writes: set[str] = set()
+    step = 0
+    for action in block.actions:
+        if isinstance(action, PromoteAction):
+            return None
+        if isinstance(action, ResidualAction):
+            names = set(action.names)
+        else:
+            names = set(action.instr.defs())
+        if isinstance(action, EvalAction):
+            if _may_trap(action):
+                return None
+            if var in names:
+                delta = _constant_step(action.instr, var)
+                if delta == 0 or delta * step < 0:
+                    return None
+                step = 1 if delta > 0 else -1
+                continue
+            if derived.intersection(action.instr.uses()):
+                derived |= names
+                writes |= names
+                continue
+        elif var in names:
+            return None
+        derived -= names
+        writes |= names
+    term = block.terminator
+    if isinstance(term, TermStatic) and isinstance(term.instr.cond, Reg) \
+            and term.instr.cond.name in derived:
+        return None
+    return _Leg(step, frozenset(derived - {var}), frozenset(writes))
+
+
+def _may_trap(action: EvalAction) -> bool:
+    """Can this set-up computation trap on integer operands?"""
+    if action.klass is InstrClass.STATIC_LOAD:
+        return True  # an address out of range
+    instr = action.instr
+    if not isinstance(instr, BinOp):
+        return False
+    safe = isinstance(instr.rhs, Imm)
+    if instr.op in (Op.DIV, Op.MOD):
+        return not (safe and instr.rhs.value != 0)
+    if instr.op in (Op.SHL, Op.SHR):
+        return not (safe and instr.rhs.value >= 0)
+    return False
+
+
+def _constant_step(instr: Instr, var: str) -> int:
+    """The integer constant ``instr`` adds to ``var`` (``var = var + c``,
+    ``var = c + var`` or ``var = var - c``); 0 for anything else."""
+    if not isinstance(instr, BinOp) or instr.op not in (Op.ADD, Op.SUB):
+        return 0
+    lhs, rhs = instr.lhs, instr.rhs
+    if instr.op is Op.ADD and isinstance(lhs, Imm):
+        lhs, rhs = rhs, lhs
+    if not (isinstance(lhs, Reg) and lhs.name == var
+            and isinstance(rhs, Imm) and type(rhs.value) is int):
+        return 0
+    return rhs.value if instr.op is Op.ADD else -rhs.value
+
+
+def _runaway_cycle(genext: GeneratingExtension, edges: dict,
+                   legs: dict[ContextKey, _Leg], header_key: ContextKey,
+                   var: str) -> RunawayLoop | None:
+    """A runaway cycle through ``header_key`` stepping ``var``, if any."""
+    header = genext.blocks[header_key]
+    # Static branches may test only header keys that every leg carries
+    # and none writes, so their values are the header's on every trip.
+    legs = {
+        key: leg for key, leg in legs.items()
+        if all(guard is None or guard[0] in header.key_vars
+               for _, guard in edges[key])
+    }
+    tested = {guard[0] for key in legs for _, guard in edges[key] if guard}
+    legs = {
+        key: leg for key, leg in legs.items()
+        if not tested & leg.writes
+        and tested <= set(genext.blocks[key].key_vars)
+    }
+    if header_key not in legs:
+        return None
+    for direction in (1, -1):
+        allowed = {key: leg for key, leg in legs.items()
+                   if leg.step in (0, direction)}
+        guards = _closed_walk(genext, edges, allowed, header_key)
+        if guards is not None:
+            return RunawayLoop(header_key[0], var, direction, guards)
+    return None
+
+
+def _closed_walk(genext: GeneratingExtension, edges: dict,
+                 legs: dict[ContextKey, _Leg], header_key: ContextKey
+                 ) -> tuple[tuple[str, bool], ...] | None:
+    """The guards of a walk from the header back to it through ``legs``
+    with at least one stepping leg and consistent guards, if one exists.
+    """
+    if header_key not in legs:
+        return None
+    start = (header_key, legs[header_key].step != 0, frozenset())
+    seen = {start}
+    stack = [start]
+    while stack:
+        key, stepped, guards = stack.pop()
+        for succ, guard in edges[key]:
+            leg = legs.get(succ)
+            if leg is None or legs[key].leaked.intersection(
+                    genext.blocks[succ].key_vars):
+                continue
+            if guard is not None:
+                if (guard[0], not guard[1]) in guards:
+                    continue
+                guards_after = guards | {guard}
+            else:
+                guards_after = guards
+            if succ == header_key:
+                if stepped:
+                    return tuple(sorted(guards_after))
+                continue
+            state = (succ, stepped or leg.step != 0, guards_after)
+            if state not in seen:
+                seen.add(state)
+                stack.append(state)
+    return None

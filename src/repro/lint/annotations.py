@@ -6,8 +6,8 @@ promoted values never change, and ``make_static`` on loop induction
 variables requests complete multi-way unrolling.  These checks walk the
 BTA's results and flag the hazard patterns the paper itself warns about
 (stale unchecked dispatch, §2.2.3; unbounded specialization through
-dynamic loop exits, §2.2.2; invariance violated by region stores,
-§2.2.6).
+dynamic loop exits, §2.2.2 and §2.2.4; invariance violated by region
+stores, §2.2.6).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from repro.analysis.effects import (
 )
 from repro.bta.facts import InstrClass, RegionInfo
 from repro.config import OptConfig
+from repro.dyc.genext import GeneratingExtension
 from repro.ir.function import Function
 from repro.ir.instructions import (
     Branch,
@@ -268,4 +269,32 @@ def check_unbounded_unrolling(function: Function,
                     index=point.index,
                 ))
                 break
+    return diags
+
+
+def check_runaway_unrolling(function: Function,
+                            genext: GeneratingExtension
+                            ) -> list[Diagnostic]:
+    """DYC106: loops whose complete unrolling provably never ends.
+
+    Reads the record the generating extension proved when it was built
+    (:func:`repro.dyc.genext.find_runaway_loops`): a static variable
+    that only grows or only shrinks around a loop whose exit tests never
+    read it mints a fresh specialization context on every trip, so the
+    specializer fails such a region without running it (§2.2.4's
+    multi-way unrolling, with nothing to bound it).
+    """
+    diags: list[Diagnostic] = []
+    seen: set[tuple[str, str]] = set()
+    for loop in genext.runaway.values():
+        if (loop.header, loop.variable) in seen:
+            continue
+        seen.add((loop.header, loop.variable))
+        diags.append(Diagnostic(
+            code="DYC106",
+            severity=Severity.WARNING,
+            message=f"{loop.reason}; complete unrolling never terminates",
+            function=function.name,
+            block=loop.header,
+        ))
     return diags

@@ -51,6 +51,9 @@ CODES: dict[str, str] = {
               "exit (unbounded multi-way unrolling)",
     "DYC105": "conflicting cache policies for one variable across "
               "annotations",
+    "DYC106": "static variable only grows or only shrinks around a loop "
+              "whose exit tests never read it (complete unrolling never "
+              "terminates)",
     "DYC201": "staged ZCP/DAE plan contradicts liveness (planner bug)",
     "DYC210": "region's estimated emitted Python source exceeds the "
               "configured codegen size budget",

@@ -20,6 +20,7 @@ from repro.ir.function import Module
 from repro.lint.annotations import (
     check_dead_annotations,
     check_policy_conflicts,
+    check_runaway_unrolling,
     check_static_load_stores,
     check_unbounded_unrolling,
     check_unchecked_sources,
@@ -119,6 +120,7 @@ def lint_module(module: Module,
                     block=region.entry_block,
                 ))
                 continue
+            diags += check_runaway_unrolling(function, genext)
             if inject_plan_fault:
                 corrupt_plans_for_selftest(genext)
             diags += check_genext_plans(genext)

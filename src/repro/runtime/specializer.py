@@ -60,7 +60,9 @@ from repro.runtime.emit import BlockEmitter
 from repro.runtime.fallback import dynamic_arm, ensure_dynamic_blocks
 
 #: Safety valve against runaway specialization (e.g. an unbounded loop
-#: whose bound was wrongly annotated static).
+#: whose bound was wrongly annotated static).  The runaway loops the
+#: generating extension proves (``GeneratingExtension.runaway``) fail
+#: before their first context; this budget catches the rest.
 MAX_CONTEXTS_PER_BATCH = 200_000
 
 
@@ -275,6 +277,12 @@ class Specializer:
         faults = self.runtime.faults
         if faults.active and faults.should_fire("specializer.budget"):
             budget = 0  # collapse the budget: every context truncates
+        # A context the generating extension proved runaway would only
+        # mint contexts until the budget runs out; fail it up front.
+        # Degrade mode truncates at the budget instead, and an armed
+        # fault could fail the batch first, so both run on.
+        runaway = ({} if self.runtime.degrade or faults.active
+                   else genext.runaway)
         worklist: deque[_Task] = deque(tasks)
         processed = 0
         while worklist:
@@ -298,6 +306,14 @@ class Specializer:
                     stats.budget_truncations += 1
                 break
             task = worklist.popleft()
+            loop = runaway.get(task.block_key)
+            if loop is not None and loop.applies(task.store):
+                raise SpecializationBudgetError(
+                    f"region {genext.region.region_id}: specialization "
+                    f"would have exceeded {budget} contexts — "
+                    f"{loop.reason}",
+                    region_id=genext.region.region_id,
+                )
             self._process_task(code, genext, machine, task, worklist,
                                stats, charge)
 

@@ -34,6 +34,7 @@ FIXTURE_CODES = {
     "static_load_store.minic": "DYC103",
     "unbounded_unroll.minic": "DYC104",
     "conflicting_policies.minic": "DYC105",
+    "runaway_unroll.minic": "DYC106",
 }
 
 

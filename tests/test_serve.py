@@ -329,6 +329,38 @@ class TestServeApp:
 
         _run(go())
 
+    def test_runaway_request_fails_before_specializing(self, monkeypatch):
+        # mipsi without static loads is proved runaway when its
+        # generating extension is built: the 422 comes back without the
+        # specializer minting the contexts its budget would allow.
+        from repro.runtime.specializer import Specializer
+
+        calls = []
+        process_task = Specializer._process_task
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return process_task(self, *args, **kwargs)
+
+        monkeypatch.setattr(Specializer, "_process_task", counted)
+
+        async def go():
+            app = _app()
+            try:
+                status, body = await _post_run(app, {
+                    "workload": "mipsi", "tenant": "g",
+                    "config": {"static_loads": False},
+                })
+                assert status == 422
+                assert body["error"]["code"] == "specialization_budget"
+                assert "exceeded" in body["error"]["message"]
+                assert body["error"]["region_id"] == 0
+            finally:
+                app.close()
+
+        _run(go())
+        assert len(calls) < 1000
+
     def test_degraded_run_counts_surface(self):
         async def go():
             app = _app()
