@@ -83,7 +83,7 @@ def main():
             print(f"    [{marker:>2s}] {format_instr(instr)}")
 
     stage("4. The generating extension (set-up vs emit actions)")
-    genext = build_generating_extension(region, ALL_ON)
+    genext = build_generating_extension(region)
     for key, block in genext.blocks.items():
         print(f"\n  context {key[0]!r}: key vars {block.key_vars}")
         for action in block.actions:

@@ -18,6 +18,7 @@ from repro.dyc.compiler import (
     CompiledProgram,
     DycCompiler,
     compile_annotated,
+    compile_key,
     compile_static,
 )
 from repro.dyc.genext import GeneratingExtension, build_generating_extension
@@ -30,6 +31,7 @@ __all__ = [
     "CompiledProgram",
     "DycCompiler",
     "compile_annotated",
+    "compile_key",
     "compile_static",
     "GeneratingExtension",
     "build_generating_extension",

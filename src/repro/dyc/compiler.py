@@ -12,6 +12,10 @@
 
 ``compile_static`` builds the baseline configuration: the same program
 compiled "by ignoring the annotations in the application source" (§3.3).
+
+Compilation reads only part of an :class:`OptConfig`;
+:func:`compile_key` names that part, so a compiled program can be shared
+by every run whose configuration agrees on it.
 """
 
 from __future__ import annotations
@@ -32,10 +36,40 @@ from repro.machine.icache import ICacheModel
 from repro.opt.pipeline import optimize_function
 
 
+#: The switches the binding-time analysis reads.  ZCP, DAE, strength
+#: reduction and unchecked dispatching are read when a region is
+#: specialized or dispatched, so they are left out.
+BTA_FIELDS = ("complete_loop_unrolling", "static_loads", "static_calls",
+              "internal_promotions", "polyvariant_division")
+
+#: The fields the lint gate reads besides the BTA's (DYC210's size
+#: estimate); read only when ``lint`` is on.
+LINT_GATE_FIELDS = ("specialize_budget", "codegen_source_budget")
+
+
+def compile_key(config: OptConfig) -> tuple:
+    """The projection of ``config`` onto the fields
+    :func:`compile_annotated` reads, as ``(name, value)`` pairs.
+
+    Two configurations with the same key compile any module to the same
+    program.  Fault specs, budgets, quarantine and the codegen mode are
+    run-time settings, and compilation reads no environment variable.
+    """
+    names = BTA_FIELDS + ("lint",)
+    if config.lint:
+        names += LINT_GATE_FIELDS
+    return tuple((name, getattr(config, name)) for name in names)
+
+
 @dataclass
 class CompiledProgram:
     """A dynamically compiled program: host module + generating
-    extensions."""
+    extensions.
+
+    Runs only read the module, regions and extensions, so runs whose
+    configurations share a :func:`compile_key` may share them;
+    ``config`` is the run's own and is read at run time.
+    """
 
     module: Module
     config: OptConfig
@@ -102,7 +136,7 @@ class DycCompiler:
                 first_region_id=next_region_id,
             )
             for region in regions:
-                genext = build_generating_extension(region, self.config)
+                genext = build_generating_extension(region)
                 compiled.regions[region.region_id] = region
                 compiled.genexts[region.region_id] = genext
                 compiled.region_functions.setdefault(

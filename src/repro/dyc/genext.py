@@ -27,7 +27,6 @@ from repro.bta.facts import (
     PromotionPoint,
     RegionInfo,
 )
-from repro.config import OptConfig
 from repro.dyc.plans import InstrPlan, plan_instruction
 from repro.errors import SpecializationError
 from repro.ir.instructions import (
@@ -162,7 +161,6 @@ class GeneratingExtension:
     """The custom dynamic compiler for one region."""
 
     region: RegionInfo
-    config: OptConfig
     blocks: dict[ContextKey, ActionBlock] = field(default_factory=dict)
     entry_key: ContextKey = ("", EMPTY_DIVISION)
     #: Action index at which entry specialization starts (just after the
@@ -201,8 +199,7 @@ class GeneratingExtension:
         )
 
 
-def build_generating_extension(region: RegionInfo,
-                               config: OptConfig) -> GeneratingExtension:
+def build_generating_extension(region: RegionInfo) -> GeneratingExtension:
     """Compile a region's BTA facts into a generating extension."""
     template = region.template
     if template is None:
@@ -210,7 +207,7 @@ def build_generating_extension(region: RegionInfo,
             f"region {region.region_id} has no template snapshot"
         )
     live = liveness(template)
-    genext = GeneratingExtension(region=region, config=config)
+    genext = GeneratingExtension(region=region)
     genext.entry_key = (region.entry_block, EMPTY_DIVISION)
     genext.loops = {
         loop.header: frozenset(loop.body)
@@ -222,7 +219,7 @@ def build_generating_extension(region: RegionInfo,
     for (label, division), facts in region.contexts.items():
         block = template.blocks[label]
         action_block = _compile_context(
-            region, facts, block.instrs, live.live_out[label], config
+            region, facts, block.instrs, live.live_out[label]
         )
         # Successor resolution.
         for succ in block.successors():
@@ -244,8 +241,8 @@ def build_generating_extension(region: RegionInfo,
 
 
 def _compile_context(region: RegionInfo, facts: ContextFacts,
-                     instrs: list[Instr], live_out: frozenset[str],
-                     config: OptConfig) -> ActionBlock:
+                     instrs: list[Instr],
+                     live_out: frozenset[str]) -> ActionBlock:
     action_block = ActionBlock(
         label=facts.label,
         division=facts.division,
@@ -274,8 +271,7 @@ def _compile_context(region: RegionInfo, facts: ContextFacts,
             continue
 
         if klass is InstrClass.PROMOTION:
-            emit = _emit_action(instr, index, facts, instrs, live_out,
-                                config)
+            emit = _emit_action(instr, index, facts, instrs, live_out)
             if emit.plan is not None:
                 # The promotion dispatch reads the defining
                 # instruction's result from the environment at run
@@ -295,8 +291,7 @@ def _compile_context(region: RegionInfo, facts: ContextFacts,
 
         if klass is InstrClass.DYNAMIC_BRANCH:
             action_block.terminator = TermDynamic(
-                _emit_action(instr, index, facts, instrs, live_out,
-                             config)
+                _emit_action(instr, index, facts, instrs, live_out)
             )
             continue
 
@@ -305,8 +300,7 @@ def _compile_context(region: RegionInfo, facts: ContextFacts,
             action_block.terminator = TermJump(instr.target)
         elif isinstance(instr, Return):
             action_block.terminator = TermReturn(
-                _emit_action(instr, index, facts, instrs, live_out,
-                             config)
+                _emit_action(instr, index, facts, instrs, live_out)
             )
         elif is_terminator:
             raise SpecializationError(
@@ -315,8 +309,7 @@ def _compile_context(region: RegionInfo, facts: ContextFacts,
             )
         else:
             action_block.actions.append(
-                _emit_action(instr, index, facts, instrs, live_out,
-                             config)
+                _emit_action(instr, index, facts, instrs, live_out)
             )
     if action_block.terminator is None:
         raise SpecializationError(
@@ -326,8 +319,8 @@ def _compile_context(region: RegionInfo, facts: ContextFacts,
 
 
 def _emit_action(instr: Instr, index: int, facts: ContextFacts,
-                 instrs: list[Instr], live_out: frozenset[str],
-                 config: OptConfig) -> EmitAction:
+                 instrs: list[Instr],
+                 live_out: frozenset[str]) -> EmitAction:
     static = facts.static_before[index]
     holes = frozenset(name for name in instr.uses() if name in static)
     plan = plan_instruction(instr, index, facts, instrs, live_out)

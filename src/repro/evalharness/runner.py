@@ -7,6 +7,9 @@ numbers.  The baseline does not depend on the configuration, so its
 plain values (return value, output checksum, cycle totals, degradation
 counters) are kept in a bounded in-process cache keyed by content, as is
 the parsed module; the static == dynamic check still runs on every call.
+The annotated compile depends only on the configuration's
+:func:`~repro.dyc.compile_key`, so runs that agree on it share one
+compiled program, each under its own configuration.
 Per-region timings use the machine's tracked-scope accounting (inclusive
 cycles in the dynamically compiled functions of Table 1), divided by the
 invocation count, mirroring the paper's measurement methodology (§3.3).
@@ -14,6 +17,7 @@ invocation count, mirroring the paper's measurement methodology (§3.3).
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import os
 import threading
@@ -21,7 +25,12 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.config import ALL_ON, OptConfig
-from repro.dyc import compile_annotated, compile_static
+from repro.dyc import (
+    CompiledProgram,
+    compile_annotated,
+    compile_key,
+    compile_static,
+)
 from repro.errors import ReproError, SpecializationError
 from repro.evalharness.memo import (
     INVARIANT_CACHE_CAPACITY,
@@ -298,13 +307,43 @@ def static_baseline(workload: Workload, module: Module,
     return baseline
 
 
+#: Compiled programs kept by :func:`compiled_program`.  Bounded lower
+#: than the other invariant caches because an entry is large: measured
+#: with tracemalloc, one retains 46-299 KB.  A Table 5 sweep compiles
+#: about 32 programs; on a shared 2-vCPU host its ``table_sweep`` peak
+#: RSS read 34.6 MB without this cache, 35.4 MB at 8 entries (+2.4%),
+#: 36.8 MB at 16 (+6.5%) and 40.8 MB at 64 (+18%).  Eight still hold
+#: all five kernels the serve traffic runs.
+COMPILED_PROGRAM_CAPACITY = 8
+
+_COMPILED_PROGRAMS = _LRUCache(COMPILED_PROGRAM_CAPACITY)
+
+
+def compiled_program(source: str, module: Module,
+                     config: OptConfig) -> CompiledProgram:
+    """``module`` (parsed from ``source``) compiled for ``config``.
+
+    The compile is shared by every configuration with the same
+    :func:`compile_key`; the returned program carries ``config``, which
+    the runtime reads, and shares its module, regions and generating
+    extensions read-only.  A compile that raises stores nothing.
+    """
+    key = (source, compile_key(config))
+    shared = _COMPILED_PROGRAMS.get(key)
+    if shared is None:
+        shared = compile_annotated(module, config)
+        _COMPILED_PROGRAMS.put(key, shared)
+    return dataclasses.replace(shared, config=config)
+
+
 def reset_invariant_caches() -> None:
-    """Forget every parsed module, static baseline and workload key
-    prefix, so the next run computes them afresh: a warm-start leg's
-    static run must consult the persistent store, and tests need cold
-    runs."""
+    """Forget every parsed module, static baseline, compiled program and
+    workload key prefix, so the next run computes them afresh: a
+    warm-start leg's static run must consult the persistent store, and
+    tests need cold runs."""
     _parsed_module.cache_clear()
     _STATIC_BASELINES.clear()
+    _COMPILED_PROGRAMS.clear()
     reset_prefix_cache()
 
 
@@ -320,9 +359,10 @@ def run_workload(workload: Workload,
     """Execute ``workload`` dynamically, verify it against its static
     baseline, and return metrics.
 
-    The parsed module and the static baseline come from the in-process
-    invariant caches; a caller-supplied ``module`` skips the cache
-    lookup but runs through the same :func:`static_baseline`.
+    The parsed module, the static baseline and the compiled program
+    come from the in-process invariant caches; a caller-supplied
+    ``module`` skips the cache lookups but runs through the same
+    :func:`static_baseline` and compiles afresh.
 
     With a :class:`~repro.evalharness.memo.Memoizer` in ``memo``, the run
     (or its deterministic :class:`SpecializationError`) is served from and
@@ -364,7 +404,10 @@ def run_workload(workload: Workload,
                              codegen_mode, baseline_key)
 
     # --- dynamically compiled run --------------------------------------
-    compiled = compile_annotated(module, config)
+    if canonical_module:
+        compiled = compiled_program(workload.source, module, config)
+    else:
+        compiled = compile_annotated(module, config)
     dynamic_memory = Memory()
     dynamic_input = workload.setup(dynamic_memory)
     dynamic_machine, runtime = compiled.make_machine(
@@ -414,7 +457,8 @@ def run_workload(workload: Workload,
         dynamic_region_cycles=dict(dynamic_machine.stats.scope_cycles),
         region_entries=region_entries,
         region_stats=dict(runtime.stats.regions),
-        region_functions=dict(compiled.region_functions),
+        region_functions={name: list(ids) for name, ids
+                          in compiled.region_functions.items()},
         outputs_match=outputs_match,
         return_values=(static.return_value, dynamic_result),
         degraded_translations=(

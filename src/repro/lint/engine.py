@@ -109,7 +109,7 @@ def lint_module(module: Module,
         diags += check_codegen_size(function, regions, config)
         for region in regions:
             try:
-                genext = build_generating_extension(region, config)
+                genext = build_generating_extension(region)
             except ReproError as exc:
                 diags.append(Diagnostic(
                     code="DYC000",

@@ -20,12 +20,16 @@ seeded, reproducible request mix:
   the daemon memoizes).  If the daemon itself has ``serve.admit``
   armed, injected 500s are expected and asserted on instead of
   failing the clean legs.
+* **ablate** — every workload under ``ALL_ON`` and under each
+  ablation of a switch the annotated compile reads, each on a fresh
+  key: the only traffic that compiles a program other than
+  ``ALL_ON``'s.
 
 Every request the clean legs successfully execute carries a result
-*fingerprint*; the generator re-runs a sample of distinct keys through
-the offline harness in-process and requires byte-identical
-fingerprints — the daemon may never serve bytes the harness would not
-produce.
+*fingerprint*; the generator re-runs a sample of distinct zipf and
+ablate keys through the offline harness in-process, compiling each
+afresh, and requires byte-identical fingerprints — the daemon may
+never serve bytes the harness would not produce.
 
 ``--smoke`` runs a small mix with hard assertions (CI); ``--bench``
 runs the full mix at ``--clients`` concurrency (default 1000) and
@@ -62,7 +66,9 @@ import threading
 import time
 from collections import deque
 
+from repro.dyc.compiler import BTA_FIELDS
 from repro.evalharness.runner import run_workload
+from repro.frontend import compile_source
 from repro.serve.protocol import build_config, run_fingerprint
 from repro.workloads import KERNELS, WORKLOADS_BY_NAME
 
@@ -410,7 +416,13 @@ async def wait_ready(host: str, port: int, timeout: float = 30.0) -> dict:
 
 def verify_offline(leg: LegResult, sample: int,
                    rng: random.Random) -> dict:
-    """Re-run distinct clean keys offline; fingerprints must match."""
+    """Re-run distinct clean keys offline; fingerprints must match.
+
+    Every run parses and compiles its own module (``module=``), so the
+    oracle shares no cached compile with a daemon spawned in this
+    process: a compile cached under the wrong key cannot vouch for
+    itself.
+    """
     identities = sorted(leg.fingerprints)
     if sample and len(identities) > sample:
         identities = rng.sample(identities, sample)
@@ -419,9 +431,10 @@ def verify_offline(leg: LegResult, sample: int,
     for identity in identities:
         spec = json.loads(identity)
         config = build_config(spec["config"])
-        result = run_workload(WORKLOADS_BY_NAME[spec["workload"]],
-                              config, verify=spec["verify"],
-                              backend="threaded")
+        workload = WORKLOADS_BY_NAME[spec["workload"]]
+        result = run_workload(workload, config, verify=spec["verify"],
+                              backend="threaded",
+                              module=compile_source(workload.source))
         checked += 1
         if run_fingerprint(result) == leg.fingerprints[identity]:
             matched += 1
@@ -673,6 +686,23 @@ def plan_budget(repeats: int) -> list[dict]:
             for _ in range(1 + repeats)]
 
 
+def plan_ablate(workloads: tuple[str, ...],
+                rng: random.Random) -> list[dict]:
+    """Each workload under ``ALL_ON`` and under each ablation of a
+    switch the annotated compile reads (so each compiles its own
+    program), on keys no other leg uses."""
+    requests = []
+    for name in workloads:
+        for ablation in (None,) + BTA_FIELDS:
+            config = {"quarantine_after": 20000 + len(requests)}
+            if ablation is not None:
+                config[ablation] = False
+            requests.append({"tenant": "ablate", "workload": name,
+                             "config": config})
+    rng.shuffle(requests)
+    return requests
+
+
 # ----------------------------------------------------------------------
 # Driver
 # ----------------------------------------------------------------------
@@ -736,14 +766,22 @@ async def drive(args: argparse.Namespace) -> tuple[dict, list[str]]:
                                     max(8, args.clients // 20),
                                     args.timeout, echo=True)
 
+    legs["ablate"] = await run_leg("ablate", host, port,
+                                   plan_ablate(workloads, rng),
+                                   max(8, args.clients // 20),
+                                   args.timeout, echo=True)
+
     stats_after = await fetch(host, port, "/stats")
     health_after = await fetch(host, port, "/healthz")
 
     offline = verify_offline(legs["zipf"], args.verify_samples,
                              rng)
-    print(f"[loadgen] offline verification: {offline['matched']}/"
-          f"{offline['checked']} fingerprints byte-identical",
-          file=sys.stderr)
+    ablate_offline = verify_offline(legs["ablate"], args.verify_samples,
+                                    rng)
+    for name, outcome in (("zipf", offline), ("ablate", ablate_offline)):
+        print(f"[loadgen] {name} offline verification: "
+              f"{outcome['matched']}/{outcome['checked']} fingerprints "
+              f"byte-identical", file=sys.stderr)
 
     report = {
         "schema": 1,
@@ -755,6 +793,7 @@ async def drive(args: argparse.Namespace) -> tuple[dict, list[str]]:
         "total_requests": sum(len(l.latencies) for l in legs.values()),
         "legs": {name: leg.report() for name, leg in legs.items()},
         "offline_verification": offline,
+        "ablate_offline_verification": ablate_offline,
         "daemon": {
             "healthz": health_after,
             "cache": stats_after["cache"],
@@ -785,11 +824,14 @@ def check_invariants(report: dict, legs: dict[str, LegResult],
     daemon = report["daemon"]
     expect(daemon["healthz"]["status"] == "ok",
            "daemon unhealthy after the run")
-    offline = report["offline_verification"]
-    expect(offline["checked"] > 0, "offline verification checked nothing")
-    expect(offline["matched"] == offline["checked"],
-           f"fingerprint mismatches vs offline harness: "
-           f"{offline['mismatches']}")
+    for name, key in (("zipf", "offline_verification"),
+                      ("ablate", "ablate_offline_verification")):
+        offline = report[key]
+        expect(offline["checked"] > 0,
+               f"{name}: offline verification checked nothing")
+        expect(offline["matched"] == offline["checked"],
+               f"{name}: fingerprint mismatches vs offline harness: "
+               f"{offline['mismatches']}")
     for name, leg in legs.items():
         expect(leg.mismatched_fingerprints == 0,
                f"{name}: same key served different fingerprints")
@@ -804,7 +846,7 @@ def check_invariants(report: dict, legs: dict[str, LegResult],
 
     clean_ok = {"200"} | ({"500"} if admit_armed else set()) \
         | {"429", "503"}
-    for name in ("zipf", "thrash", "storm"):
+    for name in ("zipf", "thrash", "storm", "ablate"):
         unexpected = set(legs[name].statuses) - clean_ok
         expect(not unexpected,
                f"{name}: unexpected statuses {sorted(unexpected)}")
@@ -972,6 +1014,8 @@ def main(argv: list[str]) -> int:
     print(json.dumps({
         "legs": report["legs"],
         "offline_verification": report["offline_verification"],
+        "ablate_offline_verification":
+            report["ablate_offline_verification"],
         "daemon": {"healthz": report["daemon"]["healthz"],
                    "tiers": report["daemon"]["tiers"],
                    "coalesced": report["daemon"]["coalesced"]},

@@ -4,7 +4,8 @@ The parsed module, the static baseline and the workload prefix of the
 memo key do not depend on the optimization configuration, so
 ``run_workload`` computes each once per content key.  These tests pin
 what the caches must not change: byte-identical runs whether the cache
-is cold, warm or bypassed; verification on every call; a key that holds
+is cold, warm or bypassed, with the shared parsed module and compiled
+program unchanged; verification on every call; a key that holds
 exactly what the baseline depends on; the memo-key hex; one entry under
 concurrent misses; the LRU bound; and warm-start legs that stay cold.
 """
@@ -96,6 +97,9 @@ class TestEquivalence:
         for workload in ALL_WORKLOADS:
             shared = runner._parsed_module(workload.source)
             before = _ir(shared)
+            program = runner.compiled_program(workload.source, shared,
+                                              ALL_ON)
+            program_before = _ir(program)
             cold = run_workload(workload, backend=backend,
                                 codegen_mode=mode)
             warm = run_workload(workload, backend=backend,
@@ -107,6 +111,9 @@ class TestEquivalence:
                 == run_fingerprints(explicit), workload.name
             assert _ir(shared) == before, workload.name
             assert runner._parsed_module(workload.source) is shared
+            # Runs share the compiled program's module and extensions
+            # and never write them.
+            assert _ir(program) == program_before, workload.name
 
     def test_lint_gate_leaves_the_shared_module_unchanged(self):
         config = dataclasses.replace(ALL_ON, lint=True)

@@ -20,7 +20,7 @@ import repro.dyc.genext as genext_module
 from repro.config import ALL_ON, OptConfig
 from repro.dyc import compile_annotated, compile_static
 from repro.errors import SpecializationBudgetError
-from repro.evalharness.runner import run_workload
+from repro.evalharness.runner import reset_invariant_caches, run_workload
 from repro.evalharness.tables import TABLE5_ABLATIONS, applicable_ablations
 from repro.frontend import compile_source
 from repro.ir import Memory, format_function
@@ -148,6 +148,15 @@ FLAGGED_RUNS = {
 
 
 class TestFlaggedCasesReallyDiverge:
+    @pytest.fixture(autouse=True)
+    def _cold_compile_cache(self):
+        """Compile afresh: a program cached before the monkeypatch still
+        carries its runaway record, and one cached under it carries
+        none, so neither may outlive its test."""
+        reset_invariant_caches()
+        yield
+        reset_invariant_caches()
+
     @pytest.mark.parametrize("case", sorted(FLAGGED_RUNS))
     def test_exhausts_the_real_budget_without_the_record(self, case,
                                                          monkeypatch):

@@ -3,11 +3,13 @@
 import asyncio
 import random
 
+from repro.dyc.compiler import BTA_FIELDS
 from repro.serve.loadgen import (
     Client,
     SpawnedDaemon,
     ZipfSampler,
     key_universe,
+    plan_ablate,
     plan_faulted,
     plan_storm,
     plan_thrash,
@@ -58,6 +60,23 @@ class TestSampling:
             assert len(wave) == 5
             assert all(r == wave[0] for r in wave)
         assert waves[0][0] != waves[1][0]
+
+    def test_ablate_plan_compiles_each_switch_on_fresh_keys(self):
+        requests = plan_ablate(("binary", "query"), random.Random(4))
+        assert len(requests) == 2 * (1 + len(BTA_FIELDS))
+        keys = {(r["workload"], tuple(sorted(r["config"].items())))
+                for r in requests}
+        assert len(keys) == len(requests)
+        universe = key_universe(24, ("binary", "query"), 4,
+                                random.Random(4))
+        assert not keys & {(r["workload"],
+                            tuple(sorted(r["config"].items())))
+                           for r in universe}
+        for workload in ("binary", "query"):
+            ablated = sorted(
+                name for r in requests if r["workload"] == workload
+                for name, value in r["config"].items() if value is False)
+            assert ablated == sorted(BTA_FIELDS)
 
     def test_faulted_plan_mixes_rungs(self):
         requests = plan_faulted(("binary",), 6)
