@@ -35,7 +35,6 @@ import tempfile
 from repro.config import OptConfig
 from repro.errors import SpecializationBudgetError, SpecializationError
 from repro.faults import resolve_degrade, resolve_fault_spec
-from repro.ir import Memory
 from repro.machine.costs import CostModel
 from repro.machine.pycodegen import resolve_source_limit
 from repro.runtime import persist
@@ -70,14 +69,16 @@ def resolve_memo_dir(directory: str | None) -> str:
 def _fingerprint_inputs(workload: Workload) -> str:
     """Deterministic description of the workload's prepared inputs.
 
-    Runs the workload's ``setup`` on a fresh memory and captures both the
-    entry arguments and the full memory image.  ``repr`` round-trips ints
-    and floats exactly, so this is a byte-level fingerprint.
+    Captures the entry arguments and the full memory image that the
+    workload's ``setup`` builds into a fresh memory, as the runner's
+    shared prepared inputs hold them.  ``repr`` round-trips ints and
+    floats exactly, so this is a byte-level fingerprint.
     """
-    memory = Memory()
-    inp = workload.setup(memory)
-    has_checksum = inp.checksum is not None
-    return repr((tuple(inp.args), has_checksum, memory.words()))
+    # Imported here: the runner imports this module.
+    from repro.evalharness.runner import prepared_input
+    prepared = prepared_input(workload)
+    has_checksum = prepared.checksum is not None
+    return repr((prepared.args, has_checksum, prepared.words))
 
 
 def backend_env_fingerprint() -> tuple:

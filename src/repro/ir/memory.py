@@ -25,6 +25,14 @@ class Memory:
         self._watch: set[int] | None = None
         self._watch_hits: list[int] = []
 
+    @classmethod
+    def from_words(cls, words) -> "Memory":
+        """A memory holding a private copy of ``words``, an image taken
+        with :meth:`words` (slot 0 included)."""
+        memory = cls()
+        memory._words = list(words)
+        return memory
+
     def __len__(self) -> int:
         return len(self._words)
 

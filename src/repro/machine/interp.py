@@ -212,6 +212,14 @@ class Machine:
             self._backend = PyCodegenBackend(self, mode=codegen_mode)
         else:
             self._backend = None
+        #: The host-function loop every call runs, bound once: host
+        #: functions are statically compiled, so their instruction costs
+        #: are scaled by the static scheduling factor; dynamically
+        #: generated region code (see :meth:`exec_region_code`) is not.
+        self._exec_host = (
+            self._backend.exec_function if self._backend is not None
+            else self._exec_function_interp
+        )
         _ensure_recursion_headroom()
 
     # ------------------------------------------------------------------
@@ -271,14 +279,18 @@ class Machine:
         return intrinsic.fn(self, args)
 
     def _call_function(self, function: Function, args: list):
+        """Run a module function.  Host code binds a call to a module
+        function straight to this method; ``call`` is the by-name path
+        (harness entry, intrinsics, and names nothing defines)."""
         if len(args) != len(function.params):
             raise MachineError(
                 f"{function.name}() takes {len(function.params)} args, "
                 f"got {len(args)}"
             )
-        self._call_depth += 1
-        if self._call_depth > self._max_call_depth:
+        # Checked before the increment: a refused call holds no frame.
+        if self._call_depth >= self._max_call_depth:
             raise MachineError("call depth exceeded")
+        self._call_depth += 1
         tracked_here = function.name in self.tracked
         if tracked_here:
             name = function.name
@@ -291,13 +303,13 @@ class Machine:
             self.stats.scope_entries[name] = (
                 self.stats.scope_entries.get(name, 0) + 1
             )
-        self.charge(self.costs.call_overhead)
+        self.stats.cycles += self.costs.call_overhead
         profiler = self.profiler
         if profiler is not None:
             profiler.enter(function.name, args, self.stats.cycles)
         env = dict(zip(function.params, args))
         try:
-            result = self._exec_function(function, env)
+            result = self._exec_host(function, env)
         finally:
             if profiler is not None:
                 profiler.leave(function.name, self.stats.cycles)
@@ -320,21 +332,12 @@ class Machine:
     # Execution core
     # ------------------------------------------------------------------
 
-    def _exec_function(self, function: Function, env: dict):
-        """Execute a host function until Return; handles EnterRegion.
-
-        Host functions are statically compiled, so their instruction
-        costs are scaled by the static scheduling factor; dynamically
-        generated region code (see :meth:`exec_region_code`) is not.
-        """
-        backend = self._backend
-        if backend is not None:
-            return backend.exec_function(function, env)
-        return self._exec_function_interp(function, env)
-
     def _exec_function_interp(self, function: Function, env: dict):
-        """Reference-interpreter host loop (also the threaded backend's
-        degradation target when translation is faulted)."""
+        """Reference-interpreter host loop: execute a host function until
+        Return, handling EnterRegion (also the threaded backend's
+        degradation target when translation is faulted).  It computes
+        the I-cache penalty on every call, as the oracle the faster
+        backends' per-machine bindings are checked against."""
         penalty = self.icache.per_instruction_penalty(
             function.instruction_count()
         )

@@ -820,6 +820,10 @@ class PyCodegenBackend:
         #: Entries hold a strong reference to their Function, so a
         #: cached id can never be recycled by a different object.
         self._latest: dict[int, _PyTranslation] = {}
+        #: id(host function) -> its host translation, checked against
+        #: ``Function.version`` only: a host function's penalty and scale
+        #: are fixed for the machine (same strong-reference guarantee).
+        self._hosts: dict[int, _PyTranslation] = {}
         #: Bounded, checksummed backing store (PR 3 cache machinery);
         #: authoritative for retention, re-verified on every hit.
         self._store = CodeCache(capacity=cache_capacity,
@@ -863,6 +867,7 @@ class PyCodegenBackend:
     def invalidate(self, fn: Function) -> None:
         """Drop the fast-path translation of ``fn`` (tests / tooling)."""
         self._latest.pop(id(fn), None)
+        self._hosts.pop(id(fn), None)
 
     def _persist_digest(self, fn: Function, penalty: float,
                         scale: float, region: bool) -> str:
@@ -1036,18 +1041,25 @@ class PyCodegenBackend:
             raise
 
     def exec_function(self, function: Function, env: dict):
-        """Codegen equivalent of ``Machine._exec_function``."""
+        """Codegen equivalent of ``Machine._exec_function_interp``.
+
+        The penalty is computed only when a host translation is built;
+        a refused compilation stores nothing, so the next call retries.
+        """
         machine = self.machine
-        penalty = machine.icache.per_instruction_penalty(
-            function.instruction_count()
-        )
-        scale = machine.costs.static_schedule_factor
-        try:
-            trans = self.translation(function, penalty, scale,
-                                     region=False)
-        except CompileFault:
-            machine.stats.degraded_compilations += 1
-            return self._fallback().exec_function(function, env)
+        trans = self._hosts.get(id(function))
+        if trans is None or trans.version != function.version:
+            penalty = machine.icache.per_instruction_penalty(
+                function.instruction_count()
+            )
+            scale = machine.costs.static_schedule_factor
+            try:
+                trans = self.translation(function, penalty, scale,
+                                         region=False)
+            except CompileFault:
+                machine.stats.degraded_compilations += 1
+                return self._fallback().exec_function(function, env)
+            self._hosts[id(function)] = trans
         lid = trans.ids[function.entry]
         while True:
             kind, payload = self._run_guarded(trans, env, lid)

@@ -28,7 +28,13 @@ Translation caching and invalidation
 Translations are cached per :class:`~repro.ir.function.Function` object and
 keyed on its ``version`` counter (plus the I-cache penalty and schedule
 scale in effect).  Host functions are fixed after static compile, so their
-translations live for the machine's lifetime.  Runtime-emitted region code
+translations live for the machine's lifetime, and the host loop finds
+them by function identity and version alone: a host function's penalty
+and scale are fixed for the machine, so they are computed only when a
+translation is built.  A call to a module function is bound to its
+:class:`~repro.ir.function.Function` at translation time; intrinsics and
+names nothing defines still go through ``Machine.call`` when the call
+executes.  Runtime-emitted region code
 is *patched in place* by lazy promotions (the specializer threads jumps and
 adds continuation blocks into a buffer that is already executing); the
 specializer bumps ``Function.version`` after every batch, and the region
@@ -193,6 +199,9 @@ class ThreadedBackend:
         #: to their Function, so a cached id can never be recycled by a
         #: different object.
         self._cache: dict[int, _Translation] = {}
+        #: id(host function) -> its host translation, checked against
+        #: ``Function.version`` only (same strong-reference guarantee).
+        self._hosts: dict[int, _Translation] = {}
 
     # -- cache ----------------------------------------------------------
 
@@ -220,21 +229,29 @@ class ThreadedBackend:
     def invalidate(self, fn: Function) -> None:
         """Drop any cached translation of ``fn`` (tests / tooling)."""
         self._cache.pop(id(fn), None)
+        self._hosts.pop(id(fn), None)
 
     # -- drivers --------------------------------------------------------
 
     def exec_function(self, function: Function, env: dict):
-        """Threaded equivalent of ``Machine._exec_function``."""
+        """Threaded equivalent of ``Machine._exec_function_interp``.
+
+        A refused translation stores nothing, so the next call retries
+        it, exactly as a call with no host translation does.
+        """
         machine = self.machine
-        penalty = machine.icache.per_instruction_penalty(
-            function.instruction_count()
-        )
-        scale = machine.costs.static_schedule_factor
-        try:
-            trans = self.translation(function, penalty, scale)
-        except TranslationFault:
-            machine.stats.degraded_translations += 1
-            return machine._exec_function_interp(function, env)
+        trans = self._hosts.get(id(function))
+        if trans is None or trans.version != function.version:
+            penalty = machine.icache.per_instruction_penalty(
+                function.instruction_count()
+            )
+            scale = machine.costs.static_schedule_factor
+            try:
+                trans = self.translation(function, penalty, scale)
+            except TranslationFault:
+                machine.stats.degraded_translations += 1
+                return machine._exec_function_interp(function, env)
+            self._hosts[id(function)] = trans
         runners = trans.runners
         label = function.entry
         while True:
@@ -757,9 +774,17 @@ class ThreadedBackend:
         return step
 
     def _call_step(self, instr: Call):
-        call = self.machine.call
+        machine = self.machine
         callee = instr.callee
         dest = instr.dest
+        # A module function (which shadows an intrinsic of the same name)
+        # is bound now; any other name resolves when the call executes,
+        # so an undefined callee raises only if it is reached.
+        function = machine.module.functions.get(callee)
+        if function is not None:
+            call, target = machine._call_function, function
+        else:
+            call, target = machine.call, callee
         # (is_reg, name, value) triples; reading them in order preserves
         # the reference's trap order for undefined argument registers.
         specs = []
@@ -775,7 +800,7 @@ class ThreadedBackend:
         arg_specs = tuple(specs)
 
         if dest is None:
-            def do_call(env, _call=call, _callee=callee,
+            def do_call(env, _call=call, _target=target,
                         _specs=arg_specs):
                 args = []
                 for is_reg, name, value in _specs:
@@ -786,11 +811,11 @@ class ThreadedBackend:
                             _undefined(name)
                     else:
                         args.append(value)
-                _call(_callee, args)
+                _call(_target, args)
 
             return do_call
 
-        def do_call(env, _call=call, _callee=callee, _specs=arg_specs,
+        def do_call(env, _call=call, _target=target, _specs=arg_specs,
                     _d=dest):
             args = []
             for is_reg, name, value in _specs:
@@ -801,7 +826,7 @@ class ThreadedBackend:
                         _undefined(name)
                 else:
                     args.append(value)
-            env[_d] = _call(_callee, args)
+            env[_d] = _call(_target, args)
 
         return do_call
 

@@ -8,12 +8,16 @@ terminator (internal dynamic-to-static promotion).
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
+from repro.dyc.genext import GeneratingExtension
 from repro.errors import SpecializationError
 from repro.faults import (
     FaultRegistry,
     resolve_degrade,
     resolve_fault_spec,
 )
+from repro.ir.instructions import EnterRegion
 from repro.machine.interp import Machine
 from repro.runtime.cache import (
     CodeCache,
@@ -28,7 +32,18 @@ from repro.runtime.specializer import (
     SpecializedCode,
     Specializer,
 )
-from repro.runtime.stats import RuntimeStats
+from repro.runtime.stats import RegionStats, RuntimeStats
+
+
+class _RegionDispatch(NamedTuple):
+    """What every dispatch through one ``EnterRegion`` reads, bound at
+    its first dispatch: none of it changes during a run."""
+
+    instr: EnterRegion
+    genext: GeneratingExtension
+    stats: RegionStats
+    policy: str
+    cache: object
 
 
 class DycRuntime:
@@ -55,6 +70,10 @@ class DycRuntime:
         self.quarantine_after = max(1, self.config.quarantine_after)
         self.specializer = Specializer(self)
         self.entry_caches: dict[int, object] = {}
+        #: id(EnterRegion) -> its dispatch record.  The instruction lives
+        #: in the shared compiled module and the record holds it, so a
+        #: cached id cannot be recycled by a different instruction.
+        self._dispatch: dict[int, _RegionDispatch] = {}
         self.pendings: dict[int, PendingPromotion] = {}
         self._emission_counter = 0
         #: Optional :class:`repro.runtime.persist.RunBinding` routing
@@ -116,9 +135,9 @@ class DycRuntime:
     # Machine hooks
     # ------------------------------------------------------------------
 
-    def enter_region(self, machine: Machine, instr, env: dict):
-        """Dispatch into a dynamic region; returns ("jump", label) to
-        resume host code or ("return", value) for an in-region return."""
+    def _bind_dispatch(self, instr) -> _RegionDispatch:
+        """Build the dispatch record of ``instr``; the region's entry
+        cache is created on the first entry through any instruction."""
         region_id = instr.region_id
         genext = self.compiled.genexts[region_id]
         stats = self.stats.for_region(
@@ -129,10 +148,22 @@ class DycRuntime:
         if cache is None:
             cache = self.make_cache(policy, stats=stats)
             self.entry_caches[region_id] = cache
+        record = _RegionDispatch(instr, genext, stats, policy, cache)
+        self._dispatch[id(instr)] = record
+        return record
+
+    def enter_region(self, machine: Machine, instr, env: dict):
+        """Dispatch into a dynamic region; returns ("jump", label) to
+        resume host code or ("return", value) for an in-region return."""
+        record = self._dispatch.get(id(instr))
+        if record is None or record.instr is not instr:
+            record = self._bind_dispatch(instr)
+        _, genext, stats, policy, cache = record
 
         try:
-            key = tuple(env[k] for k in instr.keys)
+            key = tuple([env[k] for k in instr.keys])
         except KeyError as missing:
+            region_id = instr.region_id
             raise SpecializationError(
                 f"region {region_id}: promoted variable {missing} is "
                 "undefined at region entry",
@@ -141,7 +172,11 @@ class DycRuntime:
 
         result = cache.lookup(key)
         cost = self.overhead.dispatch_cost(policy, result.probes)
-        machine.charge_dispatch(cost)
+        # Machine.charge_dispatch, inline.
+        machine_stats = machine.stats
+        machine_stats.dispatch_cycles += cost
+        machine_stats.dispatches += 1
+        machine_stats.cycles += cost
         stats.dispatches += 1
         stats.dispatch_cycles += cost
         if policy == "cache_one_unchecked":
@@ -154,6 +189,7 @@ class DycRuntime:
         if result.hit:
             code: SpecializedCode = result.value
         else:
+            region_id = instr.region_id
             entry_env = dict(zip(instr.keys, key))
             quarantine_key = (region_id, key)
             if quarantine_key in self._quarantined:

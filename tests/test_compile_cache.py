@@ -6,8 +6,9 @@ program once per key and every run shares the result under its own
 configuration.  These tests pin that the key covers every field the
 compile reads, that runs never write the shared program and match runs
 that compile afresh (``module=``), and how the cache keys, bounds and
-copies.  The ``shared`` tests also run with each CI fault leg's
-``REPRO_FAULTS`` (and store) armed.
+copies.  The ``shared`` tests also pin that runs never write the shared
+prepared inputs, and run with each CI fault leg's ``REPRO_FAULTS`` (and
+store) armed.
 """
 
 import dataclasses
@@ -192,14 +193,22 @@ def _outcome(workload, config, **kwargs):
         return (type(exc).__name__, str(exc))
 
 
+def _image(prepared) -> bytes:
+    """The prepared inputs' memory image and arguments, pickled (the
+    checksum function is a closure, which pickle cannot hold)."""
+    return pickle.dumps((prepared.words, prepared.args))
+
+
 def _check_shared(workload, config, passes: int = 1) -> None:
     """Compile ``workload`` into the cache, run it ``passes`` times on
     every column, and require each run to match a ``module=`` run and
-    to leave the cached program byte-identical."""
+    to leave the cached program and prepared inputs byte-identical."""
     runner.compiled_program(
         workload.source, runner._parsed_module(workload.source), config)
     shared = runner._COMPILED_PROGRAMS.get(_key(workload, config))
     before = pickle.dumps(shared)
+    prepared = runner.prepared_input(workload)
+    image = _image(prepared)
     for backend, mode in COLUMNS:
         fresh = _outcome(workload, config, backend=backend,
                          codegen_mode=mode,
@@ -210,6 +219,8 @@ def _check_shared(workload, config, passes: int = 1) -> None:
                 (workload.name, backend, mode)
     assert pickle.dumps(shared) == before, workload.name
     assert runner._COMPILED_PROGRAMS.get(_key(workload, config)) is shared
+    assert _image(prepared) == image, workload.name
+    assert runner.prepared_input(workload) is prepared
 
 
 class TestShared:

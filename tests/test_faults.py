@@ -2,7 +2,8 @@
 
 Covers the registry's trigger modes, spec parsing, every ladder rung at
 the runtime level (retry → fallback → quarantine, budget truncation,
-cache corruption recovery, threaded-translation degradation), the memo
+cache corruption recovery, threaded-translation degradation), the
+backend ladder's counters and cycles under three armed specs, the memo
 cache's fault keying, and the supervised harness pool (worker crash /
 error / hang recovery, terminal :class:`HarnessError` reporting).
 """
@@ -31,7 +32,7 @@ from repro.faults import (
 )
 from repro.machine import ALPHA_21164
 from repro.runtime.overhead import DEFAULT_OVERHEAD
-from repro.workloads import CHEBYSHEV, DOTPRODUCT, MIPSI
+from repro.workloads import ALL_WORKLOADS, CHEBYSHEV, DOTPRODUCT, MIPSI
 
 
 def _config(base=ALL_ON, **overrides):
@@ -334,6 +335,64 @@ class TestThreadedDegradation:
         result = run_workload(DOTPRODUCT, _config(faults=spec),
                               backend="threaded")
         assert result.outputs_match
+
+
+#: Dynamic ``(cycles, dc_cycles)`` of each workload under ``ALL_ON``:
+#: a degraded translation or compilation must not move either.
+PINNED_CYCLES = {
+    "dinero": (572051.399999979, 2071.4),
+    "m88ksim": (268497.7999998947, 2071.4),
+    "mipsi": (15087.399999999983, 11413.800000000001),
+    "pnmconvol": (128688.4, 40640.6),
+    "viewperf": (175293.7999999992, 8697.4),
+    "binary": (79110.79999999978, 7151.2),
+    "chebyshev": (155103.40000001158, 42442.4),
+    "dotproduct": (9615.400000000001, 21294.0),
+    "query": (48126.80000000102, 3071.2),
+    "romberg": (41213.799999999384, 12561.2),
+}
+
+#: ``(degraded_translations, degraded_compilations)`` per workload, by
+#: backend and fault spec.  Under ``every=2`` a refused translation is
+#: retried on the function's next call and let through, so a host fast
+#: path that kept a refusal would degrade every later call instead.
+PINNED_LADDER = {
+    ("threaded", "threaded.translate:every=2"): {
+        "dinero": (2, 0), "m88ksim": (2, 0), "mipsi": (2, 0),
+        "pnmconvol": (1, 0), "viewperf": (5, 0), "binary": (2, 0),
+        "chebyshev": (3, 0), "dotproduct": (2, 0), "query": (2, 0),
+        "romberg": (3, 0),
+    },
+    ("pycodegen", "pycodegen.compile:every=2"): {
+        "dinero": (0, 2), "m88ksim": (0, 2), "mipsi": (0, 2),
+        "pnmconvol": (0, 1), "viewperf": (0, 5), "binary": (0, 2),
+        "chebyshev": (0, 2), "dotproduct": (0, 2), "query": (0, 2),
+        "romberg": (0, 2),
+    },
+    ("pycodegen", "pycodegen.compile;threaded.translate"): {
+        "dinero": (4, 4), "m88ksim": (3002, 3002), "mipsi": (3, 3),
+        "pnmconvol": (3, 2), "viewperf": (71, 71), "binary": (3001, 3001),
+        "chebyshev": (4081, 4041), "dotproduct": (121, 121),
+        "query": (1401, 1401), "romberg": (841, 817),
+    },
+}
+
+
+class TestBackendLadderPinned:
+    @pytest.mark.parametrize("backend,spec", sorted(PINNED_LADDER),
+                             ids=[f"{b}-{s}" for b, s
+                                  in sorted(PINNED_LADDER)])
+    def test_degradations_and_cycles_match_pins(self, backend, spec):
+        pinned = PINNED_LADDER[(backend, spec)]
+        assert set(pinned) == {w.name for w in ALL_WORKLOADS}
+        for workload in ALL_WORKLOADS:
+            result = run_workload(workload, _config(faults=spec),
+                                  backend=backend)
+            assert (result.degraded_translations,
+                    result.degraded_compilations) \
+                == pinned[workload.name], workload.name
+            assert (result.dynamic_total_cycles, result.dc_cycles) \
+                == PINNED_CYCLES[workload.name], workload.name
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """The in-process invariant caches of ``run_workload``.
 
-The parsed module, the static baseline and the workload prefix of the
-memo key do not depend on the optimization configuration, so
-``run_workload`` computes each once per content key.  These tests pin
-what the caches must not change: byte-identical runs whether the cache
-is cold, warm or bypassed, with the shared parsed module and compiled
-program unchanged; verification on every call; a key that holds
-exactly what the baseline depends on; the memo-key hex; one entry under
-concurrent misses; the LRU bound; and warm-start legs that stay cold.
+The parsed module, the static baseline, the prepared inputs and the
+workload prefix of the memo key do not depend on the optimization
+configuration, so ``run_workload`` computes each once per content key.
+These tests pin what the caches must not change: byte-identical runs
+whether the cache is cold, warm or bypassed, with the shared parsed
+module and compiled program unchanged; verification on every call; a
+key that holds exactly what the baseline depends on; the memo-key hex;
+one entry under concurrent misses; the LRU bound; one ``setup`` per
+workload, with a private memory per run; and warm-start legs that stay
+cold.
 """
 
 import dataclasses
@@ -42,6 +44,7 @@ from repro.evalharness.warmstart import (
 )
 from repro.faults import resolve_degrade, resolve_fault_spec
 from repro.frontend import compile_source
+from repro.ir import Memory
 from repro.machine import ALPHA_21164, Machine
 from repro.machine.pycodegen import reset_source_limit_cache
 from repro.runtime import persist
@@ -312,6 +315,93 @@ class TestKeys:
         assert keys["threaded"] in cache
         assert keys["pycodegen"] in cache
         assert keys["reference"] not in cache
+
+
+def _counting_setup(workload):
+    """``workload`` under another name, with ``setup`` calls counted."""
+    calls: list = []
+
+    def setup(memory):
+        calls.append(memory)
+        return workload.setup(memory)
+
+    return dataclasses.replace(workload, name=f"{workload.name}-counted",
+                               setup=setup), calls
+
+
+def _fresh_image(workload) -> tuple:
+    memory = Memory()
+    inputs = workload.setup(memory)
+    return memory.words(), tuple(inputs.args)
+
+
+class TestPreparedInputs:
+    def test_setup_runs_once_for_canonical_runs(self, static_runs):
+        workload, calls = _counting_setup(DOT)
+        first = run_fingerprints(run_workload(workload, backend="threaded"))
+        # The shared image, and the static baseline's own inputs: the
+        # baseline is the oracle runs are verified against.
+        assert len(calls) == 2
+        for config in (ALL_ON, ALL_ON.without("strength_reduction"),
+                       ALL_ON.without("static_loads")):
+            run_workload(workload, config, backend="threaded")
+        assert len(calls) == 2
+        run_workload(workload, backend="reference")
+        assert len(static_runs) == 2   # one baseline per backend
+        assert len(calls) == 3
+        # A module= run bypasses every invariant cache: its static and
+        # dynamic runs each build their own inputs.
+        explicit = run_workload(workload, backend="threaded",
+                                module=compile_source(DOT.source))
+        assert len(calls) == 5
+        assert run_fingerprints(explicit) == first
+        reset_invariant_caches()
+        run_workload(workload, backend="threaded")
+        assert len(calls) == 7
+
+    @pytest.mark.parametrize("name", ["mipsi", "dinero"])
+    def test_runs_that_write_memory_get_private_copies(self, name):
+        """mipsi sorts its data in place and dinero fills its tag
+        arrays; every run starts from the image ``setup`` builds."""
+        workload = WORKLOADS_BY_NAME[name]
+        for backend, mode in COLUMNS:
+            runs = [run_fingerprints(run_workload(
+                workload, backend=backend, codegen_mode=mode))
+                for _ in range(2)]
+            explicit = run_fingerprints(run_workload(
+                workload, backend=backend, codegen_mode=mode,
+                module=compile_source(workload.source)))
+            assert runs[0] == runs[1] == explicit, (name, backend, mode)
+        prepared = runner.prepared_input(workload)
+        assert (prepared.words, prepared.args) == _fresh_image(workload)
+
+    def test_each_run_owns_its_memory_and_args(self):
+        prepared = runner.prepared_input(WORKLOADS_BY_NAME["mipsi"])
+        memory, inputs = prepared.fresh()
+        memory.store(1, -7)
+        inputs.args.append(0)
+        again, fresh_inputs = prepared.fresh()
+        assert again.words() == prepared.words != memory.words()
+        assert tuple(fresh_inputs.args) == prepared.args
+        assert fresh_inputs.checksum is prepared.checksum
+
+    def test_fingerprint_matches_a_fresh_setup(self):
+        """The memo key fingerprints the shared image; it must read as
+        ``setup`` on a fresh memory does."""
+        for workload in ALL_WORKLOADS:
+            memory = Memory()
+            inputs = workload.setup(memory)
+            assert _fingerprint_inputs(workload) == repr((
+                tuple(inputs.args), inputs.checksum is not None,
+                memory.words())), workload.name
+
+    def test_bounded_and_reset(self):
+        cache = runner._PREPARED_INPUTS
+        assert cache.capacity == INVARIANT_CACHE_CAPACITY
+        run_workload(DOT, backend="threaded")
+        assert DOT in cache
+        reset_invariant_caches()
+        assert len(cache) == 0
 
 
 class TestObservedSideEffects:

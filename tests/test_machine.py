@@ -1,11 +1,27 @@
 """Tests for the abstract machine: execution, cycle accounting, I-cache."""
 
+import collections
+
 import pytest
 
 from repro.errors import MachineError, TrapError
-from repro.ir import FunctionBuilder, Memory, Module, Op
-from repro.machine import ALPHA_21164, ICacheModel, Machine
+from repro.evalharness.runner import run_workload
+from repro.ir import (
+    BasicBlock,
+    Function,
+    FunctionBuilder,
+    Imm,
+    Memory,
+    Module,
+    Move,
+    Op,
+    Reg,
+    Return,
+)
+from repro.machine import ALPHA_21164, BACKENDS, ICacheModel, Machine
 from repro.machine.costs import CostModel
+from repro.runtime.specializer import Specializer
+from repro.workloads import WORKLOADS_BY_NAME
 from tests.helpers import build_countdown, build_diamond, run_function
 
 
@@ -296,3 +312,166 @@ class TestScopeAccounting:
                 machine.stats.scope_entries["fib"],
             )
         assert totals["reference"] == totals["threaded"]
+
+
+def _count_to(name: str = "f"):
+    """``f(n) = n == 0 ? 0 : f(n - 1) + 1``: n + 1 frames deep."""
+    b = FunctionBuilder(name, ("n",))
+    b.binop("z", Op.EQ, "n", 0)
+    b.branch("z", "base", "rec")
+    b.label("base")
+    b.ret(0)
+    b.label("rec")
+    b.binop("m", Op.SUB, "n", 1)
+    b.call("r", name, ["m"])
+    b.binop("r", Op.ADD, "r", 1)
+    b.ret("r")
+    mod = Module()
+    mod.add_function(b.finish())
+    return mod
+
+
+class _CallLog:
+    """A profiler that records every enter and leave it is shown."""
+
+    def __init__(self) -> None:
+        self.events: list = []
+
+    def enter(self, name, args, cycles):
+        self.events.append(("enter", name, tuple(args), cycles))
+
+    def leave(self, name, cycles):
+        self.events.append(("leave", name, cycles))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestCallBinding:
+    """Host calls to module functions are bound when a block is
+    translated; these pin what that binding must not change."""
+
+    def test_depth_refusal_holds_no_frame(self, backend):
+        machine = Machine(_count_to(), backend=backend)
+        assert machine._max_call_depth == 200
+        with pytest.raises(MachineError, match="call depth exceeded"):
+            machine.run("f", 500)
+        assert machine._call_depth == 0
+        assert machine.run("f", 199) == 199   # 200 frames: the limit
+        with pytest.raises(MachineError, match="call depth exceeded"):
+            machine.run("f", 200)
+        assert machine._call_depth == 0
+
+    def test_undefined_callee_raises_only_when_reached(self, backend):
+        b = FunctionBuilder("f", ("x",))
+        b.branch("x", "missing", "fine")
+        b.label("missing")
+        b.call("r", "no_such_fn", [])
+        b.ret("r")
+        b.label("fine")
+        b.ret(7)
+        mod = Module()
+        mod.add_function(b.finish())
+        machine = Machine(mod, backend=backend)
+        assert machine.run("f", 0) == 7
+        with pytest.raises(MachineError,
+                           match="call to unknown function 'no_such_fn'"):
+            machine.run("f", 1)
+
+    def test_module_function_shadows_intrinsic(self, backend):
+        mod = Module()
+        b = FunctionBuilder("cos", ("x",))
+        b.binop("r", Op.ADD, "x", 41)
+        b.ret("r")
+        mod.add_function(b.finish())
+        b = FunctionBuilder("main", ())
+        b.call("c", "cos", [1])
+        b.call("s", "sin", [0.0])
+        b.binop("r", Op.ADD, "c", "s")
+        b.ret("r")
+        mod.add_function(b.finish())
+        machine = Machine(mod, backend=backend)
+        assert machine.run("main") == 42.0
+        reference = Machine(mod)
+        reference.run("main")
+        assert machine.stats == reference.stats
+
+    def test_profiler_sees_every_call(self, backend):
+        logs = {}
+        for name in ("reference", backend):
+            machine = Machine(_count_to(), backend=name)
+            machine.profiler = _CallLog()
+            assert machine.run("f", 5) == 5
+            logs[name] = machine.profiler.events
+        assert len(logs[backend]) == 12   # f(5) .. f(0), in and out
+        assert logs[backend] == logs["reference"]
+
+    def test_patched_host_function_pays_its_new_penalty(self, backend):
+        """A host function patched between two calls on one machine is
+        retranslated under its new I-cache penalty; the reference
+        interpreter computes the penalty on every call."""
+        # Two instructions fit; the patched body's three overflow.
+        icache = ICacheModel(capacity_bytes=8)
+        deltas = {}
+        for name in ("reference", backend):
+            b = FunctionBuilder("f", ())
+            b.move("x", 1)
+            b.ret("x")
+            mod = Module()
+            mod.add_function(b.finish())
+            machine = Machine(mod, icache=icache, backend=name)
+            before = machine.stats.cycles
+            assert machine.run("f") == 1
+            first = machine.stats.cycles - before
+            fn = mod.functions["f"]
+            fn.blocks[fn.entry] = BasicBlock(
+                fn.entry, [Move("x", Imm(2)), Move("y", Imm(3)),
+                           Return(Reg("x"))])
+            fn.bump_version()
+            before = machine.stats.cycles
+            assert machine.run("f") == 2
+            deltas[name] = (first, machine.stats.cycles - before)
+        assert icache.per_instruction_penalty(3) > 0.0
+        assert deltas[backend][0] != deltas[backend][1]
+        assert deltas[backend] == deltas["reference"]
+
+
+class TestComputedOnce:
+    @pytest.mark.parametrize("backend", ["threaded", "pycodegen"])
+    def test_host_penalty_sized_once_per_machine(self, monkeypatch,
+                                                 backend):
+        """A canonical binary run enters ``bsearch`` 1,500 times; the
+        host loop sizes each host function once per machine, and the
+        specializer sizes its code buffer three times per batch."""
+        binary = WORKLOADS_BY_NAME["binary"]
+        run_workload(binary, backend=backend)   # warm the static side
+        sized: collections.Counter = collections.Counter()
+        machines: list = []
+        batches: list = []
+        count_instructions = Function.instruction_count
+        init = Machine.__init__
+        run_batch = Specializer._run_batch
+
+        def counting(self):
+            sized[id(self)] += 1
+            return count_instructions(self)
+
+        def built(self, module, *args, **kwargs):
+            machines.append(module)
+            init(self, module, *args, **kwargs)
+
+        def batch(self, *args, **kwargs):
+            batches.append(args)
+            return run_batch(self, *args, **kwargs)
+
+        monkeypatch.setattr(Function, "instruction_count", counting)
+        monkeypatch.setattr(Machine, "__init__", built)
+        monkeypatch.setattr(Specializer, "_run_batch", batch)
+        result = run_workload(binary, backend=backend)
+        assert result.region_entries["bsearch"] == 1500
+        hosts = {id(fn) for module in machines
+                 for fn in module.functions.values()}
+        assert machines and batches
+        for key, calls in sized.items():
+            if key in hosts:
+                assert calls <= len(machines)
+        assert sum(calls for key, calls in sized.items()
+                   if key not in hosts) <= 3 * len(batches)

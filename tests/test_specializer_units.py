@@ -9,6 +9,7 @@ from repro.frontend import compile_source
 from repro.ir import (
     BasicBlock,
     Branch,
+    EnterRegion,
     ExitRegion,
     Function,
     Jump,
@@ -179,11 +180,39 @@ class TestGuardrails:
         module = compile_source(src)
         compiled = compile_annotated(module)
         machine, runtime = compiled.make_machine()
-        from repro.ir import EnterRegion
         # Simulate a corrupted host env (n absent) via direct dispatch.
         instr = EnterRegion(region_id=0, keys=("n",), exits=())
         with pytest.raises(SpecializationError, match="undefined"):
             runtime.enter_region(machine, instr, {"x": 1})
+
+    def test_missing_entry_key_reported_after_dispatch_is_bound(self):
+        """The first dispatch through an ``EnterRegion`` binds its
+        record; a later dispatch missing a promoted variable raises the
+        same error as an unbound one."""
+        src = "func f(x, n) { make_static(n); return x + n; }"
+        compiled = compile_annotated(compile_source(src))
+        machine, runtime = compiled.make_machine()
+        assert machine.run("f", 1, 2) == 3
+        [instr] = [instr for _, _, instr
+                    in compiled.module.functions["f"].instructions()
+                    if isinstance(instr, EnterRegion)]
+        with pytest.raises(SpecializationError) as raised:
+            runtime.enter_region(machine, instr, {"x": 1})
+        assert raised.value.message == (
+            "region 0: promoted variable 'n' is undefined at region "
+            "entry")
+        assert raised.value.region_id == 0
+        assert str(raised.value) == raised.value.message
+        # An equal instruction that is not the bound one shares the
+        # region's entry cache.
+        twin = EnterRegion(region_id=0, keys=instr.keys,
+                           exits=instr.exits, policy=instr.policy)
+        assert twin == instr and twin is not instr
+        before = runtime.entry_caches[0]
+        assert runtime.enter_region(machine, twin, {"x": 5, "n": 2}) \
+            == runtime.enter_region(machine, instr, {"x": 5, "n": 2})
+        assert list(runtime.entry_caches) == [0]
+        assert runtime.entry_caches[0] is before
 
 
 class TestPromotionMechanics:
