@@ -4,12 +4,14 @@ At static compile time, each dynamic region is compiled into a
 :class:`GeneratingExtension`: per analysis context ``(block, division)``,
 a pre-planned list of *actions* — set-up evaluations interleaved with emit
 actions whose operands are already split into holes (run-time constants)
-and dynamic registers.  The runtime specializer simply interprets these
-action lists; it never re-runs the BTA or inspects the original IR, which
-is the paper's staging claim ("these functions are in effect hard-wired
-into the custom compiler for that region").  Building an extension also
-proves which loop headers would unroll without bound
-(:func:`find_runaway_loops`), so the specializer can refuse them up front.
+and dynamic registers.  Building the extension then lowers every entry
+point of those action lists to closures (:mod:`repro.dyc.lowering`), and
+the runtime specializer runs the closures; it never re-runs the BTA or
+inspects the original IR, which is the paper's staging claim ("these
+functions are in effect hard-wired into the custom compiler for that
+region").  Building an extension also proves which loop headers would
+unroll without bound (:func:`find_runaway_loops`), so the specializer
+can refuse them up front.
 """
 
 from __future__ import annotations
@@ -173,6 +175,20 @@ class GeneratingExtension:
     #: converges (:func:`find_runaway_loops`), read by the specializer
     #: and by lint code DYC106.
     runaway: dict[ContextKey, RunawayLoop] = field(default_factory=dict)
+    #: Every entry point lowered to closures
+    #: (:class:`repro.dyc.lowering.LoweredExtension`), built last by
+    #: :func:`build_generating_extension`.  Closures do not pickle, so
+    #: the pickled state leaves it out and unpickling lowers again.
+    lowered: object = field(init=False, repr=False, compare=False)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["lowered"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.lowered = _lower(self)
 
     def block(self, key: ContextKey) -> ActionBlock:
         try:
@@ -237,7 +253,15 @@ def build_generating_extension(region: RegionInfo) -> GeneratingExtension:
     _fix_entry_start(genext)
     _prune_unreachable(genext)
     genext.runaway = find_runaway_loops(genext)
+    genext.lowered = _lower(genext)
     return genext
+
+
+def _lower(genext: GeneratingExtension):
+    # Imported here: the lowering module imports this one.
+    from repro.dyc.lowering import lower_extension
+
+    return lower_extension(genext)
 
 
 def _compile_context(region: RegionInfo, facts: ContextFacts,

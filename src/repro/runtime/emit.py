@@ -72,7 +72,7 @@ _MAT_PLAN = InstrPlan(zcp_candidate=False, sr_candidate=False,
                       local_uses=1, remote=False, removable=True)
 
 
-@dataclass
+@dataclass(slots=True)
 class BufferedInstr:
     """An emitted instruction awaiting block flush, with DAE bookkeeping."""
 
@@ -88,7 +88,11 @@ class BufferedInstr:
 
 
 class BlockEmitter:
-    """Emits one block of specialized code with ZCP/DAE/SR completion."""
+    """Emits one block of specialized code with ZCP/DAE/SR completion.
+
+    One emitter serves a whole specialization batch: :meth:`reset`
+    starts each block.
+    """
 
     def __init__(self, config: OptConfig, overhead: OverheadModel,
                  stats: RegionStats, charge, faults=None) -> None:
@@ -100,18 +104,23 @@ class BlockEmitter:
         # the hot path pays a single None check otherwise.
         self._faults = faults if faults is not None and \
             faults.enabled("emit.template") else None
-        self.items: list[BufferedInstr] = []
-        #: register -> producing buffer index (None: constant/zero note).
-        self._producer: dict[str, int | None] = {}
-        #: register -> ("const", value) | ("copy", Reg)
-        self._notes: dict[str, tuple] = {}
-        self._mat_counter = 0
-        self._residualized: set[str] = set()
-        # Hot-path caches (emit_template runs once per emitted template
+        # Hot-path caches (_complete runs once per emitted template
         # instruction per specialized context).
         self._emit_cost = overhead.emit_instruction
         self._hole_cost = overhead.hole_patch
         self._zcp_enabled = config.zero_copy_propagation
+        self.reset()
+
+    def reset(self) -> None:
+        """Start a new block."""
+        self.items: list[BufferedInstr] = []
+        #: register -> producing buffer index (None: constant/zero note).
+        self._producer: dict[str, int | None] = {}
+        #: register -> ("const", value) | ("copy", Reg); recorded only
+        #: with zero/copy propagation on.
+        self._notes: dict[str, tuple] = {}
+        self._mat_counter = 0
+        self._residualized: set[str] = set()
 
     # ------------------------------------------------------------------
     # Public API
@@ -119,23 +128,36 @@ class BlockEmitter:
 
     def emit_template(self, instr: Instr, values: dict[str, object],
                       plan: InstrPlan | None) -> None:
-        """Emit one template instruction with its holes filled."""
+        """Emit one template instruction, filling its holes from
+        ``values`` and its operands from the note table."""
+        if values or (self._zcp_enabled and self._notes):
+            instr = self._substitute(instr, values)
+        self._complete(instr, plan, len(values))
+
+    def emit_filled(self, instr: Instr, plan: InstrPlan | None,
+                    holes: int) -> None:
+        """Emit one template instruction whose ``holes`` hole operands
+        the caller has already filled; operands a zero/copy-propagation
+        note rewrites are substituted here."""
+        if self._zcp_enabled and self._notes:
+            instr = self._substitute(instr, {})
+        self._complete(instr, plan, holes)
+
+    def _complete(self, instr: Instr, plan: InstrPlan | None,
+                  holes: int) -> None:
+        """Finish one substituted template instruction: charge it, then
+        fold/reduce, fit immediates and append."""
         if self._faults is not None and \
                 self._faults.should_fire("emit.template"):
             raise SpecializationError(
                 "injected fault while emitting a template instruction",
                 fault_point="emit.template",
             )
-        self.charge(self._emit_cost + self._hole_cost * len(values))
-        if not values and not (self._zcp_enabled and self._notes):
-            # Nothing to substitute: no holes and no applicable notes.
-            substituted = instr
-        else:
-            substituted = self._substitute(instr, values)
-        if isinstance(substituted, BinOp) and plan is not None:
-            if self._try_fold_or_reduce(substituted, plan):
+        self.charge(self._emit_cost + self._hole_cost * holes)
+        if isinstance(instr, BinOp) and plan is not None:
+            if self._try_fold_or_reduce(instr, plan):
                 return
-        self._emit_final(substituted, plan)
+        self._emit_final(instr, plan)
 
     def flush(self, terminator: Instr) -> list[Instr]:
         """Return the finished block body plus ``terminator``."""
@@ -238,8 +260,11 @@ class BlockEmitter:
                 return True
             return False
 
-        imm, reg, imm_is_rhs = self._split_operands(lhs, rhs)
-        if imm is None:
+        if isinstance(lhs, Imm) and isinstance(rhs, Reg):
+            imm, reg, imm_is_rhs = lhs, rhs, False
+        elif isinstance(rhs, Imm) and isinstance(lhs, Reg):
+            imm, reg, imm_is_rhs = rhs, lhs, True
+        else:
             return False
 
         # --- dynamic zero & copy propagation -------------------------
@@ -362,15 +387,6 @@ class BlockEmitter:
         self._append(BinOp(
             dest, Op.ADD if op == "add" else Op.SUB, Reg(temp), second
         ), plan)
-
-    @staticmethod
-    def _split_operands(lhs: Operand, rhs: Operand):
-        """Return (imm, reg, imm_is_rhs) for a one-constant BinOp."""
-        if isinstance(lhs, Imm) and isinstance(rhs, Reg):
-            return lhs, rhs, False
-        if isinstance(rhs, Imm) and isinstance(lhs, Reg):
-            return rhs, lhs, True
-        return None, None, False
 
     # ------------------------------------------------------------------
     # ZCP note handling + DAE
@@ -537,24 +553,18 @@ class BlockEmitter:
 
     def _append(self, instr: Instr, plan: InstrPlan | None) -> None:
         producer = self._producer
-        use_producers = tuple(
-            (name, producer.get(name)) for name in instr.uses()
-        )
+        get = producer.get
+        use_producers = tuple([(name, get(name)) for name in instr.uses()])
         if plan is None:
-            expected, remote, removable = 0, True, False
+            item = BufferedInstr(instr, 0, True, False, False, False,
+                                 use_producers)
         else:
-            expected = plan.local_uses
-            remote = plan.remote
-            removable = plan.removable
-        item = BufferedInstr(
-            instr=instr,
-            expected_uses=expected,
-            remote=remote,
-            removable=removable,
-            use_producers=use_producers,
-        )
-        self.items.append(item)
-        index = len(self.items) - 1
+            item = BufferedInstr(instr, plan.local_uses, plan.remote,
+                                 plan.removable, False, False,
+                                 use_producers)
+        items = self.items
+        index = len(items)
+        items.append(item)
         for dest in instr.defs():
             if self._notes:
                 self._kill_notes_for(dest)

@@ -1,4 +1,4 @@
-"""The runtime specializer: drives generating extensions to produce code.
+"""The runtime specializer: runs lowered generating extensions.
 
 Specialization is a worklist over *specialization contexts* — an analysis
 context ``(block, division)`` plus the concrete values of the static
@@ -10,6 +10,13 @@ out as a linear chain of contexts.  A context reached with values seen
 before links back to the existing code, so multi-way unrolling produces
 the paper's "directed graph of unrolled loop bodies" (§2.2.4), including
 back edges for loops in the interpreted program (mipsi).
+
+Each context runs one entry point of the region's generating extension,
+lowered to closures when the program was compiled
+(:mod:`repro.dyc.lowering`): the steps, then the terminator closure,
+which emits the block's last instruction and queues successor contexts.
+This module drives the worklist, owns the per-batch run state the
+closures read (:class:`_Batch`), and finishes each batch.
 
 Internal promotions (§2.2.2) suspend specialization: the block's emitted
 code ends in a ``Promote`` terminator, and the rest of the action list is
@@ -26,35 +33,24 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.dyc.genext import (
-    ActionBlock,
     EmitAction,
     EvalAction,
     GeneratingExtension,
     PromoteAction,
-    ResidualAction,
     TermDynamic,
     TermJump,
     TermReturn,
     TermStatic,
 )
 from repro.errors import SpecializationBudgetError, SpecializationError
-from repro.ir.eval import eval_binop, eval_unop
 from repro.ir.function import BasicBlock, Function
 from repro.ir.instructions import (
-    BinOp,
     Branch,
-    Call,
     ExitRegion,
-    Imm,
     Instr,
     Jump,
-    Load,
-    Move,
-    Operand,
     Promote,
-    Reg,
     Return,
-    UnOp,
 )
 from repro.runtime.emit import BlockEmitter
 from repro.runtime.fallback import dynamic_arm, ensure_dynamic_blocks
@@ -115,7 +111,7 @@ class PendingPromotion:
     frames: dict = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class _Task:
     label: str
     block_key: tuple
@@ -126,8 +122,82 @@ class _Task:
     frames: dict = field(default_factory=dict)
 
 
+class _Batch:
+    """The run state of one specialization batch.
+
+    Lowered closures (:mod:`repro.dyc.lowering`) take it as their first
+    argument: they hold only the extension's data, and read everything
+    that belongs to the run from here.  Every charge of the batch,
+    including the emitter's, lands in :attr:`dc` in occurrence order.
+    """
+
+    __slots__ = ("runtime", "genext", "lowered", "code", "machine",
+                 "memory", "costs", "overhead", "stats", "emitter",
+                 "worklist", "dc", "eval_cost", "emit_cost",
+                 "check_annotations")
+
+    def __init__(self, runtime, genext: GeneratingExtension,
+                 code: SpecializedCode, machine, stats,
+                 setup: float) -> None:
+        overhead = runtime.overhead
+        self.runtime = runtime
+        self.genext = genext
+        self.lowered = genext.lowered
+        self.code = code
+        self.machine = machine
+        self.memory = machine.memory
+        self.costs = machine.costs
+        self.overhead = overhead
+        self.stats = stats
+        self.worklist: deque[_Task] = deque()
+        self.dc = setup
+        self.eval_cost = overhead.eval_overhead
+        self.emit_cost = overhead.emit_instruction
+        self.check_annotations = runtime.config.check_annotations
+        self.emitter = BlockEmitter(runtime.config, overhead, stats,
+                                    self.charge, faults=runtime.faults)
+
+    def charge(self, cycles: float) -> None:
+        self.dc += cycles
+
+    def push(self, label: str, key: tuple, store: dict,
+             frames: dict) -> None:
+        """Queue a new context of the analysis context ``key``."""
+        self.worklist.append(_Task(label, key, 0, store, frames))
+
+    def suspend(self, block_key, resume: int, point, store: dict,
+                frames: dict) -> Promote:
+        """End the block at a promotion point; its continuation resumes
+        at action ``resume`` once per tuple of promoted values."""
+        runtime = self.runtime
+        policy = runtime.effective_policy(point.policy)
+        emission_id = runtime.new_emission_id()
+        pending = PendingPromotion(
+            emission_id=emission_id,
+            code=self.code,
+            genext=self.genext,
+            block_key=block_key,
+            action_index=resume,
+            store=dict(store),
+            point_names=point.names,
+            policy=policy,
+            cache=runtime.make_cache(policy, stats=self.stats),
+            frames=dict(frames),
+        )
+        runtime.register_pending(pending)
+        self.stats.internal_promotion_points += 1
+        self.dc += self.emit_cost
+        return Promote(
+            region_id=self.genext.region.region_id,
+            point_id=point.point_id,
+            keys=point.names,
+            policy=policy,
+            emission_id=emission_id,
+        )
+
+
 class Specializer:
-    """Interprets generating extensions to build specialized code."""
+    """Runs lowered generating extensions to build specialized code."""
 
     def __init__(self, runtime) -> None:
         self.runtime = runtime
@@ -149,13 +219,8 @@ class Specializer:
             region.region_id, region.function_name
         )
         stats.specializations += 1
-        per_label: dict = {}
-        for (label, division) in genext.blocks:
-            per_label.setdefault(label, set()).add(division)
-        stats.divisions_used = max(
-            stats.divisions_used,
-            max((len(divs) for divs in per_label.values()), default=1),
-        )
+        stats.divisions_used = max(stats.divisions_used,
+                                   genext.lowered.divisions_used)
         code = SpecializedCode(
             region_id=region.region_id,
             function=Function(
@@ -188,7 +253,8 @@ class Specializer:
         )
         store = dict(pending.store)
         store.update(zip(pending.point_names, values))
-        label = pending.code.fresh_label("cont")
+        code = pending.code
+        label = code.fresh_label("cont")
         task = _Task(
             label=label,
             block_key=pending.block_key,
@@ -196,8 +262,18 @@ class Specializer:
             store=store,
             frames=dict(pending.frames),
         )
-        self._run_batch(pending.code, pending.genext, machine, [task],
-                        setup=self.runtime.overhead.promote_setup)
+        # The code version outlives a failed batch: the continuation is
+        # retried, or resumed for other values, in it.  The contexts the
+        # batch minted go with the batch, or those would link to blocks
+        # that were never built.
+        minted = len(code.contexts)
+        try:
+            self._run_batch(code, pending.genext, machine, [task],
+                            setup=self.runtime.overhead.promote_setup)
+        except BaseException:
+            for context_id in list(code.contexts)[minted:]:
+                del code.contexts[context_id]
+            raise
         return label
 
     def residualize_continuation(self, pending: PendingPromotion,
@@ -216,11 +292,8 @@ class Specializer:
         stats = self.runtime.stats.for_region(
             genext.region.region_id, genext.region.function_name
         )
-        dc_account = [overhead.promote_setup]
-
-        def charge(cycles: float) -> None:
-            dc_account[0] += cycles
-
+        batch = _Batch(self.runtime, genext, code, machine, stats,
+                       overhead.promote_setup)
         before_instrs = code.function.instruction_count()
         store = dict(pending.store)
         store.update(zip(pending.point_names, values))
@@ -232,15 +305,15 @@ class Specializer:
             store=store,
             frames=dict(pending.frames),
         )
-        self._emit_truncation(code, genext, task, stats, charge)
+        self._emit_truncation(batch, task)
         code.protected_labels.add(label)
         code.function.bump_version()
         new_instrs = code.function.instruction_count() - before_instrs
-        charge(overhead.icache_flush_base
-               + overhead.icache_flush_per_instr * new_instrs)
+        batch.charge(overhead.icache_flush_base
+                     + overhead.icache_flush_per_instr * new_instrs)
         stats.instructions_generated += new_instrs
-        stats.dc_cycles += dc_account[0]
-        machine.charge_dc(dc_account[0])
+        stats.dc_cycles += batch.dc
+        machine.charge_dc(batch.dc)
         code.footprint = code.function.instruction_count()
         stats.residualized_continuations += 1
         return label
@@ -266,11 +339,7 @@ class Specializer:
         stats = self.runtime.stats.for_region(
             genext.region.region_id, genext.region.function_name
         )
-        dc_account = [setup]
-
-        def charge(cycles: float) -> None:
-            dc_account[0] += cycles
-
+        batch = _Batch(self.runtime, genext, code, machine, stats, setup)
         before_instrs = code.function.instruction_count()
         budget = (self.runtime.config.specialize_budget
                   or MAX_CONTEXTS_PER_BATCH)
@@ -283,7 +352,9 @@ class Specializer:
         # fault could fail the batch first, so both run on.
         runaway = ({} if self.runtime.degrade or faults.active
                    else genext.runaway)
-        worklist: deque[_Task] = deque(tasks)
+        worklist = batch.worklist
+        worklist.extend(tasks)
+        process = self._process_task
         processed = 0
         while worklist:
             processed += 1
@@ -300,9 +371,7 @@ class Specializer:
                 # becomes a plain loop) and keep the contexts already
                 # specialized.
                 while worklist:
-                    task = worklist.popleft()
-                    self._emit_truncation(code, genext, task, stats,
-                                          charge)
+                    self._emit_truncation(batch, worklist.popleft())
                     stats.budget_truncations += 1
                 break
             task = worklist.popleft()
@@ -314,8 +383,7 @@ class Specializer:
                     f"{loop.reason}",
                     region_id=genext.region.region_id,
                 )
-            self._process_task(code, genext, machine, task, worklist,
-                               stats, charge)
+            process(batch, task)
 
         code.protected_labels.update(t.label for t in tasks)
         self._thread_jumps(code, protected=code.protected_labels)
@@ -324,84 +392,43 @@ class Specializer:
         # invalidate any cached translations of it.
         code.function.bump_version()
         new_instrs = code.function.instruction_count() - before_instrs
-        charge(overhead.icache_flush_base
-               + overhead.icache_flush_per_instr * new_instrs)
+        batch.charge(overhead.icache_flush_base
+                     + overhead.icache_flush_per_instr * new_instrs)
         stats.instructions_generated += new_instrs
-        stats.dc_cycles += dc_account[0]
-        machine.charge_dc(dc_account[0])
+        stats.dc_cycles += batch.dc
+        machine.charge_dc(batch.dc)
         code.footprint = code.function.instruction_count()
 
     # ------------------------------------------------------------------
     # One context
     # ------------------------------------------------------------------
 
-    def _process_task(self, code: SpecializedCode,
-                      genext: GeneratingExtension, machine, task: _Task,
-                      worklist: deque, stats, charge) -> None:
-        overhead = self.runtime.overhead
-        action_block = genext.block(task.block_key)
-        emitter = BlockEmitter(self.runtime.config, overhead, stats,
-                               charge, faults=self.runtime.faults)
+    def _process_task(self, batch: _Batch, task: _Task) -> None:
+        """Specialize one context: run its lowered entry point."""
+        entry = batch.lowered.entry_point(task.block_key,
+                                          task.action_index)
+        emitter = batch.emitter
+        emitter.reset()
         store = task.store
-        charge(overhead.block_alloc)
+        batch.dc += batch.overhead.block_alloc
+        stats = batch.stats
         stats.contexts_specialized += 1
-        if action_block.label in genext.loops:
-            key = (action_block.label, action_block.division)
-            stats.loop_context_counts[key] = (
-                stats.loop_context_counts.get(key, 0) + 1
-            )
-
-        terminator = None
-        actions = action_block.actions
-        for index in range(task.action_index, len(actions)):
-            action = actions[index]
-            if isinstance(action, EvalAction):
-                self._eval_static(action, store, machine, stats, charge)
-            elif isinstance(action, EmitAction):
-                values = self._hole_values(action, store)
-                emitter.emit_template(action.instr, values, action.plan)
-                # The variable is dynamic from here on: any stale static
-                # value must not leak into later folds or residuals.
-                for dest in action.instr.defs():
-                    store.pop(dest, None)
-            elif isinstance(action, ResidualAction):
-                for name in action.names:
-                    if name in store:
-                        emitter.emit_residual(name, store.pop(name))
-            elif isinstance(action, PromoteAction):
-                if action.emit is not None:
-                    values = self._hole_values(action.emit, store)
-                    emitter.emit_template(
-                        action.emit.instr, values, action.emit.plan
-                    )
-                    for dest in action.emit.instr.defs():
-                        store.pop(dest, None)
-                terminator = self._suspend_for_promotion(
-                    code, genext, task, index, action, store, stats,
-                    charge,
-                )
-                break
-            else:  # pragma: no cover - defensive
-                raise SpecializationError(
-                    f"unknown action {type(action).__name__}"
-                )
-
-        if terminator is None:
-            terminator = self._finish_terminator(
-                code, genext, action_block, store, emitter, worklist,
-                stats, charge, task.frames,
-            )
-
-        instrs = emitter.flush(terminator)
-        code.function.blocks[task.label] = BasicBlock(task.label, instrs)
+        counted = entry.counted
+        if counted is not None:
+            counts = stats.loop_context_counts
+            counts[counted] = counts.get(counted, 0) + 1
+        for step in entry.steps:
+            step(batch, store)
+        terminator = entry.finish(batch, store, task)
+        label = task.label
+        batch.code.function.blocks[label] = BasicBlock(
+            label, emitter.flush(terminator))
 
     # ------------------------------------------------------------------
     # Budget truncation (dynamic residualization)
     # ------------------------------------------------------------------
 
-    def _emit_truncation(self, code: SpecializedCode,
-                         genext: GeneratingExtension, task: _Task,
-                         stats, charge) -> None:
+    def _emit_truncation(self, batch: _Batch, task: _Task) -> None:
         """Finish ``task``'s block as ordinary dynamic code.
 
         The block residualizes the whole static store, replays the
@@ -410,7 +437,8 @@ class Specializer:
         and transfers into the fully dynamic template copies built by
         :func:`ensure_dynamic_blocks` — no further contexts are minted.
         """
-        overhead = self.runtime.overhead
+        code, genext, charge = batch.code, batch.genext, batch.charge
+        overhead = batch.overhead
         mapping = ensure_dynamic_blocks(code, genext, charge,
                                         overhead.emit_instruction)
         exit_index = {
@@ -418,7 +446,7 @@ class Specializer:
         }
         # A plain emitter: no faults (truncation is the recovery path)
         # and no plans, so nothing is folded or elided.
-        emitter = BlockEmitter(self.runtime.config, overhead, stats,
+        emitter = BlockEmitter(self.runtime.config, overhead, batch.stats,
                                charge)
         charge(overhead.block_alloc)
         for name in sorted(task.store):
@@ -475,264 +503,8 @@ class Specializer:
         code.function.blocks[task.label] = BasicBlock(task.label, instrs)
 
     # ------------------------------------------------------------------
-    # Set-up code evaluation
+    # Jump threading
     # ------------------------------------------------------------------
-
-    def _static_value(self, operand: Operand, store: dict):
-        if isinstance(operand, Imm):
-            return operand.value
-        if isinstance(operand, Reg):
-            try:
-                return store[operand.name]
-            except KeyError:
-                raise SpecializationError(
-                    f"static variable {operand.name!r} has no value at "
-                    "specialize time (BTA/specializer mismatch)"
-                ) from None
-        raise SpecializationError(f"cannot evaluate operand {operand!r}")
-
-    def _hole_values(self, action: EmitAction, store: dict) -> dict:
-        values = {}
-        for name in action.holes:
-            try:
-                values[name] = store[name]
-            except KeyError:
-                raise SpecializationError(
-                    f"static variable {name!r} has no value at "
-                    "specialize time (BTA/specializer mismatch)"
-                ) from None
-        return values
-
-    def _eval_static(self, action: EvalAction, store: dict, machine,
-                     stats, charge) -> None:
-        """Run one set-up computation at dynamic compile time."""
-        instr = action.instr
-        costs = machine.costs
-        overhead = self.runtime.overhead
-        charge(overhead.eval_overhead)
-
-        if isinstance(instr, Move):
-            value = self._static_value(instr.src, store)
-            charge(costs.move_cost(isinstance(value, float)))
-            store[instr.dest] = value
-            stats.static_instrs_folded += 1
-        elif isinstance(instr, UnOp):
-            src = self._static_value(instr.src, store)
-            charge(costs.binop_cost("alu", isinstance(src, float)))
-            store[instr.dest] = eval_unop(instr.op, src)
-            stats.static_instrs_folded += 1
-        elif isinstance(instr, BinOp):
-            lhs = self._static_value(instr.lhs, store)
-            rhs = self._static_value(instr.rhs, store)
-            is_float = isinstance(lhs, float) or isinstance(rhs, float)
-            charge(costs.binop_cost(instr.op.value, is_float))
-            store[instr.dest] = eval_binop(instr.op, lhs, rhs)
-            stats.static_instrs_folded += 1
-        elif isinstance(instr, Load):
-            addr = self._static_value(instr.addr, store)
-            charge(costs.load)
-            store[instr.dest] = machine.memory.load(addr)
-            stats.static_loads_folded += 1
-            if self.runtime.config.check_annotations:
-                machine.memory.watch(int(addr))
-        elif isinstance(instr, Call):
-            args = [self._static_value(a, store) for a in instr.args]
-            result = self.runtime.compile_time_call(
-                machine, instr.callee, args, charge
-            )
-            if instr.dest is not None:
-                store[instr.dest] = result
-            stats.static_calls_folded += 1
-        else:  # pragma: no cover - defensive
-            raise SpecializationError(
-                f"cannot evaluate {type(instr).__name__} statically"
-            )
-
-    # ------------------------------------------------------------------
-    # Promotions
-    # ------------------------------------------------------------------
-
-    def _suspend_for_promotion(self, code: SpecializedCode,
-                               genext: GeneratingExtension, task: _Task,
-                               action_index: int, action: PromoteAction,
-                               store: dict, stats, charge) -> Promote:
-        point = action.point
-        policy = self.runtime.effective_policy(point.policy)
-        emission_id = self.runtime.new_emission_id()
-        pending = PendingPromotion(
-            emission_id=emission_id,
-            code=code,
-            genext=genext,
-            block_key=task.block_key,
-            action_index=action_index + 1,
-            store=dict(store),
-            point_names=point.names,
-            policy=policy,
-            cache=self.runtime.make_cache(policy, stats=stats),
-            frames=dict(task.frames),
-        )
-        self.runtime.register_pending(pending)
-        stats.internal_promotion_points += 1
-        charge(self.runtime.overhead.emit_instruction)
-        return Promote(
-            region_id=genext.region.region_id,
-            point_id=point.point_id,
-            keys=point.names,
-            policy=policy,
-            emission_id=emission_id,
-        )
-
-    # ------------------------------------------------------------------
-    # Terminators and successor plumbing
-    # ------------------------------------------------------------------
-
-    def _finish_terminator(self, code: SpecializedCode,
-                           genext: GeneratingExtension,
-                           action_block: ActionBlock, store: dict,
-                           emitter: BlockEmitter, worklist: deque,
-                           stats, charge, frames: dict):
-        overhead = self.runtime.overhead
-        term = action_block.terminator
-
-        if isinstance(term, TermJump):
-            return self._goto(code, genext, action_block, term.target,
-                              store, emitter, worklist, stats, charge,
-                              frames)
-
-        if isinstance(term, TermStatic):
-            cond = self._static_value(term.instr.cond, store)
-            stats.static_branches_folded += 1
-            charge(overhead.static_branch_fold)
-            target = term.instr.if_true if cond else term.instr.if_false
-            return self._goto(code, genext, action_block, target, store,
-                              emitter, worklist, stats, charge, frames)
-
-        if isinstance(term, TermDynamic):
-            instr = term.action.instr
-            values = self._hole_values(term.action, store)
-            cond = emitter.prepare_terminator_operand(instr.cond, values)
-            true_label = self._succ_label(
-                code, genext, action_block, instr.if_true, store,
-                emitter, worklist, stats, charge, frames,
-            )
-            false_label = self._succ_label(
-                code, genext, action_block, instr.if_false, store,
-                emitter, worklist, stats, charge, frames,
-            )
-            charge(overhead.emit_instruction + 2 * overhead.branch_patch)
-            return Branch(cond, true_label, false_label)
-
-        if isinstance(term, TermReturn):
-            instr = term.action.instr
-            values = self._hole_values(term.action, store)
-            charge(overhead.emit_instruction)
-            if instr.value is None:
-                return Return(None)
-            value = emitter.prepare_terminator_operand(instr.value,
-                                                       values)
-            return Return(value)
-
-        raise SpecializationError(
-            f"unknown terminator {type(term).__name__}"
-        )
-
-    def _goto(self, code, genext, action_block, template_target, store,
-              emitter, worklist, stats, charge, frames):
-        """Terminator for an unconditional transfer to a template label."""
-        kind, payload = action_block.succ_info[template_target]
-        charge(self.runtime.overhead.emit_instruction)
-        if kind == "exit":
-            self._residualize_exit(genext, template_target, store,
-                                   emitter)
-            return ExitRegion(payload)
-        label = self._context_label(code, genext, payload, store,
-                                    emitter, worklist, stats, frames)
-        return Jump(label)
-
-    def _residualize_exit(self, genext, exit_label: str, store: dict,
-                          emitter: BlockEmitter) -> None:
-        """Materialize statics that are live in the host after the exit.
-
-        An exit edge normally carries no live static values, but a
-        variable can be static here and demoted *on the edge* (e.g. a
-        loop-variant derived static when the loop itself left the
-        region); its value must be emitted before control leaves.
-        """
-        live = genext.region.live_in.get(exit_label, frozenset())
-        for name in sorted(store):
-            if name in live:
-                emitter.emit_residual(name, store[name])
-
-    def _succ_label(self, code, genext, action_block, template_target,
-                    store, emitter, worklist, stats, charge,
-                    frames: dict) -> str:
-        """Emitted label for a branch target (exit thunk or context)."""
-        kind, payload = action_block.succ_info[template_target]
-        if kind == "exit":
-            self._residualize_exit(genext, template_target, store,
-                                   emitter)
-            if payload not in code.exit_blocks:
-                label = code.fresh_label(f"exit{payload}")
-                code.function.blocks[label] = BasicBlock(
-                    label, [ExitRegion(payload)]
-                )
-                code.exit_blocks[payload] = label
-                charge(self.runtime.overhead.emit_instruction)
-            return code.exit_blocks[payload]
-        return self._context_label(code, genext, payload, store,
-                                   emitter, worklist, stats, frames)
-
-    def _context_label(self, code: SpecializedCode,
-                       genext: GeneratingExtension, payload, store: dict,
-                       emitter: BlockEmitter, worklist: deque,
-                       stats, frames: dict) -> str:
-        """Memoized lookup/creation of a specialization context.
-
-        Variables that are static here but live-and-dynamic in the
-        successor context are *residualized*: their run-time-constant
-        values are emitted as constant moves before control transfers.
-        """
-        label, division = payload
-        succ_key = genext.resolve_context(label, division)
-        succ_block = genext.block(succ_key)
-        live = genext.region.live_in.get(succ_key[0], frozenset())
-        keyed = set(succ_block.key_vars)
-        for name in sorted(store):
-            if name in live and name not in keyed:
-                emitter.emit_residual(name, store[name])
-        try:
-            values = tuple(store[v] for v in succ_block.key_vars)
-        except KeyError as missing:
-            raise SpecializationError(
-                f"static variable {missing} required by context "
-                f"{succ_key!r} is absent from the store"
-            ) from None
-        context_id = (succ_key[0], succ_key[1], values)
-        is_header = succ_key[0] in genext.loops
-        existing = code.contexts.get(context_id)
-        if existing is not None:
-            if is_header:
-                stats.record_loop_edge(
-                    succ_key[0], frames.get(succ_key[0]), existing
-                )
-            return existing
-        new_label = code.fresh_label(succ_key[0])
-        code.contexts[context_id] = new_label
-        child_frames = frames
-        if is_header:
-            stats.record_loop_edge(
-                succ_key[0], frames.get(succ_key[0]), new_label
-            )
-            child_frames = dict(frames)
-            child_frames[succ_key[0]] = new_label
-        worklist.append(_Task(
-            label=new_label,
-            block_key=succ_key,
-            action_index=0,
-            store=dict(zip(succ_block.key_vars, values)),
-            frames=child_frames,
-        ))
-        return new_label
 
     @staticmethod
     def _thread_jumps(code: SpecializedCode,
@@ -742,7 +514,9 @@ class Specializer:
         A context whose computations were all static produces an empty
         block ending in a jump; references to it are retargeted past it
         and the block deleted.  ``protected`` labels (batch entries, whose
-        labels are cached externally) are kept even when trivial.
+        labels are cached externally) are kept even when trivial.  A
+        cycle of jump-only blocks is a loop that never exits, so one of
+        its blocks is kept, jumping to itself.
         """
         function = code.function
         trivial: dict[str, str] = {}
@@ -760,34 +534,53 @@ class Specializer:
         if not trivial and not singleton_terms:
             return
 
+        # Break each cycle of trivial blocks at the first block a walk
+        # meets twice; afterwards every chain ends outside ``trivial``.
+        done: set[str] = set()
+        for start in list(trivial):
+            walk: list[str] = []
+            label = start
+            while label in trivial and label not in done:
+                if label in walk:
+                    del trivial[label]
+                    break
+                walk.append(label)
+                label = trivial[label]
+            done.update(walk)
+
         def resolve(label: str) -> str:
-            seen = set()
-            while label in trivial and label not in seen:
-                seen.add(label)
+            while label in trivial:
                 label = trivial[label]
             return label
 
         for block in function.blocks.values():
             term = block.instrs[-1]
-            if isinstance(term, Jump):
+            if type(term) is Jump:
+                if term.target not in trivial:
+                    if term.target in singleton_terms:
+                        block.instrs[-1] = singleton_terms[term.target]
+                    continue
                 final = resolve(term.target)
                 if final in singleton_terms:
                     block.instrs[-1] = singleton_terms[final]
-                elif final != term.target:
+                else:
                     block.instrs[-1] = Jump(final)
-            elif isinstance(term, Branch):
-                if_true = resolve(term.if_true)
-                if_false = resolve(term.if_false)
-                if (if_true, if_false) != (term.if_true, term.if_false):
-                    block.instrs[-1] = Branch(term.cond, if_true,
-                                              if_false)
-        if function.entry in trivial:
-            function.entry = resolve(function.entry)
-        for context_id, label in list(code.contexts.items()):
-            if label in trivial:
-                code.contexts[context_id] = resolve(label)
-        for label in trivial:
-            del function.blocks[label]
+            elif type(term) is Branch:
+                if term.if_true in trivial or term.if_false in trivial:
+                    block.instrs[-1] = Branch(term.cond,
+                                              resolve(term.if_true),
+                                              resolve(term.if_false))
+        if trivial:
+            if function.entry in trivial:
+                function.entry = resolve(function.entry)
+            contexts = code.contexts
+            for context_id, label in contexts.items():
+                if label in trivial:
+                    contexts[context_id] = resolve(label)
+            for label in trivial:
+                del function.blocks[label]
+        if not singleton_terms:
+            return
         # Delete singleton terminator blocks nothing references anymore.
         still_referenced: set[str] = {function.entry}
         for block in function.blocks.values():
@@ -799,4 +592,3 @@ class Specializer:
                 for index, thunk in list(code.exit_blocks.items()):
                     if thunk == label:
                         del code.exit_blocks[index]
-

@@ -14,6 +14,7 @@ import os
 import pytest
 
 from repro.config import ALL_ON
+from repro.dyc import compile_annotated
 from repro.errors import (
     FaultConfigError,
     HarnessError,
@@ -30,6 +31,7 @@ from repro.faults import (
     resolve_degrade,
     resolve_fault_spec,
 )
+from repro.frontend import compile_source
 from repro.machine import ALPHA_21164
 from repro.runtime.overhead import DEFAULT_OVERHEAD
 from repro.workloads import ALL_WORKLOADS, CHEBYSHEV, DOTPRODUCT, MIPSI
@@ -254,6 +256,28 @@ class TestDegradationLadder:
         stats_all = list(result.region_stats.values())
         assert result.outputs_match
         assert sum(s.residualized_continuations for s in stats_all) >= 1
+
+    def test_failed_continuation_leaves_no_stale_contexts(self):
+        # Every second template emission fails, so the promotion
+        # continuation's first batch dies part-way and its retry runs in
+        # the same code version.  The retry used to link to a context
+        # the failed batch had minted but never built, and the run died
+        # on a jump to a missing block.
+        source = """
+        func f(s, d) {
+            make_static(s, i);
+            var i = 0;
+            for (i = 0; i < 1; i = i + 1) { s = d; }
+            return s + d;
+        }
+        """
+        compiled = compile_annotated(
+            compile_source(source), _config(faults="emit.template:every=2"))
+        machine, runtime = compiled.make_machine()
+        assert [machine.run("f", 3, 4) for _ in range(2)] == [8, 8]
+        [stats] = runtime.stats.regions.values()
+        assert stats.specialization_failures >= 1
+        assert stats.respecializations >= 1
 
     def test_clean_run_unaffected_by_ladder_plumbing(self, monkeypatch):
         monkeypatch.delenv("REPRO_FAULTS", raising=False)

@@ -361,6 +361,33 @@ class TestServeApp:
         _run(go())
         assert len(calls) < 1000
 
+    def test_clean_request_counts_specialized_contexts(self, monkeypatch):
+        # The counter above is live: the same wrapper on a request that
+        # specializes normally counts its contexts, so the runaway
+        # test's bound cannot pass without counting anything.
+        from repro.runtime.specializer import Specializer
+
+        calls = []
+        process_task = Specializer._process_task
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return process_task(self, *args, **kwargs)
+
+        monkeypatch.setattr(Specializer, "_process_task", counted)
+
+        async def go():
+            app = _app()
+            try:
+                status, _ = await _post_run(
+                    app, {"workload": "binary", "tenant": "g"})
+                assert status == 200
+            finally:
+                app.close()
+
+        _run(go())
+        assert len(calls) > 0
+
     def test_degraded_run_counts_surface(self):
         async def go():
             app = _app()

@@ -1,10 +1,20 @@
 """Unit-level tests for specializer mechanics and emitted-code shape."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.config import ALL_ON
-from repro.dyc import compile_annotated, compile_static
-from repro.errors import SpecializationError
+from repro.dyc import compile_annotated, compile_key, compile_static
+from repro.dyc import lowering
+from repro.dyc.genext import (
+    GeneratingExtension,
+    build_generating_extension,
+)
+from repro.errors import MachineError, SpecializationError
+from repro.evalharness import runner
+from repro.evalharness.runner import reset_invariant_caches, run_workload
 from repro.frontend import compile_source
 from repro.ir import (
     BasicBlock,
@@ -21,6 +31,7 @@ from repro.ir import (
 from repro.machine import Machine
 from repro.runtime.cache import UncheckedCache
 from repro.runtime.specializer import Specializer, SpecializedCode
+from repro.workloads import ALL_WORKLOADS, WORKLOADS_BY_NAME
 
 
 def emitted_code(src, *args, config=ALL_ON, memory=None):
@@ -90,6 +101,160 @@ class TestThreadJumps:
         code.contexts[("lbl", frozenset(), (1,))] = "b"
         Specializer._thread_jumps(code, protected={"a"})
         assert code.contexts[("lbl", frozenset(), (1,))] == "c"
+
+    def test_cycle_of_jump_only_blocks_keeps_one(self):
+        code = self._code([
+            BasicBlock("a", [Jump("b")]),
+            BasicBlock("b", [Jump("c")]),
+            BasicBlock("c", [Jump("b")]),
+        ], entry="a")
+        code.contexts[("lbl", frozenset(), (1,))] = "c"
+        Specializer._thread_jumps(code, protected={"a"})
+        assert set(code.function.blocks) == {"a", "b"}
+        assert code.function.blocks["a"].instrs == [Jump("b")]
+        assert code.function.blocks["b"].instrs == [Jump("b")]
+        assert code.contexts[("lbl", frozenset(), (1,))] == "b"
+
+
+class TestJumpOnlyCycle:
+    """A static loop whose contexts all emit nothing and recur: the
+    threaded jumps must still form the loop the static program runs."""
+
+    SRC = """
+    func spin(n, d) {
+        make_static(n, i) : cache_one_unchecked;
+        var i = 0;
+        while (n > 0) { i = 1 - i; }
+        return d;
+    }
+    """
+
+    @pytest.mark.parametrize("backend",
+                             ["reference", "threaded", "pycodegen"])
+    def test_loops_to_the_step_limit_like_the_static_program(self,
+                                                             backend):
+        module = compile_source(self.SRC)
+        static = Machine(compile_static(module), step_limit=20000,
+                         backend=backend)
+        with pytest.raises(MachineError, match="step limit"):
+            static.run("spin", 1, 5)
+        machine, runtime = compile_annotated(module).make_machine(
+            step_limit=20000, backend=backend)
+        with pytest.raises(MachineError, match="step limit"):
+            machine.run("spin", 1, 5)
+        code = runtime.entry_caches[0]._value
+        for block in code.function.blocks.values():
+            for target in block.instrs[-1].successors():
+                assert target in code.function.blocks
+        assert any(block.instrs == [Jump(label)]
+                   for label, block in code.function.blocks.items())
+
+
+class TestLoweredOnce:
+    """Generating extensions are lowered when the program is compiled,
+    and a run reads only the lowered form."""
+
+    def test_lowered_once_per_extension_per_compile(self, monkeypatch):
+        lowered = []
+        inner = lowering.lower_extension
+
+        def counted(genext):
+            lowered.append(genext)
+            return inner(genext)
+
+        monkeypatch.setattr(lowering, "lower_extension", counted)
+        for workload in ALL_WORKLOADS:
+            lowered.clear()
+            compiled = compile_annotated(compile_source(workload.source))
+            genexts = list(compiled.genexts.values())
+            assert [id(g) for g in lowered] == [id(g) for g in genexts]
+        reset_invariant_caches()
+        for workload in ALL_WORKLOADS:
+            lowered.clear()
+            cold = run_workload(workload, backend="threaded")
+            # The cold run compiled the program once; running it and a
+            # warm run of the shared program lower nothing.
+            assert len(lowered) == len(cold.region_stats), workload.name
+            run_workload(workload, backend="threaded")
+            assert len(lowered) == len(cold.region_stats), workload.name
+
+    def test_every_built_extension_is_lowered(self):
+        # Not only those compile_annotated keeps: lint builds its own.
+        dot = WORKLOADS_BY_NAME["dotproduct"]
+        compiled = compile_annotated(compile_source(dot.source))
+        for region_id, region in compiled.regions.items():
+            genext = build_generating_extension(region)
+            assert genext.lowered.entries.keys() == \
+                compiled.genexts[region_id].lowered.entries.keys()
+
+    def test_warm_run_reads_only_the_lowered_form(self, monkeypatch):
+        romberg = WORKLOADS_BY_NAME["romberg"]
+        reset_invariant_caches()
+        run_workload(romberg, backend="threaded")  # compiles and caches
+        resolved = []
+        resolve = GeneratingExtension.resolve_context
+
+        def counted(self, *args):
+            resolved.append(args)
+            return resolve(self, *args)
+
+        scans = []
+
+        class Watched(dict):
+            def __iter__(self):
+                scans.append("iter")
+                return super().__iter__()
+
+            def __getitem__(self, key):
+                scans.append("getitem")
+                return super().__getitem__(key)
+
+            def items(self):
+                scans.append("items")
+                return super().items()
+
+            def values(self):
+                scans.append("values")
+                return super().values()
+
+            def keys(self):
+                scans.append("keys")
+                return super().keys()
+
+        monkeypatch.setattr(GeneratingExtension, "resolve_context",
+                            counted)
+        program = runner._COMPILED_PROGRAMS.get(
+            (romberg.source, compile_key(ALL_ON)))
+        for genext in program.genexts.values():
+            monkeypatch.setattr(genext, "blocks", Watched(genext.blocks))
+        result = run_workload(romberg, backend="threaded")
+        assert sum(s.contexts_specialized
+                   for s in result.region_stats.values()) > 0
+        assert resolved == []
+        assert scans == []
+
+    def test_unpickled_program_is_lowered_again(self):
+        dot = WORKLOADS_BY_NAME["dotproduct"]
+        compiled = compile_annotated(compile_source(dot.source))
+        copy = pickle.loads(pickle.dumps(compiled))
+        for genext in copy.genexts.values():
+            assert genext.lowered is not None
+            assert genext.lowered is not \
+                compiled.genexts[genext.region.region_id].lowered
+        results = []
+        for program in (compiled, copy):
+            memory = Memory()
+            args = dot.setup(memory).args
+            machine, runtime = program.make_machine(memory=memory)
+            for _ in range(3):
+                machine.run(dot.entry, *args)
+            # Equal, not byte-identical: an unpickled division may repr
+            # its elements in another order.
+            results.append((machine.stats.dc_cycles,
+                            {region_id: dataclasses.asdict(stats)
+                             for region_id, stats
+                             in runtime.stats.regions.items()}))
+        assert results[0] == results[1]
 
 
 class TestEmittedCodeShape:
