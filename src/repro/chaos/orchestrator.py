@@ -10,11 +10,12 @@ Execution shape (all derived from ``--seed`` before anything starts):
    when an assertion fails — no orphaned daemons).
 3. **Storm** — traffic chunks replay through the retrying loadgen
    client; between chunks the scheduled SIGKILLs land on live worker
-   pids read from the supervisor's state file, and the persist store
-   is re-verified after every kill.
+   pids read from the supervisor's state file, and the fleet's shared
+   memo directory is scanned after every kill.
 4. **Drain** — SIGTERM with a burst still in flight: the burst must
-   complete, the supervisor must exit 0 having saved a snapshot, and
-   a warm-restarted fleet must serve a replay byte-identically.
+   complete, the supervisor must exit 0, and a fleet restarted on the
+   same memo directory must serve a replay byte-identically, from the
+   memoizer.
 5. **Verdict** — every distinct fingerprint is re-derived offline;
    invariant failures are listed and exit the process non-zero.
 """
@@ -32,7 +33,7 @@ import sys
 import tempfile
 import time
 
-from repro.runtime.persist import verify_store
+from repro.evalharness.memo import Memoizer
 from repro.serve import knobs
 from repro.serve.loadgen import (
     DEFAULT_WORKLOADS,
@@ -76,8 +77,6 @@ def plan_schedule(seed: int, *, procs: int, kills: int, chunks: int,
     fault_spec = ";".join([
         # A worker dies (or drops the wire) instead of responding.
         f"serve.respond:every={rng.randrange(17, 31)}",
-        # The fsync barrier of a persisted artifact write fails.
-        f"persist.fsync:every={rng.randrange(5, 12)}",
         # One simulated hang per worker incarnation.
         f"serve.worker_heartbeat:at={rng.randrange(60, 120)}",
     ])
@@ -129,21 +128,15 @@ class SupervisedFleet:
     """A ``repro.serve.supervisor`` subprocess in its own session."""
 
     def __init__(self, *, procs: int, fault_spec: str | None,
-                 persist_dir: str, state_file: str,
-                 snapshot_out: str | None = None,
-                 snapshot_in: str | None = None,
+                 memo_dir: str, state_file: str,
                  env_overrides: dict[str, str] | None = None):
         self.state_file = state_file
         argv = [sys.executable, "-m", "repro.serve.supervisor",
                 "--port", "0", "--procs", str(procs),
                 "--state-file", state_file,
-                "--persist-dir", persist_dir]
+                "--memo-dir", memo_dir]
         if fault_spec:
             argv += ["--faults", fault_spec]
-        if snapshot_out:
-            argv += ["--snapshot-out", snapshot_out]
-        if snapshot_in:
-            argv += ["--snapshot", snapshot_in]
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (os.path.join(os.path.dirname(__file__),
@@ -280,16 +273,34 @@ def oracle_check(fingerprints: dict[str, str]) -> dict:
             "mismatches": mismatches}
 
 
-def check_store(persist_dir: str, when: str,
-                failures: list[str]) -> dict:
-    """The store must scan clean — no torn or corrupt records."""
-    scan = verify_store(persist_dir)
+def check_memo(memo_dir: str, when: str,
+               failures: list[str]) -> dict:
+    """The memo directory must scan clean — no torn or corrupt
+    entries."""
+    scan = Memoizer(memo_dir).scan()
     scan["when"] = when
     if scan["corrupt"]:
         failures.append(
-            f"store corrupt after {when}: {scan['corrupt']} bad "
-            f"record(s) of {scan['records']}")
+            f"memo corrupt after {when}: {scan['corrupt']} of "
+            f"{scan['entries']} entries")
     return scan
+
+
+async def fleet_memo_stats(host: str, port: int, procs: int,
+                           attempts: int = 40) -> dict[str, dict]:
+    """Worker id -> its ``/stats`` memo counters.
+
+    Each ``GET`` lands on whichever worker accepts it, so this polls
+    until every worker has answered, or until one reports a hit.
+    """
+    seen: dict[str, dict] = {}
+    for _ in range(attempts):
+        stats = await fetch(host, port, "/stats")
+        memo = stats.get("memo") or {}
+        seen[str(stats["server"].get("worker"))] = memo
+        if len(seen) >= procs or memo.get("hits"):
+            break
+    return seen
 
 
 # ----------------------------------------------------------------------
@@ -320,14 +331,11 @@ def run_chaos(args: argparse.Namespace) -> tuple[dict, list[str]]:
         tenants=args.tenants, workloads=tuple(args.workloads))
     failures: list[str] = []
     scratch = tempfile.mkdtemp(prefix="repro-chaos-")
-    store = os.path.join(scratch, "store")
-    warm_store = os.path.join(scratch, "store-warm")
-    snap = os.path.join(scratch, "drain.snap")
+    memo_dir = os.path.join(scratch, "memo")
     env = {
         # Fast hang detection so heartbeat faults recycle within the
-        # smoke budget; both knobs are part of the memo fingerprint,
-        # but chaos traffic never compares memo keys across runs with
-        # different knobs, so this is safe.
+        # smoke budget.  None of these knobs can change a run, so none
+        # is part of a memo key.
         "REPRO_HEARTBEAT_INTERVAL": "0.25",
         "REPRO_HEARTBEAT_TIMEOUT": "2.0",
         "REPRO_BREAKER_THRESHOLD": str(args.breaker_threshold),
@@ -339,7 +347,7 @@ def run_chaos(args: argparse.Namespace) -> tuple[dict, list[str]]:
         "schedule": {k: v for k, v in schedule.items()
                      if k != "traffic"},
         "kills": [],
-        "store_checks": [],
+        "memo_checks": [],
     }
     total = LegResult("chaos")
     kills_by_chunk: dict[int, list[dict]] = {}
@@ -348,8 +356,9 @@ def run_chaos(args: argparse.Namespace) -> tuple[dict, list[str]]:
 
     fleet = SupervisedFleet(
         procs=args.procs, fault_spec=schedule["fault_spec"],
-        persist_dir=store, state_file=os.path.join(scratch, "sup.json"),
-        snapshot_out=snap, env_overrides=env)
+        memo_dir=memo_dir,
+        state_file=os.path.join(scratch, "sup.json"),
+        env_overrides=env)
     warm_fleet: SupervisedFleet | None = None
     try:
         state = fleet.wait_ready(args.procs)
@@ -385,8 +394,8 @@ def run_chaos(args: argparse.Namespace) -> tuple[dict, list[str]]:
         for index, chunk in enumerate(schedule["traffic"]):
             asyncio.run(storm_chunk(index, chunk))
             for kill in kills_by_chunk.get(index, ()):
-                report["store_checks"].append(check_store(
-                    store, f"kill during chunk {index}", failures))
+                report["memo_checks"].append(check_memo(
+                    memo_dir, f"kill during chunk {index}", failures))
         total.duration = time.perf_counter() - start
 
         # ---- graceful drain with a burst in flight -------------------
@@ -403,10 +412,8 @@ def run_chaos(args: argparse.Namespace) -> tuple[dict, list[str]]:
         if bad_drain:
             failures.append(
                 f"drain: burst saw statuses {sorted(bad_drain)}")
-        if not os.path.exists(snap):
-            failures.append("drain: no snapshot was saved")
-        report["store_checks"].append(
-            check_store(store, "graceful drain", failures))
+        report["memo_checks"].append(
+            check_memo(memo_dir, "graceful drain", failures))
         final_state = fleet.state()
         report["supervisor"] = final_state
         if len(report["kills"]) != len(schedule["kills"]):
@@ -418,11 +425,11 @@ def run_chaos(args: argparse.Namespace) -> tuple[dict, list[str]]:
                 f"supervisor reaped {final_state.get('crash_exits', 0)} "
                 f"crashes but {expected_kills} kills were delivered")
 
-        # ---- warm restart from the drain snapshot --------------------
+        # ---- warm restart on the same memo directory -----------------
         warm_fleet = SupervisedFleet(
-            procs=args.procs, fault_spec=None, persist_dir=warm_store,
+            procs=args.procs, fault_spec=None, memo_dir=memo_dir,
             state_file=os.path.join(scratch, "sup-warm.json"),
-            snapshot_in=snap, env_overrides=env)
+            env_overrides=env)
         wstate = warm_fleet.wait_ready(args.procs)
         asyncio.run(wait_ready(wstate["host"], wstate["port"]))
         warm_leg = asyncio.run(run_leg(
@@ -434,6 +441,12 @@ def run_chaos(args: argparse.Namespace) -> tuple[dict, list[str]]:
                 failures.append(
                     f"warm restart changed the fingerprint of "
                     f"{json.loads(identity)['workload']}")
+        warm_memo = asyncio.run(fleet_memo_stats(
+            wstate["host"], wstate["port"], args.procs))
+        warm_hits = sum(m.get("hits", 0) for m in warm_memo.values())
+        if not warm_hits:
+            failures.append("warm restart served nothing from the "
+                            "memo directory")
         warm_fleet.terminate()
         try:
             warm_exit = warm_fleet.proc.wait(timeout=60)
@@ -444,8 +457,9 @@ def run_chaos(args: argparse.Namespace) -> tuple[dict, list[str]]:
         report["drain"] = {
             "burst": drain_leg.report(),
             "supervisor_exit": drain_exit,
-            "snapshot_saved": os.path.exists(snap),
             "warm_replay": warm_leg.report(),
+            "warm_memo": warm_memo,
+            "warm_memo_hits": warm_hits,
             "warm_fingerprints_identical": all(
                 warm_leg.fingerprints.get(i) == fp
                 for i, fp in drain_leg.fingerprints.items()),

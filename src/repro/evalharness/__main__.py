@@ -1,10 +1,8 @@
 """Regenerate the paper's tables: ``python -m repro.evalharness [what]``.
 
 ``what`` is one of ``table1`` … ``table5``, ``dispatch`` (the §4.4.3
-dispatch-cost measurements), ``all`` (default), ``bench`` (wall-clock
-comparison of the execution backends, written to ``BENCH_interp.json``),
-or ``warmstart`` (cold vs warm artifact generation against the
-persistent store, written to ``BENCH_warmstart.json``).
+dispatch-cost measurements), ``all`` (default), or ``bench`` (wall-clock
+comparison of the execution backends, written to ``BENCH_interp.json``).
 
 Shared flags::
 
@@ -19,10 +17,6 @@ Shared flags::
     --no-memo                        disable the content-hash result cache
     --memo-dir DIR                   cache directory (default .repro_memo,
                                      or $REPRO_MEMO_DIR)
-    --persist-dir DIR                activate the persistent artifact
-                                     store at DIR for every run (sets
-                                     REPRO_PERSIST_DIR, so --jobs pool
-                                     workers share it too)
 
 Robustness flags (exported to the environment so pool workers inherit
 them)::
@@ -34,10 +28,9 @@ them)::
     --task-timeout SECS              no-progress timeout per pool round
                                      (sets REPRO_TASK_TIMEOUT)
 
-``bench``/``warmstart`` flags: ``--output PATH``, ``--repeat N``
-(bench only), and ``--compare`` (diff the committed report at
-``--output`` against a fresh run instead of overwriting it; exits
-non-zero on semantic divergence).
+``bench`` flags: ``--output PATH``, ``--repeat N``, and ``--compare``
+(diff the committed report at ``--output`` against a fresh run instead
+of overwriting it; exits non-zero on semantic divergence).
 """
 
 from __future__ import annotations
@@ -70,7 +63,7 @@ from repro.machine import BACKENDS, CODEGEN_MODES
 from repro.workloads import APPLICATIONS
 
 TARGETS = ("table1", "table2", "table3", "table4", "table5",
-           "dispatch", "all", "bench", "warmstart")
+           "dispatch", "all", "bench")
 
 
 def _emit(table: Table) -> None:
@@ -125,10 +118,6 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     parser.add_argument("--memo-dir", default=None, metavar="DIR",
                         help="result-cache directory (default: "
                              "$REPRO_MEMO_DIR or .repro_memo)")
-    parser.add_argument("--persist-dir", default=None, metavar="DIR",
-                        help="activate the persistent artifact store at "
-                             "DIR (sets $REPRO_PERSIST_DIR for workers "
-                             "too)")
     parser.add_argument("--faults", default=None, metavar="SPEC",
                         help="fault-injection spec, e.g. "
                              "'cache.corrupt:once;worker.crash' "
@@ -190,58 +179,6 @@ def _bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _warmstart(args: argparse.Namespace) -> int:
-    from repro.evalharness.warmstart import (
-        DEFAULT_WARMSTART_PATH,
-        compare_warmstart,
-        load_warmstart,
-        run_warmstart,
-        write_warmstart,
-    )
-    output = args.output
-    if output == DEFAULT_BENCH_PATH:
-        output = DEFAULT_WARMSTART_PATH
-    report = run_warmstart(backend=args.backend)
-    if args.compare:
-        try:
-            committed = load_warmstart(output)
-        except (OSError, ValueError) as err:
-            print(f"cannot load committed report {output}: {err}",
-                  file=sys.stderr)
-            return 1
-        lines, ok = compare_warmstart(committed, report)
-        for line in lines:
-            print(line)
-        if not ok:
-            print("ERROR: committed warm-start report disagrees with "
-                  "the fresh run", file=sys.stderr)
-            return 1
-        return 0
-    write_warmstart(report, output)
-    for name, entry in report["workloads"].items():
-        print(f"{name:12s} cold={entry['cold_work_seconds']:.4f}s "
-              f"warm={entry['warm_work_seconds']:.4f}s "
-              f"ratio={entry['warm_ratio']:.4f} "
-              f"match={entry['checksums_match']}")
-    totals = report["totals"]
-    print(f"total cold={totals['cold_work_seconds']:.4f}s "
-          f"warm={totals['warm_work_seconds']:.4f}s "
-          f"ratio={totals['warm_ratio']:.4f}")
-    print(f"report written to {output}")
-    if not report["checksums_match"]:
-        print("ERROR: warm run statistics/results diverged from cold "
-              "run", file=sys.stderr)
-        return 1
-    if not report["warm_within_limit"]:
-        print("ERROR: warm-start overhead exceeds "
-              f"{report['warm_ratio_limit']:.0%} of cold",
-              file=sys.stderr)
-        return 1
-    print("warm runs byte-identical to cold and within the overhead "
-          "limit")
-    return 0
-
-
 def _export_robustness_env(args: argparse.Namespace) -> None:
     """Publish robustness flags as environment variables.
 
@@ -260,12 +197,6 @@ def _export_robustness_env(args: argparse.Namespace) -> None:
         os.environ["REPRO_TASK_TIMEOUT"] = str(args.task_timeout)
     if args.codegen_mode is not None:
         os.environ["REPRO_CODEGEN_MODE"] = args.codegen_mode
-    if args.persist_dir is not None:
-        from repro.runtime import persist
-        os.environ[persist.ENV_PERSIST_DIR] = args.persist_dir
-        # The parent process may already have resolved (and cached) "no
-        # store" — re-resolve so its own runs honor the flag too.
-        persist.reset()
 
 
 def main(argv: list[str]) -> int:
@@ -275,8 +206,6 @@ def main(argv: list[str]) -> int:
 
     if args.what == "bench":
         return _bench(args)
-    if args.what == "warmstart":
-        return _warmstart(args)
 
     memo = None if args.no_memo else Memoizer(args.memo_dir)
     kwargs = dict(jobs=args.jobs, memo=memo, backend=args.backend)

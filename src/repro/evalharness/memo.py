@@ -12,10 +12,18 @@ The memoizer therefore keys cached
 results on a SHA-256 of exactly those inputs, so re-running tables (or the
 full ``all`` sweep) only recomputes runs whose inputs actually changed.
 
-Cache entries are one pickle file per key, written atomically
-(temp file + ``os.replace``) so concurrent ``--jobs`` workers can share a
-cache directory without locking: the worst case is two workers computing
-the same run and one ``replace`` winning, which is harmless.
+Cache entries are one file per key, written atomically (temp file +
+``os.replace``) so concurrent ``--jobs`` workers, and the serve
+daemon's workers under ``--memo-dir``, can share a cache directory
+without locking: the worst case is two writers computing the same run
+and one ``replace`` winning, which is harmless.  Each file seals the
+pickled payload with a SHA-256 over the key and the payload, checked
+before anything is unpickled: a damaged entry, or one stored under
+another key's name, reads as a miss and is recomputed, never served
+and never raised.  Writes are not fsynced: a write the machine loses
+is a miss, and a torn one fails its checksum.  A write that fails
+(a full disk, a path that is not a directory) is counted and skipped;
+the run it would have stored still returns its result.
 
 Deterministic specialization failures (``SpecializationError``, e.g. mipsi
 without static loads exceeding the context budget) are memoized too — as a
@@ -31,22 +39,27 @@ import hashlib
 import os
 import pickle
 import tempfile
+import threading
 
 from repro.config import OptConfig
 from repro.errors import SpecializationBudgetError, SpecializationError
 from repro.faults import resolve_degrade, resolve_fault_spec
 from repro.machine.costs import CostModel
 from repro.machine.pycodegen import resolve_source_limit
-from repro.runtime import persist
 from repro.runtime.overhead import OverheadModel
 from repro.workloads import WORKLOADS_BY_NAME
 from repro.workloads.base import Workload
 
-#: Bump when the RunResult layout or the fingerprint recipe changes;
-#: stale entries from older schemas simply never match.  Schema 7 keys
-#: only the environment knobs that can change a RunResult (the codegen
-#: source limit and the pool task timeout).
-_SCHEMA = 7
+#: Bump when the RunResult layout, the entry format or the key recipe
+#: changes; stale entries from older schemas simply never match.
+#: Schema 8 seals every entry with a checksum and no longer keys on a
+#: persistent artifact store.
+_SCHEMA = 8
+
+#: Every entry file starts with this tag, then the SHA-256 of the
+#: entry's key and its pickled payload, then the payload.
+_MAGIC = b"repro-memo\n"
+_HEAD = len(_MAGIC) + hashlib.sha256().digest_size
 
 #: Default cache directory (relative to the current working directory)
 #: when none is given explicitly or via ``REPRO_MEMO_DIR``.
@@ -153,24 +166,72 @@ def memo_key(workload: Workload,
     # Backend-affecting environment knobs (same rationale: they change
     # run behavior but are invisible to ``asdict(config)``).
     feed(("resolved_env", backend_env_fingerprint()))
-    # Persistent-store state: schema version and whether a store is
-    # active.  Artifact records are themselves keyed on this memo key
-    # plus the persist schema, so a snapshot from an older persist
-    # layout (or a run that flipped persistence on/off) can never serve
-    # a stale memoized result.
-    feed(("persist", (persist.PERSIST_SCHEMA,
-                      persist.active_store() is not None)))
     feed(sorted(dataclasses.asdict(cost_model).items()))
     feed(sorted(dataclasses.asdict(overhead).items()))
     feed(verify)
     return hasher.hexdigest()
 
 
+def _digest(key: str, body: bytes) -> bytes:
+    return hashlib.sha256(os.fsencode(key) + b"\x00" + body).digest()
+
+
+def _rebuild(payload: dict):
+    """The RunResult or SpecializationError a sound ``payload``
+    records."""
+    if "error" in payload:
+        cls = (SpecializationBudgetError
+               if payload.get("error_kind") == "budget"
+               else SpecializationError)
+        return cls(payload["error"], **(payload.get("error_fields") or {}))
+    fields = payload["result"]
+    from repro.evalharness.runner import RunResult
+    return RunResult(**{**fields,
+                        "workload": WORKLOADS_BY_NAME[fields["workload"]]})
+
+
+def _decode(key: str, raw: bytes) -> tuple[str, dict | None]:
+    """``("ok", payload)`` for a sound entry of this schema,
+    ``("stale", None)`` for a sound entry of another schema, and
+    ``("corrupt", None)`` for anything else."""
+    body = raw[_HEAD:]
+    if not raw.startswith(_MAGIC) \
+            or raw[len(_MAGIC):_HEAD] != _digest(key, body):
+        return "corrupt", None
+    try:
+        payload = pickle.loads(body)
+    except Exception:
+        return "corrupt", None
+    if not isinstance(payload, dict):
+        return "corrupt", None
+    if payload.get("schema") != _SCHEMA:
+        return "stale", None
+    return "ok", payload
+
+
 class Memoizer:
-    """A directory of pickled run results keyed by content hash."""
+    """A directory of sealed, pickled run results keyed by content hash.
+
+    Lookups and writes are counted under a lock (the serve daemon calls
+    them from its executor threads): ``hits`` served a result or a
+    cached error, ``misses`` found nothing usable, ``corrupt_drops``
+    counts the misses that found a damaged entry, and ``write_skips``
+    the writes that failed.
+    """
 
     def __init__(self, directory: str | None = None):
         self.directory = resolve_memo_dir(directory)
+        self._lock = threading.Lock()
+        self._counts = dict.fromkeys(
+            ("hits", "misses", "corrupt_drops", "write_skips"), 0)
+
+    def _count(self, name: str) -> None:
+        with self._lock:
+            self._counts[name] += 1
+
+    def stats(self) -> dict:
+        with self._lock:
+            return {"directory": self.directory, **self._counts}
 
     # -- key construction ------------------------------------------------
 
@@ -184,47 +245,78 @@ class Memoizer:
     def get(self, key: str):
         """Return the cached RunResult for ``key``, raise a cached
         :class:`SpecializationError`, or return ``None`` on a miss."""
+        status, found = self._lookup(key)
+        self._count("hits" if status == "hit" else "misses")
+        if status == "corrupt":
+            self._count("corrupt_drops")
+        if isinstance(found, SpecializationError):
+            raise found
+        return found
+
+    def _lookup(self, key: str) -> tuple[str, object]:
+        """``("hit", value)``, ``("miss", None)`` or
+        ``("corrupt", None)``; never raises."""
         try:
             with open(self._path(key), "rb") as fh:
-                payload = pickle.load(fh)
-        except (OSError, pickle.UnpicklingError, EOFError, ValueError,
-                AttributeError, ImportError):
-            return None
-        if not isinstance(payload, dict) or payload.get("schema") != _SCHEMA:
-            return None
-        if "error" in payload:
-            cls = (SpecializationBudgetError
-                   if payload.get("error_kind") == "budget"
-                   else SpecializationError)
-            fields = payload.get("error_fields") or {}
-            raise cls(payload["error"], **fields)
-        fields = payload.get("result")
-        if not isinstance(fields, dict):
-            return None
-        workload = WORKLOADS_BY_NAME.get(fields.get("workload"))
-        if workload is None:
-            return None
-        from repro.evalharness.runner import RunResult
+                raw = fh.read()
+        except OSError:
+            return "miss", None
+        status, payload = _decode(key, raw)
+        if status != "ok":
+            return ("miss" if status == "stale" else "corrupt"), None
         try:
-            return RunResult(**{**fields, "workload": workload})
-        except TypeError:
-            return None
+            return "hit", _rebuild(payload)
+        except Exception:
+            return "corrupt", None
+
+    def scan(self) -> dict:
+        """Read-only integrity check of every entry in the directory.
+
+        ``tmp_files`` are an interrupted writer's leftovers, which no
+        reader opens; ``stale`` entries belong to another schema.
+        """
+        counts = dict.fromkeys(
+            ("entries", "ok", "corrupt", "stale", "tmp_files"), 0)
+        try:
+            names = sorted(os.listdir(self.directory))
+        except OSError:
+            return counts
+        for name in names:
+            if name.endswith(".tmp"):
+                counts["tmp_files"] += 1
+                continue
+            if not name.endswith(".pkl"):
+                continue
+            counts["entries"] += 1
+            try:
+                with open(os.path.join(self.directory, name), "rb") as fh:
+                    raw = fh.read()
+            except OSError:
+                counts["corrupt"] += 1
+                continue
+            counts[_decode(name[:-len(".pkl")], raw)[0]] += 1
+        return counts
 
     # -- store -----------------------------------------------------------
 
     def _write(self, key: str, payload: dict) -> None:
-        os.makedirs(self.directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+        body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        tmp = None
         try:
+            os.makedirs(self.directory, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
             with os.fdopen(fd, "wb") as fh:
-                pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
+                fh.write(_MAGIC + _digest(key, body) + body)
             os.replace(tmp, self._path(key))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+            tmp = None
+        except OSError:
+            self._count("write_skips")
+        finally:
+            if tmp is not None:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
 
     def put(self, key: str, result) -> None:
         """Cache a RunResult (the Workload is stored by name)."""

@@ -37,7 +37,6 @@ from repro.dyc import (
 from repro.errors import ReproError, SpecializationError
 from repro.evalharness.memo import (
     INVARIANT_CACHE_CAPACITY,
-    memo_key,
     reset_prefix_cache,
     workload_prefix,
 )
@@ -47,7 +46,6 @@ from repro.ir import Memory, Module
 from repro.machine import ALPHA_21164, ICacheModel, Machine
 from repro.machine.costs import CostModel
 from repro.machine.pycodegen import resolve_source_limit
-from repro.runtime import persist
 from repro.runtime.overhead import DEFAULT_OVERHEAD, OverheadModel
 from repro.runtime.stats import RegionStats
 from repro.workloads.base import Workload, WorkloadInput
@@ -379,8 +377,7 @@ def compiled_program(source: str, module: Module,
 def reset_invariant_caches() -> None:
     """Forget every parsed module, static baseline, compiled program,
     prepared input and workload key prefix, so the next run computes
-    them afresh: a warm-start leg's static run must consult the
-    persistent store, and tests need cold runs."""
+    them afresh (tests need cold runs)."""
     _parsed_module.cache_clear()
     _STATIC_BASELINES.clear()
     _COMPILED_PROGRAMS.clear()
@@ -408,7 +405,8 @@ def run_workload(workload: Workload,
 
     With a :class:`~repro.evalharness.memo.Memoizer` in ``memo``, the run
     (or its deterministic :class:`SpecializationError`) is served from and
-    stored to the content-hash cache.  The backend is deliberately not
+    stored to the content-hash cache; a damaged entry is recomputed and
+    a failed write is skipped.  The backend is deliberately not
     part of the cache key: all backends produce byte-identical stats —
     except pycodegen in fast mode, which drops cycle accounting, so
     fast-mode runs bypass the memo entirely.
@@ -460,15 +458,6 @@ def run_workload(workload: Workload,
         tracked=frozenset(workload.region_functions), overhead=overhead,
         **_machine_kwargs(workload, cost_model, backend, codegen_mode),
     )
-    persist_store = persist.active_store()
-    if persist_store is not None and canonical_module \
-            and persist.run_eligible(config):
-        # Route entry/continuation specialization through the
-        # cross-process store, keyed like the memo cache keys runs.
-        persist.bind_runtime(
-            runtime, persist_store,
-            memo_key(workload, config, cost_model, overhead, verify),
-        )
     dynamic_result = dynamic_machine.run(workload.entry,
                                          *dynamic_input.args)
 

@@ -59,12 +59,6 @@ FAULT_POINTS: dict[str, str] = {
         "a supervised worker's heartbeat goes silent (simulated hang)",
     "serve.respond":
         "a worker dies or drops the connection instead of responding",
-    "persist.load":
-        "a persisted artifact fails integrity verification on load",
-    "persist.store":
-        "a persisted artifact write is dropped before reaching disk",
-    "persist.fsync":
-        "the fsync barrier of a persisted artifact write fails",
     "worker.crash":
         "a pool worker dies with os._exit (BrokenProcessPool)",
     "worker.error":

@@ -55,11 +55,8 @@ failure strikes mid-region (resumable at the current label).  See
 
 from __future__ import annotations
 
-import importlib.util
-import marshal
 import math
 import os
-import time
 
 from repro.errors import MachineError, TrapError
 from repro.ir.function import Function
@@ -91,7 +88,6 @@ from repro.machine.threaded import (
     _mod,
 )
 from repro.opt.regionshape import region_shape
-from repro.runtime import persist
 from repro.runtime.cache import CodeCache, entry_checksum
 
 #: Codegen modes accepted by ``--codegen-mode`` / ``OptConfig``.
@@ -149,9 +145,8 @@ def resolve_compile_threshold(
     return default
 
 
-#: Memoized ``REPRO_PYCODEGEN_SOURCE_LIMIT`` — parsed once per process,
-#: like the other env knobs (e.g. the persist dir); tests reset
-#: it via :func:`reset_source_limit_cache`.
+#: Memoized ``REPRO_PYCODEGEN_SOURCE_LIMIT`` — parsed once per process;
+#: tests reset it via :func:`reset_source_limit_cache`.
 _SOURCE_LIMIT_CACHE: int | None = None
 
 
@@ -869,22 +864,6 @@ class PyCodegenBackend:
         self._latest.pop(id(fn), None)
         self._hosts.pop(id(fn), None)
 
-    def _persist_digest(self, fn: Function, penalty: float,
-                        scale: float, region: bool) -> str:
-        """Content key of one emission: everything the source embeds.
-
-        Cost literals, penalty/scale, the step limit and the codegen
-        mode all shape the emitted text, so they are all part of the key;
-        the function text itself covers name/version/blocks (and so the
-        trace layout, which is a pure function of the blocks).
-        """
-        return persist.digest(
-            "pycodegen", persist.PERSIST_SCHEMA,
-            persist.function_text(fn), penalty, scale, int(region),
-            self.mode, self.machine.step_limit,
-            repr(self.machine.costs),
-        )
-
     def _code_object(self, fn: Function, source: str):
         """The process-wide source-keyed code object for ``source``."""
         code = _CODE_OBJECTS.get(source)
@@ -927,65 +906,9 @@ class PyCodegenBackend:
             namespace["_run"], ids, labels, source,
         )
 
-    def _from_record(self, fn: Function, penalty: float, scale: float,
-                     region: bool, record) -> _PyTranslation | None:
-        """Rebuild a translation from a persisted emission, or None."""
-        try:
-            source = record["source"]
-            consts = tuple(record["consts"])
-            ids = dict(record["ids"])
-            labels = tuple(record["labels"])
-            magic = record["magic"]
-            code_bytes = record["code"]
-        except (TypeError, KeyError):
-            return None
-        if not isinstance(source, str):
-            return None
-        if len(source) > self.source_limit:
-            # Byte-identical refusal: a warm process under a tighter
-            # limit must degrade exactly like the cold one did.
-            self.oversize_refusals += 1
-            raise CompileFault(
-                f"generated source for {fn.name!r} is {len(source)} "
-                f"chars (limit {self.source_limit}); see DYC210"
-            )
-        code = _CODE_OBJECTS.get(source)
-        if code is None and magic == importlib.util.MAGIC_NUMBER \
-                and isinstance(code_bytes, bytes):
-            try:
-                code = marshal.loads(code_bytes)
-            except (EOFError, ValueError, TypeError):
-                code = None
-            if code is not None:
-                if len(_CODE_OBJECTS) >= _CODE_OBJECTS_CAP:
-                    _CODE_OBJECTS.clear()
-                _CODE_OBJECTS[source] = code
-        if code is None:
-            # Different interpreter (or damaged marshal): the emitted
-            # source is still authoritative — recompile it.
-            code = self._code_object(fn, source)
-        return self._bind(fn, penalty, scale, region, code, source,
-                          consts, ids, labels)
-
     def _compile(self, fn: Function, penalty: float, scale: float,
                  region: bool) -> _PyTranslation:
-        machine = self.machine
-        store = persist.active_store()
-        digest_ = None
-        faults = None
-        if store is not None:
-            digest_ = self._persist_digest(fn, penalty, scale, region)
-            runtime = machine.runtime
-            faults = getattr(runtime, "faults", None) \
-                if runtime is not None else None
-            record = store.get("pycodegen", digest_, faults=faults)
-            if record is not None:
-                entry = self._from_record(fn, penalty, scale, region,
-                                          record)
-                if entry is not None:
-                    return entry
-        began = time.perf_counter()
-        emitter = _Emitter(machine, fn, penalty, scale, region,
+        emitter = _Emitter(self.machine, fn, penalty, scale, region,
                            self.mode)
         source = emitter.build()
         if len(source) > self.source_limit:
@@ -995,21 +918,9 @@ class PyCodegenBackend:
                 f"chars (limit {self.source_limit}); see DYC210"
             )
         code = self._code_object(fn, source)
-        entry = self._bind(fn, penalty, scale, region, code, source,
-                           tuple(emitter.consts), dict(emitter.ids),
-                           emitter.shape.order)
-        if store is not None:
-            store.record_work("pycodegen",
-                              time.perf_counter() - began)
-            store.put("pycodegen", digest_, {
-                "source": source,
-                "consts": tuple(emitter.consts),
-                "ids": dict(emitter.ids),
-                "labels": tuple(emitter.shape.order),
-                "magic": importlib.util.MAGIC_NUMBER,
-                "code": marshal.dumps(code),
-            }, faults=faults)
-        return entry
+        return self._bind(fn, penalty, scale, region, code, source,
+                          tuple(emitter.consts), dict(emitter.ids),
+                          emitter.shape.order)
 
     # -- fallback -------------------------------------------------------
 

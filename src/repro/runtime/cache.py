@@ -271,28 +271,6 @@ class CodeCache:
                 return True
         return False
 
-    def delete(self, key: tuple) -> bool:
-        """Delete ``key`` if present; returns whether it was found.
-
-        Used by the persistent store's front cache to drop an entry whose
-        backing record failed integrity verification.
-        """
-        guard = self._lock
-        if guard is None:
-            return self._delete_key(key)
-        with guard:
-            return self._delete_key(key)
-
-    def _delete_key(self, key: tuple) -> bool:
-        for index in self._probe_sequence(key):
-            slot_key = self._keys[index]
-            if slot_key is _EMPTY:
-                return False
-            if slot_key is not _TOMBSTONE and slot_key == key:
-                self._delete(index)
-                return True
-        return False
-
     def _delete(self, index: int) -> None:
         self._keys[index] = _TOMBSTONE
         self._values[index] = None

@@ -76,10 +76,6 @@ class DycRuntime:
         self._dispatch: dict[int, _RegionDispatch] = {}
         self.pendings: dict[int, PendingPromotion] = {}
         self._emission_counter = 0
-        #: Optional :class:`repro.runtime.persist.RunBinding` routing
-        #: entry/continuation specialization through the persistent
-        #: cross-process store (set by ``persist.bind_runtime``).
-        self._persist = None
         self._ct_machine: Machine | None = None
         #: (region_id, entry key) -> consecutive dispatch-time failures.
         self._failures: dict[tuple, int] = {}
@@ -199,15 +195,9 @@ class DycRuntime:
                 return self._exec_fallback(machine, instr, genext, env,
                                            stats)
             try:
-                if self._persist is not None:
-                    code = self._persist.entry(
-                        genext, machine, entry_env, region_id, key,
-                        stats
-                    )
-                else:
-                    code = self.specializer.specialize_entry(
-                        genext, machine, entry_env
-                    )
+                code = self.specializer.specialize_entry(
+                    genext, machine, entry_env
+                )
             except SpecializationError:
                 if not self.degrade:
                     raise
@@ -294,14 +284,9 @@ class DycRuntime:
         if result.hit:
             return result.value
         try:
-            if self._persist is not None:
-                label = self._persist.continuation(
-                    pending, machine, values, stats
-                )
-            else:
-                label = self.specializer.specialize_continuation(
-                    pending, machine, values
-                )
+            label = self.specializer.specialize_continuation(
+                pending, machine, values
+            )
         except SpecializationError:
             if not self.degrade:
                 raise

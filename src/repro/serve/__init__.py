@@ -8,7 +8,7 @@ one backend, resolved at start-up as the harness resolves it
 (``REPRO_BACKEND``, else ``threaded``).
 ``python -m repro.serve.supervisor`` runs N such workers behind one
 shared socket with crash/hang recovery (heartbeat pipes), warm
-recycling from the persistent store, and graceful SIGTERM drain.
+recycling from a shared ``--memo-dir``, and graceful SIGTERM drain.
 ``python -m repro.serve.loadgen`` is the matching deterministic
 traffic-replay load generator, with retry budgets and echo-token
 response accounting; ``python -m repro.chaos`` storms the whole stack
@@ -24,7 +24,7 @@ Endpoints
 ``GET /stats``    cache shards, admission queue, executions per
                   backend, degradation counters, per-tenant tallies,
                   fault-point hits, circuit-breaker states,
-                  supervision counters
+                  memoizer counters, supervision counters
 ``GET /healthz``  liveness + in-flight + quarantine + drain status
 ``GET /workloads``  available workload names
 ================  ====================================================

@@ -23,12 +23,11 @@ Flags::
     --breaker-cooldown S    open-breaker cooldown before the half-open
                             probe (default $REPRO_BREAKER_COOLDOWN
                             or 1.0)
-    --persist-dir DIR       activate the persistent artifact store at
-                            DIR (default with --snapshot:
-                            $REPRO_PERSIST_DIR or .repro_persist)
-    --snapshot PATH         warm-start: unpack the snapshot at PATH into
-                            the store before accepting traffic (a bad
-                            snapshot is skipped; the daemon starts cold)
+    --memo-dir DIR          serve and store every run through the
+                            harness's result memoizer at DIR, so a
+                            restarted daemon serves earlier runs from
+                            disk (off unless given; $REPRO_MEMO_DIR is
+                            not read)
 
 Every miss runs on one backend, resolved at start-up as the eval
 harness resolves it: ``$REPRO_BACKEND``, else ``threaded``.  A bad
@@ -94,12 +93,9 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     parser.add_argument("--faults", default=None, metavar="SPEC",
                         help="server-side fault spec (e.g. "
                              "'serve.admit:every=50')")
-    parser.add_argument("--persist-dir", default=None, metavar="DIR",
-                        help="activate the persistent artifact store "
-                             "at DIR")
-    parser.add_argument("--snapshot", default=None, metavar="PATH",
-                        help="warm-start from the snapshot at PATH "
-                             "before accepting traffic")
+    parser.add_argument("--memo-dir", default=None, metavar="DIR",
+                        help="serve and store runs through the result "
+                             "memoizer at DIR (off unless given)")
     parser.add_argument("--breaker-threshold", type=int, default=None,
                         help="consecutive 5xx outcomes that trip a "
                              "per-(tenant, workload) circuit breaker "
@@ -140,8 +136,7 @@ def build_app(args: argparse.Namespace) -> ServeApp:
         max_queue=args.max_queue,
         tenant_quota=args.tenant_quota,
         fault_spec=fault_spec or None,
-        persist_dir=args.persist_dir,
-        snapshot_path=args.snapshot,
+        memo_dir=args.memo_dir,
         breaker_threshold=args.breaker_threshold,
         breaker_cooldown=args.breaker_cooldown,
     )
@@ -149,24 +144,13 @@ def build_app(args: argparse.Namespace) -> ServeApp:
 
 async def _amain(args: argparse.Namespace) -> int:
     app = build_app(args)
-    if app.snapshot_path:
-        if app.snapshot["error"]:
-            print(f"snapshot {app.snapshot_path} ignored "
-                  f"({app.snapshot['error']}); starting cold",
-                  file=sys.stderr, flush=True)
-        else:
-            skipped = (f", {app.snapshot['skipped']} invalid "
-                       "record(s) skipped"
-                       if app.snapshot["skipped"] else "")
-            print(f"warm start: {app.snapshot['loaded']} record(s) "
-                  f"from {app.snapshot_path} into {app.persist_dir}"
-                  f"{skipped}", file=sys.stderr, flush=True)
     daemon = ServeDaemon(app, host=args.host, port=args.port)
     await daemon.start()
     print(f"serving on http://{args.host}:{daemon.port} "
           f"(workers={app.admission.max_concurrency}, "
           f"shards={len(app.cache.stats()['shards'])}, "
           f"backend={app.backend}, "
+          f"memo={app.memo.directory if app.memo else 'off'}, "
           f"faults={app.fault_spec or 'none'})",
           file=sys.stderr, flush=True)
     try:

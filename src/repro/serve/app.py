@@ -30,11 +30,15 @@ Request lifecycle for ``POST /run``:
    is built exactly as the harness resolves it (``REPRO_BACKEND``,
    else threaded), so a key's bytes never depend on how often it was
    looked up.  The run executes on a thread pool via
-   ``run_in_executor``.  Runs are thread-safe because every run builds
-   a fresh runtime/machine stack (the thread-confinement invariant
-   documented on :class:`~repro.runtime.cache.CodeCache`); per-request
-   fault specs travel in ``OptConfig.faults``, never via the (shared)
-   process environment.
+   ``run_in_executor``.  With ``--memo-dir`` the run goes through the
+   harness's :class:`~repro.evalharness.memo.Memoizer` on that
+   directory, so a restarted or recycled worker serves any key a
+   predecessor ran from disk; ``no_cache`` requests bypass it.  Runs
+   are thread-safe because every run builds a fresh runtime/machine
+   stack (the thread-confinement invariant documented on
+   :class:`~repro.runtime.cache.CodeCache`); per-request fault specs
+   travel in ``OptConfig.faults``, never via the (shared) process
+   environment.
 8. **Degradation accounting** — ladder counters from the run's region
    stats are aggregated into daemon-wide and per-tenant totals,
    surfaced on ``/stats`` and ``/healthz``.
@@ -48,11 +52,10 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.errors import SpecializationError, WorkerFault
-from repro.evalharness.memo import memo_key
+from repro.evalharness.memo import Memoizer, memo_key
 from repro.evalharness.runner import resolve_backend, run_workload
 from repro.faults import FaultRegistry
 from repro.machine.costs import ALPHA_21164
-from repro.runtime import persist
 from repro.runtime.overhead import DEFAULT_OVERHEAD
 from repro.serve import knobs
 from repro.serve.admission import (
@@ -100,35 +103,19 @@ class ServeApp:
                  max_queue: int = DEFAULT_MAX_QUEUE,
                  tenant_quota: int = DEFAULT_TENANT_QUOTA,
                  fault_spec: str | None = None,
-                 persist_dir: str | None = None,
-                 snapshot_path: str | None = None,
+                 memo_dir: str | None = None,
                  breaker_threshold: int | None = None,
                  breaker_cooldown: float | None = None):
         import os
         # First, so a bad REPRO_BACKEND refuses the daemon before any
-        # store, thread or socket exists.
+        # thread or socket exists.
         self.backend = resolve_backend(None)
         if workers is None:
             workers = min(8, os.cpu_count() or 2)
         self.started = time.time()
-        # Cross-process artifact persistence: activate the store (and
-        # unpack a warm-start snapshot into it) before any request can
-        # arrive.  A bad snapshot is skipped — the daemon starts cold
-        # rather than refusing to start or executing stale artifacts.
-        self.persist_dir = None
-        self.snapshot_path = snapshot_path
-        self.snapshot = {"loaded": 0, "skipped": 0, "error": None}
-        if persist_dir or snapshot_path:
-            self.persist_dir = persist.resolve_persist_dir(persist_dir)
-            persist.activate(self.persist_dir)
-            if snapshot_path:
-                outcome = persist.load_snapshot(snapshot_path,
-                                                self.persist_dir)
-                if outcome.ok:
-                    self.snapshot["loaded"] = outcome.loaded
-                    self.snapshot["skipped"] = outcome.skipped
-                else:
-                    self.snapshot["error"] = outcome.error
+        # Off unless a directory is given: $REPRO_MEMO_DIR, which the
+        # offline harness reads, never turns it on here.
+        self.memo = Memoizer(memo_dir) if memo_dir else None
         self.fault_spec = fault_spec or ""
         self.faults = FaultRegistry.from_spec(self.fault_spec)
         self.cache = ShardedResultCache(
@@ -353,8 +340,10 @@ class ServeApp:
     def _execute(self, request: RunRequest, run_key: str) -> dict:
         """Worker-thread body: run the workload, cache the payload."""
         workload = WORKLOADS_BY_NAME[request.workload]
-        result = run_workload(workload, request.config,
-                              verify=request.verify, backend=self.backend)
+        result = run_workload(
+            workload, request.config, verify=request.verify,
+            backend=self.backend,
+            memo=None if request.no_cache else self.memo)
         payload = result_payload(result, self.backend)
         if not request.no_cache:
             # Insertion happens on the worker thread; the shard's lock
@@ -420,17 +409,10 @@ class ServeApp:
         state["readable"] = True
         return state
 
-    def _persist_stats(self) -> dict | None:
-        store = persist.active_store()
-        if store is None:
-            return None
-        return dict(store.stats(),
-                    snapshot_path=self.snapshot_path,
-                    snapshot=dict(self.snapshot))
-
     def _stats(self) -> dict:
         return {
             "server": {
+                "worker": knobs.worker_id(),
                 "uptime_seconds": round(time.time() - self.started, 3),
                 "requests_total": self.requests_total,
                 "status_counts": dict(sorted(self.status_counts.items())),
@@ -450,7 +432,7 @@ class ServeApp:
                 },
             },
             "cache": self.cache.stats(),
-            "persist": self._persist_stats(),
+            "memo": self.memo.stats() if self.memo else None,
             "admission": self.admission.stats(),
             "breakers": self.breakers.stats(),
             "supervisor": self._supervisor_stats(),

@@ -35,14 +35,6 @@ never serve bytes the harness would not produce.
 runs the full mix at ``--clients`` concurrency (default 1000) and
 writes ``BENCH_serve.json``.
 
-``--snapshot`` (requires ``--spawn``) adds a warm-restart leg: replay
-a fixed key set against a daemon backed by a fresh persistent artifact
-store, snapshot the store, restart the daemon warm (``--snapshot`` +
-an empty store) mid-replay, and replay the same keys again.  Every
-fingerprint must be byte-identical across the restart *and* to the
-offline harness oracle, and the warm daemon must actually replay
-persisted artifacts rather than regenerate them.
-
 Clients are resilient by default: every request carries an ``echo``
 token the daemon must return verbatim (catching lost, duplicated, or
 cross-wired responses across retries and worker recycling), transport
@@ -486,136 +478,6 @@ class SpawnedDaemon:
 
 
 # ----------------------------------------------------------------------
-# Warm-restart leg (--snapshot)
-# ----------------------------------------------------------------------
-
-def run_snapshot_leg(args: argparse.Namespace) -> tuple[dict, list[str]]:
-    """Cold replay -> snapshot -> warm daemon restart -> same replay.
-
-    Returns ``(report_section, failures)``.  The daemon is spawned
-    in-process twice: first against a fresh persistent store (cold),
-    then — after snapshotting that store — against a *different* empty
-    store warmed only by the snapshot, proving the snapshot file alone
-    carries the artifacts across the restart.
-    """
-    import os
-    import shutil
-    import tempfile
-
-    from repro.runtime import persist
-
-    failures: list[str] = []
-    scratch = tempfile.mkdtemp(prefix="repro-loadgen-snap-")
-    cold_store = os.path.join(scratch, "store-cold")
-    warm_store = os.path.join(scratch, "store-warm")
-    snap_path = os.path.join(scratch, "serve.snap")
-    # The same keys replayed in both phases; requested twice each so the
-    # result cache is exercised too (identical fingerprints required).
-    requests = [
-        {"tenant": "warm", "workload": name,
-         "config": {"quarantine_after": 7000 + i}}
-        for i, name in enumerate(args.workloads)
-    ]
-    plan = [dict(r) for r in requests] + [dict(r) for r in requests]
-
-    def phase(store_args: list[str], name: str):
-        spawned = SpawnedDaemon(["--port", "0"] + store_args)
-        try:
-            leg = asyncio.run(run_leg(
-                name, spawned.host, spawned.port, [dict(r) for r in plan],
-                8, args.timeout, echo=True))
-            stats = asyncio.run(fetch(spawned.host, spawned.port,
-                                      "/stats"))
-        finally:
-            spawned.stop()
-        return leg, stats
-
-    try:
-        cold_leg, _ = phase(["--persist-dir", cold_store],
-                            "snapshot-cold")
-        persist.reset()
-        saved = persist.save_snapshot(cold_store, snap_path)
-        if not saved.ok:
-            failures.append(f"snapshot: save failed ({saved.error})")
-            return {"error": saved.error}, failures
-
-        warm_leg, warm_stats = phase(
-            ["--persist-dir", warm_store, "--snapshot", snap_path],
-            "snapshot-warm")
-        persist.reset()
-
-        # Offline oracle, with no store active.
-        offline: dict[str, str] = {}
-        for identity in sorted(cold_leg.fingerprints):
-            spec = json.loads(identity)
-            result = run_workload(WORKLOADS_BY_NAME[spec["workload"]],
-                                  build_config(spec["config"]),
-                                  verify=spec["verify"],
-                                  backend="threaded")
-            offline[identity] = run_fingerprint(result)
-
-        if set(cold_leg.fingerprints) != set(warm_leg.fingerprints):
-            failures.append("snapshot: cold and warm phases did not "
-                            "serve the same key set")
-        restart_matches = offline_matches = 0
-        for identity, fp in cold_leg.fingerprints.items():
-            if warm_leg.fingerprints.get(identity) == fp:
-                restart_matches += 1
-            else:
-                failures.append(
-                    f"snapshot: fingerprint changed across the warm "
-                    f"restart for {json.loads(identity)['workload']}")
-            if offline.get(identity) == fp:
-                offline_matches += 1
-            else:
-                failures.append(
-                    f"snapshot: daemon fingerprint disagrees with the "
-                    f"offline oracle for "
-                    f"{json.loads(identity)['workload']}")
-        for leg in (cold_leg, warm_leg):
-            if leg.mismatched_fingerprints:
-                failures.append(f"{leg.name}: same key served "
-                                "different fingerprints")
-            bad = set(leg.statuses) - {"200"}
-            if bad:
-                failures.append(f"{leg.name}: unexpected statuses "
-                                f"{sorted(bad)}")
-
-        persist_stats = (warm_stats or {}).get("persist") or {}
-        snapshot_info = persist_stats.get("snapshot") or {}
-        if not snapshot_info.get("loaded"):
-            failures.append("snapshot: warm daemon loaded no records "
-                            "from the snapshot")
-        if not (persist_stats.get("replayed_entries")
-                or persist_stats.get("hits")):
-            failures.append("snapshot: warm daemon never replayed a "
-                            "persisted artifact")
-
-        return {
-            "keys": len(requests),
-            "cold": cold_leg.report(),
-            "warm": warm_leg.report(),
-            "snapshot_records": saved.loaded,
-            "warm_persist": {
-                "hits": persist_stats.get("hits", 0),
-                "replayed_entries":
-                    persist_stats.get("replayed_entries", 0),
-                "replayed_continuations":
-                    persist_stats.get("replayed_continuations", 0),
-                "stale_drops": persist_stats.get("stale_drops", 0),
-                "snapshot": snapshot_info,
-            },
-            "restart_fingerprints_identical":
-                restart_matches == len(cold_leg.fingerprints),
-            "offline_fingerprints_identical":
-                offline_matches == len(cold_leg.fingerprints),
-        }, failures
-    finally:
-        persist.reset()
-        shutil.rmtree(scratch, ignore_errors=True)
-
-
-# ----------------------------------------------------------------------
 # Traffic plans
 # ----------------------------------------------------------------------
 
@@ -938,10 +800,6 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     parser.add_argument("--workloads", nargs="+",
                         default=list(DEFAULT_WORKLOADS),
                         choices=sorted(WORKLOADS_BY_NAME))
-    parser.add_argument("--snapshot", action="store_true",
-                        help="add the warm-restart leg: snapshot the "
-                             "daemon's persistent store and restart it "
-                             "warm mid-replay (requires --spawn)")
     parser.add_argument("--smoke", action="store_true",
                         help="small CI-sized mix with hard assertions")
     parser.add_argument("--bench", action="store_true",
@@ -968,9 +826,6 @@ def _apply_smoke_sizing(args: argparse.Namespace) -> None:
 
 def main(argv: list[str]) -> int:
     args = _parse_args(argv)
-    if args.snapshot and not args.spawn:
-        print("--snapshot requires --spawn", file=sys.stderr)
-        return 2
     if args.smoke:
         _apply_smoke_sizing(args)
     from repro.serve.__main__ import _raise_nofile_limit
@@ -994,16 +849,6 @@ def main(argv: list[str]) -> int:
     finally:
         if spawned is not None:
             spawned.stop()
-
-    if args.snapshot:
-        snap_report, snap_failures = run_snapshot_leg(args)
-        report["snapshot_restart"] = snap_report
-        failures += snap_failures
-        print(f"[loadgen] snapshot restart: "
-              f"{snap_report.get('snapshot_records', 0)} record(s) "
-              f"carried across; fingerprints identical="
-              f"{snap_report.get('restart_fingerprints_identical')}",
-              file=sys.stderr)
 
     if args.bench:
         with open(args.output, "w", encoding="utf-8") as fh:

@@ -6,9 +6,9 @@ kernel load-balances connections), and then babysits them:
 
 * **Crash detection** — ``os.waitpid(WNOHANG)`` reaps exited workers
   every tick; a worker that died (organic crash, ``serve.respond``
-  fault, OOM-kill, …) is respawned immediately.  Because workers share
-  the persistent artifact store, a respawned worker starts *warm*: any
-  artifact its predecessor persisted replays instead of re-specializing.
+  fault, OOM-kill, …) is respawned immediately.  When the workers
+  share a ``--memo-dir``, a respawned worker starts *warm*: any run a
+  predecessor finished is served from disk instead of re-specialized.
 * **Hang detection** — each worker heartbeats over a dedicated pipe
   (``REPRO_HEARTBEAT_INTERVAL`` seconds apart, from a thread, so a
   wedged event loop still beats but a wedged *process* does not).  A
@@ -18,8 +18,8 @@ kernel load-balances connections), and then babysits them:
 * **Graceful drain** — SIGTERM/SIGINT forwards SIGTERM to every
   worker; each stops accepting, finishes its in-flight requests
   (:meth:`~repro.serve.http.ServeDaemon.drain`), and exits.  Once all
-  workers are gone the supervisor optionally snapshots the shared
-  store (``--snapshot-out``) so the next start is warm, then exits 0.
+  workers are gone the supervisor exits 0; a fleet restarted on the
+  same ``--memo-dir`` starts warm.
 * **State file** — every lifecycle event atomically rewrites a JSON
   state file (``--state-file``; also exported to workers via
   ``REPRO_SUPERVISOR_STATE`` so ``GET /stats`` can surface supervision
@@ -73,11 +73,8 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
                              "$REPRO_SERVE_PROCS or 2)")
     parser.add_argument("--state-file", default=None, metavar="PATH",
                         help="atomically rewritten JSON supervision "
-                             "state (default: <persist-dir or cwd>/"
+                             "state (default: <memo-dir or cwd>/"
                              "supervisor.json)")
-    parser.add_argument("--snapshot-out", default=None, metavar="PATH",
-                        help="snapshot the shared store here after a "
-                             "graceful drain (requires --persist-dir)")
     parser.add_argument("--max-restarts", type=int,
                         default=DEFAULT_MAX_RESTARTS)
     # Per-worker flags, forwarded to ServeApp (mirrors repro.serve).
@@ -90,10 +87,9 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     parser.add_argument("--tenant-quota", type=int,
                         default=DEFAULT_TENANT_QUOTA)
     parser.add_argument("--faults", default=None, metavar="SPEC")
-    parser.add_argument("--persist-dir", default=None, metavar="DIR")
-    parser.add_argument("--snapshot", default=None, metavar="PATH",
-                        help="warm-start every worker from this "
-                             "snapshot")
+    parser.add_argument("--memo-dir", default=None, metavar="DIR",
+                        help="result memoizer every worker shares "
+                             "(off unless given)")
     parser.add_argument("--breaker-threshold", type=int, default=None)
     parser.add_argument("--breaker-cooldown", type=float, default=None)
     return parser.parse_args(argv)
@@ -235,7 +231,7 @@ class Supervisor:
         self.hang_kills = 0
         self.clean_exits = 0
         self.state_path = args.state_file or os.path.join(
-            args.persist_dir or ".", "supervisor.json")
+            args.memo_dir or ".", "supervisor.json")
 
     # -- lifecycle -----------------------------------------------------
 
@@ -394,7 +390,7 @@ class Supervisor:
     # -- drain ---------------------------------------------------------
 
     def drain(self) -> None:
-        """SIGTERM every worker, wait for clean exits, then snapshot."""
+        """SIGTERM every worker and wait for clean exits."""
         self.shutting_down = True
         self.publish()
         # Close the parent's copy of the listener: once every draining
@@ -425,14 +421,6 @@ class Supervisor:
         while self.workers:
             self._drain_pipes(_TICK)
             self._reap()
-        if self.args.snapshot_out and self.args.persist_dir:
-            from repro.runtime import persist
-            outcome = persist.save_snapshot(self.args.persist_dir,
-                                            self.args.snapshot_out)
-            print(f"[supervisor] drain snapshot -> "
-                  f"{self.args.snapshot_out} "
-                  f"(ok={outcome.ok}, records={outcome.loaded})",
-                  file=sys.stderr, flush=True)
         self.publish()
 
     # -- main loop -----------------------------------------------------
@@ -441,8 +429,8 @@ class Supervisor:
         self.bind()
         os.environ[knobs.ENV_SUPERVISOR_STATE] = \
             os.path.abspath(self.state_path)
-        if self.args.persist_dir:
-            os.makedirs(self.args.persist_dir, exist_ok=True)
+        if self.args.memo_dir:
+            os.makedirs(self.args.memo_dir, exist_ok=True)
         self.publish()
 
         def on_term(_signum, _frame):
@@ -473,9 +461,6 @@ class Supervisor:
 
 def main(argv: list[str]) -> int:
     args = _parse_args(argv)
-    if args.snapshot_out and not args.persist_dir:
-        print("--snapshot-out requires --persist-dir", file=sys.stderr)
-        return 2
     from repro.serve.__main__ import _raise_nofile_limit, startup_error
     error = startup_error(args.faults)
     if error:

@@ -15,12 +15,6 @@ benchmark (same report as ``python -m repro.evalharness bench``); with
 ``--compare`` it diffs the committed ``BENCH_interp.json`` against a
 fresh run and exits non-zero on semantic divergence (checksum or
 workload-set changes — wall-clock drift is only reported).
-
-``python -m repro.workloads snapshot save|load PATH`` captures the
-persistent artifact store (``--persist-dir=DIR``, default
-``$REPRO_PERSIST_DIR`` or ``.repro_persist``) into one integrity-checked
-snapshot file, or unpacks a snapshot into the store to warm-start later
-runs; invalid records are skipped, never installed.
 """
 
 from __future__ import annotations
@@ -141,31 +135,6 @@ def report(name: str, dump: bool, backend: str | None = None,
                 print(format_function(code.function))
 
 
-def snapshot(action: str, path: str, persist_dir: str | None) -> int:
-    """``snapshot save|load PATH``: store <-> snapshot-file hand-off."""
-    from repro.runtime import persist
-
-    store_dir = persist.resolve_persist_dir(persist_dir)
-    if action == "save":
-        outcome = persist.save_snapshot(store_dir, path)
-        if not outcome.ok:
-            print(f"snapshot save failed: {outcome.error}",
-                  file=sys.stderr)
-            return 1
-        print(f"snapshot of {outcome.loaded} record(s) from "
-              f"{store_dir} written to {path}")
-        return 0
-    outcome = persist.load_snapshot(path, store_dir)
-    if not outcome.ok:
-        print(f"snapshot load failed: {outcome.error}", file=sys.stderr)
-        return 1
-    skipped = f", {outcome.skipped} invalid record(s) skipped" \
-        if outcome.skipped else ""
-    print(f"{outcome.loaded} record(s) loaded into {store_dir}"
-          f"{skipped}")
-    return 0
-
-
 def bench(compare: bool, output: str | None, repeat: int) -> int:
     """Delegate to the evalharness bench (one shared implementation)."""
     from repro.evalharness.__main__ import _bench
@@ -189,7 +158,6 @@ def main(argv: list[str]) -> int:
     backend = None
     codegen_mode = None
     output = None
-    persist_dir = None
     repeat = 3
     for arg in argv:
         if arg.startswith("--backend="):
@@ -198,20 +166,12 @@ def main(argv: list[str]) -> int:
             codegen_mode = arg.split("=", 1)[1]
         elif arg.startswith("--output="):
             output = arg.split("=", 1)[1]
-        elif arg.startswith("--persist-dir="):
-            persist_dir = arg.split("=", 1)[1]
         elif arg.startswith("--repeat="):
             repeat = int(arg.split("=", 1)[1])
         elif arg.startswith("--") and arg not in ("--dump", "--compare"):
             print(f"unknown option {arg!r}", file=sys.stderr)
             return 2
     names = [a for a in argv if not a.startswith("--")]
-    if names and names[0] == "snapshot":
-        if len(names) != 3 or names[1] not in ("save", "load"):
-            print("usage: python -m repro.workloads snapshot "
-                  "save|load PATH [--persist-dir=DIR]", file=sys.stderr)
-            return 2
-        return snapshot(names[1], names[2], persist_dir)
     if names and names[0] == "bench":
         if len(names) > 1:
             print("bench takes no workload names", file=sys.stderr)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+
 from repro.ir import Function, FunctionBuilder, Memory, Module, Op
 from repro.machine import Machine
 
@@ -49,3 +52,52 @@ def build_diamond() -> Function:
     b.binop("r", Op.ADD, "y", "x")
     b.ret("r")
     return b.finish()
+
+
+def _canon(value):
+    """Hash-order-independent rendering of nested run statistics.
+
+    ``repr`` of a set (or a dict populated in hash order) of strings is
+    not stable across processes — string hashing is randomized per
+    interpreter — so every set is sorted and every dict is rendered as
+    sorted item tuples before hashing.  Ints and floats pass through
+    (``repr`` round-trips them exactly).
+    """
+    if isinstance(value, dict):
+        return tuple(sorted(
+            ((_canon(key), _canon(item)) for key, item in value.items()),
+            key=repr))
+    if isinstance(value, (set, frozenset)):
+        return tuple(sorted((_canon(item) for item in value), key=repr))
+    if isinstance(value, (list, tuple)):
+        return tuple(_canon(item) for item in value)
+    return value
+
+
+def run_fingerprints(result) -> tuple[str, str]:
+    """``(stats_sha256, results_sha256)`` over one run.
+
+    The stats fingerprint covers every byte-identical-by-construction
+    quantity a run measures (full per-region statistics, cycle totals,
+    region cycle maps, degradations); the results fingerprint covers the
+    verified program outputs.  ``repr`` round-trips ints and floats
+    exactly, so these are byte-level fingerprints.
+    """
+    stats_part = (
+        sorted((region_id, repr(_canon(dataclasses.asdict(stats))))
+               for region_id, stats in result.region_stats.items()),
+        result.static_total_cycles,
+        result.dynamic_total_cycles,
+        result.dc_cycles,
+        sorted(result.static_region_cycles.items()),
+        sorted(result.dynamic_region_cycles.items()),
+        sorted(result.region_entries.items()),
+        result.degraded_translations,
+        result.degraded_compilations,
+    )
+    stats_fp = hashlib.sha256(
+        repr(stats_part).encode("utf-8")).hexdigest()
+    results_fp = hashlib.sha256(
+        repr((result.outputs_match,
+              result.return_values)).encode("utf-8")).hexdigest()
+    return stats_fp, results_fp

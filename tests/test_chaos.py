@@ -4,8 +4,9 @@
 run does (fault spec, traffic, kill schedule) must be a pure function
 of the seed — so most of this module pins that down without spawning
 anything.  One deliberately tiny end-to-end run exercises the full
-orchestrator (supervised fleet, mid-chunk worker kill, drain burst,
-warm replay, offline oracle) in CI-sized form.
+orchestrator (supervised fleet on a memo directory, mid-chunk worker
+kill, drain burst, warm replay from the memoizer, offline oracle) in
+CI-sized form.
 """
 
 import json
@@ -13,14 +14,16 @@ import json
 from repro.chaos.orchestrator import (
     ALLOWED_ERROR_CODES,
     ALLOWED_STATUSES,
-    check_store,
+    check_memo,
     main,
     merge_leg,
     plan_schedule,
 )
+from repro.evalharness.memo import Memoizer
+from repro.evalharness.runner import run_workload
 from repro.faults import parse_spec
-from repro.runtime.persist import PersistStore, digest
 from repro.serve.loadgen import LegResult
+from repro.workloads import WORKLOADS_BY_NAME
 
 _PLAN_KNOBS = dict(procs=2, kills=3, chunks=5, chunk_size=10,
                    tenants=2, workloads=("binary", "query"))
@@ -42,7 +45,7 @@ class TestPlanSchedule:
         # reads as a bogus parameter and crash-loops every worker.
         schedule = plan_schedule(7, **_PLAN_KNOBS)
         registry = parse_spec(schedule["fault_spec"])
-        assert set(registry) >= {"serve.respond", "persist.fsync",
+        assert set(registry) == {"serve.respond",
                                  "serve.worker_heartbeat"}
 
     def test_kill_plan_bounds(self):
@@ -106,17 +109,17 @@ class TestInvariantHelpers:
         merge_leg(total, part)
         assert total.mismatched_fingerprints == 1
 
-    def test_check_store_clean_and_corrupt(self, tmp_path):
-        store = PersistStore(str(tmp_path))
-        assert store.put("entry", digest("x"), {"v": 1})
+    def test_check_memo_clean_and_corrupt(self, tmp_path):
+        run_workload(WORKLOADS_BY_NAME["binary"],
+                     memo=Memoizer(str(tmp_path)))
         failures = []
-        scan = check_store(str(tmp_path), "after kill 1", failures)
+        scan = check_memo(str(tmp_path), "after kill 1", failures)
         assert failures == []
         assert scan["when"] == "after kill 1"
-        assert scan["records"] == 1 and scan["corrupt"] == 0
-        record = next(tmp_path.glob("*.rec"))
-        record.write_bytes(b"torn" + record.read_bytes()[4:])
-        scan = check_store(str(tmp_path), "after drain", failures)
+        assert scan["entries"] == 1 and scan["corrupt"] == 0
+        entry = next(tmp_path.glob("*.pkl"))
+        entry.write_bytes(b"torn" + entry.read_bytes()[4:])
+        scan = check_memo(str(tmp_path), "after drain", failures)
         assert scan["corrupt"] == 1
         assert failures and "after drain" in failures[0]
 
@@ -146,10 +149,11 @@ class TestEndToEnd:
         assert traffic["echo_mismatches"] == 0
         assert len(report["kills"]) == 1
         assert all(k["recycled"] for k in report["kills"])
-        assert all(s["corrupt"] == 0 for s in report["store_checks"])
+        assert report["memo_checks"]
+        assert all(s["corrupt"] == 0 for s in report["memo_checks"])
         oracle = report["offline_oracle"]
         assert oracle["checked"] == oracle["matched"] > 0
         drain = report["drain"]
         assert drain["supervisor_exit"] == 0
-        assert drain["snapshot_saved"]
         assert drain["warm_fingerprints_identical"]
+        assert drain["warm_memo_hits"] > 0

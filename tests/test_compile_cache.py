@@ -7,8 +7,8 @@ configuration.  These tests pin that the key covers every field the
 compile reads, that runs never write the shared program and match runs
 that compile afresh (``module=``), and how the cache keys, bounds and
 copies.  The ``shared`` tests also pin that runs never write the shared
-prepared inputs, and run with each CI fault leg's ``REPRO_FAULTS`` (and
-store) armed.
+prepared inputs, and run with each CI fault leg's ``REPRO_FAULTS``
+armed.
 """
 
 import dataclasses
@@ -30,12 +30,11 @@ from repro.evalharness.runner import (
     reset_invariant_caches,
     run_workload,
 )
-from repro.evalharness.warmstart import run_fingerprints
 from repro.faults import FAULT_POINTS
 from repro.frontend import compile_source
 from repro.lint.extract import embedded_sources_from_file
-from repro.runtime import persist
 from repro.workloads import ALL_WORKLOADS, WORKLOADS_BY_NAME
+from tests.helpers import run_fingerprints
 
 ROOT = Path(__file__).parent.parent
 DOT = WORKLOADS_BY_NAME["dotproduct"]
@@ -45,8 +44,8 @@ MIPSI = WORKLOADS_BY_NAME["mipsi"]
 COLUMNS = [("reference", "counted"), ("threaded", "counted"),
            ("pycodegen", "counted"), ("pycodegen", "fast")]
 
-#: The fault points that can fire inside ``run_workload``; the serve,
-#: persist and worker points fire around it.
+#: The fault points that can fire inside ``run_workload``; the serve
+#: and worker points fire around it.
 RUNTIME_FAULT_POINTS = (
     "specializer.entry", "specializer.continuation", "specializer.budget",
     "emit.template", "cache.corrupt", "cache.evict", "pycodegen.compile",
@@ -57,10 +56,8 @@ RUNTIME_FAULT_POINTS = (
 @pytest.fixture(autouse=True)
 def _cold_caches():
     reset_invariant_caches()
-    persist.reset()
     yield
     reset_invariant_caches()
-    persist.reset()
 
 
 def _key(workload, config) -> tuple:
@@ -199,10 +196,10 @@ def _image(prepared) -> bytes:
     return pickle.dumps((prepared.words, prepared.args))
 
 
-def _check_shared(workload, config, passes: int = 1) -> None:
-    """Compile ``workload`` into the cache, run it ``passes`` times on
-    every column, and require each run to match a ``module=`` run and
-    to leave the cached program and prepared inputs byte-identical."""
+def _check_shared(workload, config) -> None:
+    """Compile ``workload`` into the cache, run it on every column, and
+    require each run to match a ``module=`` run and to leave the cached
+    program and prepared inputs byte-identical."""
     runner.compiled_program(
         workload.source, runner._parsed_module(workload.source), config)
     shared = runner._COMPILED_PROGRAMS.get(_key(workload, config))
@@ -213,10 +210,9 @@ def _check_shared(workload, config, passes: int = 1) -> None:
         fresh = _outcome(workload, config, backend=backend,
                          codegen_mode=mode,
                          module=compile_source(workload.source))
-        for _ in range(passes):
-            assert _outcome(workload, config, backend=backend,
-                            codegen_mode=mode) == fresh, \
-                (workload.name, backend, mode)
+        assert _outcome(workload, config, backend=backend,
+                        codegen_mode=mode) == fresh, \
+            (workload.name, backend, mode)
     assert pickle.dumps(shared) == before, workload.name
     assert runner._COMPILED_PROGRAMS.get(_key(workload, config)) is shared
     assert _image(prepared) == image, workload.name
@@ -238,16 +234,6 @@ class TestShared:
         specialized code; the runaway mipsi cell walks it."""
         _check_shared(MIPSI, OptConfig(static_loads=False, degrade=True,
                                        specialize_budget=500))
-
-    def test_shared_program_unchanged_by_store_bound_runs(
-            self, monkeypatch, tmp_path):
-        """The first pass records artifacts, the second replays them."""
-        monkeypatch.setenv(persist.ENV_PERSIST_DIR, str(tmp_path))
-        persist.reset()
-        assert persist.active_store() is not None
-        for workload in SHARED_WORKLOADS:
-            _check_shared(WORKLOADS_BY_NAME[workload],
-                          SHARED_CONFIGS["all_on"], passes=2)
 
 
 # ----------------------------------------------------------------------

@@ -8,13 +8,12 @@ whether the cache is cold, warm or bypassed, with the shared parsed
 module and compiled program unchanged; verification on every call; a
 key that holds exactly what the baseline depends on; the memo-key hex;
 one entry under concurrent misses; the LRU bound; one ``setup`` per
-workload, with a private memory per run; and warm-start legs that stay
-cold.
+workload, with a private memory per run; and the pinned fingerprints of
+every ``ALL_ON`` run, cold, warm and through the memoizer.
 """
 
 import dataclasses
 import hashlib
-import os
 import pickle
 import sys
 import threading
@@ -26,6 +25,7 @@ from repro.errors import MachineError
 from repro.evalharness import runner
 from repro.evalharness.memo import (
     _SCHEMA,
+    Memoizer,
     _fingerprint_inputs,
     backend_env_fingerprint,
     memo_key,
@@ -37,19 +37,14 @@ from repro.evalharness.runner import (
     run_workload,
     static_baseline_key,
 )
-from repro.evalharness.warmstart import (
-    load_warmstart,
-    run_fingerprints,
-    run_warmstart,
-)
 from repro.faults import resolve_degrade, resolve_fault_spec
 from repro.frontend import compile_source
 from repro.ir import Memory
 from repro.machine import ALPHA_21164, Machine
 from repro.machine.pycodegen import reset_source_limit_cache
-from repro.runtime import persist
 from repro.runtime.overhead import DEFAULT_OVERHEAD
 from repro.workloads import ALL_WORKLOADS, WORKLOADS_BY_NAME, WorkloadInput
+from tests.helpers import run_fingerprints
 
 DOT = WORKLOADS_BY_NAME["dotproduct"]
 BINARY = WORKLOADS_BY_NAME["binary"]
@@ -58,9 +53,41 @@ BINARY = WORKLOADS_BY_NAME["binary"]
 COLUMNS = [("reference", "counted"), ("threaded", "counted"),
            ("pycodegen", "counted"), ("pycodegen", "fast")]
 
-COMMITTED_WARMSTART = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_warmstart.json")
+#: ``run_fingerprints`` of every workload's ``ALL_ON`` run on the
+#: threaded backend, (stats SHA-256, results SHA-256), as the deleted
+#: ``BENCH_warmstart.json`` recorded them.
+PINNED_ALL_ON = {
+    "dinero": (
+        "6cb9133fa521bdffa4543d933cc03c7e1278975590c34ccc52841d44a7ee3de6",
+        "194ef20cf9f32cc725c2461978047656fa3dfff45ee982b4f43d85840a4ff21c"),
+    "m88ksim": (
+        "60b2d495aaab01f3beb0ff5e60e7afda234364f89f6c92d69657ad561bb1dc10",
+        "204449fde8c227ac928ee4ac2b60d449737183e220e7ab44308e3b011cf26feb"),
+    "mipsi": (
+        "9c6752b06c5800d56ac48e4920cb7346e6682dd7dc343b349498dc5d9ca5dbd1",
+        "6d998a2c2f9357b9280341af8149885111c615a99134d352ffc41f3a5c8be1f1"),
+    "pnmconvol": (
+        "61178fb3c15231b17deaf71acb36cd6f63a41932d6cfb643a7676ea4eb407730",
+        "6d34cbcf128ef715233e858c4d2df6c1c9bf349a7ca60f1b87d56d5f372b8490"),
+    "viewperf": (
+        "53098fcb4a477e8465d3bb331447bbbf1775b5dc6ec136722513bea2f48d7621",
+        "6d34cbcf128ef715233e858c4d2df6c1c9bf349a7ca60f1b87d56d5f372b8490"),
+    "binary": (
+        "0f793724771b7fa2d9816a878368e17a38b1e240f780fb1a1fa663db96d43697",
+        "943fb83f09bd469001ac20f1c345ee8e317ab6086f88766580bfb3d8a76f251f"),
+    "chebyshev": (
+        "b6d4ad7db2401f8d25b8dae09d38768734d3a703a19da040bfa9e4f275101c1b",
+        "6d34cbcf128ef715233e858c4d2df6c1c9bf349a7ca60f1b87d56d5f372b8490"),
+    "dotproduct": (
+        "2d39dd995b8a455c911e0fe7fa7e213d12a5039e8527dc9e3857d968d092bce8",
+        "6d34cbcf128ef715233e858c4d2df6c1c9bf349a7ca60f1b87d56d5f372b8490"),
+    "query": (
+        "3a81c202070b6107a32734e7d81ef90296a581090be6c050de0a5e580b9c4e3b",
+        "8793598bde365ca7ace4e4b6e8f7024dafff7284ad1399dc4ebc1fd94ec7c678"),
+    "romberg": (
+        "2c7675e8a59634661675d9ad48bedc734cc2ab660e2983efb3279a08bbd9c156",
+        "6d34cbcf128ef715233e858c4d2df6c1c9bf349a7ca60f1b87d56d5f372b8490"),
+}
 
 
 @pytest.fixture(autouse=True)
@@ -204,8 +231,6 @@ def _memo_key_recipe(workload, config, cost_model, overhead,
     feed(("resolved_faults", resolve_fault_spec(config)))
     feed(("resolved_degrade", resolve_degrade(config)))
     feed(("resolved_env", backend_env_fingerprint()))
-    feed(("persist", (persist.PERSIST_SCHEMA,
-                      persist.active_store() is not None)))
     feed(sorted(dataclasses.asdict(cost_model).items()))
     feed(sorted(dataclasses.asdict(overhead).items()))
     feed(verify)
@@ -404,19 +429,20 @@ class TestPreparedInputs:
         assert len(cache) == 0
 
 
-class TestObservedSideEffects:
-    def test_warm_start_legs_stay_cold(self):
-        """Two reports from one process agree with the committed one:
-        every leg's static run consults the store, however warm the
-        in-process caches are."""
-        committed = load_warmstart(COMMITTED_WARMSTART)
-        fields = ("snapshot_records", "warm_hits", "replayed_entries",
-                  "replayed_continuations", "stats_checksum",
-                  "results_checksum")
-        for _ in range(2):
-            report = run_warmstart(backend=committed["backend"])
-            assert report["ok"]
-            for name, row in report["workloads"].items():
-                pinned = committed["workloads"][name]
-                assert {f: row[f] for f in fields} == \
-                    {f: pinned[f] for f in fields}, name
+class TestPinnedFingerprints:
+    def test_all_on_runs_match_the_pins(self, tmp_path):
+        """Cold and warm in-process caches, and a memoizer's store and
+        replay, all give the pinned fingerprints."""
+        assert sorted(PINNED_ALL_ON) == sorted(
+            w.name for w in ALL_WORKLOADS)
+        memo = Memoizer(str(tmp_path))
+        for workload in ALL_WORKLOADS:
+            pinned = PINNED_ALL_ON[workload.name]
+            for _ in range(2):
+                assert run_fingerprints(run_workload(
+                    workload, backend="threaded")) == pinned, \
+                    workload.name
+                assert run_fingerprints(run_workload(
+                    workload, backend="threaded", memo=memo)) == pinned, \
+                    workload.name
+        assert memo.stats()["hits"] == len(ALL_WORKLOADS)

@@ -9,11 +9,10 @@ block's label and instructions, each code version's contexts, exit
 thunks and protected labels, every ``RegionStats`` field (with the
 ``loop_context_counts`` repr), the machine's dc cycles and the fault
 registry's hit and fire counts.  CI's ``fault-injection`` legs re-run
-the file with their ``REPRO_FAULTS`` (and store) armed.
+the file with their ``REPRO_FAULTS`` armed.
 """
 
 import dataclasses
-import os
 
 import pytest
 from hypothesis import given, settings
@@ -23,13 +22,11 @@ from repro.dyc import compile_annotated
 from repro.dyc.compiler import CompiledProgram
 from repro.errors import ReproError
 from repro.evalharness.runner import reset_invariant_caches, run_workload
-from repro.evalharness.warmstart import run_fingerprints
-from repro.faults import resolve_fault_spec
 from repro.frontend import compile_source
-from repro.runtime import persist
 from repro.runtime import runtime as runtime_module
 from repro.runtime.specializer import Specializer
 from repro.workloads import ALL_WORKLOADS, WORKLOADS_BY_NAME
+from tests.helpers import run_fingerprints
 from tests.specializer_oracle import InterpretingSpecializer
 from tests.test_compile_cache import RUNTIME_FAULT_POINTS
 from tests.test_property_equivalence import (
@@ -52,10 +49,8 @@ CONFIGS = {
 @pytest.fixture(autouse=True)
 def _cold_caches():
     reset_invariant_caches()
-    persist.reset()
     yield
     reset_invariant_caches()
-    persist.reset()
 
 
 def _code_state(code) -> tuple:
@@ -79,7 +74,6 @@ def observe(specializer, work) -> tuple:
     runs: list = []
     make_machine = CompiledProgram.make_machine
     run_batch = Specializer._run_batch
-    replay_entry = persist.RunBinding.entry
 
     def made(self, *args, **kwargs):
         machine, runtime = make_machine(self, *args, **kwargs)
@@ -90,16 +84,10 @@ def observe(specializer, work) -> tuple:
         codes.setdefault(id(code), code)
         return run_batch(self, code, *args, **kwargs)
 
-    def entry(self, *args, **kwargs):
-        code = replay_entry(self, *args, **kwargs)
-        codes.setdefault(id(code), code)
-        return code
-
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(runtime_module, "Specializer", specializer)
         patch.setattr(CompiledProgram, "make_machine", made)
         patch.setattr(Specializer, "_run_batch", batch)
-        patch.setattr(persist.RunBinding, "entry", entry)
         try:
             outcome = work()
         except ReproError as exc:
@@ -126,26 +114,18 @@ def _workload_run(workload, config, backend="threaded"):
     return work
 
 
-def assert_same(monkeypatch, tmp_path, work, name) -> tuple:
-    """Both specializers on ``work``; under CI's store-bound leg each
-    side records into a store of its own."""
-    observed = []
-    for side in (Specializer, InterpretingSpecializer):
-        if os.environ.get(persist.ENV_PERSIST_DIR):
-            monkeypatch.setenv(persist.ENV_PERSIST_DIR,
-                               str(tmp_path / f"{name}-{side.__name__}"))
-            persist.reset()
-        observed.append(observe(side, work))
-    lowered, oracle = observed
+def assert_same(work, name) -> tuple:
+    """Both specializers on ``work``."""
+    lowered, oracle = (observe(side, work)
+                       for side in (Specializer, InterpretingSpecializer))
     assert lowered == oracle, name
     return lowered
 
 
-def _run_all(monkeypatch, tmp_path, config, backend="threaded") -> list:
+def _run_all(config, backend="threaded") -> list:
     outcomes = []
     for workload in ALL_WORKLOADS:
-        lowered = assert_same(monkeypatch, tmp_path,
-                              _workload_run(workload, config, backend),
+        lowered = assert_same(_workload_run(workload, config, backend),
                               workload.name)
         outcomes.append(lowered[0])
     return outcomes
@@ -153,43 +133,25 @@ def _run_all(monkeypatch, tmp_path, config, backend="threaded") -> list:
 
 class TestDifferential:
     @pytest.mark.parametrize("name", sorted(CONFIGS))
-    def test_table5_configs(self, monkeypatch, tmp_path, name):
+    def test_table5_configs(self, name):
         config = dataclasses.replace(CONFIGS[name],
                                      specialize_budget=BUDGET)
-        _run_all(monkeypatch, tmp_path, config)
+        _run_all(config)
 
     @pytest.mark.parametrize("point", RUNTIME_FAULT_POINTS)
-    def test_fault_points_under_degrade(self, monkeypatch, tmp_path,
-                                        point):
+    def test_fault_points_under_degrade(self, point):
         config = OptConfig(faults=f"{point}:every=2", degrade=True,
                            specialize_budget=BUDGET)
         backend = "pycodegen" if point == "pycodegen.compile" \
             else "threaded"
-        _run_all(monkeypatch, tmp_path, config, backend)
+        _run_all(config, backend)
 
-    def test_budget_truncation(self, monkeypatch, tmp_path):
+    def test_budget_truncation(self):
         config = OptConfig(static_loads=False, degrade=True,
                            specialize_budget=500)
         outcome, codes, runs = assert_same(
-            monkeypatch, tmp_path,
             _workload_run(WORKLOADS_BY_NAME["mipsi"], config), "mipsi")
         assert any(code[5] for code in codes), "no dynamic copies built"
-
-    @pytest.mark.parametrize("name", ["dotproduct", "mipsi"])
-    def test_store_bound_passes(self, monkeypatch, tmp_path, name):
-        """The first pass records artifacts, the second replays them."""
-        work = _workload_run(WORKLOADS_BY_NAME[name], ALL_ON)
-        passes = {}
-        for side in (Specializer, InterpretingSpecializer):
-            monkeypatch.setenv(persist.ENV_PERSIST_DIR,
-                               str(tmp_path / side.__name__))
-            persist.reset()
-            passes[side] = [observe(side, work) for _ in range(2)]
-            if not resolve_fault_spec():
-                # An armed fault makes runs ineligible for the store
-                # (or drops its loads), so only a clean run replays.
-                assert persist.active_store().stats()["replayed_entries"]
-        assert passes[Specializer] == passes[InterpretingSpecializer]
 
 
 class TestGeneratedPrograms:

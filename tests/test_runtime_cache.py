@@ -143,48 +143,44 @@ class TestCodeCache:
 
 class TestTombstoneCompaction:
     def test_churn_triggers_compaction(self):
-        """Sustained delete/reinsert churn must rehash in place once
-        tombstones dominate, instead of growing the table forever."""
-        cache = CodeCache()
-        for round_number in range(40):
-            keys = [(round_number, i) for i in range(160)]
-            for key in keys:
-                cache.insert(key, key)
-            for key in keys:
-                assert cache.delete(key)
+        """Sustained insert/evict churn through a bounded cache must
+        rehash in place once tombstones dominate, instead of growing
+        the table forever."""
+        cache = CodeCache(initial_size=64, capacity=8)
+        for i in range(3000):
+            cache.insert(("churn", i), i)
         assert cache.compactions > 0
-        assert len(cache) == 0
+        assert cache.evictions == 3000 - 8
+        assert len(cache) == 8
         # The table stayed usable and bounded by the live set, not by
         # the total insert history.
         cache.insert((999,), "live")
         assert cache.lookup((999,)).hit
-        assert cache._size < 4096
+        assert cache._size == 64
 
     def test_compaction_preserves_live_entries(self):
-        cache = CodeCache()
-        live = {(i,): f"v{i}" for i in range(16)}
-        for key, value in live.items():
-            cache.insert(key, value)
-        churn = [("churn", i) for i in range(300)]
-        for key in churn:
-            cache.insert(key, "churn")
-        for key in churn:
-            assert cache.delete(key)
+        cache = CodeCache(initial_size=64, capacity=8)
+        rehashes = []
+        grow = cache._grow
+
+        def checked_grow():
+            before = dict(cache.items())
+            grow()
+            rehashes.append(before == dict(cache.items()))
+
+        cache._grow = checked_grow
+        for i in range(300):
+            cache.insert(("churn", i), i)
         assert cache.compactions > 0
+        assert rehashes and all(rehashes)
+        live = dict(cache.items())
+        assert len(live) == 8 and live[("churn", 299)] == 299
         for key, value in live.items():
             result = cache.lookup(key)
             assert result.hit and result.value == value
 
-    def test_delete_unknown_key_is_false(self):
-        cache = CodeCache()
-        cache.insert((1,), "a")
-        assert not cache.delete((2,))
-        assert cache.delete((1,))
-        assert not cache.delete((1,))
-        assert not cache.lookup((1,)).hit
-
     def test_clean_cache_never_compacts(self):
-        """A cache that never deletes must keep its exact pre-change
+        """A cache that never evicts must keep its exact pre-change
         probe accounting: no tombstones, no compaction."""
         cache = CodeCache()
         for i in range(512):

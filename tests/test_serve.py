@@ -13,6 +13,7 @@ from repro.errors import (
     WorkerFault,
 )
 from repro.evalharness.runner import run_workload
+from repro.runtime.specializer import Specializer
 from repro.serve.admission import (
     AdmissionQueue,
     Backpressure,
@@ -536,6 +537,78 @@ class TestKeyHistory:
         offline = run_workload(_workload("dotproduct"),
                                build_config(config), backend=backend)
         assert fingerprints == {run_fingerprint(offline)}
+
+
+# ----------------------------------------------------------------------
+# Memo directory (--memo-dir)
+# ----------------------------------------------------------------------
+
+class TestMemoDir:
+    def test_second_app_serves_the_first_apps_run_from_disk(
+            self, monkeypatch, tmp_path):
+        """A restarted daemon on the same memo directory serves a key
+        its predecessor ran without specializing; ``no_cache`` still
+        executes."""
+        specializations = []
+        inner = Specializer.specialize_entry
+
+        def counted(self, *args, **kwargs):
+            specializations.append(1)
+            return inner(self, *args, **kwargs)
+
+        monkeypatch.setattr(Specializer, "specialize_entry", counted)
+        request = {"workload": "dotproduct", "tenant": "t",
+                   "config": {"quarantine_after": 7001}}
+
+        async def go():
+            first = _app(memo_dir=str(tmp_path))
+            try:
+                status, body = await _post_run(first, request)
+                assert status == 200
+            finally:
+                first.close()
+            ran = len(specializations)
+            assert ran > 0
+            second = _app(memo_dir=str(tmp_path))
+            try:
+                status, again = await _post_run(second, request)
+                assert status == 200 and "cached" not in again
+                assert again["fingerprint"] == body["fingerprint"]
+                assert len(specializations) == ran
+                _, stats = await second.handle("GET", "/stats", b"")
+                assert stats["memo"] == {
+                    "directory": str(tmp_path), "hits": 1, "misses": 0,
+                    "corrupt_drops": 0, "write_skips": 0}
+                status, fresh = await _post_run(
+                    second, dict(request, no_cache=True))
+                assert status == 200
+                assert fresh["fingerprint"] == body["fingerprint"]
+                assert len(specializations) > ran
+                _, stats = await second.handle("GET", "/stats", b"")
+                assert stats["memo"]["hits"] == 1
+                assert stats["memo"]["misses"] == 0
+            finally:
+                second.close()
+
+        _run(go())
+
+    def test_off_unless_given(self, monkeypatch, tmp_path):
+        """``$REPRO_MEMO_DIR`` configures the offline harness only."""
+        import repro.serve.__main__ as serve_main
+        monkeypatch.setenv("REPRO_MEMO_DIR", str(tmp_path))
+        app = serve_main.build_app(serve_main._parse_args([]))
+        try:
+            assert app.memo is None
+            _, stats = _run(app.handle("GET", "/stats", b""))
+            assert stats["memo"] is None
+        finally:
+            app.close()
+        app = serve_main.build_app(
+            serve_main._parse_args(["--memo-dir", str(tmp_path)]))
+        try:
+            assert app.memo.directory == str(tmp_path)
+        finally:
+            app.close()
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,6 @@ heartbeat knobs — so the whole module stays in the seconds range.
 
 import asyncio
 import os
-import pickle
 import select
 import signal
 import socket
@@ -17,6 +16,7 @@ import time
 
 import repro.serve.__main__ as serve_main
 from repro.chaos.orchestrator import SupervisedFleet, kill_worker
+from repro.evalharness.memo import Memoizer
 from repro.serve.loadgen import Client, wait_ready
 from repro.serve.supervisor import (
     _parse_args,
@@ -65,7 +65,7 @@ class TestArgValidation:
         # Points are ';'-separated; a ','-joined pair reads as a bogus
         # parameter and must die here, not crash-loop in the workers.
         code = main(["--faults",
-                     "serve.respond:every=3,persist.fsync:every=5"])
+                     "serve.respond:every=3,serve.admit:every=5"])
         assert code == 2
 
     def test_bad_backend_exits_2_without_forking(self, monkeypatch,
@@ -77,11 +77,6 @@ class TestArgValidation:
         monkeypatch.setattr("os.fork", no_fork)
         assert main(["--port", "0"]) == 2
         assert "bad REPRO_BACKEND" in capsys.readouterr().err
-
-    def test_snapshot_out_requires_persist_dir(self, tmp_path, capsys):
-        code = main(["--snapshot-out", str(tmp_path / "out.snap")])
-        assert code == 2
-        assert "requires --persist-dir" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -176,13 +171,10 @@ async def _get(host, port, path):
 class TestSupervisedFleet:
     def test_crash_recovery_and_graceful_drain(self, tmp_path):
         state_file = str(tmp_path / "supervisor.json")
-        snapshot_out = str(tmp_path / "drain.snap")
+        memo_dir = str(tmp_path / "memo")
         fleet = SupervisedFleet(
-            procs=2, fault_spec=None,
-            persist_dir=str(tmp_path / "store"),
-            state_file=state_file,
-            snapshot_out=snapshot_out,
-            env_overrides=FAST_BEAT)
+            procs=2, fault_spec=None, memo_dir=memo_dir,
+            state_file=state_file, env_overrides=FAST_BEAT)
         try:
             state = fleet.wait_ready(procs=2)
             host, port = state["host"], state["port"]
@@ -209,7 +201,7 @@ class TestSupervisedFleet:
             async def after():
                 await wait_ready(host, port)
                 # The recycled worker serves the same bytes, warm from
-                # the shared store (no re-specialization needed).
+                # the shared memo directory (no re-specialization).
                 status, body, _ = await _post(
                     host, port,
                     {"workload": "binary", "tenant": "sup",
@@ -233,10 +225,8 @@ class TestSupervisedFleet:
             assert final["shutting_down"] is True
             assert final["workers"] == []
             assert final["clean_exits"] >= 2
-            with open(snapshot_out, "rb") as handle:
-                snap = pickle.load(handle)
-            assert snap.get("kind") == "snapshot"
-            assert snap.get("files")
+            scan = Memoizer(memo_dir).scan()
+            assert scan["entries"] == scan["ok"] == 1
         finally:
             fleet.destroy()
 
@@ -245,7 +235,7 @@ class TestSupervisedFleet:
             procs=1,
             # Third heartbeat check goes silent: a simulated hang.
             fault_spec="serve.worker_heartbeat:at=3",
-            persist_dir=str(tmp_path / "store"),
+            memo_dir=str(tmp_path / "memo"),
             state_file=str(tmp_path / "supervisor.json"),
             env_overrides={
                 "REPRO_HEARTBEAT_INTERVAL": "0.1",
@@ -264,8 +254,7 @@ class TestSupervisedFleet:
 
     def test_sigterm_with_no_traffic_exits_clean(self, tmp_path):
         fleet = SupervisedFleet(
-            procs=2, fault_spec=None,
-            persist_dir=str(tmp_path / "store"),
+            procs=2, fault_spec=None, memo_dir=str(tmp_path / "memo"),
             state_file=str(tmp_path / "supervisor.json"),
             env_overrides=FAST_BEAT)
         try:
