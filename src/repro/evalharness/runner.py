@@ -393,7 +393,8 @@ def run_workload(workload: Workload,
                  verify: bool = True,
                  backend: str | None = None,
                  codegen_mode: str | None = None,
-                 memo=None) -> RunResult:
+                 memo=None,
+                 memo_key: str | None = None) -> RunResult:
     """Execute ``workload`` dynamically, verify it against its static
     baseline, and return metrics.
 
@@ -409,7 +410,9 @@ def run_workload(workload: Workload,
     a failed write is skipped.  The backend is deliberately not
     part of the cache key: all backends produce byte-identical stats —
     except pycodegen in fast mode, which drops cycle accounting, so
-    fast-mode runs bypass the memo entirely.
+    fast-mode runs bypass the memo entirely.  A caller that has already
+    computed the run's key (``memo.key_for`` over the same arguments)
+    passes it as ``memo_key`` so it is not computed twice.
     """
     backend = resolve_backend(backend)
     codegen_mode = resolve_codegen_mode(codegen_mode
@@ -419,7 +422,8 @@ def run_workload(workload: Workload,
         # cache is keyed for; never serve or store them.
         memo = None
     if memo is not None and module is None:
-        key = memo.key_for(workload, config, cost_model, overhead, verify)
+        key = memo_key or memo.key_for(workload, config, cost_model,
+                                       overhead, verify)
         cached = memo.get(key)   # raises cached SpecializationError
         if cached is not None:
             return cached

@@ -41,6 +41,7 @@ identical is what makes the two backends' ``ExecutionStats`` byte-equal.
 
 from __future__ import annotations
 
+import functools
 import sys
 from dataclasses import dataclass, field
 
@@ -212,14 +213,32 @@ class Machine:
             self._backend = PyCodegenBackend(self, mode=codegen_mode)
         else:
             self._backend = None
-        #: The host-function loop every call runs, bound once: host
-        #: functions are statically compiled, so their instruction costs
-        #: are scaled by the static scheduling factor; dynamically
-        #: generated region code (see :meth:`exec_region_code`) is not.
-        self._exec_host = (
-            self._backend.exec_function if self._backend is not None
-            else self._exec_function_interp
+        #: ``host_loop(function)`` -> ``run(frame)``: the machine's own
+        #: host tier, bound once.  Host functions are statically
+        #: compiled, so their instruction costs are scaled by the static
+        #: scheduling factor; dynamically generated region code (see
+        #: :attr:`exec_region_code`) is not.
+        self._host_loop = (
+            self._backend.host_loop if self._backend is not None
+            else self._reference_host_loop
         )
+        #: ``exec_region_code(code, env, footprint)`` runs dynamically
+        #: generated region code in the host env, bound once like the
+        #: host tier.  Region code shares the host frame's environment
+        #: (DyC allocates registers seamlessly across region boundaries,
+        #: §2.1).  It returns ``("exit", index)`` when the region
+        #: resumes host code at exit ``index``, or ``("return", value)``
+        #: when the region executed a host-level ``Return``; ``Promote``
+        #: terminators re-enter the runtime for lazy multi-stage
+        #: specialization.
+        self.exec_region_code = (
+            self._backend.exec_region_code if self._backend is not None
+            else self._exec_region_interp
+        )
+        #: id(function) -> (function, its call entry); see
+        #: :meth:`bind_call`.  Entries hold their Function, so a cached
+        #: id cannot be recycled by a different object.
+        self._calls: dict[int, tuple] = {}
         _ensure_recursion_headroom()
 
     # ------------------------------------------------------------------
@@ -230,8 +249,8 @@ class Machine:
         """Add execution cycles.
 
         Attribution to tracked scopes happens by cycle-counter snapshot
-        deltas at scope exit (see :meth:`_call_function`), so this hot
-        path is a single addition.
+        deltas at scope exit (see :meth:`bind_call`), so this hot path
+        is a single addition.
         """
         self.stats.cycles += cycles
 
@@ -279,58 +298,87 @@ class Machine:
         return intrinsic.fn(self, args)
 
     def _call_function(self, function: Function, args: list):
-        """Run a module function.  Host code binds a call to a module
-        function straight to this method; ``call`` is the by-name path
-        (harness entry, intrinsics, and names nothing defines)."""
+        """Run a module function by reference.  ``call`` is the by-name
+        path (harness entry, intrinsics, and names nothing defines);
+        translated host code binds its call sites with
+        :meth:`bind_call` instead."""
         if len(args) != len(function.params):
             raise MachineError(
                 f"{function.name}() takes {len(function.params)} args, "
                 f"got {len(args)}"
             )
-        # Checked before the increment: a refused call holds no frame.
-        if self._call_depth >= self._max_call_depth:
-            raise MachineError("call depth exceeded")
-        self._call_depth += 1
-        tracked_here = function.name in self.tracked
-        if tracked_here:
-            name = function.name
-            depth = self._active_scopes.get(name, 0)
-            if depth == 0:
-                # Outermost entry: snapshot the cycle counter; the whole
-                # delta is attributed once, at the matching exit.
-                self._scope_entry_cycles[name] = self.stats.cycles
-            self._active_scopes[name] = depth + 1
-            self.stats.scope_entries[name] = (
-                self.stats.scope_entries.get(name, 0) + 1
-            )
-        self.stats.cycles += self.costs.call_overhead
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.enter(function.name, args, self.stats.cycles)
-        env = dict(zip(function.params, args))
-        try:
-            result = self._exec_host(function, env)
-        finally:
+        return self.bind_call(function)(dict(zip(function.params, args)))
+
+    def bind_call(self, function: Function):
+        """The entry every call of ``function`` runs on this machine:
+        ``enter(frame) -> result``, built once per callee.
+
+        ``frame`` is the callee's new register file, parameters bound;
+        the caller has checked the arity.  The entry is the whole call
+        bookkeeping: the depth guard, the tracked-scope attribution,
+        ``call_overhead`` and the profiler hooks, around the callee's
+        loop on the machine's own host tier.  A refused over-deep call
+        holds no frame.
+        """
+        bound = self._calls.get(id(function))
+        if bound is not None and bound[0] is function:
+            return bound[1]
+        name = function.name
+        params = function.params
+        tracked = name in self.tracked
+        # The machine's own host tier, even when a call site sits in code
+        # a lower tier runs (the codegen backend's threaded cold tier).
+        run = self._host_loop(function)
+
+        def enter(frame, _m=self, _stats=self.stats, _run=run,
+                  _overhead=self.costs.call_overhead, _name=name,
+                  _tracked=tracked, _active=self._active_scopes,
+                  _entry_cycles=self._scope_entry_cycles):
+            # Checked before the increment: a refused call holds no frame.
+            if _m._call_depth >= _m._max_call_depth:
+                raise MachineError("call depth exceeded")
+            _m._call_depth += 1
+            if _tracked:
+                depth = _active.get(_name, 0)
+                if depth == 0:
+                    # Outermost entry: snapshot the cycle counter; the
+                    # whole delta is attributed once, at the matching exit.
+                    _entry_cycles[_name] = _stats.cycles
+                _active[_name] = depth + 1
+                entries = _stats.scope_entries
+                entries[_name] = entries.get(_name, 0) + 1
+            _stats.cycles += _overhead
+            profiler = _m.profiler
             if profiler is not None:
-                profiler.leave(function.name, self.stats.cycles)
-            if tracked_here:
-                name = function.name
-                depth = self._active_scopes[name] - 1
-                if depth:
-                    self._active_scopes[name] = depth
-                else:
-                    del self._active_scopes[name]
-                    delta = (self.stats.cycles
-                             - self._scope_entry_cycles.pop(name))
-                    self.stats.scope_cycles[name] = (
-                        self.stats.scope_cycles.get(name, 0.0) + delta
-                    )
-            self._call_depth -= 1
-        return result
+                # Parameters are distinct (the IR validator rejects
+                # duplicates), so the frame gives back the argument list.
+                profiler.enter(_name, [frame[p] for p in params],
+                               _stats.cycles)
+            try:
+                return _run(frame)
+            finally:
+                if profiler is not None:
+                    profiler.leave(_name, _stats.cycles)
+                if _tracked:
+                    depth = _active[_name] - 1
+                    if depth:
+                        _active[_name] = depth
+                    else:
+                        del _active[_name]
+                        delta = _stats.cycles - _entry_cycles.pop(_name)
+                        scopes = _stats.scope_cycles
+                        scopes[_name] = scopes.get(_name, 0.0) + delta
+                _m._call_depth -= 1
+
+        self._calls[id(function)] = (function, enter)
+        return enter
 
     # ------------------------------------------------------------------
     # Execution core
     # ------------------------------------------------------------------
+
+    def _reference_host_loop(self, function: Function):
+        return functools.partial(self._exec_function_interp, function)
 
     def _exec_function_interp(self, function: Function, env: dict):
         """Reference-interpreter host loop: execute a host function until
@@ -368,28 +416,16 @@ class Machine:
             else:  # pragma: no cover - defensive
                 raise MachineError(f"unexpected block outcome {kind!r}")
 
-    def exec_region_code(self, code: Function, env: dict,
-                         footprint: int) -> tuple[str, object]:
-        """Execute dynamically generated region code in the host env.
-
-        Region code shares the host frame's environment (DyC allocates
-        registers seamlessly across region boundaries, §2.1).  Returns
-        ``("exit", index)`` when the region resumes host code at exit
-        ``index``, or ``("return", value)`` when the region executed a
-        host-level ``Return``.  ``Promote`` terminators re-enter the
-        runtime for lazy multi-stage specialization.
-        """
-        backend = self._backend
-        if backend is not None:
-            return backend.exec_region_code(code, env, footprint)
-        return self._exec_region_interp(code, env, footprint, code.entry)
-
     def _exec_region_interp(self, code: Function, env: dict,
                             footprint: int,
-                            label: str) -> tuple[str, object]:
-        """Reference-interpreter region loop, resumable at ``label`` (the
-        threaded backend degrades into it mid-region when a retranslation
-        after a version bump is faulted)."""
+                            label: str | None = None) -> tuple[str, object]:
+        """Reference-interpreter region loop, from the entry or resumable
+        at ``label`` (the faster backends degrade into it, at entry or
+        mid-region, when a translation is refused).  It computes the
+        I-cache penalty on every entry, as the oracle the faster
+        backends' per-code-version bindings are checked against."""
+        if label is None:
+            label = code.entry
         penalty = self.icache.per_instruction_penalty(footprint)
         while True:
             kind, payload = self._exec_block(

@@ -55,6 +55,7 @@ failure strikes mid-region (resumable at the current label).  See
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 
@@ -253,6 +254,7 @@ class _Emitter:
     def __init__(self, machine, fn: Function, penalty: float,
                  scale: float, region: bool, mode: str) -> None:
         self.costs = machine.costs
+        self.module = machine.module
         self.fn = fn
         self.penalty = penalty
         self.scale = scale
@@ -265,6 +267,10 @@ class _Emitter:
         self.ids = self.shape.ids
         self.lines: list[str] = []
         self.consts: list = []
+        #: Module functions this code calls, in order of first call; the
+        #: generated code reaches callee ``i`` as ``F{i}``, which
+        #: ``_bind`` sets to the machine's entry for it.
+        self.callees: list[str] = []
         # Per-block emission state.
         self.seg_const = 0.0
         self.seg_count = 0
@@ -279,6 +285,11 @@ class _Emitter:
         self.consts.append(obj)
         return f"K[{len(self.consts) - 1}]"
 
+    def callee_ref(self, name: str) -> str:
+        if name not in self.callees:
+            self.callees.append(name)
+        return f"F{self.callees.index(name)}"
+
     @property
     def _limit_msg(self) -> str:
         return f"step limit {self.step_limit} exceeded (infinite loop?)"
@@ -286,8 +297,6 @@ class _Emitter:
     # -- top level ------------------------------------------------------
 
     def build(self) -> str:
-        self.emit(0, "def _run(E, L, ST=ST, MA=MA, C=C, K=K, LBLS=LBLS, "
-                     "CALL=CALL, LOAD=LOAD, STORE=STORE):")
         if not self.counted:
             self.emit(1, "D = 0")
         self.emit(1, "while True:")
@@ -305,7 +314,12 @@ class _Emitter:
             self._emit_dispatch(chains, 2)
         self.emit(2, "raise MachineError('pycodegen: unknown label id "
                      "%r' % (L,))")
-        return "\n".join(self.lines) + "\n"
+        # The callees are known once the body is emitted; each is bound
+        # as a default, like the other per-machine names.
+        callees = "".join(f"F{i}=F{i}, " for i in range(len(self.callees)))
+        header = ("def _run(E, L, ST=ST, MA=MA, C=C, K=K, LBLS=LBLS, "
+                  f"{callees}CALL=CALL, LOAD=LOAD, STORE=STORE):")
+        return header + "\n" + "\n".join(self.lines) + "\n"
 
     def _emit_dispatch(self, chains: list, ind: int) -> None:
         """Binary interval dispatch over chain id ranges.
@@ -693,12 +707,32 @@ class _Emitter:
                     self.emit(b, f"[{', '.join(arg_exprs)}]")
                 self._bad_operand(arg, b)
                 return
-        args = f"[{', '.join(arg_exprs)}]"
-        if instr.dest is None:
-            self.emit(b, f"CALL({instr.callee!r}, {args})")
+        callee = instr.callee
+        function = self.module.functions.get(callee)
+        if function is None:
+            # Intrinsics and names nothing defines resolve by name when
+            # the call executes, so an undefined callee raises only if
+            # the call is reached.
+            call = f"CALL({callee!r}, [{', '.join(arg_exprs)}])"
+        elif len(function.params) != len(arg_exprs):
+            # The arguments are read first (trap order), then the call
+            # fails before any call bookkeeping.
+            if arg_exprs:
+                self.emit(b, f"[{', '.join(arg_exprs)}]")
+            msg = (f"{callee}() takes {len(function.params)} args, "
+                   f"got {len(arg_exprs)}")
+            self.emit(b, f"raise MachineError({msg!r})")
+            return
         else:
-            self.emit(b, f"E[{instr.dest!r}] = "
-                         f"CALL({instr.callee!r}, {args})")
+            # A module function is called through the machine's entry
+            # for it, with the callee's frame built in place.
+            frame = ", ".join(f"{param!r}: {expr}" for param, expr
+                              in zip(function.params, arg_exprs))
+            call = f"{self.callee_ref(callee)}({{{frame}}})"
+        if instr.dest is None:
+            self.emit(b, call)
+        else:
+            self.emit(b, f"E[{instr.dest!r}] = {call}")
 
     def _emit_branch(self, instr: Branch, b: int,
                      next_label: str | None) -> None:
@@ -883,10 +917,13 @@ class PyCodegenBackend:
 
     def _bind(self, fn: Function, penalty: float, scale: float,
               region: bool, code, source: str, consts: tuple,
-              ids: dict, labels) -> _PyTranslation:
+              ids: dict, labels, callees: list) -> _PyTranslation:
         """Exec ``code`` against this machine and wrap the entry point."""
         machine = self.machine
         namespace = dict(_HELPER_GLOBALS)
+        functions = machine.module.functions
+        for index, name in enumerate(callees):
+            namespace[f"F{index}"] = machine.bind_call(functions[name])
         namespace.update(
             TrapError=TrapError,
             MachineError=MachineError,
@@ -920,7 +957,7 @@ class PyCodegenBackend:
         code = self._code_object(fn, source)
         return self._bind(fn, penalty, scale, region, code, source,
                           tuple(emitter.consts), dict(emitter.ids),
-                          emitter.shape.order)
+                          emitter.shape.order, emitter.callees)
 
     # -- fallback -------------------------------------------------------
 
@@ -950,6 +987,11 @@ class PyCodegenBackend:
                     f"use of undefined variable {name!r}"
                 ) from None
             raise
+
+    def host_loop(self, function: Function):
+        """``run(frame)`` for calls of ``function`` (see
+        ``Machine.bind_call``)."""
+        return functools.partial(self.exec_function, function)
 
     def exec_function(self, function: Function, env: dict):
         """Codegen equivalent of ``Machine._exec_function_interp``.
@@ -994,7 +1036,7 @@ class PyCodegenBackend:
 
     def exec_region_code(self, code: Function, env: dict,
                          footprint: int) -> tuple[str, object]:
-        """Codegen equivalent of ``Machine.exec_region_code``.
+        """Codegen equivalent of ``Machine._exec_region_interp``.
 
         The penalty is fixed at entry (from ``footprint``), matching the
         reference; generated region code returns ``('stale', label)``

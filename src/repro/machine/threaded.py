@@ -27,14 +27,16 @@ Translation caching and invalidation
 
 Translations are cached per :class:`~repro.ir.function.Function` object and
 keyed on its ``version`` counter (plus the I-cache penalty and schedule
-scale in effect).  Host functions are fixed after static compile, so their
-translations live for the machine's lifetime, and the host loop finds
-them by function identity and version alone: a host function's penalty
-and scale are fixed for the machine, so they are computed only when a
-translation is built.  A call to a module function is bound to its
-:class:`~repro.ir.function.Function` at translation time; intrinsics and
-names nothing defines still go through ``Machine.call`` when the call
-executes.  Runtime-emitted region code
+scale in effect).  Host functions are fixed after static compile, so each
+one's host loop is bound once per backend and holds its translation,
+checking only the version per call: a host function's penalty and scale
+are fixed for the machine, so they are computed only when a translation
+is built.  A call to a module function is bound when its block is
+translated, to the machine's entry for the callee
+(``Machine.bind_call``): the arity is checked then, and the call builds
+the callee's register frame straight from the caller's registers.
+Intrinsics and names nothing defines still go through ``Machine.call``
+when the call executes.  Runtime-emitted region code
 is *patched in place* by lazy promotions (the specializer threads jumps and
 adds continuation blocks into a buffer that is already executing); the
 specializer bumps ``Function.version`` after every batch, and the region
@@ -42,10 +44,16 @@ driver below re-checks the version at every block boundary, so patched
 code is retranslated before the next block runs.
 
 One deliberate subtlety: the reference computes the region's I-cache
-penalty once per ``exec_region_code`` call, from the footprint at entry,
-and keeps using it even after a mid-call promotion grows the code.  The
-driver here does the same — retranslation after a version bump reuses the
-entry-time penalty — so the two backends stay cycle-identical.
+penalty once per region entry, from the footprint at entry, and keeps
+using it even after a mid-call promotion grows the code.  The driver here
+does the same — retranslation after a version bump reuses the entry-time
+penalty — so the two backends stay cycle-identical; it keeps that penalty
+per ``(code, footprint)`` so an entry into unchanged code computes
+neither it nor a translation lookup.
+
+The commonest block shape, ``d = a op b`` then a ``Branch`` on ``d``, is
+translated into one fused runner instead of a runner, a step and a finish
+closure.
 """
 
 from __future__ import annotations
@@ -154,6 +162,21 @@ def _undefined(name: str):
     raise TrapError(f"use of undefined variable {name!r}")
 
 
+def _read_args(env: dict, specs: tuple) -> list:
+    """Argument values from ``(is_reg, name, value)`` specs, read in
+    order, so an undefined register traps where the reference's does."""
+    args = []
+    for is_reg, name, value in specs:
+        if is_reg:
+            try:
+                args.append(env[name])
+            except KeyError:
+                _undefined(name)
+        else:
+            args.append(value)
+    return args
+
+
 class TranslationFault(MachineError):
     """An injected ``threaded.translate`` fault refused a translation.
 
@@ -199,9 +222,12 @@ class ThreadedBackend:
         #: to their Function, so a cached id can never be recycled by a
         #: different object.
         self._cache: dict[int, _Translation] = {}
-        #: id(host function) -> its host translation, checked against
-        #: ``Function.version`` only (same strong-reference guarantee).
-        self._hosts: dict[int, _Translation] = {}
+        #: id(host function) -> (function, its bound host loop).
+        self._hosts: dict[int, tuple] = {}
+        #: id(region code) -> [code, footprint, penalty, translation]:
+        #: what an entry needs, kept per code version (same
+        #: strong-reference guarantee).
+        self._regions: dict[int, list] = {}
 
     # -- cache ----------------------------------------------------------
 
@@ -226,83 +252,106 @@ class ThreadedBackend:
         self._cache[id(fn)] = entry
         return entry
 
-    def invalidate(self, fn: Function) -> None:
-        """Drop any cached translation of ``fn`` (tests / tooling)."""
-        self._cache.pop(id(fn), None)
-        self._hosts.pop(id(fn), None)
-
     # -- drivers --------------------------------------------------------
 
     def exec_function(self, function: Function, env: dict):
-        """Threaded equivalent of ``Machine._exec_function_interp``.
+        """Threaded equivalent of ``Machine._exec_function_interp``."""
+        return self.host_loop(function)(env)
 
-        A refused translation stores nothing, so the next call retries
-        it, exactly as a call with no host translation does.
+    def host_loop(self, function: Function):
+        """The host loop of ``function``, bound once per backend:
+        ``run(frame) -> result``.
+
+        It holds the function's translation and checks only
+        ``Function.version`` per call; the I-cache penalty is computed
+        only when a translation is built.  A refused translation stores
+        nothing, so the next call retries it and runs this one on the
+        reference interpreter.
         """
+        bound = self._hosts.get(id(function))
+        if bound is not None and bound[0] is function:
+            return bound[1]
         machine = self.machine
-        trans = self._hosts.get(id(function))
-        if trans is None or trans.version != function.version:
-            penalty = machine.icache.per_instruction_penalty(
-                function.instruction_count()
-            )
-            scale = machine.costs.static_schedule_factor
-            try:
-                trans = self.translation(function, penalty, scale)
-            except TranslationFault:
-                machine.stats.degraded_translations += 1
-                return machine._exec_function_interp(function, env)
-            self._hosts[id(function)] = trans
-        runners = trans.runners
-        label = function.entry
-        while True:
-            kind, payload = runners[label](env)
-            if kind == "jump":
-                label = payload
-            elif kind == "return":
-                return payload
-            elif kind == "enter_region":
-                if machine.runtime is None:
-                    raise MachineError(
-                        "EnterRegion executed without a runtime attached"
-                    )
-                outcome, value = machine.runtime.enter_region(
-                    machine, payload, env
+        held: list = [None]
+
+        def run(env, _held=held, _fn=function, _m=machine):
+            trans = _held[0]
+            if trans is None or trans.version != _fn.version:
+                penalty = _m.icache.per_instruction_penalty(
+                    _fn.instruction_count()
                 )
-                if outcome == "return":
-                    return value
-                label = value
-            else:  # pragma: no cover - defensive
-                raise MachineError(f"unexpected block outcome {kind!r}")
+                scale = _m.costs.static_schedule_factor
+                try:
+                    trans = self.translation(_fn, penalty, scale)
+                except TranslationFault:
+                    _m.stats.degraded_translations += 1
+                    return _m._exec_function_interp(_fn, env)
+                _held[0] = trans
+            runners = trans.runners
+            label = _fn.entry
+            while True:
+                kind, payload = runners[label](env)
+                if kind == "jump":
+                    label = payload
+                elif kind == "return":
+                    return payload
+                elif kind == "enter_region":
+                    if _m.runtime is None:
+                        raise MachineError(
+                            "EnterRegion executed without a runtime "
+                            "attached"
+                        )
+                    outcome, value = _m.runtime.enter_region(
+                        _m, payload, env
+                    )
+                    if outcome == "return":
+                        return value
+                    label = value
+                else:  # pragma: no cover - defensive
+                    raise MachineError(
+                        f"unexpected block outcome {kind!r}"
+                    )
+
+        self._hosts[id(function)] = (function, run)
+        return run
 
     def exec_region_code(self, code: Function, env: dict,
                          footprint: int) -> tuple[str, object]:
-        """Threaded equivalent of ``Machine.exec_region_code``.
+        """Threaded equivalent of ``Machine._exec_region_interp``.
 
         The penalty is fixed at entry (from ``footprint``), matching the
-        reference; the translation is revalidated at every block boundary
-        because promotions patch the code buffer mid-execution.
+        reference; it is kept per ``(code, footprint)`` and the
+        translation per ``Function.version``, so an entry into code that
+        has not changed computes neither.  The translation is
+        revalidated at every block boundary because promotions patch the
+        code buffer mid-execution.
         """
         machine = self.machine
-        penalty = machine.icache.per_instruction_penalty(footprint)
-        try:
-            trans = self.translation(code, penalty, 1.0)
-        except TranslationFault:
-            machine.stats.degraded_translations += 1
-            return machine._exec_region_interp(code, env, footprint,
-                                               code.entry)
+        bound = self._regions.get(id(code))
+        if bound is None or bound[0] is not code or bound[1] != footprint:
+            penalty = machine.icache.per_instruction_penalty(footprint)
+            bound = [code, footprint, penalty, None]
+            self._regions[id(code)] = bound
+        penalty = bound[2]
+        trans = bound[3]
+        runners = trans.runners if trans is not None else None
+        version = trans.version if trans is not None else None
         label = code.entry
         while True:
-            if code.version != trans.version:
+            if code.version != version:
                 try:
                     trans = self.translation(code, penalty, 1.0)
                 except TranslationFault:
-                    # Mid-region degradation: resume the reference loop
-                    # at the current block.
+                    # Degradation at entry or mid-region: resume the
+                    # reference loop at the current block.
                     machine.stats.degraded_translations += 1
                     return machine._exec_region_interp(
                         code, env, footprint, label
                     )
-            kind, payload = trans.runners[label](env)
+                bound[3] = trans
+                runners = trans.runners
+                version = trans.version
+            kind, payload = runners[label](env)
             if kind == "jump":
                 label = payload
             elif kind in ("exit", "return"):
@@ -326,6 +375,9 @@ class ThreadedBackend:
         return _Translation(fn, penalty, scale, runners)
 
     def _compile_block(self, block, penalty: float, scale: float):
+        fused = self._fused_block(block, penalty, scale)
+        if fused is not None:
+            return fused
         machine = self.machine
         costs = machine.costs
 
@@ -502,6 +554,108 @@ class ThreadedBackend:
             for step in _steps:
                 extra = step(env, extra)
             return _finish(env, extra)
+
+        return runner
+
+    def _fused_block(self, block, penalty: float, scale: float):
+        """One runner for a block that is exactly ``d = a op b`` then a
+        ``Branch`` on ``d``, the commonest block shape, or None.
+
+        It evaluates, writes ``d``, commits the segment and picks the
+        successor, in place of a runner, a step and a finish closure.
+        The charge is the reference's: the two base terms summed in
+        order, plus the float extra when an operand is a float, added
+        in one commit; a trap in the operator or an undefined operand
+        comes before the commit.
+        """
+        instrs = block.instrs
+        if len(instrs) != 2:
+            return None
+        binop, branch = instrs
+        if type(binop) is not BinOp or type(branch) is not Branch:
+            return None
+        cond = branch.cond
+        if type(cond) is not Reg or cond.name != binop.dest:
+            return None
+        fn = BINOP_FUNCS.get(binop.op)
+        lhs, rhs = binop.lhs, binop.rhs
+        lhs_reg = type(lhs) is Reg
+        rhs_reg = type(rhs) is Reg
+        if fn is None or not (lhs_reg or rhs_reg) \
+                or not (lhs_reg or type(lhs) is Imm) \
+                or not (rhs_reg or type(rhs) is Imm):
+            return None
+        costs = self.machine.costs
+        base, fp_extra = binop_terms(costs, binop.op.value, scale, penalty)
+        const = 0.0
+        const += base
+        const += flat_term(costs.branch, scale, penalty)
+        # The two commits the reference can make: ``acc + extra`` with no
+        # float operand, and with one.
+        plain = const + 0.0
+        with_fp = const + (0.0 + fp_extra)
+        machine = self.machine
+        stats = machine.stats
+        true_out = ("jump", branch.if_true)
+        false_out = ("jump", branch.if_false)
+        dest = binop.dest
+
+        if lhs_reg and rhs_reg:
+            def runner(env, _fn=fn, _d=dest, _l=lhs.name, _r=rhs.name,
+                       _plain=plain, _fp=with_fp, _m=machine,
+                       _stats=stats, _t=true_out, _f=false_out):
+                try:
+                    a = env[_l]
+                except KeyError:
+                    _undefined(_l)
+                try:
+                    b = env[_r]
+                except KeyError:
+                    _undefined(_r)
+                value = _fn(a, b)
+                env[_d] = value
+                if type(a) is float or type(b) is float:
+                    _stats.cycles += _fp
+                else:
+                    _stats.cycles += _plain
+                _stats.instructions += 2
+                total = _m._steps + 2
+                _m._steps = total
+                if total > _m.step_limit:
+                    raise MachineError(
+                        f"step limit {_m.step_limit} exceeded "
+                        f"(infinite loop?)"
+                    )
+                return _t if value else _f
+
+            return runner
+
+        # One immediate operand: a float immediate charges the extra on
+        # every execution, so both commits are the float one.
+        imm = rhs.value if lhs_reg else lhs.value
+        if type(imm) is float:
+            plain = with_fp
+        reg = lhs.name if lhs_reg else rhs.name
+
+        def runner(env, _fn=fn, _d=dest, _reg=reg, _imm=imm,
+                   _imm_rhs=lhs_reg, _plain=plain, _fp=with_fp, _m=machine,
+                   _stats=stats, _t=true_out, _f=false_out):
+            try:
+                a = env[_reg]
+            except KeyError:
+                _undefined(_reg)
+            value = _fn(a, _imm) if _imm_rhs else _fn(_imm, a)
+            env[_d] = value
+            _stats.cycles += _fp if type(a) is float else _plain
+            _stats.instructions += 2
+            total = _m._steps + 2
+            _m._steps = total
+            if total > _m.step_limit:
+                raise MachineError(
+                    f"step limit {_m.step_limit} exceeded "
+                    f"(infinite loop?)"
+                )
+            return _t if value else _f
 
         return runner
 
@@ -777,14 +931,6 @@ class ThreadedBackend:
         machine = self.machine
         callee = instr.callee
         dest = instr.dest
-        # A module function (which shadows an intrinsic of the same name)
-        # is bound now; any other name resolves when the call executes,
-        # so an undefined callee raises only if it is reached.
-        function = machine.module.functions.get(callee)
-        if function is not None:
-            call, target = machine._call_function, function
-        else:
-            call, target = machine.call, callee
         # (is_reg, name, value) triples; reading them in order preserves
         # the reference's trap order for undefined argument registers.
         specs = []
@@ -794,14 +940,17 @@ class ThreadedBackend:
             elif type(arg) is Imm:
                 specs.append((False, None, arg.value))
             else:
-                return self._error_step(
-                    TrapError(f"cannot evaluate operand {arg!r}")
-                )
+                error = TrapError(f"cannot evaluate operand {arg!r}")
+                return self._raising_call(tuple(specs), error)
         arg_specs = tuple(specs)
-
-        if dest is None:
-            def do_call(env, _call=call, _target=target,
-                        _specs=arg_specs):
+        # A module function (which shadows an intrinsic of the same name)
+        # is bound now; any other name resolves when the call executes,
+        # so an undefined callee raises only if it is reached.
+        function = machine.module.functions.get(callee)
+        if function is None:
+            # The argument loop is inline: intrinsic calls are hot.
+            def do_call(env, _call=machine.call, _callee=callee,
+                        _specs=arg_specs, _d=dest):
                 args = []
                 for is_reg, name, value in _specs:
                     if is_reg:
@@ -811,22 +960,77 @@ class ThreadedBackend:
                             _undefined(name)
                     else:
                         args.append(value)
-                _call(_target, args)
+                result = _call(_callee, args)
+                if _d is not None:
+                    env[_d] = result
+
+            return do_call
+        params = function.params
+        if len(params) != len(arg_specs):
+            # Checked now, raised when reached: after the argument reads,
+            # before any call bookkeeping.
+            return self._raising_call(arg_specs, MachineError(
+                f"{callee}() takes {len(params)} args, "
+                f"got {len(arg_specs)}"
+            ))
+        enter = machine.bind_call(function)
+        # The callee's frame is built straight from the caller's
+        # registers.  Register-only argument lists (nearly every call)
+        # are unrolled up to three; an undefined register is the first
+        # KeyError the dict display raises, in argument order.
+        regs = tuple(name for is_reg, name, _ in arg_specs if is_reg)
+        if len(regs) == len(arg_specs) == 1:
+            def do_call(env, _enter=enter, _d=dest, _p=params[0],
+                        _r=regs[0]):
+                try:
+                    frame = {_p: env[_r]}
+                except KeyError:
+                    _undefined(_r)
+                result = _enter(frame)
+                if _d is not None:
+                    env[_d] = result
+
+            return do_call
+        if len(regs) == len(arg_specs) == 2:
+            def do_call(env, _enter=enter, _d=dest, _p0=params[0],
+                        _p1=params[1], _r0=regs[0], _r1=regs[1]):
+                try:
+                    frame = {_p0: env[_r0], _p1: env[_r1]}
+                except KeyError as err:
+                    _undefined(err.args[0])
+                result = _enter(frame)
+                if _d is not None:
+                    env[_d] = result
+
+            return do_call
+        if len(regs) == len(arg_specs) == 3:
+            def do_call(env, _enter=enter, _d=dest, _p0=params[0],
+                        _p1=params[1], _p2=params[2], _r0=regs[0],
+                        _r1=regs[1], _r2=regs[2]):
+                try:
+                    frame = {_p0: env[_r0], _p1: env[_r1], _p2: env[_r2]}
+                except KeyError as err:
+                    _undefined(err.args[0])
+                result = _enter(frame)
+                if _d is not None:
+                    env[_d] = result
 
             return do_call
 
-        def do_call(env, _call=call, _target=target, _specs=arg_specs,
-                    _d=dest):
-            args = []
-            for is_reg, name, value in _specs:
-                if is_reg:
-                    try:
-                        args.append(env[name])
-                    except KeyError:
-                        _undefined(name)
-                else:
-                    args.append(value)
-            env[_d] = _call(_target, args)
+        def do_call(env, _enter=enter, _d=dest, _params=params,
+                    _specs=arg_specs):
+            result = _enter(dict(zip(_params, _read_args(env, _specs))))
+            if _d is not None:
+                env[_d] = result
+
+        return do_call
+
+    @staticmethod
+    def _raising_call(specs: tuple, error: Exception):
+        """A call that fails when reached, after reading ``specs``."""
+        def do_call(env, _specs=specs, _error=error):
+            _read_args(env, _specs)
+            raise _error
 
         return do_call
 

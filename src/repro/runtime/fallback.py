@@ -75,7 +75,7 @@ def build_fallback_function(region) -> Function:
 
     The returned function shares the template's block labels (entry
     included) and rewrites every region-exit edge into an ``ExitRegion``
-    terminator/thunk, so :meth:`Machine.exec_region_code` can run it in
+    terminator/thunk, so ``Machine.exec_region_code`` can run it in
     the host environment exactly like specialized code.
     """
     template = region.template

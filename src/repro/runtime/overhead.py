@@ -58,5 +58,14 @@ class OverheadModel:
             return self.dispatch_indexed
         return self.dispatch_hash_base + self.dispatch_hash_per_probe * probes
 
+    def fixed_dispatch_cost(self, policy: str) -> float | None:
+        """The cost of every dispatch under ``policy`` when no probe
+        count can change it, or None: the unchecked and indexed caches
+        always make one probe, so their cost is bound once per region
+        entry or promotion point."""
+        if policy in ("cache_one_unchecked", "cache_indexed"):
+            return self.dispatch_cost(policy)
+        return None
+
 
 DEFAULT_OVERHEAD = OverheadModel()

@@ -44,6 +44,9 @@ class _RegionDispatch(NamedTuple):
     stats: RegionStats
     policy: str
     cache: object
+    #: ``OverheadModel.fixed_dispatch_cost(policy)``: None when the
+    #: cost depends on each lookup's probe count.
+    cost: float | None
 
 
 class DycRuntime:
@@ -144,7 +147,8 @@ class DycRuntime:
         if cache is None:
             cache = self.make_cache(policy, stats=stats)
             self.entry_caches[region_id] = cache
-        record = _RegionDispatch(instr, genext, stats, policy, cache)
+        record = _RegionDispatch(instr, genext, stats, policy, cache,
+                                 self.overhead.fixed_dispatch_cost(policy))
         self._dispatch[id(instr)] = record
         return record
 
@@ -154,7 +158,7 @@ class DycRuntime:
         record = self._dispatch.get(id(instr))
         if record is None or record.instr is not instr:
             record = self._bind_dispatch(instr)
-        _, genext, stats, policy, cache = record
+        _, genext, stats, policy, cache, cost = record
 
         try:
             key = tuple([env[k] for k in instr.keys])
@@ -167,7 +171,8 @@ class DycRuntime:
             ) from None
 
         result = cache.lookup(key)
-        cost = self.overhead.dispatch_cost(policy, result.probes)
+        if cost is None:
+            cost = self.overhead.dispatch_cost(policy, result.probes)
         # Machine.charge_dispatch, inline.
         machine_stats = machine.stats
         machine_stats.dispatch_cycles += cost
@@ -263,13 +268,13 @@ class DycRuntime:
                 f"promotion point {instr.point_id} has no pending "
                 f"continuation (emission {instr.emission_id})"
             )
-        genext = pending.genext
-        stats = self.stats.for_region(
-            genext.region.region_id, genext.region.function_name
-        )
+        stats = pending.stats
         values = tuple(env[k] for k in instr.keys)
         result = pending.cache.lookup(values)
-        cost = self.overhead.dispatch_cost(pending.policy, result.probes)
+        cost = pending.dispatch_cost
+        if cost is None:
+            cost = self.overhead.dispatch_cost(pending.policy,
+                                               result.probes)
         machine.charge_dispatch(cost)
         stats.dispatches += 1
         stats.dispatch_cycles += cost

@@ -54,6 +54,7 @@ from repro.ir.instructions import (
 )
 from repro.runtime.emit import BlockEmitter
 from repro.runtime.fallback import dynamic_arm, ensure_dynamic_blocks
+from repro.runtime.stats import RegionStats
 
 #: Safety valve against runaway specialization (e.g. an unbounded loop
 #: whose bound was wrongly annotated static).  The runaway loops the
@@ -108,6 +109,11 @@ class PendingPromotion:
     point_names: tuple[str, ...]
     policy: str
     cache: object  # CodeCache | UncheckedCache
+    #: The region's statistics and ``OverheadModel.fixed_dispatch_cost``
+    #: of the policy, bound when the point is suspended so a dispatch
+    #: looks neither up.
+    stats: RegionStats
+    dispatch_cost: float | None
     frames: dict = field(default_factory=dict)
 
 
@@ -182,6 +188,8 @@ class _Batch:
             point_names=point.names,
             policy=policy,
             cache=runtime.make_cache(policy, stats=self.stats),
+            stats=self.stats,
+            dispatch_cost=self.overhead.fixed_dispatch_cost(policy),
             frames=dict(frames),
         )
         runtime.register_pending(pending)
@@ -239,7 +247,7 @@ class Specializer:
             store=dict(entry_values),
             frames=frames,
         )
-        self._run_batch(code, genext, machine, [task],
+        self._run_batch(code, genext, machine, stats, [task],
                         setup=self.runtime.overhead.region_setup)
         return code
 
@@ -268,7 +276,8 @@ class Specializer:
         # that were never built.
         minted = len(code.contexts)
         try:
-            self._run_batch(code, pending.genext, machine, [task],
+            self._run_batch(code, pending.genext, machine, pending.stats,
+                            [task],
                             setup=self.runtime.overhead.promote_setup)
         except BaseException:
             for context_id in list(code.contexts)[minted:]:
@@ -289,9 +298,7 @@ class Specializer:
         code = pending.code
         genext = pending.genext
         overhead = self.runtime.overhead
-        stats = self.runtime.stats.for_region(
-            genext.region.region_id, genext.region.function_name
-        )
+        stats = pending.stats
         batch = _Batch(self.runtime, genext, code, machine, stats,
                        overhead.promote_setup)
         before_instrs = code.function.instruction_count()
@@ -334,11 +341,9 @@ class Specializer:
 
     def _run_batch(self, code: SpecializedCode,
                    genext: GeneratingExtension, machine,
-                   tasks: list[_Task], setup: float) -> None:
+                   stats: RegionStats, tasks: list[_Task],
+                   setup: float) -> None:
         overhead = self.runtime.overhead
-        stats = self.runtime.stats.for_region(
-            genext.region.region_id, genext.region.function_name
-        )
         batch = _Batch(self.runtime, genext, code, machine, stats, setup)
         before_instrs = code.function.instruction_count()
         budget = (self.runtime.config.specialize_budget

@@ -343,7 +343,8 @@ class ServeApp:
         result = run_workload(
             workload, request.config, verify=request.verify,
             backend=self.backend,
-            memo=None if request.no_cache else self.memo)
+            memo=None if request.no_cache else self.memo,
+            memo_key=run_key)
         payload = result_payload(result, self.backend)
         if not request.no_cache:
             # Insertion happens on the worker thread; the shard's lock

@@ -1,9 +1,11 @@
 """Tests for the abstract machine: execution, cycle accounting, I-cache."""
 
 import collections
+import dataclasses
 
 import pytest
 
+from repro.dyc.compiler import CompiledProgram
 from repro.errors import MachineError, TrapError
 from repro.evalharness.runner import run_workload
 from repro.ir import (
@@ -21,6 +23,7 @@ from repro.ir import (
 from repro.machine import ALPHA_21164, BACKENDS, ICacheModel, Machine
 from repro.machine.costs import CostModel
 from repro.runtime.specializer import Specializer
+from repro.runtime.stats import RuntimeStats
 from repro.workloads import WORKLOADS_BY_NAME
 from tests.helpers import build_countdown, build_diamond, run_function
 
@@ -394,6 +397,42 @@ class TestCallBinding:
         reference.run("main")
         assert machine.stats == reference.stats
 
+    def test_wrong_arity_call_reads_args_then_raises(self, backend):
+        """The arity is checked when the call site is bound; the call
+        still reads its argument registers first (an undefined one
+        traps), then raises ``takes N args`` with no ``call_overhead``
+        charged and no frame held."""
+        costs = dataclasses.replace(ALPHA_21164, call_overhead=10_000)
+        mod = Module()
+        b = FunctionBuilder("g", ("x",))
+        b.ret("x")
+        mod.add_function(b.finish())
+        b = FunctionBuilder("f", ("a", "defined"))
+        b.branch("defined", "both", "one")
+        b.label("both")
+        b.move("u", 2)
+        b.call("r", "g", ["a", "u"])
+        b.ret("r")
+        b.label("one")
+        b.call("r", "g", ["a", "u"])
+        b.ret("r")
+        mod.add_function(b.finish())
+        outcomes = {}
+        for name in ("reference", backend):
+            machine = Machine(mod, cost_model=costs, backend=name)
+            seen = []
+            for defined, error, match in (
+                    (0, TrapError, "undefined variable 'u'"),
+                    (1, MachineError, r"g\(\) takes 1 args, got 2")):
+                with pytest.raises(error, match=match):
+                    machine.run("f", 5, defined)
+                assert machine._call_depth == 0
+                seen.append(machine.stats.snapshot())
+            # Only the two calls of f itself paid the call overhead.
+            assert 20_000 <= machine.stats.cycles < 30_000
+            outcomes[name] = seen
+        assert outcomes[backend] == outcomes["reference"]
+
     def test_profiler_sees_every_call(self, backend):
         logs = {}
         for name in ("reference", backend):
@@ -475,3 +514,51 @@ class TestComputedOnce:
                 assert calls <= len(machines)
         assert sum(calls for key, calls in sized.items()
                    if key not in hosts) <= 3 * len(batches)
+
+    def test_codegen_binds_module_callees(self, monkeypatch):
+        """Generated code calls a module function through the machine's
+        entry for it, as threaded call sites do: a counted binary run
+        made 1,500 by-name ``Machine.call("bsearch", ...)`` before.
+        Intrinsics and the harness's entry still go by name."""
+        binary = WORKLOADS_BY_NAME["binary"]
+        run_workload(binary, backend="pycodegen")   # warm the static side
+        by_name: collections.Counter = collections.Counter()
+        call = Machine.call
+
+        def counting(self, name, args):
+            by_name[name] += 1
+            return call(self, name, args)
+
+        monkeypatch.setattr(Machine, "call", counting)
+        result = run_workload(binary, backend="pycodegen")
+        assert result.region_entries["bsearch"] == 1500
+        assert by_name == {"main": 1, "print_val": 1}
+
+    def test_region_stats_bound_once_per_region_and_pending(
+            self, monkeypatch):
+        """A mipsi run dispatches 54 promotions through one pending
+        continuation; each reads the region's stats from its
+        ``PendingPromotion`` (58 ``for_region`` calls before)."""
+        mipsi = WORKLOADS_BY_NAME["mipsi"]
+        run_workload(mipsi)   # warm the static side
+        lookups: list = []
+        runtimes: list = []
+        for_region = RuntimeStats.for_region
+        make_machine = CompiledProgram.make_machine
+
+        def counting(self, *args, **kwargs):
+            lookups.append(args)
+            return for_region(self, *args, **kwargs)
+
+        def made(self, *args, **kwargs):
+            machine, runtime = make_machine(self, *args, **kwargs)
+            runtimes.append(runtime)
+            return machine, runtime
+
+        monkeypatch.setattr(RuntimeStats, "for_region", counting)
+        monkeypatch.setattr(CompiledProgram, "make_machine", made)
+        run_workload(mipsi)
+        runtime, = runtimes
+        regions = runtime.stats.regions.values()
+        assert sum(r.internal_promotions_executed for r in regions) == 54
+        assert len(lookups) <= len(regions) + len(runtime.pendings)

@@ -592,6 +592,41 @@ class TestMemoDir:
 
         _run(go())
 
+    def test_one_key_per_request(self, monkeypatch, tmp_path):
+        """The result cache's key is the memo's: a memo miss and a memo
+        hit each compute it once (twice each before)."""
+        from repro.evalharness import memo as memo_module
+        from repro.serve import app as app_module
+
+        keys = []
+        inner = memo_module.memo_key
+
+        def counted(*args, **kwargs):
+            keys.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(app_module, "memo_key", counted)
+        monkeypatch.setattr(memo_module.Memoizer, "key_for",
+                            staticmethod(counted))
+        request = {"workload": "dotproduct", "tenant": "t",
+                   "config": {"quarantine_after": 7002}}
+
+        async def go():
+            for hits in (0, 1):   # a miss, then a restart's memo hit
+                app = _app(memo_dir=str(tmp_path))
+                try:
+                    before = len(keys)
+                    status, body = await _post_run(app, request)
+                    assert status == 200 and "cached" not in body
+                    assert len(keys) - before == 1
+                    _, stats = await app.handle("GET", "/stats", b"")
+                    assert stats["memo"]["hits"] == hits
+                    assert stats["memo"]["misses"] == 1 - hits
+                finally:
+                    app.close()
+
+        _run(go())
+
     def test_off_unless_given(self, monkeypatch, tmp_path):
         """``$REPRO_MEMO_DIR`` configures the offline harness only."""
         import repro.serve.__main__ as serve_main

@@ -13,10 +13,17 @@ from repro.dyc import compile_annotated, compile_static
 from repro.errors import MachineError, TrapError
 from repro.evalharness.runner import _machine_kwargs
 from repro.frontend import compile_source
-from repro.ir import BasicBlock, FunctionBuilder, Memory, Module, Op
+from repro.ir import (
+    BasicBlock,
+    Function,
+    FunctionBuilder,
+    Memory,
+    Module,
+    Op,
+)
 from repro.ir.eval import eval_binop, eval_unop
-from repro.ir.instructions import Imm, Move, Return
-from repro.machine import ALPHA_21164, BACKENDS, Machine
+from repro.ir.instructions import ExitRegion, Imm, Move, Return
+from repro.machine import ALPHA_21164, BACKENDS, ICacheModel, Machine
 from repro.machine.threaded import BINOP_FUNCS, UNOP_FUNCS
 from repro.workloads import ALL_WORKLOADS, WORKLOADS_BY_NAME
 
@@ -168,6 +175,37 @@ class TestTranslationCache:
             )
         assert results["reference"] == results["threaded"]
 
+    def test_region_entry_pays_its_footprints_penalty(self):
+        """Region code is entered with the footprint it has then (a
+        promotion grows it between entries, and patches it in place):
+        each entry pays that footprint's I-cache penalty, on the
+        translation of the code's current version."""
+        icache = ICacheModel(capacity_bytes=8)   # two instructions fit
+        outcomes = {}
+        for backend in BACKENDS:
+            code = Function(name="region0", params=())
+            code.add_block(BasicBlock("r", [Move("x", Imm(1)),
+                                            ExitRegion(0)]))
+            machine = Machine(Module(), icache=icache, backend=backend)
+            costs = []
+            for footprint, patch in ((2, False), (3, False), (3, False),
+                                     (3, True), (4, False)):
+                if patch:
+                    code.blocks["r"] = BasicBlock(
+                        "r", [Move("x", Imm(2.5)), ExitRegion(1)])
+                    code.bump_version()
+                before = machine.stats.cycles
+                outcome = machine.exec_region_code(code, {}, footprint)
+                costs.append((outcome, machine.stats.cycles - before))
+            outcomes[backend] = costs
+        reference = outcomes["reference"]
+        cost = [cycles for _, cycles in reference]
+        assert cost[0] < cost[1] == cost[2] < cost[3] < cost[4]
+        assert [outcome for outcome, _ in reference] == \
+            [("exit", 0)] * 3 + [("exit", 1)] * 2
+        for backend in BACKENDS:
+            assert outcomes[backend] == reference, backend
+
     def test_runtime_patch_retranslates_region_code(self):
         """Internal promotions patch emitted code mid-execution; the
         threaded backend must pick up the new blocks (m88ksim exercises
@@ -201,3 +239,126 @@ class TestBackendSelection:
             machine = Machine(mod, backend=backend)
             with pytest.raises(TrapError):
                 machine.run("f", 0)
+
+
+def _compare_loop():
+    """``f(x, n)``: ``i = 0; while (i < n) i = i + x; return i`` — the
+    loop head is a fused compare-and-branch block."""
+    b = FunctionBuilder("f", ("x", "n"))
+    b.move("i", 0)
+    b.jump("head")
+    b.label("head")
+    b.binop("c", Op.LT, "i", "n")
+    b.branch("c", "body", "done")
+    b.label("body")
+    b.binop("i", Op.ADD, "i", "x")
+    b.jump("head")
+    b.label("done")
+    b.ret("i")
+    mod = Module()
+    mod.add_function(b.finish())
+    return mod
+
+
+def _block(op, lhs, rhs, cond="c"):
+    """``f(x)``: ``c = lhs op rhs; branch cond`` then return 1 or 0."""
+    b = FunctionBuilder("f", ("x",))
+    b.binop("c", op, lhs, rhs)
+    b.branch(cond, "yes", "no")
+    b.label("yes")
+    b.ret(1)
+    b.label("no")
+    b.ret(0)
+    mod = Module()
+    mod.add_function(b.finish())
+    return mod
+
+
+def _outcome(mod, *args, step_limit=500_000_000):
+    """A run's result or error, and the stats it left, per backend."""
+    outcomes = {}
+    for backend in BACKENDS:
+        machine = Machine(mod, backend=backend, step_limit=step_limit)
+        try:
+            result = ("ok", machine.run("f", *args))
+        except (MachineError, TrapError) as exc:
+            result = (type(exc).__name__, str(exc))
+        outcomes[backend] = (result, _stats_dict(machine.stats))
+    return outcomes
+
+
+class TestFusedBlocks:
+    """A block that is exactly a BinOp plus a Branch on its destination
+    runs as one threaded runner; these pin it to the reference on all
+    three backends, trap and step-limit paths included."""
+
+    def _assert_fused(self, mod):
+        machine = Machine(mod, backend="threaded")
+        fused = [label for label, block in mod.functions["f"].blocks.items()
+                 if machine._backend._fused_block(block, 0.0, 1.0)]
+        assert fused, "fixture has no fused block"
+
+    def test_float_operand_charges_the_extra(self):
+        mod = _compare_loop()
+        self._assert_fused(mod)
+        ints = _outcome(mod, 2, 9)
+        floats = _outcome(mod, 2.0, 9)
+        assert ints["reference"][0] == ("ok", 10)
+        assert floats["reference"][0] == ("ok", 10.0)
+        for backend in BACKENDS:
+            assert ints[backend] == ints["reference"], backend
+            assert floats[backend] == floats["reference"], backend
+        # The float run pays the surcharge on every loop test.
+        int_stats, float_stats = ints["threaded"][1], floats["threaded"][1]
+        assert float_stats["instructions"] == int_stats["instructions"]
+        assert float_stats["cycles"] > int_stats["cycles"]
+
+    @pytest.mark.parametrize("lhs,rhs", [("x", 1), (1, "x"), ("x", "x"),
+                                         ("x", 2.5)])
+    def test_operand_shapes(self, lhs, rhs):
+        mod = _block(Op.LT, lhs, rhs)
+        self._assert_fused(mod)
+        for x in (0, 1, 3, 0.5, 2.5):
+            outcomes = _outcome(mod, x)
+            for backend in BACKENDS:
+                assert outcomes[backend] == outcomes["reference"], \
+                    (backend, x)
+
+    def test_operator_trap_comes_before_the_commit(self):
+        mod = _block(Op.AND, "x", 1)
+        self._assert_fused(mod)
+        outcomes = _outcome(mod, 1.5)
+        result, stats = outcomes["reference"]
+        assert result[0] == "TrapError" and "integer operands" in result[1]
+        assert stats["instructions"] == 0
+        for backend in BACKENDS:
+            assert outcomes[backend] == outcomes["reference"], backend
+
+    def test_undefined_operand_traps(self):
+        mod = _block(Op.EQ, "never_set", "x")
+        self._assert_fused(mod)
+        outcomes = _outcome(mod, 1)
+        assert outcomes["reference"][0] == (
+            "TrapError", "use of undefined variable 'never_set'")
+        for backend in BACKENDS:
+            assert outcomes[backend] == outcomes["reference"], backend
+
+    def test_branch_on_another_register_is_not_fused(self):
+        mod = _block(Op.LT, "x", 1, cond="x")
+        machine = Machine(mod, backend="threaded")
+        entry = mod.functions["f"].blocks[mod.functions["f"].entry]
+        assert machine._backend._fused_block(entry, 0.0, 1.0) is None
+        outcomes = _outcome(mod, 0)
+        for backend in BACKENDS:
+            assert outcomes[backend] == outcomes["reference"], backend
+
+    @pytest.mark.parametrize("limit", [3, 7])
+    def test_step_limit_reached_in_a_fused_block(self, limit):
+        # Commits: entry 2 steps, then head 4, body 6, head 8, ...: both
+        # limits are first exceeded by a loop-head commit.
+        outcomes = _outcome(_compare_loop(), 1, 100, step_limit=limit)
+        result, stats = outcomes["reference"]
+        assert result[0] == "MachineError" and "step limit" in result[1]
+        assert stats["instructions"] == limit + 1
+        for backend in BACKENDS:
+            assert outcomes[backend] == outcomes["reference"], backend
