@@ -189,7 +189,6 @@ class Machine:
         self.profiler = None
         self.stats = ExecutionStats()
         self.output: list = []
-        self._steps = 0
         self._active_scopes: dict[str, int] = {}
         #: tracked scope name -> stats.cycles at outermost entry.
         self._scope_entry_cycles: dict[str, float] = {}
@@ -239,6 +238,9 @@ class Machine:
         #: :meth:`bind_call`.  Entries hold their Function, so a cached
         #: id cannot be recycled by a different object.
         self._calls: dict[int, tuple] = {}
+        #: id(EnterRegion) -> (instr, its dispatch); see
+        #: :meth:`bind_entry` (same strong-reference guarantee).
+        self._entries: dict[int, tuple] = {}
         _ensure_recursion_headroom()
 
     # ------------------------------------------------------------------
@@ -267,15 +269,15 @@ class Machine:
     def _commit(self, cycles: float, instructions: int) -> None:
         """Commit one straight-line segment's accumulated charges.
 
-        Both backends call this (or inline exactly this sequence) at
+        Every backend calls this (or inline exactly this sequence) at
         segment boundaries; the step limit is enforced with segment
         granularity, which is sufficient because any loop crosses a
-        segment boundary on every iteration.
+        segment boundary on every iteration.  The limit is tested
+        against ``stats.instructions``, the one step counter.
         """
         self.stats.cycles += cycles
         self.stats.instructions += instructions
-        self._steps += instructions
-        if self._steps > self.step_limit:
+        if self.stats.instructions > self.step_limit:
             raise MachineError(
                 f"step limit {self.step_limit} exceeded (infinite loop?)"
             )
@@ -372,6 +374,25 @@ class Machine:
 
         self._calls[id(function)] = (function, enter)
         return enter
+
+    def bind_entry(self, instr: EnterRegion):
+        """The dispatch every execution of ``instr`` runs on this
+        machine: ``dispatch(env) -> ("jump", label) | ("return", v)``,
+        bound by the runtime (``DycRuntime.bind_entry``) at the first
+        dispatch and kept per instruction.  The threaded and codegen
+        host loops dispatch through it; the reference interpreter calls
+        ``runtime.enter_region`` on every dispatch, as the oracle.
+        """
+        bound = self._entries.get(id(instr))
+        if bound is not None and bound[0] is instr:
+            return bound[1]
+        if self.runtime is None:
+            raise MachineError(
+                "EnterRegion executed without a runtime attached"
+            )
+        dispatch = self.runtime.bind_entry(self, instr)
+        self._entries[id(instr)] = (instr, dispatch)
+        return dispatch
 
     # ------------------------------------------------------------------
     # Execution core

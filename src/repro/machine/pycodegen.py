@@ -317,7 +317,7 @@ class _Emitter:
         # The callees are known once the body is emitted; each is bound
         # as a default, like the other per-machine names.
         callees = "".join(f"F{i}=F{i}, " for i in range(len(self.callees)))
-        header = ("def _run(E, L, ST=ST, MA=MA, C=C, K=K, LBLS=LBLS, "
+        header = ("def _run(E, L, ST=ST, C=C, K=K, LBLS=LBLS, "
                   f"{callees}CALL=CALL, LOAD=LOAD, STORE=STORE):")
         return header + "\n" + "\n".join(self.lines) + "\n"
 
@@ -467,9 +467,8 @@ class _Emitter:
             self.emit(b, f"ST.cycles += {const!r} + X")
         elif const != 0.0:
             self.emit(b, f"ST.cycles += {const!r}")
-        self.emit(b, f"ST.instructions += {count}")
-        self.emit(b, f"_t = MA._steps + {count}")
-        self.emit(b, "MA._steps = _t")
+        self.emit(b, f"_t = ST.instructions + {count}")
+        self.emit(b, "ST.instructions = _t")
         self.emit(b, f"if _t > {self.step_limit}: "
                      f"raise MachineError({self._limit_msg!r})")
 
@@ -853,6 +852,10 @@ class PyCodegenBackend:
         #: ``Function.version`` only: a host function's penalty and scale
         #: are fixed for the machine (same strong-reference guarantee).
         self._hosts: dict[int, _PyTranslation] = {}
+        #: id(region code) -> [code, footprint, penalty, translation]:
+        #: what an entry needs, kept per code version, as the threaded
+        #: region loop keeps it (same strong-reference guarantee).
+        self._regions: dict[int, list] = {}
         #: Bounded, checksummed backing store (PR 3 cache machinery);
         #: authoritative for retention, re-verified on every hit.
         self._store = CodeCache(capacity=cache_capacity,
@@ -893,11 +896,6 @@ class PyCodegenBackend:
         self._latest[id(fn)] = entry
         return entry
 
-    def invalidate(self, fn: Function) -> None:
-        """Drop the fast-path translation of ``fn`` (tests / tooling)."""
-        self._latest.pop(id(fn), None)
-        self._hosts.pop(id(fn), None)
-
     def _code_object(self, fn: Function, source: str):
         """The process-wide source-keyed code object for ``source``."""
         code = _CODE_OBJECTS.get(source)
@@ -928,7 +926,6 @@ class PyCodegenBackend:
             TrapError=TrapError,
             MachineError=MachineError,
             ST=machine.stats,
-            MA=machine,
             C=fn,
             K=consts,
             LBLS=labels,
@@ -1019,13 +1016,7 @@ class PyCodegenBackend:
             if kind == "return":
                 return payload
             if kind == "enter_region":
-                if machine.runtime is None:
-                    raise MachineError(
-                        "EnterRegion executed without a runtime attached"
-                    )
-                outcome, value = machine.runtime.enter_region(
-                    machine, payload, env
-                )
+                outcome, value = machine.bind_entry(payload)(env)
                 if outcome == "return":
                     return value
                 lid = trans.ids[value]
@@ -1039,12 +1030,14 @@ class PyCodegenBackend:
         """Codegen equivalent of ``Machine._exec_region_interp``.
 
         The penalty is fixed at entry (from ``footprint``), matching the
-        reference; generated region code returns ``('stale', label)``
-        whenever the version changes under it, and the driver
-        retranslates and resumes.  A compile failure degrades to the
-        threaded backend at entry, or — mid-region, where only the
-        reference loop is label-resumable from outside — directly to
-        the reference interpreter.
+        reference; it is kept per ``(code, footprint)`` and the
+        translation per ``Function.version``, so an entry into code that
+        has not changed computes neither.  Generated region code returns
+        ``('stale', label)`` whenever the version changes under it, and
+        the driver retranslates and resumes.  A compile failure degrades
+        to the threaded backend at entry, or — mid-region, where only
+        the reference loop is label-resumable from outside — directly
+        to the reference interpreter.
         """
         machine = self.machine
         if self.compile_threshold and footprint > EAGER_FOOTPRINT:
@@ -1062,13 +1055,21 @@ class PyCodegenBackend:
                         code, env, footprint
                     )
                 heat[2] = True
-        penalty = machine.icache.per_instruction_penalty(footprint)
-        try:
-            trans = self.translation(code, penalty, 1.0, region=True)
-        except CompileFault:
-            machine.stats.degraded_compilations += 1
-            return self._fallback().exec_region_code(code, env,
-                                                     footprint)
+        bound = self._regions.get(id(code))
+        if bound is None or bound[0] is not code or bound[1] != footprint:
+            penalty = machine.icache.per_instruction_penalty(footprint)
+            bound = [code, footprint, penalty, None]
+            self._regions[id(code)] = bound
+        penalty = bound[2]
+        trans = bound[3]
+        if trans is None or trans.version != code.version:
+            try:
+                trans = self.translation(code, penalty, 1.0, region=True)
+            except CompileFault:
+                machine.stats.degraded_compilations += 1
+                return self._fallback().exec_region_code(code, env,
+                                                         footprint)
+            bound[3] = trans
         label = code.entry
         while True:
             if code.version != trans.version:
@@ -1080,6 +1081,7 @@ class PyCodegenBackend:
                     return machine._exec_region_interp(
                         code, env, footprint, label
                     )
+                bound[3] = trans
             lid = trans.ids[label]
             kind, payload = self._run_guarded(trans, env, lid)
             if kind in ("exit", "return"):

@@ -53,7 +53,12 @@ neither it nor a translation lookup.
 
 The commonest block shape, ``d = a op b`` then a ``Branch`` on ``d``, is
 translated into one fused runner instead of a runner, a step and a finish
-closure.
+closure; a comparison there calls its ``operator`` predicate and writes
+``1`` or ``0`` itself.  A block that ends in ``EnterRegion`` dispatches
+from its finish, through the machine's entry for the instruction
+(``Machine.bind_entry``), fetched at the block's first dispatch, so the
+host loop only ever sees jumps and returns.  Every commit tests the step limit
+against ``stats.instructions``, the machine's one step counter.
 """
 
 from __future__ import annotations
@@ -150,6 +155,19 @@ BINOP_FUNCS = {
     Op.LE: lambda lhs, rhs: int(lhs <= rhs),
     Op.GT: lambda lhs, rhs: int(lhs > rhs),
     Op.GE: lambda lhs, rhs: int(lhs >= rhs),
+}
+
+#: The comparisons as C-level predicates, for the fused
+#: compare-and-branch runner: it writes ``1`` or ``0`` itself, the int
+#: ``BINOP_FUNCS`` (and ``eval_binop``) return, without a Python-level
+#: call.
+COMPARE_FUNCS = {
+    Op.EQ: operator.eq,
+    Op.NE: operator.ne,
+    Op.LT: operator.lt,
+    Op.LE: operator.le,
+    Op.GT: operator.gt,
+    Op.GE: operator.ge,
 }
 
 UNOP_FUNCS = {
@@ -290,23 +308,13 @@ class ThreadedBackend:
             runners = trans.runners
             label = _fn.entry
             while True:
+                # An EnterRegion block dispatches from its finish and
+                # returns the region's ("jump", exit) or ("return", v).
                 kind, payload = runners[label](env)
                 if kind == "jump":
                     label = payload
                 elif kind == "return":
                     return payload
-                elif kind == "enter_region":
-                    if _m.runtime is None:
-                        raise MachineError(
-                            "EnterRegion executed without a runtime "
-                            "attached"
-                        )
-                    outcome, value = _m.runtime.enter_region(
-                        _m, payload, env
-                    )
-                    if outcome == "return":
-                        return value
-                    label = value
                 else:  # pragma: no cover - defensive
                     raise MachineError(
                         f"unexpected block outcome {kind!r}"
@@ -450,9 +458,7 @@ class ThreadedBackend:
                 finish = self._return_finish(const, count, instr)
             elif cls is EnterRegion:
                 count += 1
-                finish = self._const_finish(
-                    const, count, ("enter_region", instr)
-                )
+                finish = self._enter_finish(const, count, instr)
             elif cls is Promote:
                 count += 1
                 finish = self._const_finish(
@@ -541,9 +547,8 @@ class ThreadedBackend:
                 for step in steps:
                     extra = step(env, extra)
                 _stats.cycles += const + extra
-                _stats.instructions += count
-                total = _m._steps + count
-                _m._steps = total
+                total = _stats.instructions + count
+                _stats.instructions = total
                 if total > _m.step_limit:
                     raise MachineError(
                         f"step limit {_m.step_limit} exceeded "
@@ -563,6 +568,8 @@ class ThreadedBackend:
 
         It evaluates, writes ``d``, commits the segment and picks the
         successor, in place of a runner, a step and a finish closure.
+        A comparison is a ``COMPARE_FUNCS`` predicate, whose truth picks
+        both the ``1`` or ``0`` written and the successor.
         The charge is the reference's: the two base terms summed in
         order, plus the float extra when an operand is a float, added
         in one commit; a trap in the operator or an undefined operand
@@ -599,6 +606,40 @@ class ThreadedBackend:
         true_out = ("jump", branch.if_true)
         false_out = ("jump", branch.if_false)
         dest = binop.dest
+        cmp = COMPARE_FUNCS.get(binop.op)
+
+        if lhs_reg and rhs_reg and cmp is not None:
+            def runner(env, _cmp=cmp, _d=dest, _l=lhs.name, _r=rhs.name,
+                       _plain=plain, _fp=with_fp, _m=machine,
+                       _stats=stats, _t=true_out, _f=false_out):
+                try:
+                    a = env[_l]
+                except KeyError:
+                    _undefined(_l)
+                try:
+                    b = env[_r]
+                except KeyError:
+                    _undefined(_r)
+                if _cmp(a, b):
+                    env[_d] = 1
+                    out = _t
+                else:
+                    env[_d] = 0
+                    out = _f
+                if type(a) is float or type(b) is float:
+                    _stats.cycles += _fp
+                else:
+                    _stats.cycles += _plain
+                total = _stats.instructions + 2
+                _stats.instructions = total
+                if total > _m.step_limit:
+                    raise MachineError(
+                        f"step limit {_m.step_limit} exceeded "
+                        f"(infinite loop?)"
+                    )
+                return out
+
+            return runner
 
         if lhs_reg and rhs_reg:
             def runner(env, _fn=fn, _d=dest, _l=lhs.name, _r=rhs.name,
@@ -618,9 +659,8 @@ class ThreadedBackend:
                     _stats.cycles += _fp
                 else:
                     _stats.cycles += _plain
-                _stats.instructions += 2
-                total = _m._steps + 2
-                _m._steps = total
+                total = _stats.instructions + 2
+                _stats.instructions = total
                 if total > _m.step_limit:
                     raise MachineError(
                         f"step limit {_m.step_limit} exceeded "
@@ -637,6 +677,32 @@ class ThreadedBackend:
             plain = with_fp
         reg = lhs.name if lhs_reg else rhs.name
 
+        if cmp is not None:
+            def runner(env, _cmp=cmp, _d=dest, _reg=reg, _imm=imm,
+                       _imm_rhs=lhs_reg, _plain=plain, _fp=with_fp,
+                       _m=machine, _stats=stats, _t=true_out, _f=false_out):
+                try:
+                    a = env[_reg]
+                except KeyError:
+                    _undefined(_reg)
+                if _cmp(a, _imm) if _imm_rhs else _cmp(_imm, a):
+                    env[_d] = 1
+                    out = _t
+                else:
+                    env[_d] = 0
+                    out = _f
+                _stats.cycles += _fp if type(a) is float else _plain
+                total = _stats.instructions + 2
+                _stats.instructions = total
+                if total > _m.step_limit:
+                    raise MachineError(
+                        f"step limit {_m.step_limit} exceeded "
+                        f"(infinite loop?)"
+                    )
+                return out
+
+            return runner
+
         def runner(env, _fn=fn, _d=dest, _reg=reg, _imm=imm,
                    _imm_rhs=lhs_reg, _plain=plain, _fp=with_fp, _m=machine,
                    _stats=stats, _t=true_out, _f=false_out):
@@ -647,9 +713,8 @@ class ThreadedBackend:
             value = _fn(a, _imm) if _imm_rhs else _fn(_imm, a)
             env[_d] = value
             _stats.cycles += _fp if type(a) is float else _plain
-            _stats.instructions += 2
-            total = _m._steps + 2
-            _m._steps = total
+            total = _stats.instructions + 2
+            _stats.instructions = total
             if total > _m.step_limit:
                 raise MachineError(
                     f"step limit {_m.step_limit} exceeded "
@@ -1056,15 +1121,42 @@ class ThreadedBackend:
         def finish(env, extra, _m=machine, _stats=stats, _const=const,
                    _count=count, _out=outcome):
             _stats.cycles += _const + extra
-            _stats.instructions += _count
-            total = _m._steps + _count
-            _m._steps = total
+            total = _stats.instructions + _count
+            _stats.instructions = total
             if total > _m.step_limit:
                 raise MachineError(
                     f"step limit {_m.step_limit} exceeded "
                     f"(infinite loop?)"
                 )
             return _out
+
+        return finish
+
+    def _enter_finish(self, const: float, count: int,
+                      instr: EnterRegion):
+        """Commit, then dispatch into the region through the machine's
+        entry for ``instr`` (``Machine.bind_entry``), fetched at this
+        block's first dispatch, never at translation, so the region's
+        stats and entry cache are created when the reference creates
+        them."""
+        machine = self.machine
+        stats = machine.stats
+        held: list = [None]
+
+        def finish(env, extra, _m=machine, _stats=stats, _const=const,
+                   _count=count, _instr=instr, _held=held):
+            _stats.cycles += _const + extra
+            total = _stats.instructions + _count
+            _stats.instructions = total
+            if total > _m.step_limit:
+                raise MachineError(
+                    f"step limit {_m.step_limit} exceeded "
+                    f"(infinite loop?)"
+                )
+            dispatch = _held[0]
+            if dispatch is None:
+                dispatch = _held[0] = _m.bind_entry(_instr)
+            return dispatch(env)
 
         return finish
 
@@ -1086,9 +1178,8 @@ class ThreadedBackend:
                 except KeyError:
                     _undefined(_c)
                 _stats.cycles += _const + extra
-                _stats.instructions += _count
-                total = _m._steps + _count
-                _m._steps = total
+                total = _stats.instructions + _count
+                _stats.instructions = total
                 if total > _m.step_limit:
                     raise MachineError(
                         f"step limit {_m.step_limit} exceeded "
@@ -1119,9 +1210,8 @@ class ThreadedBackend:
             def finish(env, extra, _m=machine, _stats=stats,
                        _const=const, _count=count, _v=value.name):
                 _stats.cycles += _const + extra
-                _stats.instructions += _count
-                total = _m._steps + _count
-                _m._steps = total
+                total = _stats.instructions + _count
+                _stats.instructions = total
                 if total > _m.step_limit:
                     raise MachineError(
                         f"step limit {_m.step_limit} exceeded "

@@ -428,6 +428,10 @@ class UncheckedCache:
     comparing keys (that is the point — and the hazard).  With
     ``strict=True`` (the annotation-checking debug mode) a key change
     raises instead of silently reusing stale code.
+
+    A region entry's bound dispatch (``DycRuntime.bind_entry``) reads a
+    filled, non-strict slot directly, as DyC's load does, and counts the
+    lookup in ``total_lookups`` itself.
     """
 
     def __init__(self, strict: bool = False) -> None:

@@ -2,12 +2,15 @@
 
 :class:`DycRuntime` is attached to a :class:`~repro.machine.Machine`; the
 machine calls back into it when host code executes an ``EnterRegion``
-terminator (region dispatch) or specialized code executes a ``Promote``
-terminator (internal dynamic-to-static promotion).
+terminator (region dispatch: :meth:`DycRuntime.enter_region`, or the
+per-machine entry :meth:`DycRuntime.bind_entry` returns) or specialized
+code executes a ``Promote`` terminator (internal dynamic-to-static
+promotion).
 """
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 from repro.dyc.genext import GeneratingExtension
@@ -47,6 +50,15 @@ class _RegionDispatch(NamedTuple):
     #: ``OverheadModel.fixed_dispatch_cost(policy)``: None when the
     #: cost depends on each lookup's probe count.
     cost: float | None
+
+
+def _undefined_key(instr, missing: KeyError) -> SpecializationError:
+    region_id = instr.region_id
+    return SpecializationError(
+        f"region {region_id}: promoted variable {missing} is "
+        "undefined at region entry",
+        region_id=region_id,
+    )
 
 
 class DycRuntime:
@@ -152,6 +164,57 @@ class DycRuntime:
         self._dispatch[id(instr)] = record
         return record
 
+    def bind_entry(self, machine: Machine, instr):
+        """``dispatch(env) -> (kind, payload)``: every dispatch through
+        ``instr`` on ``machine``, bound at its first dispatch there.
+
+        A filled slot of a non-strict ``cache_one_unchecked`` region is
+        DyC's unchecked dispatch, a load and an indirect jump (§4.4.3):
+        the bound dispatch checks that the key registers are defined,
+        counts the lookup, adds the fixed dispatch charge in
+        ``Machine.charge_dispatch``'s order and runs the slot's code,
+        with each exit's ``("jump", label)`` built here.  Everything
+        else (an empty slot, strict checking, the hash and indexed
+        policies, and so quarantine) is :meth:`enter_region`, which
+        stays the oracle the bound path is tested against.  The
+        binding holds ``machine``, which keeps it per instruction
+        (``Machine.bind_entry``); the compile-time machine shares this
+        runtime and binds its own.
+        """
+        record = self._dispatch.get(id(instr))
+        if record is None or record.instr is not instr:
+            record = self._bind_dispatch(instr)
+        _, _, stats, policy, cache, cost = record
+        enter_region = self.enter_region
+        if policy != "cache_one_unchecked" \
+                or type(cache) is not UncheckedCache or cache._strict:
+            return functools.partial(enter_region, machine, instr)
+        exits = tuple([("jump", label) for label in instr.exits])
+
+        def dispatch(env, _enter=enter_region, _m=machine, _instr=instr,
+                     _cache=cache, _keys=instr.keys, _cost=cost,
+                     _mstats=machine.stats, _stats=stats,
+                     _exec=machine.exec_region_code, _exits=exits):
+            if not _cache._filled:
+                return _enter(_m, _instr, env)
+            for name in _keys:
+                if name not in env:
+                    raise _undefined_key(_instr, KeyError(name))
+            _cache.total_lookups += 1
+            _mstats.dispatch_cycles += _cost
+            _mstats.dispatches += 1
+            _mstats.cycles += _cost
+            _stats.dispatches += 1
+            _stats.dispatch_cycles += _cost
+            _stats.unchecked_dispatches += 1
+            code = _cache._value
+            kind, payload = _exec(code.function, env, code.footprint)
+            if kind == "exit":
+                return _exits[payload]
+            return ("return", payload)
+
+        return dispatch
+
     def enter_region(self, machine: Machine, instr, env: dict):
         """Dispatch into a dynamic region; returns ("jump", label) to
         resume host code or ("return", value) for an in-region return."""
@@ -163,12 +226,7 @@ class DycRuntime:
         try:
             key = tuple([env[k] for k in instr.keys])
         except KeyError as missing:
-            region_id = instr.region_id
-            raise SpecializationError(
-                f"region {region_id}: promoted variable {missing} is "
-                "undefined at region entry",
-                region_id=region_id,
-            ) from None
+            raise _undefined_key(instr, missing) from None
 
         result = cache.lookup(key)
         if cost is None:

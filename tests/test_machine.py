@@ -5,9 +5,17 @@ import dataclasses
 
 import pytest
 
+from repro.config import ALL_ON
+from repro.dyc import compile_annotated
 from repro.dyc.compiler import CompiledProgram
-from repro.errors import MachineError, TrapError
+from repro.errors import (
+    CacheError,
+    MachineError,
+    SpecializationError,
+    TrapError,
+)
 from repro.evalharness.runner import run_workload
+from repro.frontend import compile_source
 from repro.ir import (
     BasicBlock,
     Function,
@@ -22,6 +30,7 @@ from repro.ir import (
 )
 from repro.machine import ALPHA_21164, BACKENDS, ICacheModel, Machine
 from repro.machine.costs import CostModel
+from repro.runtime.runtime import DycRuntime
 from repro.runtime.specializer import Specializer
 from repro.runtime.stats import RuntimeStats
 from repro.workloads import WORKLOADS_BY_NAME
@@ -562,3 +571,207 @@ class TestComputedOnce:
         regions = runtime.stats.regions.values()
         assert sum(r.internal_promotions_executed for r in regions) == 54
         assert len(lookups) <= len(regions) + len(runtime.pendings)
+
+    def test_codegen_region_penalty_sized_once_per_code(self, monkeypatch):
+        """pycodegen keeps what a region entry needs per code version,
+        as the threaded region loop does: a counted binary run sized
+        its one region code's I-cache penalty on each of its 1,500
+        entries (1,502 calls in all before)."""
+        binary = WORKLOADS_BY_NAME["binary"]
+        run_workload(binary, backend="pycodegen")   # warm the static side
+        sized: collections.Counter = collections.Counter()
+        made: list = []
+        per_instruction_penalty = ICacheModel.per_instruction_penalty
+        make_machine = CompiledProgram.make_machine
+
+        def counting(self, footprint):
+            sized[footprint] += 1
+            return per_instruction_penalty(self, footprint)
+
+        def making(self, *args, **kwargs):
+            machine, runtime = make_machine(self, *args, **kwargs)
+            made.append((machine, runtime))
+            return machine, runtime
+
+        monkeypatch.setattr(ICacheModel, "per_instruction_penalty",
+                            counting)
+        monkeypatch.setattr(CompiledProgram, "make_machine", making)
+        result = run_workload(binary, backend="pycodegen")
+        assert result.region_entries["bsearch"] == 1500
+        (machine, runtime), = made
+        codes = [cache._value for cache in runtime.entry_caches.values()]
+        assert len(codes) == 1
+        assert sum(sized.values()) \
+            <= len(machine.module.functions) + len(codes)
+
+
+#: ``f(x, n, flag)``: an unchecked region keyed on ``k``, which only
+#: ``flag`` defines.
+_KEYED = """
+func f(x, n, flag) {
+    if (flag) { k = n; }
+    make_static(k) : cache_one_unchecked;
+    return x * k;
+}
+"""
+
+#: ``f(x, n, flag)``: an unchecked region entered only when ``flag``.
+_BRANCHED = """
+func f(x, n, flag) {
+    if (flag) {
+        make_static(n) : cache_one_unchecked;
+        x = x * n;
+    }
+    return x + 1;
+}
+"""
+
+
+@pytest.fixture
+def entered(monkeypatch):
+    """Calls of ``DycRuntime.enter_region``, per backend."""
+    counts: collections.Counter = collections.Counter()
+    enter_region = DycRuntime.enter_region
+
+    def counting(self, machine, instr, env):
+        counts[machine.backend] += 1
+        return enter_region(self, machine, instr, env)
+
+    monkeypatch.setattr(DycRuntime, "enter_region", counting)
+    return counts
+
+
+def _dispatches(source, calls, config=ALL_ON):
+    """Per backend, each call's result or error and what it left: the
+    machine's stats, every region's stats and each entry cache's
+    lookup count."""
+    compiled = compile_annotated(compile_source(source), config)
+    outcomes = {}
+    for backend in BACKENDS:
+        machine, runtime = compiled.make_machine(backend=backend)
+        seen = []
+        for args in calls:
+            try:
+                result = ("ok", machine.run("f", *args))
+            except (SpecializationError, CacheError) as exc:
+                result = (type(exc).__name__, str(exc))
+            seen.append((
+                result,
+                machine.stats.snapshot(),
+                {region_id: dataclasses.asdict(stats)
+                 for region_id, stats in runtime.stats.regions.items()},
+                {region_id: cache.total_lookups
+                 for region_id, cache in runtime.entry_caches.items()},
+            ))
+        outcomes[backend] = seen
+    return outcomes
+
+
+class TestBoundRegionDispatch:
+    """The threaded and codegen backends dispatch through the entry
+    ``DycRuntime.bind_entry`` binds at an ``EnterRegion``'s first
+    dispatch; a filled unchecked slot skips ``enter_region``.  These pin
+    what that binding must not change, against the reference, which
+    calls ``enter_region`` on every dispatch."""
+
+    def test_unchecked_hits_skip_enter_region(self, entered, monkeypatch):
+        binary = WORKLOADS_BY_NAME["binary"]
+        lookups = {}
+        bound: collections.Counter = collections.Counter()
+        make_machine = CompiledProgram.make_machine
+        bind_entry = DycRuntime.bind_entry
+
+        def making(self, *args, **kwargs):
+            machine, runtime = make_machine(self, *args, **kwargs)
+            lookups[machine.backend] = runtime.entry_caches
+            return machine, runtime
+
+        def binding(self, machine, instr):
+            bound[machine.backend] += 1
+            return bind_entry(self, machine, instr)
+
+        monkeypatch.setattr(CompiledProgram, "make_machine", making)
+        monkeypatch.setattr(DycRuntime, "bind_entry", binding)
+        results = {backend: run_workload(binary, backend=backend)
+                   for backend in BACKENDS}
+        assert entered == {"reference": 1500, "threaded": 1,
+                           "pycodegen": 1}
+        assert bound == {"threaded": 1, "pycodegen": 1}
+        for backend in BACKENDS:
+            assert results[backend].region_entries["bsearch"] == 1500
+            assert results[backend] == results["reference"], backend
+            caches = lookups[backend]
+            assert [c.total_lookups for c in caches.values()] == [1500]
+
+    def test_undefined_key_on_a_hit_raises_like_reference(self, entered):
+        outcomes = _dispatches(_KEYED, [(2, 3, 1), (2, 3, 0)])
+        assert outcomes["reference"][0][0] == ("ok", 6)
+        assert outcomes["reference"][1][0] == (
+            "SpecializationError",
+            "region 0: promoted variable 'k' is undefined at region "
+            "entry")
+        for backend in BACKENDS:
+            assert outcomes[backend] == outcomes["reference"], backend
+        assert entered == {"reference": 2, "threaded": 1, "pycodegen": 1}
+
+    def test_strict_checking_raises_on_a_changed_key(self, entered):
+        config = dataclasses.replace(ALL_ON, check_annotations=True)
+        outcomes = _dispatches(_KEYED, [(2, 3, 1), (5, 3, 1), (2, 4, 1)],
+                               config)
+        assert [seen[0][0] for seen in outcomes["reference"]] \
+            == ["ok", "ok", "CacheError"]
+        for backend in BACKENDS:
+            assert outcomes[backend] == outcomes["reference"], backend
+        # A strict slot compares keys, so every dispatch takes
+        # enter_region.
+        assert entered == {backend: 3 for backend in BACKENDS}
+
+    def test_unreached_entry_creates_no_region_state(self):
+        outcomes = _dispatches(_BRANCHED, [(2, 3, 0), (2, 3, 1), (2, 3, 1)])
+        result, _, regions, caches = outcomes["reference"][0]
+        assert result == ("ok", 3) and regions == {} and caches == {}
+        assert [seen[0] for seen in outcomes["reference"][1:]] \
+            == [("ok", 7), ("ok", 7)]
+        for backend in BACKENDS:
+            assert outcomes[backend] == outcomes["reference"], backend
+
+
+class TestStepLimit:
+    #: A call in a loop inside an unchecked region, run twice: the
+    #: second run dispatches through the bound hit path.
+    SOURCE = """
+    func g(a) { return a + 1; }
+    func f(x, n, flag) {
+        make_static(n) : cache_one_unchecked;
+        var i = 0;
+        while (i < x) { i = g(i); }
+        return i * n + flag;
+    }
+    """
+
+    def test_fires_at_the_same_instruction_on_every_backend(self):
+        compiled = compile_annotated(compile_source(self.SOURCE), ALL_ON)
+        machine, _ = compiled.make_machine()
+        assert machine.run("f", 3, 2, 1) == machine.run("f", 3, 2, 1) == 7
+        total = machine.stats.instructions
+        for limit in range(total + 1):
+            outcomes = {}
+            for backend in BACKENDS:
+                machine, _ = compiled.make_machine(step_limit=limit,
+                                                   backend=backend)
+                seen = []
+                for _ in range(2):
+                    try:
+                        seen.append(("ok", machine.run("f", 3, 2, 1)))
+                    except MachineError as exc:
+                        seen.append(("MachineError", str(exc)))
+                outcomes[backend] = (seen, machine.stats.snapshot())
+            seen, stats = outcomes["reference"]
+            if limit < total:
+                assert seen[1][0] == "MachineError", limit
+                assert "step limit" in seen[1][1]
+            else:
+                assert seen == [("ok", 7), ("ok", 7)]
+            for backend in BACKENDS:
+                assert outcomes[backend] == outcomes["reference"], \
+                    (backend, limit)

@@ -24,7 +24,7 @@ from repro.ir import (
 from repro.ir.eval import eval_binop, eval_unop
 from repro.ir.instructions import ExitRegion, Imm, Move, Return
 from repro.machine import ALPHA_21164, BACKENDS, ICacheModel, Machine
-from repro.machine.threaded import BINOP_FUNCS, UNOP_FUNCS
+from repro.machine.threaded import BINOP_FUNCS, COMPARE_FUNCS, UNOP_FUNCS
 from repro.workloads import ALL_WORKLOADS, WORKLOADS_BY_NAME
 
 
@@ -107,6 +107,21 @@ class TestEvaluatorTables:
                     got = func(lhs, rhs)
                     assert got == expected, (op, lhs, rhs)
                     assert type(got) is type(expected), (op, lhs, rhs)
+
+    def test_compare_funcs_match_eval_binop(self):
+        """A fused comparison writes ``1`` or ``0`` from its predicate's
+        truth; that must be the int ``eval_binop`` returns."""
+        assert set(COMPARE_FUNCS) == {Op.EQ, Op.NE, Op.LT, Op.LE, Op.GT,
+                                      Op.GE}
+        nan = float("nan")
+        for op, pred in COMPARE_FUNCS.items():
+            for lhs, rhs in self.SAMPLES + [(-0.0, 0.0), (2, 2.0),
+                                            (nan, nan), (nan, 1)]:
+                expected = eval_binop(op, lhs, rhs)
+                assert type(expected) is int
+                assert (1 if pred(lhs, rhs) else 0) == expected, \
+                    (op, lhs, rhs)
+                assert BINOP_FUNCS[op](lhs, rhs) == expected
 
     def test_unop_funcs_match_eval_unop(self):
         for op, func in UNOP_FUNCS.items():
@@ -351,6 +366,34 @@ class TestFusedBlocks:
         outcomes = _outcome(mod, 0)
         for backend in BACKENDS:
             assert outcomes[backend] == outcomes["reference"], backend
+
+    @pytest.mark.parametrize("op", sorted(COMPARE_FUNCS, key=str))
+    def test_comparison_writes_an_int(self, op):
+        """``c = a op b; branch c`` then ``return c``: the register
+        holds the int ``1`` or ``0`` on every backend, never a bool, for
+        every operand shape and numeric mix."""
+        for a, b in [(1, 2), (2, 2), (1, 2.5), (2.0, 2), (1.5, 2.5),
+                     (-0.0, 0.0)]:
+            for lhs, rhs, args in [("x", "y", (a, b)), ("x", b, (a,)),
+                                   (a, "x", (b,))]:
+                fb = FunctionBuilder("f", ("x", "y")[:len(args)])
+                fb.binop("c", op, lhs, rhs)
+                fb.branch("c", "yes", "no")
+                fb.label("yes")
+                fb.ret("c")
+                fb.label("no")
+                fb.ret("c")
+                mod = Module()
+                mod.add_function(fb.finish())
+                self._assert_fused(mod)
+                outcomes = _outcome(mod, *args)
+                expected = eval_binop(op, a, b)
+                assert outcomes["reference"][0] == ("ok", expected)
+                for backend in BACKENDS:
+                    assert outcomes[backend] == outcomes["reference"], \
+                        (backend, op, lhs, rhs)
+                    assert type(outcomes[backend][0][1]) is int, \
+                        (backend, op, lhs, rhs)
 
     @pytest.mark.parametrize("limit", [3, 7])
     def test_step_limit_reached_in_a_fused_block(self, limit):
