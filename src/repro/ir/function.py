@@ -65,7 +65,7 @@ class Function:
     #: patched in place (the specializer threading jumps or adding lazily
     #: specialized blocks).  Translation caches — e.g. the direct-threaded
     #: backend in :mod:`repro.machine.threaded` — key on it to know when
-    #: their compiled closures are stale.
+    #: their translated blocks are stale.
     version: int = 0
 
     def bump_version(self) -> None:

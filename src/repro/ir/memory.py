@@ -20,7 +20,9 @@ class Memory:
     """A growable array of words (Python ints/floats)."""
 
     def __init__(self) -> None:
-        # Slot 0 is the never-valid null word.
+        # Slot 0 is the never-valid null word.  The list is only ever
+        # grown or written in place, never rebound once a machine holds
+        # this memory: threaded blocks index it directly.
         self._words: list[Word] = [0]
         self._watch: set[int] | None = None
         self._watch_hits: list[int] = []

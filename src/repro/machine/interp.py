@@ -27,10 +27,11 @@ Two backends execute the same IR with **bit-identical** accounting:
 ``backend="reference"``
     the per-instruction interpreter below — the executable specification.
 ``backend="threaded"``
-    :mod:`repro.machine.threaded` — a direct-threaded translation to
-    chained Python closures with cost-model lookups and operand decoding
-    folded in at translation time.  Several times faster; used by the
-    evaluation harness for large sweeps.
+    :mod:`repro.machine.threaded` — a direct-threaded translation of
+    each block to one Python function, built from a code template
+    compiled once per block shape, with cost-model lookups and operand
+    decoding folded in at translation time.  Several times faster; used
+    by the evaluation harness for large sweeps.
 
 Both backends charge cycles with the same *segment* discipline: costs of a
 straight-line run of instructions (a block, or a block prefix up to a
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import functools
 import sys
+import threading
 from dataclasses import dataclass, field
 
 from repro.errors import MachineError, TrapError
@@ -83,20 +85,41 @@ from repro.machine.intrinsics import INTRINSICS
 #: CPython's recursion limit does.
 _RECURSION_HEADROOM = 20_000
 
-_recursion_guard_done = False
+
+class _RecursionHeadroom:
+    """Holds the process recursion limit at ``_RECURSION_HEADROOM`` or
+    above while any machine executes, and restores it after.
+
+    The limit is process-wide and the serve executor runs machines on
+    several threads at once, so entries are counted under a lock: the
+    first outermost entry saves the limit and raises it, the last one
+    out puts it back.  ``Machine.run`` enters once per run, not per call.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._active = 0
+        #: The limit to restore, or None when it was high enough.
+        self._saved: int | None = None
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if self._active == 0:
+                limit = sys.getrecursionlimit()
+                if limit < _RECURSION_HEADROOM:
+                    sys.setrecursionlimit(_RECURSION_HEADROOM)
+                    self._saved = limit
+            self._active += 1
+
+    def __exit__(self, *exc) -> None:
+        with self._lock:
+            self._active -= 1
+            if self._active == 0 and self._saved is not None:
+                sys.setrecursionlimit(self._saved)
+                self._saved = None
 
 
-def _ensure_recursion_headroom() -> None:
-    """Raise the process recursion limit once, the first time a machine is
-    built.  A module-level one-shot guard: constructing machines is a hot
-    path for the harness (two per workload run plus compile-time machines)
-    and ``sys.setrecursionlimit`` mutates global interpreter state."""
-    global _recursion_guard_done
-    if _recursion_guard_done:
-        return
-    if sys.getrecursionlimit() < _RECURSION_HEADROOM:
-        sys.setrecursionlimit(_RECURSION_HEADROOM)
-    _recursion_guard_done = True
+_recursion_headroom = _RecursionHeadroom()
 
 
 #: Execution backends accepted by :class:`Machine`.
@@ -156,7 +179,7 @@ class Machine:
         ``stats.scope_cycles`` (the paper's dynamic-region timings).
     backend:
         ``"reference"`` (per-instruction interpreter), ``"threaded"``
-        (direct-threaded closure translation; same stats, much faster),
+        (direct-threaded block templates; same stats, much faster),
         or ``"pycodegen"`` (functions compiled to Python code objects;
         same stats in counted mode, faster still).
     codegen_mode:
@@ -241,7 +264,6 @@ class Machine:
         #: id(EnterRegion) -> (instr, its dispatch); see
         #: :meth:`bind_entry` (same strong-reference guarantee).
         self._entries: dict[int, tuple] = {}
-        _ensure_recursion_headroom()
 
     # ------------------------------------------------------------------
     # Cycle accounting
@@ -287,8 +309,13 @@ class Machine:
     # ------------------------------------------------------------------
 
     def run(self, name: str, *args):
-        """Call a module function from the harness and return its result."""
-        return self.call(name, list(args))
+        """Call a module function from the harness and return its result.
+
+        The process recursion limit is raised for the run's duration only
+        (see :class:`_RecursionHeadroom`).
+        """
+        with _recursion_headroom:
+            return self.call(name, list(args))
 
     def call(self, name: str, args: list):
         if name in self.module.functions:

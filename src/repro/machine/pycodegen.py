@@ -2,12 +2,13 @@
 
 The direct-threaded backend (:mod:`repro.machine.threaded`) already folds
 operand decoding and cost lookups into translation time, but it still
-pays one Python call per instruction *step* and one per block.  This
-backend goes one emission tier further: each function — host functions
-and runtime-emitted region code alike — is lowered to Python *source*,
-compiled with :func:`compile`, and executed as a single generated
-function, so a straight-line run of IR instructions becomes a
-straight-line run of Python statements with zero interpretive overhead.
+pays one Python call per block and a trip through its dispatch loop
+between blocks.  This backend goes one emission tier further: each
+function — host functions and runtime-emitted region code alike — is
+lowered to Python *source*, compiled with :func:`compile`, and executed
+as a single generated function, so a straight-line run of IR
+instructions becomes a straight-line run of Python statements with zero
+interpretive overhead.
 
 Lowering rules (see ``DESIGN.md`` §9)
 -------------------------------------
@@ -73,7 +74,6 @@ from repro.ir.instructions import (
     MakeDynamic,
     MakeStatic,
     Move,
-    Op,
     Promote,
     Reg,
     Return,
@@ -82,11 +82,13 @@ from repro.ir.instructions import (
 )
 from repro.machine.costs import binop_terms, flat_term, move_terms
 from repro.machine.threaded import (
+    _HELPER_BINOPS,
+    _HELPER_GLOBALS,
+    _INLINE_BINOPS,
+    _INLINE_UNOPS,
     BINOP_FUNCS,
     UNOP_FUNCS,
     ThreadedBackend,
-    _div,
-    _mod,
 )
 from repro.opt.regionshape import region_shape
 from repro.runtime.cache import CodeCache, entry_checksum
@@ -187,52 +189,6 @@ class CompileFault(MachineError):
     (pycodegen -> threaded -> reference), which is stats-identical in
     counted mode except for ``degraded_compilations``.
     """
-
-
-# ----------------------------------------------------------------------
-# Expression templates
-# ----------------------------------------------------------------------
-# Operators whose Python spelling matches eval_binop exactly are inlined;
-# the rest (trap conditions: C99 division, int-only bitwise ops, shift
-# count checks) call the same wrapper functions the threaded backend
-# uses, so semantics cannot drift between the three backends.
-
-_INLINE_BINOPS = {
-    Op.ADD: "({a} + {b})",
-    Op.SUB: "({a} - {b})",
-    Op.MUL: "({a} * {b})",
-    Op.EQ: "int({a} == {b})",
-    Op.NE: "int({a} != {b})",
-    Op.LT: "int({a} < {b})",
-    Op.LE: "int({a} <= {b})",
-    Op.GT: "int({a} > {b})",
-    Op.GE: "int({a} >= {b})",
-}
-
-_HELPER_BINOPS = {
-    Op.DIV: "_div({a}, {b})",
-    Op.MOD: "_mod({a}, {b})",
-    Op.AND: "_op_and({a}, {b})",
-    Op.OR: "_op_or({a}, {b})",
-    Op.XOR: "_op_xor({a}, {b})",
-    Op.SHL: "_op_shl({a}, {b})",
-    Op.SHR: "_op_shr({a}, {b})",
-}
-
-_INLINE_UNOPS = {
-    Op.NEG: "(-{a})",
-    Op.NOT: "int(not {a})",
-}
-
-_HELPER_GLOBALS = {
-    "_div": _div,
-    "_mod": _mod,
-    "_op_and": BINOP_FUNCS[Op.AND],
-    "_op_or": BINOP_FUNCS[Op.OR],
-    "_op_xor": BINOP_FUNCS[Op.XOR],
-    "_op_shl": BINOP_FUNCS[Op.SHL],
-    "_op_shr": BINOP_FUNCS[Op.SHR],
-}
 
 
 def _lit(value) -> str:

@@ -2,6 +2,8 @@
 
 import collections
 import dataclasses
+import sys
+import threading
 
 import pytest
 
@@ -21,14 +23,17 @@ from repro.ir import (
     Function,
     FunctionBuilder,
     Imm,
+    Load,
     Memory,
     Module,
     Move,
     Op,
     Reg,
     Return,
+    Store,
 )
 from repro.machine import ALPHA_21164, BACKENDS, ICacheModel, Machine
+from repro.machine import interp
 from repro.machine.costs import CostModel
 from repro.runtime.runtime import DycRuntime
 from repro.runtime.specializer import Specializer
@@ -260,24 +265,142 @@ class TestCostModel:
         assert m.intrinsic_cost("unknown_thing") == m.intrinsic_default
 
 
-class TestRecursionGuard:
-    def test_one_shot_and_headroom(self):
-        from repro.machine import interp
+class _LimitLog:
+    """A profiler that records the recursion limit at every call, and
+    can hold the first call until released."""
 
-        # Any machine constructed by the suite so far has armed the
-        # guard; building one more must keep it armed and leave the
-        # process limit at (or above) the required headroom.
-        mod = Module()
-        b = FunctionBuilder("f", ())
-        b.ret(0)
-        mod.add_function(b.finish())
-        Machine(mod)
-        assert interp._recursion_guard_done is True
-        import sys
-        assert sys.getrecursionlimit() >= interp._RECURSION_HEADROOM
-        limit = sys.getrecursionlimit()
-        Machine(mod)  # second construction must not touch the limit
-        assert sys.getrecursionlimit() == limit
+    def __init__(self, hold: threading.Event | None = None) -> None:
+        self.limits: list = []
+        self.entered = threading.Event()
+        self.hold = hold
+
+    def enter(self, name, args, cycles):
+        self.limits.append(sys.getrecursionlimit())
+        self.entered.set()
+        if self.hold is not None:
+            assert self.hold.wait(timeout=30)
+            self.hold = None
+
+    def leave(self, name, cycles):
+        pass
+
+
+class TestRecursionGuard:
+    """The process recursion limit is raised while a machine runs and
+    restored after, so nothing else in the process sees it changed."""
+
+    @pytest.fixture(autouse=True)
+    def low_limit(self):
+        before = sys.getrecursionlimit()
+        sys.setrecursionlimit(1500)
+        try:
+            yield
+        finally:
+            sys.setrecursionlimit(before)
+
+    def test_limit_raised_only_while_a_machine_runs(self):
+        for backend in BACKENDS:
+            machine = Machine(_count_to(), backend=backend)
+            assert sys.getrecursionlimit() == 1500
+            machine.profiler = _LimitLog()
+            assert machine.run("f", 3) == 3
+            assert sys.getrecursionlimit() == 1500, backend
+            assert min(machine.profiler.limits) \
+                >= interp._RECURSION_HEADROOM, backend
+
+    def test_limit_restored_after_concurrent_runs(self):
+        """One thread's run finishes while another's is still inside a
+        call: the limit stays raised until the last run is out."""
+        release = threading.Event()
+        held = Machine(_count_to(), backend="threaded")
+        held.profiler = _LimitLog(hold=release)
+        results: list = []
+        worker = threading.Thread(
+            target=lambda: results.append(held.run("f", 2)))
+        worker.start()
+        try:
+            assert held.profiler.entered.wait(timeout=30)
+            other = Machine(_count_to(), backend="reference")
+            other.profiler = _LimitLog()
+            assert other.run("f", 2) == 2
+            assert sys.getrecursionlimit() >= interp._RECURSION_HEADROOM
+        finally:
+            release.set()
+            worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert results == [2]
+        assert sys.getrecursionlimit() == 1500
+        assert min(held.profiler.limits + other.profiler.limits) \
+            >= interp._RECURSION_HEADROOM
+
+
+#: Addresses at and past the edges of the templates' inline memory
+#: access: null, negative, one past the end, an integral float, a
+#: fractional float and a bool.
+_EDGE_ADDRESSES = (0, -1, "end", 2.0, 2.5, True)
+
+
+def _memory_access(access: str, addr, imm: bool) -> Module:
+    """``f(p, v)``: load the word at ``p`` and return it, or store ``v``
+    there and return 0; with ``imm``, the address is the immediate
+    ``addr`` instead of ``p``."""
+    operand = Imm(addr) if imm else Reg("p")
+    instrs = ([Load("x", operand), Return(Reg("x"))] if access == "load"
+              else [Store(operand, Reg("v")), Return(Imm(0))])
+    fn = Function(name="f", params=("p", "v"))
+    fn.add_block(BasicBlock("entry", instrs))
+    mod = Module()
+    mod.add_function(fn)
+    return mod
+
+
+class TestMemoryFastPath:
+    """Threaded blocks load an in-bounds int address from the memory's
+    word list and send every other address through ``Memory.load``;
+    loads and stores on every backend must give the reference's value or
+    ``MemoryFault`` and leave the same stats and words."""
+
+    @pytest.mark.parametrize("imm", [False, True], ids=["reg", "imm"])
+    @pytest.mark.parametrize("access", ["load", "store"])
+    def test_edge_addresses_match_reference(self, access, imm):
+        for addr in _EDGE_ADDRESSES + (1, 3):
+            outcomes = {}
+            for backend in BACKENDS:
+                memory = Memory()
+                memory.alloc_array([10, 20.5, 30])   # words 1-3
+                if addr == "end":
+                    addr = len(memory)
+                machine = Machine(_memory_access(access, addr, imm),
+                                  memory=memory, backend=backend)
+                try:
+                    result = ("ok", machine.run("f", addr, 99))
+                except MachineError as exc:
+                    result = (type(exc).__name__, str(exc))
+                outcomes[backend] = (result, machine.stats.snapshot(),
+                                     memory.words())
+            result = outcomes["reference"][0]
+            if addr in (1, 3, 2.0, True):
+                assert result[0] == "ok", (access, addr)
+            else:
+                assert result[0] == "MemoryFault", (access, addr)
+            for backend in BACKENDS:
+                assert outcomes[backend] == outcomes["reference"], \
+                    (backend, access, addr, imm)
+
+    def test_watched_store_is_logged(self):
+        """A store to a watched address is logged on every backend, also
+        when the watch begins after the block was translated."""
+        for backend in BACKENDS:
+            memory = Memory()
+            base = memory.alloc_array([1, 2, 3])
+            machine = Machine(_memory_access("store", None, False),
+                              memory=memory, backend=backend)
+            machine.run("f", base + 1, 5)
+            memory.watch(base + 1)
+            machine.run("f", base + 1, 7)
+            machine.run("f", base, 8)
+            assert memory.watch_violations == [base + 1], backend
+            assert memory.read_array(base, 3) == [8, 7, 3], backend
 
 
 class TestScopeAccounting:
