@@ -218,9 +218,7 @@ def annotate_module(module: Module, suggestions: list[Suggestion],
     the values") remains the caller's responsibility, e.g. by running
     with ``OptConfig(check_annotations=True)``.
     """
-    import copy
-
-    annotated = copy.deepcopy(module)
+    annotated = module.copy()
     for suggestion in suggestions:
         function = annotated.function(suggestion.function)
         entry = function.entry_block

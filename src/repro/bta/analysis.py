@@ -21,7 +21,6 @@ The analysis also:
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 from repro.analysis.cfg import natural_loops
@@ -437,9 +436,9 @@ def analyze_function(function: Function, config: OptConfig,
     """Split annotations to block boundaries, then run the BTA.
 
     The function is modified in place (block splitting); each returned
-    region additionally carries a deep-copied ``template`` snapshot of the
-    function for the generating-extension builder to consume after the
-    host function has been rewritten.
+    region additionally carries a ``template`` snapshot of the function
+    (:meth:`Function.copy`) for the generating-extension builder to
+    consume after the host function has been rewritten.
     """
     split_at_annotations(function)
     analysis = BindingTimeAnalysis(
@@ -447,7 +446,7 @@ def analyze_function(function: Function, config: OptConfig,
     )
     regions = analysis.run()
     if regions:
-        snapshot = copy.deepcopy(function)
+        snapshot = function.copy()
         for region in regions:
             region.template = snapshot
     return regions

@@ -17,9 +17,11 @@ from repro.config import OptConfig, ALL_ON, ALL_OFF, TABLE5_ABLATIONS
 from repro.dyc.compiler import (
     CompiledProgram,
     DycCompiler,
+    PreparedModule,
     compile_annotated,
     compile_key,
     compile_static,
+    prepare_module,
 )
 from repro.dyc.genext import GeneratingExtension, build_generating_extension
 
@@ -30,9 +32,11 @@ __all__ = [
     "TABLE5_ABLATIONS",
     "CompiledProgram",
     "DycCompiler",
+    "PreparedModule",
     "compile_annotated",
     "compile_key",
     "compile_static",
+    "prepare_module",
     "GeneratingExtension",
     "build_generating_extension",
 ]

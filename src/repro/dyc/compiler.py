@@ -11,6 +11,11 @@
    only where paths bypassing the annotation still need them (the
    unspecialized division); unreachable ones are removed.
 
+Step 1 reads no configuration, so it is a separate front half,
+:func:`prepare_module`, whose :class:`PreparedModule` can be computed
+once per program and passed to ``compile_annotated`` in place of the
+module; steps 2-4 and the lint gate are the per-configuration back half.
+
 ``compile_static`` builds the baseline configuration: the same program
 compiled "by ignoring the annotations in the application source" (§3.3).
 
@@ -21,7 +26,6 @@ by every run whose configuration agrees on it.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 from repro.bta.analysis import analyze_function
@@ -108,28 +112,55 @@ class CompiledProgram:
         return machine, runtime
 
 
+@dataclass(frozen=True)
+class PreparedModule:
+    """The configuration-invariant front half of a compile.
+
+    ``source`` is the module as given, which the lint gate reads;
+    ``optimized`` is a copy of it with every function optimized.
+    Neither is written after :func:`prepare_module` returns: the back
+    half copies ``optimized`` before the BTA splits its blocks, so one
+    prepared module serves every configuration.
+    """
+
+    source: Module
+    optimized: Module
+
+
+def prepare_module(module: Module) -> PreparedModule:
+    """Run traditional optimization on a copy of ``module``; ``module``
+    is not modified."""
+    optimized = module.copy()
+    for function in optimized.functions.values():
+        optimize_function(function)
+    return PreparedModule(module, optimized)
+
+
 class DycCompiler:
     """Compiles an annotated module for dynamic compilation."""
 
     def __init__(self, config: OptConfig = ALL_ON):
         self.config = config
 
-    def compile(self, module: Module) -> CompiledProgram:
+    def compile(self, module: Module | PreparedModule) -> CompiledProgram:
         """Produce a :class:`CompiledProgram`; ``module`` is not
-        modified.
+        modified.  A :class:`PreparedModule` skips the front half.
 
         With ``config.lint`` enabled, the staged-specialization linter
-        runs first and error-severity diagnostics abort compilation
-        with :class:`LintError` — the specializer's behaviour on
-        ill-formed IR is undefined, so it never sees it.
+        runs on the unoptimized module, before anything else on a plain
+        one, and error-severity diagnostics abort compilation with
+        :class:`LintError` — the specializer's behaviour on ill-formed
+        IR is undefined, so it never sees it.
         """
+        prepared = module if isinstance(module, PreparedModule) else None
         if self.config.lint:
-            self._lint_gate(module)
-        module = copy.deepcopy(module)
+            self._lint_gate(module if prepared is None else prepared.source)
+        if prepared is None:
+            prepared = prepare_module(module)
+        module = prepared.optimized.copy()
         compiled = CompiledProgram(module=module, config=self.config)
         next_region_id = 0
         for function in module.functions.values():
-            optimize_function(function)
             if not has_annotations(function):
                 continue
             regions = analyze_function(
@@ -188,15 +219,19 @@ class DycCompiler:
             ]
 
 
-def compile_annotated(module: Module,
+def compile_annotated(module: Module | PreparedModule,
                       config: OptConfig = ALL_ON) -> CompiledProgram:
-    """Compile ``module`` for dynamic compilation under ``config``."""
+    """Compile ``module`` for dynamic compilation under ``config``.
+
+    ``module`` may be the :func:`prepare_module` of the module instead,
+    to share the configuration-invariant front half between compiles.
+    """
     return DycCompiler(config).compile(module)
 
 
 def compile_static(module: Module) -> Module:
     """The statically compiled baseline: annotations ignored (§3.3)."""
-    module = copy.deepcopy(module)
+    module = module.copy()
     for function in module.functions.values():
         DycCompiler._strip_annotations(function)
         optimize_function(function)

@@ -9,7 +9,9 @@ counters) are kept in a bounded in-process cache keyed by content, as is
 the parsed module; the static == dynamic check still runs on every call.
 The annotated compile depends only on the configuration's
 :func:`~repro.dyc.compile_key`, so runs that agree on it share one
-compiled program, each under its own configuration.  A workload's
+compiled program, each under its own configuration; its
+configuration-invariant front half, traditional optimization, is
+computed once per program.  A workload's
 prepared inputs are built once per process too; every run gets a
 private copy of the memory image.
 Per-region timings use the machine's tracked-scope accounting (inclusive
@@ -30,9 +32,11 @@ from typing import Callable
 from repro.config import ALL_ON, OptConfig
 from repro.dyc import (
     CompiledProgram,
+    PreparedModule,
     compile_annotated,
     compile_key,
     compile_static,
+    prepare_module,
 )
 from repro.errors import ReproError, SpecializationError
 from repro.evalharness.memo import (
@@ -288,9 +292,27 @@ def prepared_input(workload: Workload) -> PreparedInput:
 
 @functools.lru_cache(maxsize=INVARIANT_CACHE_CAPACITY)
 def _parsed_module(source: str) -> Module:
-    # Shared between runs: compile_static and compile_annotated copy
-    # their input before changing it.
+    # Shared between runs: compile_static and prepare_module copy their
+    # input before changing it.
     return compile_source(source)
+
+
+_PREPARED_MODULES = _LRUCache(INVARIANT_CACHE_CAPACITY)
+
+
+def prepared_module(source: str, module: Module) -> PreparedModule:
+    """``module`` (parsed from ``source``) through the front half of
+    :func:`compile_annotated`, built once per process.
+
+    Traditional optimization reads no configuration, so every compile
+    of ``source`` starts from this one optimized module; the back half
+    copies it before changing anything.
+    """
+    prepared = _PREPARED_MODULES.get(source)
+    if prepared is None:
+        prepared = prepare_module(module)
+        _PREPARED_MODULES.put(source, prepared)
+    return prepared
 
 
 def static_baseline_key(workload: Workload, cost_model: CostModel,
@@ -347,11 +369,12 @@ def static_baseline(workload: Workload, module: Module,
 
 #: Compiled programs kept by :func:`compiled_program`.  Bounded lower
 #: than the other invariant caches because an entry is large: measured
-#: with tracemalloc, one retains 46-299 KB.  A Table 5 sweep compiles
-#: about 32 programs; on a shared 2-vCPU host its ``table_sweep`` peak
-#: RSS read 34.6 MB without this cache, 35.4 MB at 8 entries (+2.4%),
-#: 36.8 MB at 16 (+6.5%) and 40.8 MB at 64 (+18%).  Eight still hold
-#: all five kernels the serve traffic runs.
+#: with tracemalloc, one retains 33-255 KB beyond the optimized module
+#: it shares instructions with.  A Table 5 sweep compiles 34 programs;
+#: on a shared 2-vCPU host its ``table_sweep`` peak RSS read 34.6 MB
+#: without this cache, 35.4 MB at 8 entries (+2.4%), 36.8 MB at 16
+#: (+6.5%) and 40.8 MB at 64 (+18%).  Eight still hold all five
+#: kernels the serve traffic runs.
 COMPILED_PROGRAM_CAPACITY = 8
 
 _COMPILED_PROGRAMS = _LRUCache(COMPILED_PROGRAM_CAPACITY)
@@ -362,24 +385,27 @@ def compiled_program(source: str, module: Module,
     """``module`` (parsed from ``source``) compiled for ``config``.
 
     The compile is shared by every configuration with the same
-    :func:`compile_key`; the returned program carries ``config``, which
-    the runtime reads, and shares its module, regions and generating
-    extensions read-only.  A compile that raises stores nothing.
+    :func:`compile_key`, and starts from the shared
+    :func:`prepared_module`; the returned program carries ``config``,
+    which the runtime reads, and shares its module, regions and
+    generating extensions read-only.  A compile that raises stores
+    nothing.
     """
     key = (source, compile_key(config))
     shared = _COMPILED_PROGRAMS.get(key)
     if shared is None:
-        shared = compile_annotated(module, config)
+        shared = compile_annotated(prepared_module(source, module), config)
         _COMPILED_PROGRAMS.put(key, shared)
     return dataclasses.replace(shared, config=config)
 
 
 def reset_invariant_caches() -> None:
-    """Forget every parsed module, static baseline, compiled program,
-    prepared input and workload key prefix, so the next run computes
-    them afresh (tests need cold runs)."""
+    """Forget every parsed module, static baseline, prepared module,
+    compiled program, prepared input and workload key prefix, so the
+    next run computes them afresh (tests need cold runs)."""
     _parsed_module.cache_clear()
     _STATIC_BASELINES.clear()
+    _PREPARED_MODULES.clear()
     _COMPILED_PROGRAMS.clear()
     _PREPARED_INPUTS.clear()
     reset_prefix_cache()

@@ -47,6 +47,11 @@ class BasicBlock:
     def __len__(self) -> int:
         return len(self.instrs)
 
+    def copy(self) -> BasicBlock:
+        """A new block with a new instruction list holding the same
+        (immutable) instructions."""
+        return BasicBlock(self.label, list(self.instrs))
+
 
 @dataclass
 class Function:
@@ -67,6 +72,15 @@ class Function:
     #: backend in :mod:`repro.machine.threaded` — key on it to know when
     #: their translated blocks are stale.
     version: int = 0
+
+    def copy(self) -> Function:
+        """A structural copy: new blocks and instruction lists, shared
+        instructions (see :meth:`Module.copy`)."""
+        return Function(
+            self.name, self.params,
+            {label: block.copy() for label, block in self.blocks.items()},
+            self.entry, self.version,
+        )
 
     def bump_version(self) -> None:
         """Invalidate any cached translations of this function's code."""
@@ -152,6 +166,23 @@ class Module:
         if self.main is None and function.name == "main":
             self.main = function.name
         return function
+
+    def copy(self) -> Module:
+        """A structural copy: new functions, blocks and instruction
+        lists, so passes may rewrite the copy in place.
+
+        The instructions themselves are shared.  That is safe because
+        every instruction is a frozen dataclass whose fields are
+        immutable (strings, numbers, ``bool``, ``None``, tuples, an
+        :class:`~repro.ir.instructions.Op`, or a frozen
+        ``Reg``/``Imm``/``Hole``): a pass replaces an instruction, it
+        never changes one.
+        """
+        return Module(
+            {name: function.copy()
+             for name, function in self.functions.items()},
+            self.main,
+        )
 
     def function(self, name: str) -> Function:
         try:

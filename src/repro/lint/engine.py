@@ -1,15 +1,13 @@
 """Linter driver: run every check over a module and collect diagnostics.
 
 The engine never mutates its input: annotation and plan checks run on a
-deep copy (the BTA's block splitting rewrites the CFG in place).  Checks
+copy (the BTA's block splitting rewrites the CFG in place).  Checks
 are staged — structural validity gates the dataflow checks, which gate
 the BTA-dependent checks — so a broken module produces its root-cause
 diagnostic instead of a cascade of downstream noise.
 """
 
 from __future__ import annotations
-
-import copy
 
 from repro.bta.analysis import analyze_function
 from repro.bta.annotations import has_annotations
@@ -85,7 +83,7 @@ def lint_module(module: Module,
         diags += check_reachability(function)
 
     # BTA-dependent checks run on a copy: block splitting mutates.
-    working = copy.deepcopy(module)
+    working = module.copy()
     regions_by_function: dict[str, list] = {}
     for function in working.functions.values():
         if not has_annotations(function):

@@ -7,13 +7,26 @@ baseline keeps the comparison against dynamically compiled code fair —
 DyC's *dynamic* strength reduction (§2.2.7) is only interesting for
 operands that become constant at run time.
 
-As in most compilers' fast paths, divide/modulus reduction assumes a
-non-negative dividend (C's truncating division differs from an
-arithmetic shift for negatives); the workloads' index arithmetic
-satisfies this.  Multiplication by a power of two is always safe.
+The IR carries no operand types, so the pass assumes two things of the
+register operand, as most compilers' fast paths do for integers:
+
+* it is an integer: a float ``x * 2^k`` would become ``x << k`` and a
+  float ``x / 2^k`` would become ``x >> k``, and both trap where the
+  original computes a float;
+* a divided or reduced one is non-negative: C's truncating division
+  differs from an arithmetic shift, and its modulus from a mask, for
+  negatives.
+
+The workloads' index arithmetic satisfies both.
+
+Two-term temporaries are named ``%sr1``, ``%sr2``, ... afresh in every
+call, skipping names the function already uses, so the optimized IR is
+a function of its input alone.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 from repro.ir.eval import is_power_of_two, log2_exact
 from repro.ir.function import Function
@@ -41,17 +54,31 @@ def two_term_decomposition(value: int) -> tuple[int, str, int] | None:
     return None
 
 
-_DECOMP_COUNTER = [0]
+def _fresh_temps(function: Function) -> Iterator[str]:
+    """``%sr1``, ``%sr2``, ... skipping every name ``function`` already
+    uses (the pass runs to a fixpoint, so a later call must not reuse
+    an earlier call's temporaries); the names are read at the first
+    ``next``."""
+    taken = set(function.params)
+    for block in function.blocks.values():
+        for instr in block.instrs:
+            taken.update(instr.defs())
+            taken.update(instr.uses())
+    number = 0
+    while True:
+        number += 1
+        temp = f"%sr{number}"
+        if temp not in taken and f"{temp}.b" not in taken:
+            yield temp
 
 
-def _reduce_mul_two_term(instr: BinOp, lhs: Reg,
-                         value: int) -> list[Instr] | None:
+def _reduce_mul_two_term(instr: BinOp, lhs: Reg, value: int,
+                         temps: Iterator[str]) -> list[Instr] | None:
     decomposition = two_term_decomposition(value)
     if decomposition is None:
         return None
     a, op, b = decomposition
-    _DECOMP_COUNTER[0] += 1
-    temp = f"%sr{_DECOMP_COUNTER[0]}"
+    temp = next(temps)
     first = BinOp(temp, Op.SHL, lhs, Imm(a))
     second_rhs = lhs if b == 0 else Reg(f"{temp}.b")
     parts: list[Instr] = [first]
@@ -65,7 +92,7 @@ def _reduce_mul_two_term(instr: BinOp, lhs: Reg,
     return parts
 
 
-def _reduce(instr: Instr) -> Instr | list[Instr]:
+def _reduce(instr: Instr, temps: Iterator[str]) -> Instr | list[Instr]:
     if not isinstance(instr, BinOp):
         return instr
     lhs, rhs = instr.lhs, instr.rhs
@@ -79,7 +106,8 @@ def _reduce(instr: Instr) -> Instr | list[Instr]:
                 return BinOp(instr.dest, Op.SHL, lhs,
                              Imm(log2_exact(rhs.value)))
             if isinstance(rhs.value, int) and 0 < rhs.value <= 255:
-                parts = _reduce_mul_two_term(instr, lhs, rhs.value)
+                parts = _reduce_mul_two_term(instr, lhs, rhs.value,
+                                             temps)
                 if parts is not None:
                     return parts
     elif instr.op is Op.DIV:
@@ -101,10 +129,11 @@ def strength_reduction(function: Function) -> bool:
     """Reduce constant mul/div/mod to shifts/masks/adds; True if
     changed."""
     changed = False
+    temps = _fresh_temps(function)
     for block in function.blocks.values():
         new_instrs: list[Instr] = []
         for instr in block.instrs:
-            replacement = _reduce(instr)
+            replacement = _reduce(instr, temps)
             if replacement is instr:
                 new_instrs.append(instr)
             elif isinstance(replacement, list):

@@ -244,7 +244,14 @@ class BlockEmitter:
     # ------------------------------------------------------------------
 
     def _try_fold_or_reduce(self, instr: BinOp, plan: InstrPlan) -> bool:
-        """Apply value-dependent folding; True when fully handled."""
+        """Apply value-dependent folding; True when fully handled.
+
+        Like static strength reduction (:mod:`repro.opt.strength`), the
+        integer reductions assume the register operand is an integer,
+        and a divided or reduced one non-negative: only the constant's
+        type is known here.  For a float register ``x``, the reductions
+        ``x * 2^k`` -> ``x << k`` and ``x / 2^k`` -> ``x >> k`` trap.
+        """
         lhs, rhs = instr.lhs, instr.rhs
 
         # Fully constant (can happen after note propagation): fold.

@@ -3,14 +3,18 @@
 ``compile_annotated`` reads only the part of an ``OptConfig`` that
 ``compile_key`` names, so ``run_workload`` compiles each canonical
 program once per key and every run shares the result under its own
-configuration.  These tests pin that the key covers every field the
-compile reads, that runs never write the shared program and match runs
-that compile afresh (``module=``), and how the cache keys, bounds and
-copies.  The ``shared`` tests also pin that runs never write the shared
-prepared inputs, and run with each CI fault leg's ``REPRO_FAULTS``
-armed.
+configuration; the compile's front half, traditional optimization,
+reads no configuration and is computed once per program.  These tests
+pin that the key covers every field the compile reads and the front
+half none, that runs and compiles never write the shared program or
+front half and match compiles and runs made afresh (``module=``), how
+the cache keys, bounds and copies, and how often a Table 5 sweep
+optimizes.  The ``shared`` tests also pin that runs never write the
+shared prepared inputs, and run with each CI fault leg's
+``REPRO_FAULTS`` armed.
 """
 
+import collections
 import dataclasses
 import os
 import pickle
@@ -21,17 +25,25 @@ from pathlib import Path
 import pytest
 
 from repro.config import ALL_OFF, ALL_ON, OptConfig, TABLE5_ABLATIONS
-from repro.dyc import compile_annotated, compile_key
+from repro.dyc import (
+    compile_annotated,
+    compile_key,
+    compile_static,
+    prepare_module,
+)
+from repro.dyc import compiler
 from repro.dyc.compiler import BTA_FIELDS, LINT_GATE_FIELDS
 from repro.errors import LintError, SpecializationError
-from repro.evalharness import runner
+from repro.evalharness import runner, tables
 from repro.evalharness.runner import (
     COMPILED_PROGRAM_CAPACITY,
+    INVARIANT_CACHE_CAPACITY,
     reset_invariant_caches,
     run_workload,
 )
 from repro.faults import FAULT_POINTS
 from repro.frontend import compile_source
+from repro.ir import Op
 from repro.lint.extract import embedded_sources_from_file
 from repro.workloads import ALL_WORKLOADS, WORKLOADS_BY_NAME
 from tests.helpers import run_fingerprints
@@ -88,6 +100,18 @@ def _recording(config: OptConfig) -> _RecordingConfig:
     return recorder
 
 
+def _any_config_recorder(reads: set):
+    """An ``OptConfig.__getattribute__`` that records, in ``reads``,
+    the name of every field read of any configuration."""
+
+    def getattribute(self, name):
+        if name in _FIELDS:
+            reads.add(name)
+        return object.__getattribute__(self, name)
+
+    return getattribute
+
+
 class _RecordingEnviron(dict):
     """``os.environ`` stand-in that records every variable looked up."""
 
@@ -125,16 +149,27 @@ class TestProjection:
         monkeypatch.setattr(os, "environ", environ)
         programs = _programs()
         assert len(programs) > len(ALL_WORKLOADS)
+        modules = {name: compile_source(source)
+                   for name, source in programs}
+        # The front half reads no configuration at all.
+        front_reads: set[str] = set()
+        with monkeypatch.context() as patch:
+            patch.setattr(OptConfig, "__getattribute__",
+                          _any_config_recorder(front_reads))
+            prepared = {name: prepare_module(module)
+                        for name, module in modules.items()}
+        assert front_reads == set()
+        assert environ.reads == set()
         read: set[str] = set()
         for base in (ALL_ON, ALL_OFF):
             # A source budget makes the lint gate's DYC210 estimate run.
             config = dataclasses.replace(base, lint=lint,
                                          codegen_source_budget=10**9)
             allowed = {name for name, _ in compile_key(config)}
-            for name, source in programs:
+            for name, _ in programs:
                 recorder = _recording(config)
                 try:
-                    compile_annotated(compile_source(source), recorder)
+                    compile_annotated(prepared[name], recorder)
                 except LintError:
                     pass
                 reads = set(recorder.reads)  # before any repr reads more
@@ -147,6 +182,20 @@ class TestProjection:
             expected |= set(LINT_GATE_FIELDS)
         assert read == expected
         assert environ.reads == set()
+
+
+class TestDeterminism:
+    def test_compiles_are_functions_of_their_input(self):
+        """Strength reduction once named its temporaries from a
+        process-wide counter, so a second compile of m88ksim, mipsi,
+        query or viewperf differed from the first."""
+        for name, source in _programs():
+            static = [pickle.dumps(compile_static(compile_source(source)))
+                      for _ in range(2)]
+            assert static[0] == static[1], name
+            annotated = [_program_ir(compile_annotated(
+                compile_source(source), ALL_ON)) for _ in range(2)]
+            assert annotated[0] == annotated[1], name
 
 
 # ----------------------------------------------------------------------
@@ -199,11 +248,13 @@ def _image(prepared) -> bytes:
 def _check_shared(workload, config) -> None:
     """Compile ``workload`` into the cache, run it on every column, and
     require each run to match a ``module=`` run and to leave the cached
-    program and prepared inputs byte-identical."""
+    program, its front half and the prepared inputs byte-identical."""
     runner.compiled_program(
         workload.source, runner._parsed_module(workload.source), config)
     shared = runner._COMPILED_PROGRAMS.get(_key(workload, config))
     before = pickle.dumps(shared)
+    front = runner._PREPARED_MODULES.get(workload.source)
+    front_before = pickle.dumps(front)
     prepared = runner.prepared_input(workload)
     image = _image(prepared)
     for backend, mode in COLUMNS:
@@ -215,8 +266,46 @@ def _check_shared(workload, config) -> None:
             (workload.name, backend, mode)
     assert pickle.dumps(shared) == before, workload.name
     assert runner._COMPILED_PROGRAMS.get(_key(workload, config)) is shared
+    assert pickle.dumps(front) == front_before, workload.name
+    assert runner._PREPARED_MODULES.get(workload.source) is front
     assert _image(prepared) == image, workload.name
     assert runner.prepared_input(workload) is prepared
+
+
+def _program_ir(program) -> bytes:
+    """A compiled program's module, regions and generating extensions,
+    pickled together (so instructions they share pickle once)."""
+    return pickle.dumps((program.module, program.regions,
+                         program.genexts))
+
+
+#: ``ALL_ON`` and the nine Table 5 ablations, one per distinct
+#: :func:`compile_key`.
+KEYED_SWEEP_CONFIGS = list({
+    compile_key(config): config
+    for config in [ALL_ON] + [ALL_ON.without(name)
+                              for name in TABLE5_ABLATIONS]
+}.values())
+
+
+def _sweep(workload, backend, mode) -> None:
+    """A Table 5 sweep's runs of ``workload`` on one column: ``ALL_ON``
+    and each applicable ablation, with the starred fallback (complete
+    loop unrolling off too) after a run that cannot be specialized.
+    Each run has the shared budget: see :data:`SHARED_BUDGET`."""
+    def run(config):
+        return run_workload(workload, dataclasses.replace(
+            config, specialize_budget=SHARED_BUDGET),
+            backend=backend, codegen_mode=mode)
+
+    base = run(ALL_ON)
+    needed = {name for function in workload.region_functions
+              for name in tables.applicable_ablations(base, function)}
+    for name in sorted(needed):
+        try:
+            run(ALL_ON.without(name))
+        except SpecializationError:
+            run(ALL_ON.without(name, "complete_loop_unrolling"))
 
 
 class TestShared:
@@ -234,6 +323,124 @@ class TestShared:
         specialized code; the runaway mipsi cell walks it."""
         _check_shared(MIPSI, OptConfig(static_loads=False, degrade=True,
                                        specialize_budget=500))
+
+    def test_shared_front_half_matches_a_fresh_compile(self):
+        assert len(KEYED_SWEEP_CONFIGS) == 1 + len(BTA_FIELDS)
+        for workload in ALL_WORKLOADS:
+            parsed = runner._parsed_module(workload.source)
+            for config in KEYED_SWEEP_CONFIGS:
+                cached = runner.compiled_program(workload.source, parsed,
+                                                 config)
+                fresh = compile_annotated(compile_source(workload.source),
+                                          config)
+                assert _program_ir(cached) == _program_ir(fresh), \
+                    (workload.name, compile_key(config))
+
+    @pytest.mark.parametrize("backend,mode", COLUMNS,
+                             ids=[f"{b}-{m}" for b, m in COLUMNS])
+    def test_shared_front_half_unchanged_by_a_sweep(self, backend, mode):
+        """A BTA block split or host rewrite that reached the front half
+        would change it; every compile and run of a sweep leaves it
+        byte-identical."""
+        fronts = {}
+        for workload in ALL_WORKLOADS:
+            front = runner.prepared_module(
+                workload.source, runner._parsed_module(workload.source))
+            fronts[workload.name] = (front, pickle.dumps(front))
+        for workload in ALL_WORKLOADS:
+            _sweep(workload, backend, mode)
+        for workload in ALL_WORKLOADS:
+            front, before = fronts[workload.name]
+            assert runner._PREPARED_MODULES.get(workload.source) is front
+            assert pickle.dumps(front) == before, workload.name
+
+
+# ----------------------------------------------------------------------
+# How often a sweep optimizes
+# ----------------------------------------------------------------------
+
+class TestFrontHalf:
+    def test_a_sweep_after_the_all_on_pass_optimizes_nothing(
+            self, monkeypatch, compiles):
+        optimized: list[str] = []
+        optimize = compiler.optimize_function
+
+        def counted_optimize(function, *args, **kwargs):
+            optimized.append(function.name)
+            return optimize(function, *args, **kwargs)
+
+        built = collections.Counter()
+        prepare = runner.prepare_module
+
+        def counted_prepare(module):
+            built[id(module)] += 1
+            return prepare(module)
+
+        monkeypatch.setattr(compiler, "optimize_function", counted_optimize)
+        monkeypatch.setattr(runner, "prepare_module", counted_prepare)
+        baseline = tables.run_all(ALL_ON, jobs=1, memo=None,
+                                  backend="threaded")
+        assert optimized and len(compiles) == len(ALL_WORKLOADS)
+        optimized.clear()
+        compiles.clear()
+        tables.build_table5(baseline, jobs=1, memo=None,
+                            backend="threaded")
+        # 22 cells ablate a BTA switch and two starred cells fall back;
+        # at eight entries each ALL_ON program is evicted and compiled
+        # again: 22 + 2 + 10.
+        assert len(compiles) == 34
+        assert optimized == []
+        # One front half per program, built at the first compile.
+        assert len(built) == len(ALL_WORKLOADS)
+        assert set(built.values()) == {1}
+
+    def test_bounded_and_reset(self):
+        cache = runner._PREPARED_MODULES
+        assert cache.capacity == INVARIANT_CACHE_CAPACITY
+        run_workload(DOT, backend="threaded")
+        assert DOT.source in cache
+        reset_invariant_caches()
+        assert len(cache) == 0
+
+    def test_a_compile_shares_instructions_not_structure(self):
+        module = runner._parsed_module(DOT.source)
+        front = runner.prepared_module(DOT.source, module)
+        program = runner.compiled_program(DOT.source, module, ALL_ON)
+        assert front.source is module
+        assert program.module is not front.optimized
+        shared = 0
+        for name, function in front.optimized.functions.items():
+            copied = program.module.functions[name]
+            assert copied is not function
+            for label, block in copied.blocks.items():
+                original = function.blocks.get(label)
+                assert original is not block
+                if original is not None:
+                    assert original.instrs is not block.instrs
+                    ids = {id(instr) for instr in original.instrs}
+                    shared += sum(id(instr) in ids
+                                  for instr in block.instrs)
+        assert shared > 0
+
+    def test_instructions_hold_only_immutable_values(self):
+        """What makes sharing instructions between copies safe."""
+        def immutable(value) -> bool:
+            if isinstance(value, tuple):
+                return all(immutable(item) for item in value)
+            if dataclasses.is_dataclass(value):
+                return value.__dataclass_params__.frozen and all(
+                    immutable(getattr(value, item.name))
+                    for item in dataclasses.fields(value))
+            return isinstance(value, (str, int, float, bool, type(None),
+                                      Op))
+
+        for name, source in _programs():
+            program = compile_annotated(compile_source(source))
+            functions = list(program.module.functions.values()) + [
+                region.template for region in program.regions.values()]
+            for function in functions:
+                for _, _, instr in function.instructions():
+                    assert immutable(instr), (name, instr)
 
 
 # ----------------------------------------------------------------------
@@ -297,6 +504,7 @@ class TestKeys:
                      module=compile_source(DOT.source))
         assert len(compiles) == 1
         assert len(runner._COMPILED_PROGRAMS) == 0
+        assert len(runner._PREPARED_MODULES) == 0
 
     def test_a_compile_that_raises_stores_nothing(self):
         source = (ROOT / "tests" / "lint_fixtures"
@@ -358,6 +566,7 @@ class TestKeys:
         assert len(fingerprints) == threads_n
         assert len(set(fingerprints)) == 1
         assert len(runner._COMPILED_PROGRAMS) == 1
+        assert len(runner._PREPARED_MODULES) == 1
 
     def test_region_functions_are_private_lists(self):
         first = run_workload(DOT, backend="threaded")

@@ -122,6 +122,44 @@ class TestModule:
             Module().function("nope")
 
 
+class TestCopies:
+    def _module(self) -> Module:
+        module = Module()
+        module.add_function(build_diamond())
+        module.add_function(build_countdown())
+        return module
+
+    def test_copy_is_equal_and_shares_only_instructions(self):
+        module = self._module()
+        copied = module.copy()
+        assert copied == module and copied is not module
+        assert copied.functions is not module.functions
+        for name, function in module.functions.items():
+            twin = copied.functions[name]
+            assert twin is not function and twin.blocks is not \
+                function.blocks
+            for label, block in function.blocks.items():
+                assert twin.blocks[label] is not block
+                assert twin.blocks[label].instrs is not block.instrs
+                assert all(a is b for a, b in
+                           zip(twin.blocks[label].instrs, block.instrs))
+
+    def test_rewriting_a_copy_leaves_the_original(self):
+        module = self._module()
+        before = format_function(module.function("diamond"))
+        copied = module.copy()
+        function = copied.function("diamond")
+        function.entry_block.instrs.insert(0, MakeStatic(("x",)))
+        function.blocks["join"].instrs[0] = Move("r", Imm(0))
+        del function.blocks["else"]
+        function.new_block("extra")
+        function.bump_version()
+        copied.add_function(Function("main", ()))
+        original = module.function("diamond")
+        assert format_function(original) == before
+        assert original.version == 0 and "main" not in module
+
+
 class TestBuilder:
     def test_builds_valid_loop(self):
         f = build_countdown()

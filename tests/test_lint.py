@@ -147,7 +147,7 @@ class TestCompilerLintGate:
                 (FIXTURES / fixture).read_text(), verify=False
             )
             compiled = DycCompiler(config).compile(module)
-            assert compiled.module is not module  # still deep-copied
+            assert compiled.module is not module  # still copied
 
     def test_gate_off_by_default(self):
         source = (FIXTURES / "dead_annotation.minic").read_text()

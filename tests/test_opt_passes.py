@@ -24,6 +24,7 @@ from repro.opt import (
     local_cse,
     optimize_function,
     simplify_cfg,
+    strength_reduction,
 )
 from tests.helpers import build_countdown, run_function
 
@@ -248,6 +249,43 @@ class TestSimplifyCFG:
         verify_function(f)
         result, _ = run_function(f, 4)
         assert result == 10
+
+
+class TestStrengthReduction:
+    def _multiplies(self, *factors):
+        b = FunctionBuilder("f", ("x",))
+        b.move("r", 0)
+        for index, factor in enumerate(factors):
+            b.binop(f"y{index}", Op.MUL, "x", factor)
+            b.binop("r", Op.ADD, "r", f"y{index}")
+        b.ret("r")
+        return b.finish()
+
+    @staticmethod
+    def _temps(function) -> set[str]:
+        return {name for instr in _flat_instrs(function)
+                for name in instr.defs() if name.startswith("%sr")}
+
+    def test_temporaries_are_numbered_afresh_in_each_call(self):
+        for _ in range(2):
+            f = self._multiplies(3, 6)    # x*2 + x; x*4 + x*2
+            assert strength_reduction(f)
+            assert self._temps(f) == {"%sr1", "%sr2", "%sr2.b"}
+            assert run_function(f, 7)[0] == 63
+
+    def test_a_later_call_skips_names_the_function_uses(self):
+        """The pass runs to a fixpoint: a later round must not reuse
+        an earlier round's temporaries."""
+        f = self._multiplies(3)
+        strength_reduction(f)
+        f.entry_block.instrs[-1:-1] = [
+            BinOp("z", Op.MUL, Reg("x"), Imm(5)),
+            BinOp("r", Op.ADD, Reg("r"), Reg("z")),
+        ]
+        assert strength_reduction(f)
+        verify_function(f)
+        assert self._temps(f) == {"%sr1", "%sr2"}
+        assert run_function(f, 7)[0] == 56
 
 
 class TestPipeline:
