@@ -47,6 +47,10 @@ from repro.serve.supervisor import read_state
 from repro.workloads import WORKLOADS_BY_NAME
 
 DEFAULT_BENCH_PATH = "BENCH_chaos.json"
+#: Where a ``--smoke`` run without ``--output`` writes its report: a
+#: git-ignored directory, so a smoke run from the repository root leaves
+#: the committed ``BENCH_chaos.json`` alone.
+SMOKE_BENCH_PATH = os.path.join(".chaos_smoke", "BENCH_chaos.json")
 DEFAULT_SEED = 20260807
 
 #: Statuses the serve tier is allowed to produce under chaos; anything
@@ -532,8 +536,18 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
                         choices=sorted(WORKLOADS_BY_NAME))
     parser.add_argument("--smoke", action="store_true",
                         help="CI-sized run (fewer, smaller chunks)")
-    parser.add_argument("--output", default=DEFAULT_BENCH_PATH)
+    parser.add_argument("--output", default=None,
+                        help=f"report path (default {DEFAULT_BENCH_PATH}; "
+                             f"{SMOKE_BENCH_PATH} with --smoke)")
     return parser.parse_args(argv)
+
+
+def output_path(args: argparse.Namespace) -> str:
+    """The report path: ``--output`` if given, else the smoke path for a
+    ``--smoke`` run and the committed report's path for a full run."""
+    if args.output is not None:
+        return args.output
+    return SMOKE_BENCH_PATH if args.smoke else DEFAULT_BENCH_PATH
 
 
 def _apply_smoke_sizing(args: argparse.Namespace) -> None:
@@ -552,10 +566,13 @@ def main(argv: list[str]) -> int:
               f"{args.kills + 1}; raising chunks", file=sys.stderr)
         args.chunks = args.kills + 1
     report, failures = run_chaos(args)
-    with open(args.output, "w", encoding="utf-8") as handle:
+    output = output_path(args)
+    if os.path.dirname(output):
+        os.makedirs(os.path.dirname(output), exist_ok=True)
+    with open(output, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    print(f"[chaos] report written to {args.output}", file=sys.stderr)
+    print(f"[chaos] report written to {output}", file=sys.stderr)
     print(json.dumps({
         "seed": report["seed"],
         "traffic": report["traffic"],

@@ -82,10 +82,10 @@ from repro.ir.instructions import (
 )
 from repro.machine.costs import binop_terms, flat_term, move_terms
 from repro.machine.threaded import (
-    _HELPER_BINOPS,
     _HELPER_GLOBALS,
     _INLINE_BINOPS,
     _INLINE_UNOPS,
+    _INT_ONLY_NAMES,
     BINOP_FUNCS,
     UNOP_FUNCS,
     ThreadedBackend,
@@ -519,13 +519,16 @@ class _Emitter:
         if rk is not Reg and rk is not Imm:
             self._bad_operand(rhs, b, read_first=(lhs,))
             return
-        tmpl = _INLINE_BINOPS.get(op) or _HELPER_BINOPS[op]
+        tmpl = _INLINE_BINOPS[op]
         dest = f"E[{instr.dest!r}]"
+        # A float operand of an int-only operator traps before the
+        # commit, so its extra is never charged.
+        counted = self.counted and op.value not in _INT_ONLY_NAMES
         if lk is Reg and rk is Reg:
             self.emit(b, f"_a = E[{lhs.name!r}]")
             self.emit(b, f"_b = E[{rhs.name!r}]")
             self.emit(b, f"{dest} = {tmpl.format(a='_a', b='_b')}")
-            if self.counted:
+            if counted:
                 self.emit(b, "if type(_a) is float or type(_b) is "
                              f"float: X += {fp_extra!r}")
             return
@@ -533,7 +536,7 @@ class _Emitter:
             value = rhs.value
             self.emit(b, f"_a = E[{lhs.name!r}]")
             self.emit(b, f"{dest} = {tmpl.format(a='_a', b=_lit(value))}")
-            if self.counted:
+            if counted:
                 if type(value) is float:
                     self.emit(b, f"X += {fp_extra!r}")
                 else:
@@ -543,7 +546,7 @@ class _Emitter:
             value = lhs.value
             self.emit(b, f"_b = E[{rhs.name!r}]")
             self.emit(b, f"{dest} = {tmpl.format(a=_lit(value), b='_b')}")
-            if self.counted:
+            if counted:
                 if type(value) is float:
                     self.emit(b, f"X += {fp_extra!r}")
                 else:
@@ -559,7 +562,7 @@ class _Emitter:
             self.emit(b, f"{dest} = {tmpl.format(a=_lit(a), b=_lit(v))}")
         else:
             self.emit(b, f"{dest} = {_lit(result)}")
-        if self.counted and is_fp:
+        if counted and is_fp:
             self.emit(b, f"X += {fp_extra!r}")
 
     def _emit_unop(self, instr: UnOp, b: int) -> None:

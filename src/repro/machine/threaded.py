@@ -39,6 +39,26 @@ bound call and region entries.  A block of a known shape therefore costs
 one ``types.FunctionType`` call to translate, and no text derived from
 the IR ever reaches generated source: a register is only ever a dict key.
 
+DyC keeps a template's intermediate values in machine registers (§1-2);
+a template keeps them in Python locals.  Every part that writes a
+register also binds its value to a local, and a later read of that
+register in the same block, with no call part in between, reads the
+local instead of the register dict: a *forwarded* operand, whose kind in
+the shape is the string naming the writer's local (``"v3"``), never an
+int or a bool.  Operands of operators, moves, loads and stores, branch
+conditions, call arguments and returned values all forward.  A read
+before the block's first write of a register still reads the dict, so an
+undefined register traps as in the reference.
+
+Each operator runs as one Python operator.  Those with a trap condition
+(``&``, ``|``, ``^``, ``<<``, ``>>``, ``/``, ``%``) take that path only
+behind a guard, ``type(a) is int and type(b) is int``, plus ``b >= 0``
+for a shift and ``a >= 0 and b > 0`` for C division and remainder; when
+the guard fails they call the checked wrapper, which traps or computes as
+``repro.ir.eval`` does (Brunthaler's speculative staging, PAPERS.md).
+A float operand of ``&``, ``|``, ``^``, ``<<`` or ``>>`` traps before
+the segment commits, so the commit tests no float for those parts.
+
 Semantics the templates keep, so the stats stay byte-identical:
 
 * register reads and operator traps happen in instruction order, before
@@ -59,9 +79,16 @@ Semantics the templates keep, so the stats stay byte-identical:
 * an operator on immediates alone folds at translation, unless it traps.
 
 A load of an in-bounds int address indexes the memory's word list
-inline; every other address goes through ``Memory.load``, so each
-``MemoryFault`` is the reference's.  Stores always call ``Memory.store``:
-inlining them the same way measured no gain.
+inline, and a store to one writes it inline while the memory watches no
+address (``Memory._watch`` is None; annotation checking may start
+watching mid-run, so the test is made at every store).  Every other
+address goes through ``Memory.load`` or ``Memory.store``, so each
+``MemoryFault`` and each logged store is the reference's.  Inlining
+stores pays now that operands forward: replaying one Table 5 sweep's 47
+``run_workload`` calls in one process, with and without the inline
+store, interleaved per call (runs of 9, 9 and 15 repetitions), the sum
+of per-call minimum times read 0.969-0.979 with over without, and the
+sum of medians 0.939-0.963.
 
 Translation caching and invalidation
 ------------------------------------
@@ -206,36 +233,49 @@ UNOP_FUNCS = {
 _BINOPS_BY_NAME = {op.value: fn for op, fn in BINOP_FUNCS.items()}
 _UNOPS_BY_NAME = {op.value: fn for op, fn in UNOP_FUNCS.items()}
 
+#: The names of the operators that trap on a float operand.  A segment
+#: that commits never read a float through one, so none of them has a
+#: float extra to test at the commit.
+_INT_ONLY_NAMES = frozenset(op.value for op in
+                            (Op.AND, Op.OR, Op.XOR, Op.SHL, Op.SHR))
+
 # ----------------------------------------------------------------------
 # Operator expressions
 # ----------------------------------------------------------------------
 # The source both code generators emit for an operator: this module's
-# block templates and pycodegen's functions.  Operators whose Python
-# spelling matches eval_binop exactly are inlined (a comparison picks the
-# int 1 or 0 itself, with no call); the rest (trap conditions: C99
-# division, int-only bitwise ops, shift count checks) call the wrappers
-# above, so semantics cannot drift between the three backends.
+# block templates and pycodegen's functions.  ``{a}`` and ``{b}`` are
+# names or literals, so an expression may repeat them.  Every operator is
+# inline: a comparison picks the int 1 or 0 itself, and an operator with
+# a trap condition (C99 division, int-only bitwise ops, shift counts)
+# runs as one Python operator behind a guard, ``type(x) is int`` on both
+# operands (a bool fails it) plus a sign test where Python's operator
+# differs from C's.  When the guard fails the expression calls the
+# checked wrapper above, so semantics and trap messages cannot drift
+# between the three backends.
+
+
+def _int_guarded(expr: str, helper: str, guard: str = "") -> str:
+    return (f"({expr} if type({{a}}) is int and type({{b}}) is int"
+            f"{guard} else {helper}({{a}}, {{b}}))")
+
 
 _INLINE_BINOPS = {
     Op.ADD: "({a} + {b})",
     Op.SUB: "({a} - {b})",
     Op.MUL: "({a} * {b})",
+    Op.DIV: _int_guarded("{a} // {b}", "_div", " and {a} >= 0 and {b} > 0"),
+    Op.MOD: _int_guarded("{a} % {b}", "_mod", " and {a} >= 0 and {b} > 0"),
+    Op.AND: _int_guarded("{a} & {b}", "_op_and"),
+    Op.OR: _int_guarded("{a} | {b}", "_op_or"),
+    Op.XOR: _int_guarded("{a} ^ {b}", "_op_xor"),
+    Op.SHL: _int_guarded("{a} << {b}", "_op_shl", " and {b} >= 0"),
+    Op.SHR: _int_guarded("{a} >> {b}", "_op_shr", " and {b} >= 0"),
     Op.EQ: "(1 if {a} == {b} else 0)",
     Op.NE: "(1 if {a} != {b} else 0)",
     Op.LT: "(1 if {a} < {b} else 0)",
     Op.LE: "(1 if {a} <= {b} else 0)",
     Op.GT: "(1 if {a} > {b} else 0)",
     Op.GE: "(1 if {a} >= {b} else 0)",
-}
-
-_HELPER_BINOPS = {
-    Op.DIV: "_div({a}, {b})",
-    Op.MOD: "_mod({a}, {b})",
-    Op.AND: "_op_and({a}, {b})",
-    Op.OR: "_op_or({a}, {b})",
-    Op.XOR: "_op_xor({a}, {b})",
-    Op.SHL: "_op_shl({a}, {b})",
-    Op.SHR: "_op_shr({a}, {b})",
 }
 
 _INLINE_UNOPS = {
@@ -255,7 +295,7 @@ _HELPER_GLOBALS = {
 
 
 def _binop_source(op: Op, a: str, b: str) -> str:
-    return (_INLINE_BINOPS.get(op) or _HELPER_BINOPS[op]).format(a=a, b=b)
+    return _INLINE_BINOPS[op].format(a=a, b=b)
 
 
 class TranslationFault(MachineError):
@@ -278,45 +318,52 @@ class TranslationFault(MachineError):
 # it is hashed and compared without nested tuples.  ``needs`` says which
 # machine values the block uses.  The translation walk
 # (``ThreadedBackend._translate``) appends each part's hole values in the
-# order ``_render`` declares them.  The parts, with their holes:
+# order ``_render`` declares them.  The parts, with their holes (a
+# bracketed hole only for an operand kind that has one):
 #
-#   bin op lk rk        dest, lhs, rhs   v = lhs op rhs; E[dest] = v
-#   un op               dest, src        v = op E[src]; E[dest] = v
-#   mov                 dest, src        v = E[src]; E[dest] = v
-#   const               dest, value      a folded Move, BinOp or UnOp
-#   load reg            dest, addr       v = memory[addr]; E[dest] = v
-#   read                register         v = E[register] (a condition)
-#   store reg reg       addr, value
-#   call regs dest      entry, (param, arg) per argument, [dest]
-#   ncall regs dest     name, arg per argument, [dest]
+#   bin op lk rk        dest, [lhs], [rhs]  v = lhs op rhs; E[dest] = v
+#   un op sk            dest, [src]         v = op src; E[dest] = v
+#   mov sk              dest, [src]         v = src; E[dest] = v
+#   const               dest, value         a folded Move, BinOp or UnOp
+#   load ak             dest, [addr]        v = memory[addr]; E[dest] = v
+#   read                register            v = E[register] (a condition)
+#   store ak vk         [addr], [value]     memory[addr] = value
+#   call kinds dest     entry, (param, [arg]) per argument, [dest]
+#   ncall kinds dest    name, [arg] per argument, [dest]
 #   commit n conds      the charges (see _commit)
 #   out                 the outcome
-#   branch j            both outcomes; the part at j holds the condition
-#   ret                 register
+#   branch local        both outcomes; ``local`` holds the condition
+#   ret rk              [register]
 #   enter               the EnterRegion, the cell its dispatch binds in
 #   raise error n       n registers read first, the message
 #
-# Operand kinds: "r" a register, "i" an immediate, "f" a float immediate
-# (whose extra is charged on every execution); ``reg`` is a boolean and
-# ``regs`` a tuple of them.  A part's locals are named by the position
-# of its tag in the shape (``a3``, ``b3``, ``v3``), which is how a
-# commit's float tests and a branch find them.
+# Operand kinds: "r" a register read from ``E``, "i" an immediate, "f" a
+# float immediate (whose extra is charged on every execution), each with
+# its hole; or a *forwarded* register, which an earlier part of the block
+# wrote with no call part in between, named by that part's local
+# (``"v3"``) and read from it, with no hole.  A kind is always a string:
+# an int or a bool in the same field would merge two shapes, since
+# ``True == 1``.  ``kinds`` is a tuple of kinds.  A part's locals are
+# named by the position of its tag in the shape (``a3``, ``b3``,
+# ``v3``), which is how a commit's float tests, a branch and a forwarded
+# operand find them.
 
 #: The number of fields after each tag.
-_FIELDS = {"bin": 3, "un": 1, "mov": 0, "const": 0, "load": 1, "read": 0,
+_FIELDS = {"bin": 3, "un": 2, "mov": 1, "const": 0, "load": 1, "read": 0,
            "store": 2, "call": 2, "ncall": 2, "commit": 2, "out": 0,
-           "branch": 1, "ret": 0, "enter": 0, "raise": 2}
+           "branch": 1, "ret": 1, "enter": 0, "raise": 2}
 
 #: Bits of ``needs``.
 _LOADS, _STORES, _CALLS = 1, 2, 4
 
 #: The machine holes, per ``needs``, in the order the templates declare
-#: them: stats, machine, the memory's words and load, its store, the
-#: by-name call.
+#: them: stats, machine, the memory's words, its load, the memory and
+#: its store, the by-name call.
 _MACHINE_NAMES = tuple(
     ("ST", "M")
-    + (("W", "LOAD") if needs & _LOADS else ())
-    + (("STORE",) if needs & _STORES else ())
+    + (("W",) if needs & (_LOADS | _STORES) else ())
+    + (("LOAD",) if needs & _LOADS else ())
+    + (("MEM", "STORE") if needs & _STORES else ())
     + (("CALL",) if needs & _CALLS else ())
     for needs in range(8)
 )
@@ -369,6 +416,19 @@ def _operand(operand):
     return None, None
 
 
+def _use(kind: str, value, written: dict, holes: list) -> str:
+    """The shape kind of an operand that ``_operand`` decoded: the local
+    of the part that wrote the register earlier in the block, if one did
+    (``written`` maps a register to it), else ``kind``, whose hole
+    ``value`` is appended."""
+    if kind == "r":
+        local = written.get(value)
+        if local is not None:
+            return local
+    holes.append(value)
+    return kind
+
+
 def _fail(parts: list, holes: list, error: str, reads, message: str):
     """Append a part that reads the register operands among ``reads``, in
     order (an undefined one traps first), then raises ``error``."""
@@ -415,14 +475,17 @@ def _commit(parts: list, holes: list, const: float, count: int,
 def _float_test(shape: tuple, index: int) -> str:
     """Source true when the part at ``index`` read a float operand."""
     tag = shape[index]
+    if tag == "mov":   # its own local holds the value it moved
+        return f"type(v{index}) is float"
     if tag == "bin":
-        names = [f"{local}{index}" for local, kind
-                 in (("a", shape[index + 2]), ("b", shape[index + 3]))
-                 if kind == "r"]
-    elif tag == "un":
-        names = [f"a{index}"]
-    else:  # "mov"
-        names = [f"v{index}"]
+        operands = (("a", shape[index + 2]), ("b", shape[index + 3]))
+    else:  # "un"
+        operands = (("a", shape[index + 2]),)
+    # A register read from E is in the part's own local, a forwarded one
+    # in its writer's (which two operands may share).
+    names = dict.fromkeys(f"{local}{index}" if kind == "r" else kind
+                          for local, kind in operands
+                          if kind != "i" and kind != "f")
     return " or ".join(f"type({name}) is float" for name in names)
 
 
@@ -441,37 +504,49 @@ def _render(shape: tuple) -> str:
         return params[-1]
 
     body: list[tuple[bool, str]] = []   # (reads registers, line)
+
+    def operand(kind: str, local: str | None = None) -> str:
+        """The expression of an operand of ``kind``, declaring its hole;
+        a register read from ``E`` is first bound to ``local``, if one is
+        given."""
+        if kind == "r":
+            read = f"E[{hole()}]"
+            if local is None:
+                return read
+            body.append((True, f"{local} = {read}"))
+            return local
+        if kind == "i" or kind == "f":
+            return hole()
+        return kind   # forwarded: the writer's local
+
     i = 1
     while i < len(shape):
         tag = shape[i]
         part = shape[i:i + 1 + _FIELDS[tag]]
         if tag == "bin":
             _, op, lk, rk = part
-            dest, lhs, rhs = hole(), hole(), hole()
-            if lk == "r":
-                body.append((True, f"a{i} = E[{lhs}]"))
-                lhs = f"a{i}"
-            if rk == "r":
-                body.append((True, f"b{i} = E[{rhs}]"))
-                rhs = f"b{i}"
+            dest = hole()
+            lhs = operand(lk, f"a{i}")
+            rhs = operand(rk, f"b{i}")
             body.append((True, f"v{i} = {_binop_source(Op(op), lhs, rhs)}"))
             body.append((True, f"E[{dest}] = v{i}"))
         elif tag == "un":
-            dest, src = hole(), hole()
-            expr = _INLINE_UNOPS[Op(part[1])].format(a=f"a{i}")
-            body += [(True, f"a{i} = E[{src}]"), (True, f"v{i} = {expr}"),
-                     (True, f"E[{dest}] = v{i}")]
+            dest = hole()
+            src = operand(part[2], f"a{i}")
+            expr = _INLINE_UNOPS[Op(part[1])].format(a=src)
+            body += [(True, f"v{i} = {expr}"), (True, f"E[{dest}] = v{i}")]
         elif tag == "mov":
-            dest, src = hole(), hole()
-            body += [(True, f"v{i} = E[{src}]"), (True, f"E[{dest}] = v{i}")]
+            dest = hole()
+            src = operand(part[1], f"v{i}")
+            if src != f"v{i}":
+                body.append((True, f"v{i} = {src}"))
+            body.append((True, f"E[{dest}] = v{i}"))
         elif tag == "const":
             dest, value = hole(), hole()
             body += [(True, f"v{i} = {value}"), (True, f"E[{dest}] = {value}")]
         elif tag == "load":
-            dest, addr = hole(), hole()
-            if part[1]:
-                body.append((True, f"a{i} = E[{addr}]"))
-                addr = f"a{i}"
+            dest = hole()
+            addr = operand(part[1], f"a{i}")
             body += [
                 (True, f"v{i} = W[{addr}] if type({addr}) is int and "
                        f"0 < {addr} < len(W) else LOAD({addr})"),
@@ -480,22 +555,24 @@ def _render(shape: tuple) -> str:
         elif tag == "read":
             body.append((True, f"v{i} = E[{hole()}]"))
         elif tag == "store":
-            addr, value = hole(), hole()
-            if part[1]:
-                body.append((True, f"a{i} = E[{addr}]"))
-                addr = f"a{i}"
-            if part[2]:
-                body.append((True, f"b{i} = E[{value}]"))
-                value = f"b{i}"
-            body.append((True, f"STORE({addr}, {value})"))
+            addr = operand(part[1], f"a{i}")
+            value = operand(part[2], f"b{i}")
+            # Inline only while the memory logs no store (annotation
+            # checking may start watching mid-run).
+            body += [
+                (True, f"if type({addr}) is int and 0 < {addr} < len(W) "
+                       "and MEM._watch is None:"),
+                (True, f"    W[{addr}] = {value}"),
+                (True, "else:"),
+                (True, f"    STORE({addr}, {value})"),
+            ]
         elif tag == "call" or tag == "ncall":
-            _, regs, has_dest = part
+            _, kinds, has_dest = part
             target = hole()
             args = []
-            for is_reg in regs:
+            for kind in kinds:
                 key = f"{hole()}: " if tag == "call" else ""
-                arg = hole()
-                args.append(f"{key}E[{arg}]" if is_reg else f"{key}{arg}")
+                args.append(key + operand(kind))
             if tag == "call":
                 body.append((True, f"f{i} = {{{', '.join(args)}}}"))
                 call = f"{target}(f{i})"
@@ -535,9 +612,10 @@ def _render(shape: tuple) -> str:
         elif tag == "branch":
             taken, untaken = hole(), hole()
             body.append((False,
-                         f"return {taken} if v{part[1]} else {untaken}"))
+                         f"return {taken} if {part[1]} else {untaken}"))
         elif tag == "ret":
-            body.append((True, f"return ('return', E[{hole()}])"))
+            body.append((part[1] == "r",
+                         f"return ('return', {operand(part[1])})"))
         elif tag == "enter":
             instr, held = hole(), hole()
             body += [
@@ -780,7 +858,8 @@ class ThreadedBackend:
             # swaps the machine's memory between runs.
             values = {"ST": machine.stats, "M": machine,
                       "W": memory._words, "LOAD": memory.load,
-                      "STORE": memory.store, "CALL": machine.call}
+                      "MEM": memory, "STORE": memory.store,
+                      "CALL": machine.call}
             self._machine_holes = [tuple(values[name] for name in names)
                                    for names in _MACHINE_NAMES]
             self._memory = memory
@@ -795,6 +874,8 @@ class ThreadedBackend:
         templates = _TEMPLATES
         new_function = types.FunctionType
         template_globals = _TEMPLATE_GLOBALS
+        use = _use
+        int_only = _INT_ONLY_NAMES
         runners = {}
         # Each block is walked into its shape and holes, then built from
         # the shape's template.
@@ -807,9 +888,10 @@ class ThreadedBackend:
             const = 0.0
             count = 0
             extras: list = []
-            # The register the previous part wrote, and the part's
-            # position: a branch on that register tests the part's local.
-            last = None
+            # Each register a part of the block wrote since the last
+            # call part -> that part's local, which a later read of the
+            # register uses instead of ``E``.
+            written: dict = {}
             # The part that ends the block after its last commit, and
             # its holes; None when the block raises before any commit.
             end = None
@@ -839,13 +921,18 @@ class ThreadedBackend:
                         break
                     const += charge[0]
                     count += 1
-                    last = instr.dest
-                    last_at = len(parts)
+                    dest = instr.dest
+                    at = len(parts)
                     if lk == "r" or rk == "r":
-                        extras.append((None if lk == "f" or rk == "f"
-                                       else last_at, charge[1]))
-                        parts += ("bin", name, lk, rk)
-                        holes += (last, lv, rv)
+                        # A float operand of an int-only operator traps
+                        # before the commit: it has no extra to test.
+                        if name not in int_only:
+                            extras.append((None if lk == "f" or rk == "f"
+                                           else at, charge[1]))
+                        holes.append(dest)
+                        parts += ("bin", name, use(lk, lv, written, holes),
+                                  use(rk, rv, written, holes))
+                        written[dest] = f"v{at}"
                         continue
                     try:
                         value = _BINOPS_BY_NAME[name](lv, rv)
@@ -856,7 +943,8 @@ class ThreadedBackend:
                     if lk == "f" or rk == "f":
                         extras.append((None, charge[1]))
                     parts.append("const")
-                    holes += (last, value)
+                    holes += (dest, value)
+                    written[dest] = f"v{at}"
                 elif cls is Branch:
                     cond = instr.cond
                     if type(cond) is Reg:
@@ -864,14 +952,13 @@ class ThreadedBackend:
                         const += branch
                         count += 1
                         # The condition is read before the commit, as the
-                        # reference reads it; a register the previous part
-                        # just wrote is that part's local.
-                        if cv == last:
-                            end = "branch", last_at
-                        else:
-                            end = "branch", len(parts)
+                        # reference reads it, unless a part wrote it.
+                        local = written.get(cv)
+                        if local is None:
+                            local = f"v{len(parts)}"
                             parts.append("read")
                             holes.append(cv)
+                        end = "branch", local
                         end_holes = (("jump", instr.if_true),
                                      ("jump", instr.if_false))
                         break
@@ -907,8 +994,9 @@ class ThreadedBackend:
                         end = ("out",)
                         end_holes = (("return", None),)
                     elif type(value) is Reg:
-                        end = ("ret",)
-                        end_holes = (value.name,)
+                        end_holes = []
+                        end = ("ret", use("r", value.name, written,
+                                          end_holes))
                     elif type(value) is Imm:
                         end = ("out",)
                         end_holes = (("return", value.value),)
@@ -920,13 +1008,14 @@ class ThreadedBackend:
                 elif cls is Move:
                     src = instr.src
                     count += 1
-                    last = instr.dest
-                    last_at = len(parts)
+                    dest = instr.dest
+                    at = len(parts)
                     if type(src) is Reg:
                         const += move_base
-                        extras.append((last_at, move_extra))
-                        parts.append("mov")
-                        holes += (last, src.name)
+                        extras.append((at, move_extra))
+                        holes.append(dest)
+                        parts += ("mov", use("r", src.name, written, holes))
+                        written[dest] = f"v{at}"
                         continue
                     sk, sv = _operand(src)
                     if sk is None:
@@ -935,7 +1024,8 @@ class ThreadedBackend:
                         break
                     const += float_const if sk == "f" else int_const
                     parts.append("const")
-                    holes += (last, sv)
+                    holes += (dest, sv)
+                    written[dest] = f"v{at}"
                 elif cls is Load:
                     ak, av = _operand(instr.addr)
                     if ak is None:
@@ -945,10 +1035,11 @@ class ThreadedBackend:
                     const += load
                     count += 1
                     needs |= _LOADS
-                    last = instr.dest
-                    last_at = len(parts)
-                    parts += ("load", ak == "r")
-                    holes += (last, av)
+                    dest = instr.dest
+                    at = len(parts)
+                    holes.append(dest)
+                    parts += ("load", use(ak, av, written, holes))
+                    written[dest] = f"v{at}"
                 elif cls is Store:
                     ak, av = _operand(instr.addr)
                     if ak is None:
@@ -963,9 +1054,8 @@ class ThreadedBackend:
                     const += store
                     count += 1
                     needs |= _STORES
-                    last = None
-                    parts += ("store", ak == "r", vk == "r")
-                    holes += (av, vv)
+                    parts += ("store", use(ak, av, written, holes),
+                              use(vk, vv, written, holes))
                 elif cls is Call:
                     # A call ends the segment: the reference commits before
                     # it reads the arguments.
@@ -974,11 +1064,11 @@ class ThreadedBackend:
                     const = 0.0
                     count = 0
                     extras = []
-                    last = None
-                    call_needs = self._call(instr, parts, holes)
+                    call_needs = self._call(instr, parts, holes, written)
                     if call_needs is None:
                         break
                     needs |= call_needs
+                    written = {}
                 elif cls is UnOp:
                     name = instr.op._value_
                     sk, sv = _operand(instr.src)
@@ -994,17 +1084,18 @@ class ThreadedBackend:
                     charge = ops.get("alu") or terms.op("alu")
                     const += charge[0]
                     count += 1
-                    last = instr.dest
-                    last_at = len(parts)
+                    dest = instr.dest
+                    at = len(parts)
                     if sk == "r":
-                        extras.append((last_at, charge[1]))
-                        parts += ("un", name)
-                        holes += (last, sv)
+                        extras.append((at, charge[1]))
+                        holes.append(dest)
+                        parts += ("un", name, use(sk, sv, written, holes))
                     else:
                         if sk == "f":
                             extras.append((None, charge[1]))
                         parts.append("const")
-                        holes += (last, unop(sv))
+                        holes += (dest, unop(sv))
+                    written[dest] = f"v{at}"
                 elif cls is MakeStatic or cls is MakeDynamic:
                     pass   # annotations execute for free in every backend
                 elif cls is EnterRegion:
@@ -1042,12 +1133,13 @@ class ThreadedBackend:
                 (*holes, *machine_holes[needs]))
         return _Translation(fn, penalty, scale, runners)
 
-    def _call(self, instr: Call, parts: list, holes: list):
+    def _call(self, instr: Call, parts: list, holes: list,
+              written: dict):
         """Append a call's part, after its segment's commit, and return
         the ``needs`` bits it adds; None when the call raises instead (an
         argument nothing can evaluate, or a module function of another
-        arity)."""
-        regs = []
+        arity).  An argument that a part of the segment wrote is read
+        from the part's local (``written``)."""
         args = []
         for arg in instr.args:
             kind, value = _operand(arg)
@@ -1055,8 +1147,7 @@ class ThreadedBackend:
                 _fail(parts, holes, "TrapError", instr.args[:len(args)],
                       f"cannot evaluate operand {arg!r}")
                 return None
-            regs.append(kind == "r")
-            args.append(value)
+            args.append((kind, value))
         callee = instr.callee
         dest = instr.dest
         # A module function (which shadows an intrinsic of the same name)
@@ -1064,9 +1155,10 @@ class ThreadedBackend:
         # so an undefined callee raises only if it is reached.
         function = self.machine.module.functions.get(callee)
         if function is None:
-            parts += ("ncall", tuple(regs), dest is not None)
             holes.append(callee)
-            holes += args
+            kinds = tuple([_use(kind, value, written, holes)
+                           for kind, value in args])
+            parts += ("ncall", kinds, dest is not None)
             needs = _CALLS
         elif len(function.params) != len(args):
             _fail(parts, holes, "MachineError", instr.args,
@@ -1074,10 +1166,12 @@ class ThreadedBackend:
                   f"got {len(args)}")
             return None
         else:
-            parts += ("call", tuple(regs), dest is not None)
             holes.append(self.machine.bind_call(function))
-            for param, value in zip(function.params, args):
-                holes += (param, value)
+            kinds = []
+            for param, (kind, value) in zip(function.params, args):
+                holes.append(param)
+                kinds.append(_use(kind, value, written, holes))
+            parts += ("call", tuple(kinds), dest is not None)
             needs = 0
         if dest is not None:
             holes.append(dest)

@@ -10,13 +10,18 @@ CI-sized form.
 """
 
 import json
+import os
 
 from repro.chaos.orchestrator import (
     ALLOWED_ERROR_CODES,
     ALLOWED_STATUSES,
+    DEFAULT_BENCH_PATH,
+    SMOKE_BENCH_PATH,
+    _parse_args,
     check_memo,
     main,
     merge_leg,
+    output_path,
     plan_schedule,
 )
 from repro.evalharness.memo import Memoizer
@@ -128,6 +133,27 @@ class TestInvariantHelpers:
         assert "404" not in ALLOWED_STATUSES
         assert "circuit_open" in ALLOWED_ERROR_CODES
         assert "unknown" not in ALLOWED_ERROR_CODES
+
+
+class TestOutputPath:
+    def test_smoke_run_leaves_the_committed_report_alone(self):
+        """A smoke run from the repository root writes under a
+        git-ignored directory, never over the committed report."""
+        path = output_path(_parse_args(["--smoke"]))
+        assert path == SMOKE_BENCH_PATH != DEFAULT_BENCH_PATH
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, ".gitignore"),
+                  encoding="utf-8") as handle:
+            ignored = handle.read().split()
+        assert os.path.dirname(SMOKE_BENCH_PATH) + "/" in ignored
+
+    def test_full_run_writes_the_committed_report(self):
+        assert output_path(_parse_args([])) == DEFAULT_BENCH_PATH
+
+    def test_output_wins(self):
+        for argv in (["--smoke"], []):
+            args = _parse_args([*argv, "--output", "elsewhere.json"])
+            assert output_path(args) == "elsewhere.json"
 
 
 class TestEndToEnd:

@@ -5,10 +5,11 @@ results for every workload, plus correct translation-cache invalidation
 when emitted code is patched."""
 
 import dataclasses
+import re
 
 import pytest
 
-from repro.config import ALL_OFF, ALL_ON
+from repro.config import ALL_OFF, ALL_ON, OptConfig
 from repro.dyc import compile_annotated, compile_static
 from repro.errors import MachineError, TrapError
 from repro.evalharness.runner import _machine_kwargs
@@ -30,13 +31,16 @@ from repro.ir.instructions import (
     Hole,
     Imm,
     Jump,
+    Load,
     Move,
     Reg,
     Return,
+    Store,
     UnOp,
 )
 from repro.machine import ALPHA_21164, BACKENDS, ICacheModel, Machine
 from repro.machine import threaded
+from repro.machine.pycodegen import _lit
 from repro.machine.threaded import BINOP_FUNCS, UNOP_FUNCS
 from repro.workloads import ALL_WORKLOADS, WORKLOADS_BY_NAME
 
@@ -107,10 +111,13 @@ class TestBackendEquivalence:
 
 class TestEvaluatorTables:
     #: (lhs, rhs) samples covering int/float/bool-ish and trap cases,
-    #: signed zeros, an int/float tie and NaN.
+    #: signed zeros, an int/float tie and NaN, and both sides of every
+    #: int fast path's guard: a bool, each sign of either operand, an
+    #: int past 64 bits and a negative shift count.
     SAMPLES = [(7, 3), (-8, 3), (2.5, 4.0), (0, 5), (6, 0), (1.5, 0.0),
                (-7, -2), (3, 1.5), (-0.0, 0.0), (2, 2.0),
-               (float("nan"), float("nan")), (float("nan"), 1)]
+               (float("nan"), float("nan")), (float("nan"), 1),
+               (True, 1), (-7, 2), (7, -2), (2**70, 3), (5, -1)]
 
     def test_binop_funcs_match_eval_binop(self):
         for op, func in BINOP_FUNCS.items():
@@ -130,26 +137,29 @@ class TestEvaluatorTables:
         """The source both code generators emit for an operator
         evaluates as ``eval_binop`` and ``eval_unop`` do: the same value
         and type (a comparison writes the int ``1`` or ``0``) or the
-        same trap."""
+        same trap, with its operands spelled as names (threaded's and
+        pycodegen's locals) and as pycodegen's literals."""
         nan = float("nan")
-        binops = {**threaded._INLINE_BINOPS, **threaded._HELPER_BINOPS}
-        assert set(binops) == set(BINOP_FUNCS)
-        assert set(COMPARISONS) <= set(threaded._INLINE_BINOPS)
-        for op in binops:
-            code = compile(threaded._binop_source(op, "a", "b"), "<op>",
-                           "eval")
+        assert set(threaded._INLINE_BINOPS) == set(BINOP_FUNCS)
+        for op in threaded._INLINE_BINOPS:
+            by_name = compile(threaded._binop_source(op, "a", "b"), "<op>",
+                              "eval")
             for lhs, rhs in self.SAMPLES:
-                scope = {**threaded._HELPER_GLOBALS, "a": lhs, "b": rhs}
-                try:
-                    expected = eval_binop(op, lhs, rhs)
-                except TrapError as err:
-                    with pytest.raises(TrapError) as caught:
-                        eval(code, scope)
-                    assert str(caught.value) == str(err)
-                    continue
-                got = eval(code, scope)
-                assert type(got) is type(expected), (op, lhs, rhs)
-                assert repr(got) == repr(expected), (op, lhs, rhs)
+                by_literal = compile(
+                    threaded._binop_source(op, _lit(lhs), _lit(rhs)),
+                    "<op>", "eval")
+                for code in (by_name, by_literal):
+                    scope = {**threaded._HELPER_GLOBALS, "a": lhs, "b": rhs}
+                    try:
+                        expected = eval_binop(op, lhs, rhs)
+                    except TrapError as err:
+                        with pytest.raises(TrapError) as caught:
+                            eval(code, scope)
+                        assert str(caught.value) == str(err)
+                        continue
+                    got = eval(code, scope)
+                    assert type(got) is type(expected), (op, lhs, rhs)
+                    assert repr(got) == repr(expected), (op, lhs, rhs)
         for op, source in threaded._INLINE_UNOPS.items():
             for value in (5, -5, 0, 2.25, -0.5, -0.0, nan):
                 got = eval(source.format(a="a"), {"a": value})
@@ -323,11 +333,14 @@ def _block(op, lhs, rhs, cond="c"):
     return mod
 
 
-def _outcome(mod, *args, step_limit=500_000_000):
-    """A run's result or error, and the stats it left, per backend."""
+def _outcome(mod, *args, step_limit=500_000_000, memory=None):
+    """A run's result or error, and the stats it left, per backend; each
+    run gets a fresh memory from the factory ``memory``, if one is
+    given."""
     outcomes = {}
     for backend in BACKENDS:
-        machine = Machine(mod, backend=backend, step_limit=step_limit)
+        machine = Machine(mod, backend=backend, step_limit=step_limit,
+                          memory=memory() if memory else None)
         try:
             result = ("ok", machine.run("f", *args))
         except (MachineError, TrapError) as exc:
@@ -657,3 +670,238 @@ class TestTemplates:
             assert machine.run("f", 0) == n - 1
             assert len(threaded._TEMPLATES) <= 3
         assert isinstance(threaded._TEMPLATE_CAP, int)
+
+
+def _reads(runner):
+    """The registers ``runner``'s template reads from ``E``, in order."""
+    source = threaded._render(_shape_of(runner))
+    holes = runner.__defaults__
+    return [holes[int(n)] for n in re.findall(r"E\[h(\d+)\](?! =)", source)]
+
+
+def _words():
+    """A memory of three words after the null word: 1 holds 5, 2 holds
+    6.5 and 3 holds 3."""
+    return Memory.from_words([0, 5, 6.5, 3])
+
+
+#: Instructions that write ``t`` from ``x`` (a number) and ``p`` (an
+#: address of ``_words``), one per part that writes a register, with the
+#: registers each reads from ``E``.
+WRITERS = {
+    "const": ([Move("t", Imm(3))], []),
+    "load": ([Load("t", Reg("p"))], ["p"]),
+    "mov": ([Move("t", Reg("x"))], ["x"]),
+    "un": ([UnOp("t", Op.NEG, Reg("x"))], ["x"]),
+    "bin": ([BinOp("t", Op.MUL, Reg("x"), Imm(2))], ["x"]),
+}
+
+
+@pytest.mark.usefixtures("fresh_templates")
+class TestForwarding:
+    """A register that an earlier part of the same block wrote, with no
+    call part in between, is read from that part's local, never from
+    ``E``; the stats stay the reference's on all three backends."""
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_written_register_is_not_read_back(self, writer):
+        instrs, writer_reads = WRITERS[writer]
+        mod = _function(
+            ("e", [*instrs,
+                   BinOp("u", Op.ADD, Reg("t"), Reg("x")),
+                   UnOp("n", Op.NEG, Reg("t")),
+                   Move("m", Reg("n")),
+                   Store(Reg("p"), Reg("m")),
+                   Move("q", Reg("p")),
+                   Load("l", Reg("q")),
+                   BinOp("c", Op.LT, Reg("u"), Reg("l")),
+                   Branch(Reg("c"), "yes", "no")]),
+            ("yes", [BinOp("s", Op.SUB, Reg("t"), Reg("u")),
+                     Return(Reg("s"))]),
+            ("no", [Return(Reg("t"))]),
+            params=("x", "p"))
+        runners = _runners(mod)
+        # Only the parameters are read from E: the operands of the add,
+        # the neg, the first move, the store's value, the load's address,
+        # the compare and the branch condition are all forwarded.
+        assert _reads(runners["e"]) == writer_reads + ["x", "p", "p"]
+        assert "read" not in _shape_of(runners["e"])
+        # Another block reads them from E; its return is forwarded.
+        assert _reads(runners["yes"]) == ["t", "u"]
+        assert _reads(runners["no"]) == ["t"]
+        for x in (1, -4, 2.5):
+            for p in (1, 2):
+                outcomes = _outcome(mod, x, p, memory=_words)
+                assert outcomes["reference"][0][0] == "ok"
+                for backend in BACKENDS:
+                    assert outcomes[backend] == outcomes["reference"], \
+                        (backend, x, p)
+
+    def test_return_and_call_arguments_forward(self):
+        mod = _function(
+            ("e", [BinOp("t", Op.ADD, Reg("x"), Imm(1)),
+                   Call("r", "g", (Reg("t"), Reg("x"))),
+                   BinOp("s", Op.ADD, Reg("r"), Imm(1)),
+                   Return(Reg("s"))]),
+            extra=(_g(2),))
+        assert _reads(_runners(mod)["e"]) == ["x", "x", "r"]
+        outcomes = _outcome(mod, 4)
+        assert outcomes["reference"][0] == ("ok", 3)
+        for backend in BACKENDS:
+            assert outcomes[backend] == outcomes["reference"], backend
+
+    def test_later_write_forwards(self):
+        mod = _function(("e", [
+            Move("t", Reg("x")),
+            BinOp("t", Op.ADD, Reg("t"), Imm(1)),
+            BinOp("y", Op.MUL, Reg("t"), Reg("t")),
+            Return(Reg("y"))]))
+        runner = _runners(mod)["e"]
+        shape = _shape_of(runner)
+        mov, first, second = (shape.index("mov"), shape.index("bin"),
+                              shape.index("bin", shape.index("bin") + 1))
+        assert shape[first + 2] == f"v{mov}"
+        assert shape[second + 2:second + 4] == (f"v{first}",) * 2
+        assert _reads(runner) == ["x"]
+        for x in (2, 2.5):
+            outcomes = _outcome(mod, x)
+            assert outcomes["reference"][0] == ("ok", (x + 1) * (x + 1))
+            for backend in BACKENDS:
+                assert outcomes[backend] == outcomes["reference"], backend
+
+    def test_nothing_forwards_across_a_call(self):
+        mod = _function(
+            ("e", [BinOp("t", Op.ADD, Reg("x"), Imm(1)),
+                   Call("r", "g", ()),
+                   BinOp("s", Op.ADD, Reg("t"), Reg("r")),
+                   Branch(Reg("t"), "yes", "no")]),
+            ("yes", [Return(Reg("s"))]),
+            ("no", [Return(Imm(0))]),
+            extra=(_g(0),))
+        runner = _runners(mod)["e"]
+        # The branch reads ``t`` again, from E: the only part since the
+        # call wrote ``s``.
+        assert _reads(runner) == ["x", "t", "r", "t"]
+        assert "read" in _shape_of(runner)
+        for x in (-1, 1, 1.5):
+            outcomes = _outcome(mod, x)
+            for backend in BACKENDS:
+                assert outcomes[backend] == outcomes["reference"], backend
+
+    def test_read_before_first_write_traps(self):
+        mod = _function(("e", [
+            Move("a", Reg("x")),
+            BinOp("y", Op.ADD, Reg("t"), Imm(1)),
+            Move("t", Imm(2)),
+            Return(Reg("t"))]))
+        assert _reads(_runners(mod)["e"]) == ["x", "t"]
+        outcomes = _outcome(mod, 1)
+        assert outcomes["reference"][0] == (
+            "TrapError", "use of undefined variable 't'")
+        for backend in BACKENDS:
+            assert outcomes[backend] == outcomes["reference"], backend
+
+    def test_bitwise_parts_have_no_float_test(self):
+        """A float operand of an int-only operator traps before the
+        commit, so the commit tests no float for its part; an add's
+        part keeps its test."""
+        ops = (Op.AND, Op.OR, Op.XOR, Op.SHL, Op.SHR)
+        mod = _function(("e", [
+            *(BinOp(f"t{k}", op, Reg("x"), Imm(1))
+              for k, op in enumerate(ops)),
+            BinOp("s", Op.ADD, Reg("t4"), Reg("x")),
+            Return(Reg("s"))]))
+        source = threaded._render(_shape_of(_runners(mod)["e"]))
+        assert source.count("is float") == 2   # the add's two operands
+        for x, result in ((6, ("ok", 9)), (True, ("ok", 1)),
+                          (2.5, ("TrapError",
+                                 "and requires integer operands, got "
+                                 "2.5 and 1"))):
+            outcomes = _outcome(mod, x)
+            assert outcomes["reference"][0] == result
+            for backend in BACKENDS:
+                assert outcomes[backend] == outcomes["reference"], backend
+
+
+class _CountingMemory(Memory):
+    """A memory that records each address ``store`` is called with."""
+
+    def __init__(self, words=()):
+        super().__init__()
+        self._words = list(words)
+        self.stored = []
+
+    def store(self, addr, value):
+        self.stored.append(addr)
+        super().store(addr, value)
+
+
+@pytest.mark.usefixtures("fresh_templates")
+class TestInlineStores:
+    """A store to an in-bounds int address of a memory that watches no
+    address writes the word list inline; every other store calls
+    ``Memory.store``, so it logs and faults as the reference does."""
+
+    @pytest.mark.parametrize("addr,inline,result", [
+        (1, True, ("ok", 8)),
+        (3, True, ("ok", 5)),
+        (2.0, False, ("ok", 5)),
+        (True, False, ("ok", 8)),
+        (5.0, False, ("MemoryFault", "address 5 out of bounds (size 4)")),
+        (2.5, False, ("MemoryFault", "non-integer address 2.5")),
+        (0, False, ("MemoryFault", "null/negative address 0")),
+        (-1, False, ("MemoryFault", "null/negative address -1")),
+        (4, False, ("MemoryFault", "address 4 out of bounds (size 4)"))])
+    def test_store_address(self, addr, inline, result):
+        mod = _function(("e", [
+            Store(Reg("p"), Reg("x")),
+            Load("y", Imm(1)),
+            Return(Reg("y"))]), params=("x", "p"))
+        outcomes = _outcome(mod, 8, addr,
+                            memory=lambda: Memory.from_words([0, 5, 6, 7]))
+        assert outcomes["reference"][0] == result
+        for backend in BACKENDS:
+            assert outcomes[backend] == outcomes["reference"], backend
+        memory = _CountingMemory([0, 5, 6, 7])
+        machine = Machine(mod, backend="threaded", memory=memory)
+        try:
+            machine.run("f", 8, addr)
+        except MachineError as fault:
+            assert (type(fault).__name__, str(fault)) == result
+        assert memory.stored == ([] if inline else [addr])
+
+    def test_watched_store_is_logged(self):
+        """Annotation checking starts watching an address mid-run, after
+        ``mutate``'s store was translated and had run inline."""
+        src = """
+        func f(p, x) {
+            make_static(p);
+            var w = p@[0];
+            return w * x;
+        }
+        func mutate(p, v) {
+            p[0] = v;
+            return 0;
+        }
+        func main(p, x) {
+            mutate(p, 7);
+            var a = f(p, x);
+            mutate(p, 99);
+            var b = f(p, x);
+            return a + b;
+        }
+        """
+        compiled = compile_annotated(compile_source(src),
+                                     OptConfig(check_annotations=True))
+        outcomes = {}
+        for backend in BACKENDS:
+            memory = Memory()
+            p = memory.alloc_array([1])
+            machine, _ = compiled.make_machine(memory=memory,
+                                               backend=backend)
+            result = machine.run("main", p, 2)
+            outcomes[backend] = (result, memory.watch_violations,
+                                 _stats_dict(machine.stats))
+        assert outcomes["reference"][1] == [p]
+        for backend in BACKENDS:
+            assert outcomes[backend] == outcomes["reference"], backend
