@@ -80,14 +80,12 @@ class OptConfig:
     #: failures; further dispatches run the unspecialized fallback
     #: directly (circuit breaker).
     quarantine_after: int = 3
-    #: Codegen-backend mode: ``"counted"`` (stats byte-identical to the
-    #: reference interpreter) or ``"fast"`` (no cycle accounting).
-    #: Empty means resolve from ``REPRO_CODEGEN_MODE`` / the default
-    #: (``counted``).  Only meaningful with ``backend="pycodegen"``.
+    #: Threaded-backend mode: ``"counted"`` (stats byte-identical to the
+    #: reference interpreter) or ``"fast"`` (no per-block cycle
+    #: charges).  Empty means resolve from ``REPRO_CODEGEN_MODE`` / the
+    #: default (``counted``).  Only meaningful with
+    #: ``backend="threaded"``.
     codegen_mode: str = ""
-    #: DYC210 size budget (characters) for a region's emitted Python
-    #: source; 0 disables the lint.
-    codegen_source_budget: int = 0
 
     def without(self, *names: str) -> "OptConfig":
         """A copy with the named optimizations disabled (for ablations)."""
@@ -102,7 +100,7 @@ class OptConfig:
         non_opt_fields = (
             "check_annotations", "lint", "faults", "degrade",
             "cache_capacity", "specialize_budget", "quarantine_after",
-            "codegen_mode", "codegen_source_budget",
+            "codegen_mode",
         )
         return tuple(
             f.name for f in dataclasses.fields(self)

@@ -47,10 +47,6 @@ from repro.opt.pipeline import optimize_function
 BTA_FIELDS = ("complete_loop_unrolling", "static_loads", "static_calls",
               "internal_promotions", "polyvariant_division")
 
-#: The fields the lint gate reads besides the BTA's (DYC210's size
-#: estimate); read only when ``lint`` is on.
-LINT_GATE_FIELDS = ("specialize_budget", "codegen_source_budget")
-
 
 def compile_key(config: OptConfig) -> tuple:
     """The projection of ``config`` onto the fields
@@ -60,10 +56,8 @@ def compile_key(config: OptConfig) -> tuple:
     program.  Fault specs, budgets, quarantine and the codegen mode are
     run-time settings, and compilation reads no environment variable.
     """
-    names = BTA_FIELDS + ("lint",)
-    if config.lint:
-        names += LINT_GATE_FIELDS
-    return tuple((name, getattr(config, name)) for name in names)
+    return tuple((name, getattr(config, name))
+                 for name in BTA_FIELDS + ("lint",))
 
 
 @dataclass

@@ -6,10 +6,9 @@ comparison of the execution backends, written to ``BENCH_interp.json``).
 
 Shared flags::
 
-    --backend {reference,threaded,pycodegen}
-                                     execution backend (default: threaded,
+    --backend {reference,threaded}   execution backend (default: threaded,
                                      or $REPRO_BACKEND)
-    --codegen-mode {counted,fast}    pycodegen mode (default: counted,
+    --codegen-mode {counted,fast}    threaded mode (default: counted,
                                      or $REPRO_CODEGEN_MODE)
     --jobs N                         fan runs out over N worker processes
                                      (0 = one per CPU; default $REPRO_JOBS
@@ -107,7 +106,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
                              "or threaded)")
     parser.add_argument("--codegen-mode", choices=CODEGEN_MODES,
                         default=None,
-                        help="pycodegen mode (default: "
+                        help="threaded mode (default: "
                              "$REPRO_CODEGEN_MODE or counted; sets "
                              "$REPRO_CODEGEN_MODE for workers too)")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",

@@ -1,9 +1,9 @@
-"""Wall-clock benchmark of the reference, threaded, and codegen backends.
+"""Wall-clock benchmark of the reference and threaded backends.
 
 ``python -m repro.evalharness bench`` runs every workload's static and
 dynamic executions under each benchmark column, sharing one compiled
 program per workload across columns so only *execution* time is
-compared, and writes ``BENCH_interp.json`` (schema 2) with per-workload
+compared, and writes ``BENCH_interp.json`` (schema 3) with per-workload
 and aggregate wall-clock seconds, per-column speedup factors over the
 reference interpreter, a geometric-mean summary, and a SHA-256 checksum
 over each counted column's full execution statistics.  A checksum
@@ -15,13 +15,11 @@ The columns are:
 ``reference``
     The reference interpreter — the baseline every speedup is against.
 ``threaded``
-    The direct-threaded closure backend.
-``pycodegen_counted``
-    The Python-codegen backend in counted mode: regions compiled to real
-    code objects, statistics byte-identical to the reference
-    interpreter (checksum-enforced here).
-``pycodegen``
-    The Python-codegen backend in fast mode: no cycle accounting, so it
+    The threaded backend, each block built from a code template;
+    statistics byte-identical to the reference interpreter
+    (checksum-enforced here).
+``threaded_fast``
+    The threaded backend in fast mode: no per-block cycle charges, so it
     participates only in the *results* checksum (program outputs must
     still match the reference run exactly).
 
@@ -59,15 +57,14 @@ DEFAULT_BENCH_PATH = "BENCH_interp.json"
 BENCH_COLUMNS: tuple[tuple[str, str, str], ...] = (
     ("reference", "reference", "counted"),
     ("threaded", "threaded", "counted"),
-    ("pycodegen_counted", "pycodegen", "counted"),
-    ("pycodegen", "pycodegen", "fast"),
+    ("threaded_fast", "threaded", "fast"),
 )
 
 #: Columns whose execution statistics must be byte-identical.
-COUNTED_COLUMNS = ("reference", "threaded", "pycodegen_counted")
+COUNTED_COLUMNS = ("reference", "threaded")
 
 #: Columns with a speedup factor over the reference interpreter.
-SPEEDUP_COLUMNS = ("threaded", "pycodegen_counted", "pycodegen")
+SPEEDUP_COLUMNS = ("threaded", "threaded_fast")
 
 
 def _execute(workload, static_module, compiled, backend: str, mode: str):
@@ -182,7 +179,7 @@ def run_bench(workloads=ALL_WORKLOADS,
         backends[name] = info
 
     report = {
-        "schema": 2,
+        "schema": 3,
         "python": sys.version.split()[0],
         "platform": platform.platform(),
         "repeat": repeat,
@@ -217,9 +214,10 @@ def compare_reports(committed: dict, fresh: dict) -> tuple[list[str], bool]:
 
     Returns ``(lines, ok)``.  ``ok`` goes False only on *semantic*
     divergence — schema mismatch, differing workload sets, internal
-    checksum failures in the fresh run, or counted-stats / results
-    checksums that disagree between the two reports (statistics are
-    machine-independent, so any drift means the simulation changed).
+    checksum failures in the fresh run, or a counted column's stats
+    checksum or any column's results checksum that disagrees between
+    the two reports (both are machine-independent, so any drift means
+    the simulation changed).
     Wall-clock and speedup drift is listed but never fails.
     """
     lines: list[str] = []
@@ -253,9 +251,10 @@ def compare_reports(committed: dict, fresh: dict) -> tuple[list[str], bool]:
                          + ", ".join(only_fresh))
         ok = False
 
-    for column in COUNTED_COLUMNS:
+    for column, _, _ in BENCH_COLUMNS:
         old = committed.get("backends", {}).get(column, {})
         new = fresh.get("backends", {}).get(column, {})
+        # The fast column has no stats checksum in either report.
         for key in ("stats_checksum", "results_checksum"):
             if old.get(key) != new.get(key):
                 lines.append(

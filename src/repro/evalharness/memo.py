@@ -3,12 +3,11 @@
 Every quantity in a :class:`~repro.evalharness.runner.RunResult` is a
 deterministic function of the workload program text, its prepared inputs,
 the optimization configuration, and the cost/overhead models — the
-execution *backend* explicitly is not part of the key, because every
-backend produces byte-identical statistics (enforced by
-``tests/test_threaded_backend.py`` and
-``tests/test_pycodegen_backend.py``; the runner bypasses the memoizer
-entirely for pycodegen in fast mode, whose statistics are not counted).
-The memoizer therefore keys cached
+execution *backend* explicitly is not part of the key, because both
+backends produce byte-identical statistics (enforced by
+``tests/test_threaded_backend.py``; the runner bypasses the memoizer
+entirely for threaded in fast mode, whose block cycles are not
+counted).  The memoizer therefore keys cached
 results on a SHA-256 of exactly those inputs, so re-running tables (or the
 full ``all`` sweep) only recomputes runs whose inputs actually changed.
 
@@ -45,7 +44,6 @@ from repro.config import OptConfig
 from repro.errors import SpecializationBudgetError, SpecializationError
 from repro.faults import resolve_degrade, resolve_fault_spec
 from repro.machine.costs import CostModel
-from repro.machine.pycodegen import resolve_source_limit
 from repro.runtime.overhead import OverheadModel
 from repro.workloads import WORKLOADS_BY_NAME
 from repro.workloads.base import Workload
@@ -53,8 +51,9 @@ from repro.workloads.base import Workload
 #: Bump when the RunResult layout, the entry format or the key recipe
 #: changes; stale entries from older schemas simply never match.
 #: Schema 8 seals every entry with a checksum and no longer keys on a
-#: persistent artifact store.
-_SCHEMA = 8
+#: persistent artifact store; schema 9 drops ``degraded_compilations``
+#: from the RunResult and the codegen source limit from the key.
+_SCHEMA = 9
 
 #: Every entry file starts with this tag, then the SHA-256 of the
 #: entry's key and its pickled payload, then the payload.
@@ -97,20 +96,18 @@ def _fingerprint_inputs(workload: Workload) -> str:
 def backend_env_fingerprint() -> tuple:
     """Resolved values of the environment knobs that can change a run.
 
-    ``REPRO_PYCODEGEN_SOURCE_LIMIT`` decides when the codegen tier
-    refuses an oversize source and walks the backend ladder (which bumps
-    ``degraded_compilations``); ``REPRO_TASK_TIMEOUT`` decides whether
-    the supervised pool retries or reports a hung worker's task.
-    Neither is visible in ``OptConfig``, so without feeding the
-    *resolved* values into the key a warm hit could serve a result
-    computed under a different configuration.  Knobs that only shape
-    operations (the serve tier's breakers and worker count) are left
-    out: they cannot change a ``RunResult``.  The timeout is read
-    through :func:`repro.evalharness.parallel.resolve_task_timeout`
-    lazily to keep this module import-light.
+    ``REPRO_TASK_TIMEOUT`` decides whether the supervised pool retries
+    or reports a hung worker's task.  It is not visible in
+    ``OptConfig``, so without feeding the *resolved* value into the key
+    a warm hit could serve a result computed under a different
+    configuration.  Knobs that only shape operations (the serve tier's
+    breakers and worker count) are left out: they cannot change a
+    ``RunResult``.  The timeout is read through
+    :func:`repro.evalharness.parallel.resolve_task_timeout` lazily to
+    keep this module import-light.
     """
     from repro.evalharness.parallel import resolve_task_timeout
-    return (resolve_source_limit(), resolve_task_timeout())
+    return (resolve_task_timeout(),)
 
 
 def _feed(hasher, part: object) -> None:

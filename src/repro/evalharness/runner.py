@@ -47,9 +47,14 @@ from repro.evalharness.memo import (
 from repro.evalharness.metrics import RegionMetrics
 from repro.frontend import compile_source
 from repro.ir import Memory, Module
-from repro.machine import ALPHA_21164, ICacheModel, Machine
+from repro.machine import (
+    ALPHA_21164,
+    BACKENDS,
+    CODEGEN_MODES,
+    ICacheModel,
+    Machine,
+)
 from repro.machine.costs import CostModel
-from repro.machine.pycodegen import resolve_source_limit
 from repro.runtime.overhead import DEFAULT_OVERHEAD, OverheadModel
 from repro.runtime.stats import RegionStats
 from repro.workloads.base import Workload, WorkloadInput
@@ -81,10 +86,8 @@ class RunResult:
     return_values: tuple = ()
     #: Backend-ladder degradations over both machines (static+dynamic):
     #: threaded translations that fell back to the reference
-    #: interpreter, and codegen compilations that fell back to the
-    #: threaded backend or the reference interpreter.
+    #: interpreter.
     degraded_translations: int = 0
-    degraded_compilations: int = 0
 
     # ------------------------------------------------------------------
 
@@ -92,10 +95,9 @@ class RunResult:
     def degraded(self) -> bool:
         """True when any region walked down the degradation ladder
         (failed specializations, fallback executions, quarantines,
-        budget truncations, or cache corruption recoveries) or any
-        backend walked down the backend ladder (refused translations
-        or compilations)."""
-        if self.degraded_translations or self.degraded_compilations:
+        budget truncations, or cache corruption recoveries) or the
+        backend walked down the backend ladder (refused translations)."""
+        if self.degraded_translations:
             return True
         return any(stats.degraded for stats in self.region_stats.values())
 
@@ -173,27 +175,27 @@ def resolve_backend(backend: str | None) -> str:
     """Resolve an execution backend choice.
 
     ``None`` falls back to the ``REPRO_BACKEND`` environment variable,
-    then to the fast threaded backend (all backends produce
-    byte-identical stats — pycodegen in counted mode — so the harness
-    defaults to a fast one).
+    then to the fast threaded backend (both backends produce
+    byte-identical stats in counted mode, so the harness defaults to the
+    fast one).
     """
     if backend is None:
         backend = os.environ.get("REPRO_BACKEND") or "threaded"
-    if backend not in ("reference", "threaded", "pycodegen"):
+    if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
     return backend
 
 
 def resolve_codegen_mode(mode: str | None) -> str:
-    """Resolve the pycodegen mode choice.
+    """Resolve the threaded backend's codegen mode choice.
 
     ``None``/empty falls back to the ``REPRO_CODEGEN_MODE`` environment
     variable, then to ``counted`` (stats byte-identical to the
-    reference interpreter; ``fast`` drops all cycle accounting).
+    reference interpreter; ``fast`` drops the per-block cycle charges).
     """
     if not mode:
         mode = os.environ.get("REPRO_CODEGEN_MODE") or "counted"
-    if mode not in ("counted", "fast"):
+    if mode not in CODEGEN_MODES:
         raise ValueError(f"unknown codegen mode {mode!r}")
     return mode
 
@@ -247,7 +249,6 @@ class StaticBaseline:
     #: Inclusive cycles per tracked function, as ``(name, cycles)``.
     region_cycles: tuple
     degraded_translations: int
-    degraded_compilations: int
 
 
 _STATIC_BASELINES = _LRUCache(INVARIANT_CACHE_CAPACITY)
@@ -321,14 +322,13 @@ def static_baseline_key(workload: Workload, cost_model: CostModel,
 
     The workload prefix of the memo key covers the program text, entry,
     tracked functions, I-cache capacity and prepared inputs.  The
-    backend is in the key because an oversize-source refusal (under the
-    resolved ``REPRO_PYCODEGEN_SOURCE_LIMIT``) raises the static
-    ``degraded_compilations``.  The configuration, overhead model,
-    verification flag and faults are not: the static machine has no
-    runtime, so no fault point changes what it computes.
+    backend and codegen mode are in the key because an uncounted
+    threaded run charges no block cycles.  The configuration, overhead
+    model, verification flag and faults are not: the static machine has
+    no runtime, so no fault point changes what it computes.
     """
     return (workload_prefix(workload).hexdigest(), repr(cost_model),
-            backend, codegen_mode, resolve_source_limit())
+            backend, codegen_mode)
 
 
 def static_baseline(workload: Workload, module: Module,
@@ -360,7 +360,6 @@ def static_baseline(workload: Workload, module: Module,
         total_cycles=machine.stats.cycles,
         region_cycles=tuple(machine.stats.scope_cycles.items()),
         degraded_translations=machine.stats.degraded_translations,
-        degraded_compilations=machine.stats.degraded_compilations,
     )
     if key is not None:
         _STATIC_BASELINES.put(key, baseline)
@@ -434,16 +433,16 @@ def run_workload(workload: Workload,
     (or its deterministic :class:`SpecializationError`) is served from and
     stored to the content-hash cache; a damaged entry is recomputed and
     a failed write is skipped.  The backend is deliberately not
-    part of the cache key: all backends produce byte-identical stats —
-    except pycodegen in fast mode, which drops cycle accounting, so
-    fast-mode runs bypass the memo entirely.  A caller that has already
+    part of the cache key: both backends produce byte-identical stats —
+    except threaded in fast mode, which drops the block cycle charges,
+    so fast-mode runs bypass the memo entirely.  A caller that has already
     computed the run's key (``memo.key_for`` over the same arguments)
     passes it as ``memo_key`` so it is not computed twice.
     """
     backend = resolve_backend(backend)
     codegen_mode = resolve_codegen_mode(codegen_mode
                                         or config.codegen_mode)
-    if backend == "pycodegen" and codegen_mode == "fast":
+    if backend == "threaded" and codegen_mode == "fast":
         # Fast-mode stats are not the shared byte-identical stats the
         # cache is keyed for; never serve or store them.
         memo = None
@@ -528,9 +527,5 @@ def run_workload(workload: Workload,
         degraded_translations=(
             static.degraded_translations
             + dynamic_machine.stats.degraded_translations
-        ),
-        degraded_compilations=(
-            static.degraded_compilations
-            + dynamic_machine.stats.degraded_compilations
         ),
     )

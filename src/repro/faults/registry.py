@@ -49,8 +49,6 @@ FAULT_POINTS: dict[str, str] = {
         "a cache-all insertion stores a corrupt entry checksum",
     "cache.evict":
         "a cache-all insertion first evicts a live entry",
-    "pycodegen.compile":
-        "the codegen backend fails to compile a function to Python",
     "threaded.translate":
         "the threaded backend fails to translate a function",
     "serve.admit":

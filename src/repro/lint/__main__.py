@@ -13,9 +13,6 @@ import json
 import sys
 import time
 
-import dataclasses
-
-from repro.config import ALL_ON
 from repro.lint.diagnostics import (
     CODES,
     JSON_SCHEMA_VERSION,
@@ -65,11 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--inject-plan-fault", action="store_true",
         help="self-test: corrupt every staged ZCP/DAE plan before the "
              "consistency check, proving DYC201 catches planner bugs",
-    )
-    parser.add_argument(
-        "--codegen-budget", type=int, default=0, metavar="CHARS",
-        help="arm the DYC210 emitted-source size estimate with this "
-             "character budget (0 disables it)",
     )
     return parser
 
@@ -125,12 +117,6 @@ def main(argv: list[str] | None = None) -> int:
                   f"{', '.join(unknown)}", file=sys.stderr)
             return 2
 
-    config = ALL_ON
-    if args.codegen_budget:
-        config = dataclasses.replace(
-            config, codegen_source_budget=args.codegen_budget
-        )
-
     all_diags = []
     checked = 0
     started = time.perf_counter()
@@ -143,7 +129,7 @@ def main(argv: list[str] | None = None) -> int:
         for source_id, text in sources:
             checked += 1
             diags = lint_source(
-                text, config=config, select=select,
+                text, select=select,
                 inject_plan_fault=args.inject_plan_fault,
                 interprocedural=args.interprocedural,
             )

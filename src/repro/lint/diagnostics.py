@@ -11,10 +11,8 @@ message text.  Code ranges group the checks:
   programmer assertions (paper §2); these lints flag the assertion
   patterns the paper warns about.  They are warnings (the program may
   still be correct), promoted to errors under ``--strict``.
-* ``DYC2xx`` — staged-plan and codegen consistency.  A ZCP/DAE plan
-  contradicting liveness is a planner bug, always an error; the DYC210
-  emitted-source size estimate is a warning (armed only when a
-  ``codegen_source_budget`` is configured).
+* ``DYC2xx`` — staged-plan consistency.  A ZCP/DAE plan contradicting
+  liveness is a planner bug, always an error.
 * ``DYC3xx`` — specialization-safety prover (interprocedural).  These
   run only under ``--interprocedural``: they consume whole-module
   call-graph effect summaries (:mod:`repro.analysis.effects`) to prove
@@ -55,8 +53,6 @@ CODES: dict[str, str] = {
               "whose exit tests never read it (complete unrolling never "
               "terminates)",
     "DYC201": "staged ZCP/DAE plan contradicts liveness (planner bug)",
-    "DYC210": "region's estimated emitted Python source exceeds the "
-              "configured codegen size budget",
     "DYC301": "static pointer escapes into a callee that writes the "
               "memory an @-load in the same region asserts invariant",
     "DYC302": "cache_all promotion whose key is derived from a dynamic "

@@ -23,7 +23,6 @@ from repro.lint.annotations import (
     check_unbounded_unrolling,
     check_unchecked_sources,
 )
-from repro.lint.codegen import check_codegen_size
 from repro.lint.dataflow import (
     check_calls,
     check_def_before_use,
@@ -104,7 +103,6 @@ def lint_module(module: Module,
         diags += check_dead_annotations(function, regions)
         diags += check_static_load_stores(function, regions)
         diags += check_unbounded_unrolling(function, regions, config)
-        diags += check_codegen_size(function, regions, config)
         for region in regions:
             try:
                 genext = build_generating_extension(region)

@@ -11,8 +11,12 @@ asymptotic-speedup / break-even / overhead-per-instruction metrics.
 from repro.machine.costs import CostModel, ALPHA_21164
 from repro.machine.icache import ICacheModel
 from repro.machine.intrinsics import INTRINSICS, Intrinsic
-from repro.machine.interp import BACKENDS, Machine, ExecutionStats
-from repro.machine.pycodegen import CODEGEN_MODES, PyCodegenBackend
+from repro.machine.interp import (
+    BACKENDS,
+    CODEGEN_MODES,
+    ExecutionStats,
+    Machine,
+)
 from repro.machine.threaded import ThreadedBackend
 
 __all__ = [
@@ -25,6 +29,5 @@ __all__ = [
     "CODEGEN_MODES",
     "Machine",
     "ExecutionStats",
-    "PyCodegenBackend",
     "ThreadedBackend",
 ]

@@ -31,7 +31,9 @@ Two backends execute the same IR with **bit-identical** accounting:
     each block to one Python function, built from a code template
     compiled once per block shape, with cost-model lookups and operand
     decoding folded in at translation time.  Several times faster; used
-    by the evaluation harness for large sweeps.
+    by the evaluation harness for large sweeps.  With
+    ``codegen_mode="fast"`` its blocks drop their cycle charges and keep
+    only the instruction count and step-limit test, for wall-clock runs.
 
 Both backends charge cycles with the same *segment* discipline: costs of a
 straight-line run of instructions (a block, or a block prefix up to a
@@ -123,7 +125,12 @@ _recursion_headroom = _RecursionHeadroom()
 
 
 #: Execution backends accepted by :class:`Machine`.
-BACKENDS = ("reference", "threaded", "pycodegen")
+BACKENDS = ("reference", "threaded")
+
+#: Codegen modes accepted by :class:`Machine`: ``"counted"`` keeps every
+#: charge; ``"fast"`` (threaded only) drops each block's cycle charge
+#: and keeps its instruction count and step-limit test.
+CODEGEN_MODES = ("counted", "fast")
 
 
 @dataclass
@@ -141,11 +148,6 @@ class ExecutionStats:
     #: interpreter (injected ``threaded.translate`` faults).  Zero on a
     #: clean run; the fallback is cycle-identical by construction.
     degraded_translations: int = 0
-    #: Codegen-backend compilations that fell back down the backend
-    #: ladder (injected ``pycodegen.compile`` faults, oversize sources).
-    #: Zero on a clean run; the fallback is cycle-identical in counted
-    #: mode by construction.
-    degraded_compilations: int = 0
 
     def snapshot(self) -> "ExecutionStats":
         return ExecutionStats(
@@ -157,7 +159,6 @@ class ExecutionStats:
             scope_cycles=dict(self.scope_cycles),
             scope_entries=dict(self.scope_entries),
             degraded_translations=self.degraded_translations,
-            degraded_compilations=self.degraded_compilations,
         )
 
 
@@ -178,14 +179,13 @@ class Machine:
         Names of functions whose inclusive cycles should be attributed in
         ``stats.scope_cycles`` (the paper's dynamic-region timings).
     backend:
-        ``"reference"`` (per-instruction interpreter), ``"threaded"``
-        (direct-threaded block templates; same stats, much faster),
-        or ``"pycodegen"`` (functions compiled to Python code objects;
-        same stats in counted mode, faster still).
+        ``"reference"`` (per-instruction interpreter) or ``"threaded"``
+        (direct-threaded block templates; same stats, much faster).
     codegen_mode:
-        Only meaningful with ``backend="pycodegen"``: ``"counted"``
+        Only meaningful with ``backend="threaded"``: ``"counted"``
         (stats byte-identical to the reference interpreter) or
-        ``"fast"`` (no cycle accounting, pure wall-clock speed).
+        ``"fast"`` (no per-block cycle charges, for wall-clock runs;
+        ``stats.instructions`` and the step limit are kept exactly).
     """
 
     def __init__(
@@ -221,6 +221,11 @@ class Machine:
             raise MachineError(
                 f"unknown backend {backend!r} (expected one of {BACKENDS})"
             )
+        if codegen_mode not in CODEGEN_MODES:
+            raise MachineError(
+                f"unknown codegen mode {codegen_mode!r} "
+                f"(expected one of {CODEGEN_MODES})"
+            )
         self.backend = backend
         self.codegen_mode = codegen_mode
         if backend == "threaded":
@@ -229,10 +234,6 @@ class Machine:
             from repro.machine.threaded import ThreadedBackend
 
             self._backend = ThreadedBackend(self)
-        elif backend == "pycodegen":
-            from repro.machine.pycodegen import PyCodegenBackend
-
-            self._backend = PyCodegenBackend(self, mode=codegen_mode)
         else:
             self._backend = None
         #: ``host_loop(function)`` -> ``run(frame)``: the machine's own
@@ -356,7 +357,7 @@ class Machine:
         params = function.params
         tracked = name in self.tracked
         # The machine's own host tier, even when a call site sits in code
-        # a lower tier runs (the codegen backend's threaded cold tier).
+        # the reference interpreter runs (a refused translation).
         run = self._host_loop(function)
 
         def enter(frame, _m=self, _stats=self.stats, _run=run,
@@ -406,8 +407,8 @@ class Machine:
         """The dispatch every execution of ``instr`` runs on this
         machine: ``dispatch(env) -> ("jump", label) | ("return", v)``,
         bound by the runtime (``DycRuntime.bind_entry``) at the first
-        dispatch and kept per instruction.  The threaded and codegen
-        host loops dispatch through it; the reference interpreter calls
+        dispatch and kept per instruction.  The threaded host loop
+        dispatches through it; the reference interpreter calls
         ``runtime.enter_region`` on every dispatch, as the oracle.
         """
         bound = self._entries.get(id(instr))
@@ -432,8 +433,8 @@ class Machine:
         """Reference-interpreter host loop: execute a host function until
         Return, handling EnterRegion (also the threaded backend's
         degradation target when translation is faulted).  It computes
-        the I-cache penalty on every call, as the oracle the faster
-        backends' per-machine bindings are checked against."""
+        the I-cache penalty on every call, as the oracle the threaded
+        backend's per-machine bindings are checked against."""
         penalty = self.icache.per_instruction_penalty(
             function.instruction_count()
         )
@@ -468,10 +469,10 @@ class Machine:
                             footprint: int,
                             label: str | None = None) -> tuple[str, object]:
         """Reference-interpreter region loop, from the entry or resumable
-        at ``label`` (the faster backends degrade into it, at entry or
+        at ``label`` (the threaded backend degrades into it, at entry or
         mid-region, when a translation is refused).  It computes the
-        I-cache penalty on every entry, as the oracle the faster
-        backends' per-code-version bindings are checked against."""
+        I-cache penalty on every entry, as the oracle the threaded
+        backend's per-code-version bindings are checked against."""
         if label is None:
             label = code.entry
         penalty = self.icache.per_instruction_penalty(footprint)

@@ -74,7 +74,7 @@ Semantics the templates keep, so the stats stay byte-identical:
   the call is reached;
 * an ``EnterRegion`` binds its dispatch at its first dispatch, never at
   translation;
-* every commit reads ``machine.step_limit``;
+* every commit (and tick, below) reads ``machine.step_limit``;
 * comparisons write the ints ``1`` and ``0``;
 * an operator on immediates alone folds at translation, unless it traps.
 
@@ -89,6 +89,19 @@ stores pays now that operands forward: replaying one Table 5 sweep's 47
 store, interleaved per call (runs of 9, 9 and 15 repetitions), the sum
 of per-call minimum times read 0.969-0.979 with over without, and the
 sum of medians 0.939-0.963.
+
+Uncounted mode
+--------------
+
+With ``codegen_mode="fast"`` the walk ends each segment in a ``tick``
+part instead of a commit.  A tick adds the segment's instruction count
+to ``stats.instructions`` and tests the step limit, exactly as a commit
+ends, but charges no cycles, so it tests no float extras either.  An
+uncounted run therefore counts the same instructions as a counted one
+and stops at the step limit on the same instruction; its cycle totals
+hold only what is charged outside blocks (call overhead, intrinsics,
+dispatch and dynamic compilation).  No tick shape equals a commit
+shape, so the two modes share the template cache but no template.
 
 Translation caching and invalidation
 ------------------------------------
@@ -126,6 +139,7 @@ loop only ever sees jumps and returns.
 from __future__ import annotations
 
 import builtins
+import collections
 import itertools
 import math
 import operator
@@ -242,16 +256,15 @@ _INT_ONLY_NAMES = frozenset(op.value for op in
 # ----------------------------------------------------------------------
 # Operator expressions
 # ----------------------------------------------------------------------
-# The source both code generators emit for an operator: this module's
-# block templates and pycodegen's functions.  ``{a}`` and ``{b}`` are
-# names or literals, so an expression may repeat them.  Every operator is
-# inline: a comparison picks the int 1 or 0 itself, and an operator with
-# a trap condition (C99 division, int-only bitwise ops, shift counts)
-# runs as one Python operator behind a guard, ``type(x) is int`` on both
-# operands (a bool fails it) plus a sign test where Python's operator
-# differs from C's.  When the guard fails the expression calls the
-# checked wrapper above, so semantics and trap messages cannot drift
-# between the three backends.
+# The source a block template emits for an operator.  ``{a}`` and
+# ``{b}`` are names (locals or holes), so an expression may repeat them.
+# Every operator is inline: a comparison picks the int 1 or 0 itself,
+# and an operator with a trap condition (C99 division, int-only bitwise
+# ops, shift counts) runs as one Python operator behind a guard,
+# ``type(x) is int`` on both operands (a bool fails it) plus a sign test
+# where Python's operator differs from C's.  When the guard fails the
+# expression calls the checked wrapper above, so semantics and trap
+# messages cannot drift between the two backends.
 
 
 def _int_guarded(expr: str, helper: str, guard: str = "") -> str:
@@ -331,6 +344,7 @@ class TranslationFault(MachineError):
 #   call kinds dest     entry, (param, [arg]) per argument, [dest]
 #   ncall kinds dest    name, [arg] per argument, [dest]
 #   commit n conds      the charges (see _commit)
+#   tick n              none: an uncounted commit, the step test alone
 #   out                 the outcome
 #   branch local        both outcomes; ``local`` holds the condition
 #   ret rk              [register]
@@ -350,8 +364,8 @@ class TranslationFault(MachineError):
 
 #: The number of fields after each tag.
 _FIELDS = {"bin": 3, "un": 2, "mov": 1, "const": 0, "load": 1, "read": 0,
-           "store": 2, "call": 2, "ncall": 2, "commit": 2, "out": 0,
-           "branch": 1, "ret": 1, "enter": 0, "raise": 2}
+           "store": 2, "call": 2, "ncall": 2, "commit": 2, "tick": 1,
+           "out": 0, "branch": 1, "ret": 1, "enter": 0, "raise": 2}
 
 #: Bits of ``needs``.
 _LOADS, _STORES, _CALLS = 1, 2, 4
@@ -472,21 +486,34 @@ def _commit(parts: list, holes: list, const: float, count: int,
         holes.append(const)
 
 
-def _float_test(shape: tuple, index: int) -> str:
-    """Source true when the part at ``index`` read a float operand."""
+def _tick(parts: list, holes: list, const: float, count: int,
+          extras: list) -> None:
+    """Append an uncounted segment's commit: it counts the ``count``
+    instructions and tests the step limit, and charges nothing."""
+    parts += ("tick", count)
+
+
+def _float_names(shape: tuple, index: int) -> tuple:
+    """The locals holding the operands that the part at ``index`` read
+    at run time, whose float type adds the part's extra."""
     tag = shape[index]
     if tag == "mov":   # its own local holds the value it moved
-        return f"type(v{index}) is float"
+        return (f"v{index}",)
     if tag == "bin":
         operands = (("a", shape[index + 2]), ("b", shape[index + 3]))
     else:  # "un"
         operands = (("a", shape[index + 2]),)
     # A register read from E is in the part's own local, a forwarded one
     # in its writer's (which two operands may share).
-    names = dict.fromkeys(f"{local}{index}" if kind == "r" else kind
-                          for local, kind in operands
-                          if kind != "i" and kind != "f")
-    return " or ".join(f"type({name}) is float" for name in names)
+    return tuple(dict.fromkeys(f"{local}{index}" if kind == "r" else kind
+                               for local, kind in operands
+                               if kind != "i" and kind != "f"))
+
+
+def _float_test(shape: tuple, index: int) -> str:
+    """Source true when the part at ``index`` read a float operand."""
+    return " or ".join(f"type({name}) is float"
+                       for name in _float_names(shape, index))
 
 
 def _render(shape: tuple) -> str:
@@ -580,29 +607,43 @@ def _render(shape: tuple) -> str:
                 body.append((True, f"f{i} = [{', '.join(args)}]"))
                 call = f"CALL({target}, f{i})"
             body.append((False, f"E[{hole()}] = {call}" if has_dest else call))
-        elif tag == "commit":
-            _, count, conds = part
-            if not conds:
-                charge = hole()
-            elif len(conds) == 1:
-                taken, untaken = hole(), hole()
-                charge = (f"{taken} if {_float_test(shape, conds[0])} "
-                          f"else {untaken}")
-            else:
-                body.append((False, f"X = {hole()}"))
-                for index in conds:
-                    extra = hole()
-                    if index is None:
-                        body.append((False, f"X += {extra}"))
-                    else:
-                        body += [
-                            (False, f"if {_float_test(shape, index)}:"),
-                            (False, f"    X += {extra}"),
-                        ]
-                charge = f"{hole()} + X"
+        elif tag == "commit" or tag == "tick":
+            # A tick charges nothing; both end in the step test.
+            if tag == "commit":
+                conds = part[2]
+                if not conds:
+                    charge = hole()
+                elif len(conds) == 1:
+                    taken, untaken = hole(), hole()
+                    charge = (f"{taken} if {_float_test(shape, conds[0])} "
+                              f"else {untaken}")
+                else:
+                    # A local that several extras test is type-tested
+                    # once, into ``F<local>``; the extras are still
+                    # added to X in occurrence order.
+                    names = {index: _float_names(shape, index)
+                             for index in conds if index is not None}
+                    uses = collections.Counter(
+                        name for group in names.values() for name in group)
+                    tests = {name: f"F{name}" if n > 1
+                             else f"type({name}) is float"
+                             for name, n in uses.items()}
+                    body += [(False, f"F{name} = type({name}) is float")
+                             for name, n in uses.items() if n > 1]
+                    body.append((False, f"X = {hole()}"))
+                    for index in conds:
+                        extra = hole()
+                        if index is None:
+                            body.append((False, f"X += {extra}"))
+                        else:
+                            test = " or ".join(tests[name]
+                                               for name in names[index])
+                            body += [(False, f"if {test}:"),
+                                     (False, f"    X += {extra}")]
+                    charge = f"{hole()} + X"
+                body.append((False, f"ST.cycles += {charge}"))
             body += [
-                (False, f"ST.cycles += {charge}"),
-                (False, f"t = ST.instructions + {count}"),
+                (False, f"t = ST.instructions + {part[1]}"),
                 (False, "ST.instructions = t"),
                 (False, "if t > M.step_limit:"),
                 (False, "    _over(M)"),
@@ -720,6 +761,10 @@ class ThreadedBackend:
         self._machine_holes: list[tuple] = []
         #: (penalty, scale) -> the charge terms a translation uses.
         self._terms: dict[tuple, _Terms] = {}
+        #: What a segment ends in: a counted commit, or an uncounted
+        #: tick (``codegen_mode="fast"``).
+        self._commit = (_commit if machine.codegen_mode == "counted"
+                        else _tick)
 
     # -- cache ----------------------------------------------------------
 
@@ -876,6 +921,7 @@ class ThreadedBackend:
         template_globals = _TEMPLATE_GLOBALS
         use = _use
         int_only = _INT_ONLY_NAMES
+        commit = self._commit
         runners = {}
         # Each block is walked into its shape and holes, then built from
         # the shape's template.
@@ -1060,7 +1106,7 @@ class ThreadedBackend:
                     # A call ends the segment: the reference commits before
                     # it reads the arguments.
                     count += 1
-                    _commit(parts, holes, const, count, extras)
+                    commit(parts, holes, const, count, extras)
                     const = 0.0
                     count = 0
                     extras = []
@@ -1119,7 +1165,7 @@ class ThreadedBackend:
                 end_holes = (f"block {block.label!r} fell through without a "
                              "terminator",)
             if end is not None:
-                _commit(parts, holes, const, count, extras)
+                commit(parts, holes, const, count, extras)
                 parts += end
                 holes += end_holes
             parts[0] = needs

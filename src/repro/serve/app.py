@@ -89,7 +89,6 @@ _DEGRADATION_KEYS = (
     "budget_truncations",
     "cache_corruptions",
     "degraded_translations",
-    "degraded_compilations",
 )
 
 

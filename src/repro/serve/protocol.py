@@ -194,7 +194,9 @@ def run_fingerprint(result) -> str:
         result.outputs_match,
         result.return_values,
         result.degraded_translations,
-        result.degraded_compilations,
+        # The slot of a removed backend's degradation counter, always 0,
+        # kept so that fingerprints stay comparable across versions.
+        0,
     ):
         hasher.update(repr(part).encode("utf-8"))
         hasher.update(b"\x00")
@@ -216,7 +218,6 @@ def degradation_counters(result) -> dict[str, int]:
         for name in totals:
             totals[name] += getattr(stats, name, 0)
     totals["degraded_translations"] = result.degraded_translations
-    totals["degraded_compilations"] = result.degraded_compilations
     return totals
 
 

@@ -4,11 +4,11 @@ Runs the named workloads (default: all) statically and dynamically,
 verifies their outputs agree, and prints a per-region report: speedup,
 break-even, generated-code size, and which staged optimizations fired.
 Add ``--dump`` to also print the specialized region code,
-``--backend=reference|threaded|pycodegen`` to pick the execution backend
-(the reported numbers are identical either way), and
-``--codegen-mode=counted|fast`` to pick the pycodegen mode (fast drops
-cycle accounting, so only use it when you care about wall-clock, not the
-reported numbers).
+``--backend=reference|threaded`` to pick the execution backend (the
+reported numbers are identical either way), and
+``--codegen-mode=counted|fast`` to pick the threaded mode (fast drops
+the per-block cycle charges, so only use it when you care about
+wall-clock, not the reported numbers).
 
 ``python -m repro.workloads bench`` runs the wall-clock backend
 benchmark (same report as ``python -m repro.evalharness bench``); with
@@ -39,11 +39,11 @@ def report(name: str, dump: bool, backend: str | None = None,
           f"{workload.description} ===")
     print(f"static vars: {workload.static_vars} = "
           f"{workload.static_values}")
-    if (resolve_backend(backend) == "pycodegen"
+    if (resolve_backend(backend) == "threaded"
             and resolve_codegen_mode(codegen_mode) == "fast"):
-        print("NOTE: fast codegen mode drops cycle accounting; the "
-              "cycle-derived figures below are not meaningful "
-              "(outputs are still verified)")
+        print("NOTE: fast codegen mode drops the per-block cycle "
+              "charges; the cycle-derived figures below are not "
+              "meaningful (outputs are still verified)")
     print(f"whole-program speedup (incl. DC overhead): "
           f"{result.whole_program_speedup:.2f}x; region share of "
           f"static execution: {result.region_fraction_of_static:.0%}")
@@ -80,9 +80,6 @@ def report(name: str, dump: bool, backend: str | None = None,
     print(f"  outputs verified: {result.outputs_match}")
     if result.degraded:
         parts = []
-        if result.degraded_compilations:
-            parts.append(f"{result.degraded_compilations} compilations "
-                         "fell back down the backend ladder")
         if result.degraded_translations:
             parts.append(f"{result.degraded_translations} translations "
                          "fell back to the reference interpreter")

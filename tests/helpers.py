@@ -93,7 +93,9 @@ def run_fingerprints(result) -> tuple[str, str]:
         sorted(result.dynamic_region_cycles.items()),
         sorted(result.region_entries.items()),
         result.degraded_translations,
-        result.degraded_compilations,
+        # The slot a removed backend's degradation counter filled, kept
+        # at 0 so that pinned fingerprints stay as they were.
+        0,
     )
     stats_fp = hashlib.sha256(
         repr(stats_part).encode("utf-8")).hexdigest()

@@ -1,4 +1,4 @@
-"""The BENCH_interp.json schema-2 report: four-column layout, counted
+"""The BENCH_interp.json schema-3 report: three-column layout, counted
 stats checksums, geomean summary, and the --compare diff used by CI to
 assert the committed report still describes this tree."""
 
@@ -28,7 +28,7 @@ def report():
 
 class TestSchema:
     def test_layout(self, report):
-        assert report["schema"] == 2
+        assert report["schema"] == 3
         assert report["columns"] == [n for n, _, _ in BENCH_COLUMNS]
         assert set(report["workloads"]) == {"dotproduct", "dinero"}
         for entry in report["workloads"].values():
@@ -53,7 +53,7 @@ class TestSchema:
         assert len(results) == 1
         assert report["results_match"]
         # The fast column carries no counted statistics.
-        assert "stats_checksum" not in report["backends"]["pycodegen"]
+        assert "stats_checksum" not in report["backends"]["threaded_fast"]
 
     def test_geomean_summary(self, report):
         assert set(report["geomean"]) == set(SPEEDUP_COLUMNS)
@@ -79,6 +79,14 @@ class TestCompare:
         lines, ok = compare_reports(tampered, report)
         assert not ok
         assert any("stats_checksum" in line for line in lines)
+
+    def test_fast_results_checksum_drift_fails(self, report):
+        tampered = copy.deepcopy(report)
+        tampered["backends"]["threaded_fast"]["results_checksum"] = "0" * 64
+        lines, ok = compare_reports(tampered, report)
+        assert not ok
+        assert any("threaded_fast: results_checksum" in line
+                   for line in lines)
 
     def test_schema_mismatch_fails(self, report):
         old = copy.deepcopy(report)

@@ -32,7 +32,7 @@ from repro.dyc import (
     prepare_module,
 )
 from repro.dyc import compiler
-from repro.dyc.compiler import BTA_FIELDS, LINT_GATE_FIELDS
+from repro.dyc.compiler import BTA_FIELDS
 from repro.errors import LintError, SpecializationError
 from repro.evalharness import runner, tables
 from repro.evalharness.runner import (
@@ -54,14 +54,13 @@ MIPSI = WORKLOADS_BY_NAME["mipsi"]
 
 #: (backend, codegen mode) columns of ``BENCH_interp.json``.
 COLUMNS = [("reference", "counted"), ("threaded", "counted"),
-           ("pycodegen", "counted"), ("pycodegen", "fast")]
+           ("threaded", "fast")]
 
 #: The fault points that can fire inside ``run_workload``; the serve
 #: and worker points fire around it.
 RUNTIME_FAULT_POINTS = (
     "specializer.entry", "specializer.continuation", "specializer.budget",
-    "emit.template", "cache.corrupt", "cache.evict", "pycodegen.compile",
-    "threaded.translate",
+    "emit.template", "cache.corrupt", "cache.evict", "threaded.translate",
 )
 
 
@@ -162,9 +161,7 @@ class TestProjection:
         assert environ.reads == set()
         read: set[str] = set()
         for base in (ALL_ON, ALL_OFF):
-            # A source budget makes the lint gate's DYC210 estimate run.
-            config = dataclasses.replace(base, lint=lint,
-                                         codegen_source_budget=10**9)
+            config = dataclasses.replace(base, lint=lint)
             allowed = {name for name, _ in compile_key(config)}
             for name, _ in programs:
                 recorder = _recording(config)
@@ -177,10 +174,7 @@ class TestProjection:
                 read |= reads
         # Every keyed field is read somewhere: the key holds no dead
         # field that would split entries for nothing.
-        expected = set(BTA_FIELDS) | {"lint"}
-        if lint:
-            expected |= set(LINT_GATE_FIELDS)
-        assert read == expected
+        assert read == set(BTA_FIELDS) | {"lint"}
         assert environ.reads == set()
 
 
@@ -474,8 +468,7 @@ class TestKeys:
             dead_assignment_elimination=False, strength_reduction=False,
             check_annotations=True, faults="specializer.entry:once",
             degrade=True, cache_capacity=4, specialize_budget=1000,
-            quarantine_after=9, codegen_mode="fast",
-            codegen_source_budget=100)
+            quarantine_after=9, codegen_mode="fast")
         for config in (ALL_ON.without("zero_copy_propagation"),
                        ALL_ON.without("unchecked_dispatching"),
                        every_run_setting):
@@ -483,11 +476,10 @@ class TestKeys:
         assert compiled(ALL_ON.without("static_loads")) == 1
         linted = dataclasses.replace(ALL_ON, lint=True)
         assert compiled(linted) == 1
-        assert compiled(dataclasses.replace(linted,
-                                            specialize_budget=1000)) == 1
-        assert compiled(dataclasses.replace(linted, quarantine_after=9)) \
-            == 0
-        assert len(runner._COMPILED_PROGRAMS) == 4
+        for setting in ({"specialize_budget": 1000},
+                        {"quarantine_after": 9}):
+            assert compiled(dataclasses.replace(linted, **setting)) == 0
+        assert len(runner._COMPILED_PROGRAMS) == 3
 
     def test_each_run_carries_its_own_config(self):
         module = runner._parsed_module(DOT.source)

@@ -118,14 +118,13 @@ class TestMemoizer:
         first.static_region_cycles.clear()
         assert memo.get(key).static_region_cycles
 
-    def test_memo_schema_is_eight(self):
-        assert memo_module._SCHEMA == 8
+    def test_memo_schema_is_nine(self):
+        assert memo_module._SCHEMA == 9
 
     def test_memo_key_ignores_resilience_knobs(self, monkeypatch):
         """Memo keys hold only knobs that can change a RunResult: the
         breaker threshold, cooldown and worker count leave them alone,
-        while the codegen source limit still changes them."""
-        from repro.machine.pycodegen import reset_source_limit_cache
+        while the pool's task timeout still changes them."""
         from repro.serve import knobs
 
         def key():
@@ -135,20 +134,15 @@ class TestMemoizer:
         monkeypatch.delenv(knobs.ENV_BREAKER_THRESHOLD, raising=False)
         monkeypatch.delenv(knobs.ENV_BREAKER_COOLDOWN, raising=False)
         monkeypatch.delenv(knobs.ENV_SERVE_PROCS, raising=False)
-        monkeypatch.delenv("REPRO_PYCODEGEN_SOURCE_LIMIT", raising=False)
-        reset_source_limit_cache()
+        monkeypatch.delenv("REPRO_TASK_TIMEOUT", raising=False)
         base = key()
         monkeypatch.setenv(knobs.ENV_BREAKER_THRESHOLD, "9")
         monkeypatch.setenv(knobs.ENV_BREAKER_COOLDOWN, "2.5")
         monkeypatch.setenv(knobs.ENV_SERVE_PROCS, "7")
         assert key() == base
-        monkeypatch.setenv("REPRO_PYCODEGEN_SOURCE_LIMIT", "10")
-        reset_source_limit_cache()
-        try:
-            assert key() != base
-        finally:
-            monkeypatch.delenv("REPRO_PYCODEGEN_SOURCE_LIMIT")
-            reset_source_limit_cache()
+        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "10")
+        assert key() != base
+        monkeypatch.delenv("REPRO_TASK_TIMEOUT")
         assert key() == base
 
 
@@ -174,7 +168,7 @@ def _flip(raw: bytes, at: int) -> bytes:
 class TestWarmColdIdentity:
     @pytest.mark.parametrize("name,backend", [
         ("binary", "threaded"),
-        ("binary", "pycodegen"),
+        ("binary", "reference"),
         ("mipsi", "threaded"),
     ])
     def test_warm_run_byte_identical(self, tmp_path, name, backend):

@@ -41,7 +41,6 @@ from repro.faults import resolve_degrade, resolve_fault_spec
 from repro.frontend import compile_source
 from repro.ir import Memory
 from repro.machine import ALPHA_21164, Machine
-from repro.machine.pycodegen import reset_source_limit_cache
 from repro.runtime.overhead import DEFAULT_OVERHEAD
 from repro.workloads import ALL_WORKLOADS, WORKLOADS_BY_NAME, WorkloadInput
 from tests.helpers import run_fingerprints
@@ -51,7 +50,7 @@ BINARY = WORKLOADS_BY_NAME["binary"]
 
 #: (backend, codegen mode) columns of ``BENCH_interp.json``.
 COLUMNS = [("reference", "counted"), ("threaded", "counted"),
-           ("pycodegen", "counted"), ("pycodegen", "fast")]
+           ("threaded", "fast")]
 
 #: ``run_fingerprints`` of every workload's ``ALL_ON`` run on the
 #: threaded backend, (stats SHA-256, results SHA-256), as the deleted
@@ -91,13 +90,10 @@ PINNED_ALL_ON = {
 
 
 @pytest.fixture(autouse=True)
-def _cold_caches(monkeypatch):
-    monkeypatch.delenv("REPRO_PYCODEGEN_SOURCE_LIMIT", raising=False)
+def _cold_caches():
     reset_invariant_caches()
-    reset_source_limit_cache()
     yield
     reset_invariant_caches()
-    reset_source_limit_cache()
 
 
 @pytest.fixture
@@ -238,8 +234,7 @@ def _memo_key_recipe(workload, config, cost_model, overhead,
 
 
 class TestKeys:
-    def test_misses_when_a_baseline_input_changes(self, monkeypatch,
-                                                  static_runs):
+    def test_misses_when_a_baseline_input_changes(self, static_runs):
         def static_ran(workload=DOT, backend="threaded", **kwargs):
             count = len(static_runs)
             result = run_workload(workload, backend=backend, **kwargs)
@@ -252,33 +247,25 @@ class TestKeys:
         assert static_ran(dataclasses.replace(
             DOT, icache_capacity_bytes=1024))[0] == 1
         assert static_ran(backend="reference")[0] == 1
-        ran, clean = static_ran(backend="pycodegen")
-        assert ran == 1 and clean.degraded_compilations == 0
-        assert static_ran(backend="pycodegen",
-                          codegen_mode="fast")[0] == 1
-        # The source limit is resolved once per process: a new value
-        # takes effect (and changes the key) only after the reset hook.
-        monkeypatch.setenv("REPRO_PYCODEGEN_SOURCE_LIMIT", "10")
-        assert static_ran(backend="pycodegen")[0] == 0
-        reset_source_limit_cache()
-        ran, refused = static_ran(backend="pycodegen")
-        assert ran == 1 and refused.degraded_compilations > 0
+        # An uncounted run charges no block cycles: its own baseline.
+        assert static_ran(codegen_mode="fast")[0] == 1
+        assert static_ran(codegen_mode="fast")[0] == 0
 
     def test_hits_when_only_run_settings_change(self, static_runs):
         faulted = dataclasses.replace(
-            ALL_ON, faults="pycodegen.compile;specializer.entry:once")
+            ALL_ON, faults="threaded.translate;specializer.entry:once")
         cold = run_fingerprints(
-            run_workload(DOT, faulted, backend="pycodegen"))
+            run_workload(DOT, faulted, backend="threaded"))
         reset_invariant_caches()
-        run_workload(DOT, backend="pycodegen")
+        run_workload(DOT, backend="threaded")
         count = len(static_runs)
         run_workload(DOT, ALL_ON.without("strength_reduction"),
-                     backend="pycodegen")
+                     backend="threaded")
         run_workload(DOT, overhead=dataclasses.replace(
-            DEFAULT_OVERHEAD, emit_instruction=20.0), backend="pycodegen")
-        run_workload(DOT, verify=False, backend="pycodegen")
+            DEFAULT_OVERHEAD, emit_instruction=20.0), backend="threaded")
+        run_workload(DOT, verify=False, backend="threaded")
         warm = run_fingerprints(
-            run_workload(DOT, faulted, backend="pycodegen"))
+            run_workload(DOT, faulted, backend="threaded"))
         assert len(static_runs) == count
         assert warm == cold
 
@@ -329,17 +316,17 @@ class TestKeys:
         cache = runner._STATIC_BASELINES
         assert cache.capacity == INVARIANT_CACHE_CAPACITY
         monkeypatch.setattr(cache, "capacity", 2)
-        keys = {backend: static_baseline_key(DOT, ALPHA_21164, backend,
-                                             "counted")
-                for backend in ("threaded", "reference", "pycodegen")}
+        keys = {(backend, mode): static_baseline_key(DOT, ALPHA_21164,
+                                                     backend, mode)
+                for backend, mode in COLUMNS}
         run_workload(DOT, backend="threaded")
         run_workload(DOT, backend="reference")
         run_workload(DOT, backend="threaded")  # now the most recent
-        run_workload(DOT, backend="pycodegen")
+        run_workload(DOT, backend="threaded", codegen_mode="fast")
         assert len(cache) == 2
-        assert keys["threaded"] in cache
-        assert keys["pycodegen"] in cache
-        assert keys["reference"] not in cache
+        assert keys["threaded", "counted"] in cache
+        assert keys["threaded", "fast"] in cache
+        assert keys["reference", "counted"] not in cache
 
 
 def _counting_setup(workload):

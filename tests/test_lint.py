@@ -222,50 +222,3 @@ class TestEmbeddedExtraction:
             assert embedded_sources(path.read_text()), path.name
 
 
-class TestCodegenBudget:
-    """DYC210: the emitted-source size estimate, armed only when a
-    codegen_source_budget is configured."""
-
-    def _config(self, **overrides):
-        import dataclasses
-
-        return dataclasses.replace(ALL_ON, **overrides)
-
-    def test_disabled_by_default(self):
-        diags = lint_fixture("codegen_budget.minic")
-        assert "DYC210" not in {d.code for d in diags}
-
-    def test_unbounded_unroll_blows_budget(self):
-        diags = lint_fixture(
-            "codegen_budget.minic",
-            config=self._config(codegen_source_budget=10_000),
-        )
-        hits = [d for d in diags if d.code == "DYC210"]
-        assert len(hits) == 1
-        assert hits[0].severity is Severity.WARNING
-        assert hits[0].function == "polysum"
-        assert "specialize_budget" in hits[0].message
-
-    def test_bounded_unroll_fits(self):
-        diags = lint_fixture(
-            "codegen_budget.minic",
-            config=self._config(codegen_source_budget=1_000_000,
-                                specialize_budget=4),
-        )
-        assert "DYC210" not in {d.code for d in diags}
-
-    def test_no_unroll_disables_multiplier(self):
-        diags = lint_fixture(
-            "codegen_budget.minic",
-            config=self._config(codegen_source_budget=10_000,
-                                complete_loop_unrolling=False),
-        )
-        assert "DYC210" not in {d.code for d in diags}
-
-    def test_cli_flag_arms_check(self, capsys):
-        path = str(FIXTURES / "codegen_budget.minic")
-        assert main([path]) == 0
-        assert main(["--codegen-budget", "10000", path]) == 0
-        out = capsys.readouterr().out
-        assert "DYC210" in out
-        assert main(["--strict", "--codegen-budget", "10000", path]) == 1

@@ -142,9 +142,7 @@ class TestDifferential:
     def test_fault_points_under_degrade(self, point):
         config = OptConfig(faults=f"{point}:every=2", degrade=True,
                            specialize_budget=BUDGET)
-        backend = "pycodegen" if point == "pycodegen.compile" \
-            else "threaded"
-        _run_all(config, backend)
+        _run_all(config, "threaded")
 
     def test_budget_truncation(self):
         config = OptConfig(static_loads=False, degrade=True,

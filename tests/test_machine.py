@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import functools
 import sys
 import threading
 
@@ -606,14 +607,18 @@ class TestCallBinding:
 
 
 class TestComputedOnce:
-    @pytest.mark.parametrize("backend", ["threaded", "pycodegen"])
+    @pytest.mark.parametrize("mode", ["counted", "fast"],
+                             ids=["threaded", "threaded-fast"])
     def test_host_penalty_sized_once_per_machine(self, monkeypatch,
-                                                 backend):
+                                                 mode):
         """A canonical binary run enters ``bsearch`` 1,500 times; the
         host loop sizes each host function once per machine, and the
-        specializer sizes its code buffer three times per batch."""
+        specializer sizes its code buffer three times per batch, in
+        either codegen mode."""
         binary = WORKLOADS_BY_NAME["binary"]
-        run_workload(binary, backend=backend)   # warm the static side
+        run = functools.partial(run_workload, binary, backend="threaded",
+                                codegen_mode=mode)
+        run()   # warm the static side
         sized: collections.Counter = collections.Counter()
         machines: list = []
         batches: list = []
@@ -636,7 +641,7 @@ class TestComputedOnce:
         monkeypatch.setattr(Function, "instruction_count", counting)
         monkeypatch.setattr(Machine, "__init__", built)
         monkeypatch.setattr(Specializer, "_run_batch", batch)
-        result = run_workload(binary, backend=backend)
+        result = run()
         assert result.region_entries["bsearch"] == 1500
         hosts = {id(fn) for module in machines
                  for fn in module.functions.values()}
@@ -648,12 +653,12 @@ class TestComputedOnce:
                    if key not in hosts) <= 3 * len(batches)
 
     def test_codegen_binds_module_callees(self, monkeypatch):
-        """Generated code calls a module function through the machine's
-        entry for it, as threaded call sites do: a counted binary run
-        made 1,500 by-name ``Machine.call("bsearch", ...)`` before.
+        """A block template calls a module function through the
+        machine's entry for it: a by-name ``Machine.call("bsearch",
+        ...)`` per call would make 1,500 of them in a binary run.
         Intrinsics and the harness's entry still go by name."""
         binary = WORKLOADS_BY_NAME["binary"]
-        run_workload(binary, backend="pycodegen")   # warm the static side
+        run_workload(binary, backend="threaded")   # warm the static side
         by_name: collections.Counter = collections.Counter()
         call = Machine.call
 
@@ -662,7 +667,7 @@ class TestComputedOnce:
             return call(self, name, args)
 
         monkeypatch.setattr(Machine, "call", counting)
-        result = run_workload(binary, backend="pycodegen")
+        result = run_workload(binary, backend="threaded")
         assert result.region_entries["bsearch"] == 1500
         assert by_name == {"main": 1, "print_val": 1}
 
@@ -696,12 +701,11 @@ class TestComputedOnce:
         assert len(lookups) <= len(regions) + len(runtime.pendings)
 
     def test_codegen_region_penalty_sized_once_per_code(self, monkeypatch):
-        """pycodegen keeps what a region entry needs per code version,
-        as the threaded region loop does: a counted binary run sized
-        its one region code's I-cache penalty on each of its 1,500
-        entries (1,502 calls in all before)."""
+        """The threaded region loop keeps what a region entry needs per
+        code version: sizing the I-cache penalty per entry would size
+        binary's one region code on each of its 1,500 entries."""
         binary = WORKLOADS_BY_NAME["binary"]
-        run_workload(binary, backend="pycodegen")   # warm the static side
+        run_workload(binary, backend="threaded")   # warm the static side
         sized: collections.Counter = collections.Counter()
         made: list = []
         per_instruction_penalty = ICacheModel.per_instruction_penalty
@@ -719,7 +723,7 @@ class TestComputedOnce:
         monkeypatch.setattr(ICacheModel, "per_instruction_penalty",
                             counting)
         monkeypatch.setattr(CompiledProgram, "make_machine", making)
-        result = run_workload(binary, backend="pycodegen")
+        result = run_workload(binary, backend="threaded")
         assert result.region_entries["bsearch"] == 1500
         (machine, runtime), = made
         codes = [cache._value for cache in runtime.entry_caches.values()]
@@ -791,7 +795,7 @@ def _dispatches(source, calls, config=ALL_ON):
 
 
 class TestBoundRegionDispatch:
-    """The threaded and codegen backends dispatch through the entry
+    """The threaded backend dispatches through the entry
     ``DycRuntime.bind_entry`` binds at an ``EnterRegion``'s first
     dispatch; a filled unchecked slot skips ``enter_region``.  These pin
     what that binding must not change, against the reference, which
@@ -817,9 +821,8 @@ class TestBoundRegionDispatch:
         monkeypatch.setattr(DycRuntime, "bind_entry", binding)
         results = {backend: run_workload(binary, backend=backend)
                    for backend in BACKENDS}
-        assert entered == {"reference": 1500, "threaded": 1,
-                           "pycodegen": 1}
-        assert bound == {"threaded": 1, "pycodegen": 1}
+        assert entered == {"reference": 1500, "threaded": 1}
+        assert bound == {"threaded": 1}
         for backend in BACKENDS:
             assert results[backend].region_entries["bsearch"] == 1500
             assert results[backend] == results["reference"], backend
@@ -835,7 +838,7 @@ class TestBoundRegionDispatch:
             "entry")
         for backend in BACKENDS:
             assert outcomes[backend] == outcomes["reference"], backend
-        assert entered == {"reference": 2, "threaded": 1, "pycodegen": 1}
+        assert entered == {"reference": 2, "threaded": 1}
 
     def test_strict_checking_raises_on_a_changed_key(self, entered):
         config = dataclasses.replace(ALL_ON, check_annotations=True)
@@ -873,28 +876,37 @@ class TestStepLimit:
     """
 
     def test_fires_at_the_same_instruction_on_every_backend(self):
+        """Uncounted threaded too: it charges no block cycles, but
+        raises the same error with the same ``stats.instructions``."""
         compiled = compile_annotated(compile_source(self.SOURCE), ALL_ON)
         machine, _ = compiled.make_machine()
         assert machine.run("f", 3, 2, 1) == machine.run("f", 3, 2, 1) == 7
         total = machine.stats.instructions
+        columns = [(backend, "counted") for backend in BACKENDS]
+        columns.append(("threaded", "fast"))
         for limit in range(total + 1):
             outcomes = {}
-            for backend in BACKENDS:
-                machine, _ = compiled.make_machine(step_limit=limit,
-                                                   backend=backend)
+            for backend, mode in columns:
+                machine, _ = compiled.make_machine(
+                    step_limit=limit, backend=backend, codegen_mode=mode)
                 seen = []
                 for _ in range(2):
                     try:
                         seen.append(("ok", machine.run("f", 3, 2, 1)))
                     except MachineError as exc:
                         seen.append(("MachineError", str(exc)))
-                outcomes[backend] = (seen, machine.stats.snapshot())
-            seen, stats = outcomes["reference"]
+                outcomes[backend, mode] = (seen, machine.stats.snapshot())
+            seen, stats = outcomes["reference", "counted"]
             if limit < total:
                 assert seen[1][0] == "MachineError", limit
                 assert "step limit" in seen[1][1]
             else:
                 assert seen == [("ok", 7), ("ok", 7)]
-            for backend in BACKENDS:
-                assert outcomes[backend] == outcomes["reference"], \
-                    (backend, limit)
+            for column in columns:
+                got, got_stats = outcomes[column]
+                if column[1] == "fast":
+                    assert (got, got_stats.instructions) \
+                        == (seen, stats.instructions), (column, limit)
+                else:
+                    assert (got, got_stats) == (seen, stats), \
+                        (column, limit)

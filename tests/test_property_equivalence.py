@@ -3,9 +3,10 @@
 The fundamental correctness property of the whole system: for *any*
 annotated program, the dynamically compiled version computes exactly
 what the statically compiled version computes, under every optimization
-configuration.  The second invariant rides along: every counted backend
-(reference, threaded, pycodegen counted) leaves byte-identical
-``ExecutionStats`` for the same program and inputs.
+configuration.  The second invariant rides along: both counted backends
+(reference and threaded) leave byte-identical ``ExecutionStats`` for the
+same program and inputs, and uncounted threaded computes the same
+results and memory.
 
 Hypothesis generates random MiniC programs from a small grammar of
 expressions over every operator (division and modulus by a non-zero
@@ -226,19 +227,21 @@ def _stats(machine) -> dict:
     return dataclasses.asdict(machine.stats.snapshot())
 
 
-def _run_on(backend: str, static_module, compiled, args):
-    """Static and dynamic runs of ``f``, twice each, on ``backend``;
-    returns the static and the dynamic results, each with ``arr`` after
-    it, and both machines' stats."""
+def _run_on(backend: str, static_module, compiled, args,
+            mode: str = "counted"):
+    """Static and dynamic runs of ``f``, twice each, on ``backend`` in
+    codegen ``mode``; returns the static and the dynamic results, each
+    with ``arr`` after it, and both machines' stats."""
     mem_s, arr_s, sarr_s = _fresh_memory()
     static_machine = Machine(static_module, memory=mem_s,
-                             step_limit=500_000, backend=backend)
+                             step_limit=500_000, backend=backend,
+                             codegen_mode=mode)
     expected = static_machine.run("f", *args, arr_s, sarr_s)
     expected_arr = mem_s.read_array(arr_s, 8)
 
     mem_d, arr_d, sarr_d = _fresh_memory()
     machine, _ = compiled.make_machine(memory=mem_d, step_limit=500_000,
-                                       backend=backend)
+                                       backend=backend, codegen_mode=mode)
     actual = machine.run("f", *args, arr_d, sarr_d)
     actual_arr = mem_d.read_array(arr_d, 8)
     # Run again: cached code must stay consistent (stores may have
@@ -268,8 +271,9 @@ def _keeps_unchecked_promise(module, args, config) -> bool:
 
 def run_both(source: str, args, config):
     """Runs ``f`` static and dynamic on every backend: the backends must
-    agree on results, memory and stats, and the dynamic runs must match
-    the static ones unless the program breaks its unchecked promise."""
+    agree on results, memory and stats (uncounted threaded on results
+    and memory), and the dynamic runs must match the static ones unless
+    the program breaks its unchecked promise."""
     module = compile_source(source)
     static_module = compile_static(module)
     compiled = compile_annotated(module, config)
@@ -277,6 +281,8 @@ def run_both(source: str, args, config):
             for backend in BACKENDS}
     for backend in BACKENDS:
         assert runs[backend] == runs["reference"], backend
+    uncounted = _run_on("threaded", static_module, compiled, args, "fast")
+    assert uncounted[:2] == runs["reference"][:2]
     if "cache_one_unchecked" in source \
             and not _keeps_unchecked_promise(module, args, config):
         return

@@ -479,7 +479,6 @@ class TestServeBackend:
 
         unset = _run(served(None))
         assert _run(served("reference")) == unset
-        assert _run(served("pycodegen")) == unset
 
     def test_bogus_backend_refuses_to_build(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "bogus")
@@ -504,9 +503,9 @@ class TestKeyHistory:
 
     One dotproduct key is served ten times from a one-entry cache, with
     a filler key evicting it in between, so every request recomputes.
-    Both configs make the result backend-sensitive: ``threaded``
-    translation faults only degrade the threaded backend, and fast
-    codegen only changes pycodegen runs.
+    Both configs make the result backend-sensitive on the default
+    (threaded) daemon: ``threaded`` translation faults degrade it to the
+    reference interpreter, and fast codegen runs it uncounted.
     """
 
     @pytest.mark.parametrize("config", [

@@ -129,17 +129,21 @@ class TestJumpOnlyCycle:
     }
     """
 
-    @pytest.mark.parametrize("backend",
-                             ["reference", "threaded", "pycodegen"])
+    @pytest.mark.parametrize(
+        "backend,mode",
+        [("reference", "counted"), ("threaded", "counted"),
+         ("threaded", "fast")],
+        ids=["reference", "threaded", "threaded-fast"])
     def test_loops_to_the_step_limit_like_the_static_program(self,
-                                                             backend):
+                                                             backend,
+                                                             mode):
         module = compile_source(self.SRC)
         static = Machine(compile_static(module), step_limit=20000,
-                         backend=backend)
+                         backend=backend, codegen_mode=mode)
         with pytest.raises(MachineError, match="step limit"):
             static.run("spin", 1, 5)
         machine, runtime = compile_annotated(module).make_machine(
-            step_limit=20000, backend=backend)
+            step_limit=20000, backend=backend, codegen_mode=mode)
         with pytest.raises(MachineError, match="step limit"):
             machine.run("spin", 1, 5)
         code = runtime.entry_caches[0]._value

@@ -2,7 +2,8 @@
 reference interpreter: byte-identical ExecutionStats (cycles,
 instructions, dc_cycles, dispatch_cycles, scope accounting) and identical
 results for every workload, plus correct translation-cache invalidation
-when emitted code is patched."""
+when emitted code is patched.  In uncounted (``fast``) mode it must give
+the same results and instruction counts, with no block cycle charges."""
 
 import dataclasses
 import re
@@ -12,7 +13,13 @@ import pytest
 from repro.config import ALL_OFF, ALL_ON, OptConfig
 from repro.dyc import compile_annotated, compile_static
 from repro.errors import MachineError, TrapError
-from repro.evalharness.runner import _machine_kwargs
+from repro.evalharness.memo import Memoizer
+from repro.evalharness.runner import (
+    _machine_kwargs,
+    resolve_backend,
+    resolve_codegen_mode,
+    run_workload,
+)
 from repro.frontend import compile_source
 from repro.ir import (
     BasicBlock,
@@ -38,9 +45,14 @@ from repro.ir.instructions import (
     Store,
     UnOp,
 )
-from repro.machine import ALPHA_21164, BACKENDS, ICacheModel, Machine
+from repro.machine import (
+    ALPHA_21164,
+    BACKENDS,
+    CODEGEN_MODES,
+    ICacheModel,
+    Machine,
+)
 from repro.machine import threaded
-from repro.machine.pycodegen import _lit
 from repro.machine.threaded import BINOP_FUNCS, UNOP_FUNCS
 from repro.workloads import ALL_WORKLOADS, WORKLOADS_BY_NAME
 
@@ -52,13 +64,13 @@ def _stats_dict(stats):
     return dataclasses.asdict(stats.snapshot())
 
 
-def _run_under(workload, config, backend):
+def _run_under(workload, config, backend, mode="counted"):
     """One static + dynamic execution; returns the full observable state."""
     module = compile_source(workload.source)
     static_module = compile_static(module)
     compiled = compile_annotated(module, config)
     tracked = frozenset(workload.region_functions)
-    kwargs = _machine_kwargs(workload, ALPHA_21164, backend)
+    kwargs = _machine_kwargs(workload, ALPHA_21164, backend, mode)
 
     static_memory = Memory()
     static_input = workload.setup(static_memory)
@@ -134,32 +146,28 @@ class TestEvaluatorTables:
                     assert type(got) is type(expected), (op, lhs, rhs)
 
     def test_operator_expressions_match_eval_binop(self):
-        """The source both code generators emit for an operator
-        evaluates as ``eval_binop`` and ``eval_unop`` do: the same value
-        and type (a comparison writes the int ``1`` or ``0``) or the
-        same trap, with its operands spelled as names (threaded's and
-        pycodegen's locals) and as pycodegen's literals."""
+        """The source a block template emits for an operator evaluates
+        as ``eval_binop`` and ``eval_unop`` do: the same value and type
+        (a comparison writes the int ``1`` or ``0``) or the same trap,
+        with its operands spelled as names, as the templates spell
+        them."""
         nan = float("nan")
         assert set(threaded._INLINE_BINOPS) == set(BINOP_FUNCS)
         for op in threaded._INLINE_BINOPS:
-            by_name = compile(threaded._binop_source(op, "a", "b"), "<op>",
-                              "eval")
+            code = compile(threaded._binop_source(op, "a", "b"), "<op>",
+                           "eval")
             for lhs, rhs in self.SAMPLES:
-                by_literal = compile(
-                    threaded._binop_source(op, _lit(lhs), _lit(rhs)),
-                    "<op>", "eval")
-                for code in (by_name, by_literal):
-                    scope = {**threaded._HELPER_GLOBALS, "a": lhs, "b": rhs}
-                    try:
-                        expected = eval_binop(op, lhs, rhs)
-                    except TrapError as err:
-                        with pytest.raises(TrapError) as caught:
-                            eval(code, scope)
-                        assert str(caught.value) == str(err)
-                        continue
-                    got = eval(code, scope)
-                    assert type(got) is type(expected), (op, lhs, rhs)
-                    assert repr(got) == repr(expected), (op, lhs, rhs)
+                scope = {**threaded._HELPER_GLOBALS, "a": lhs, "b": rhs}
+                try:
+                    expected = eval_binop(op, lhs, rhs)
+                except TrapError as err:
+                    with pytest.raises(TrapError) as caught:
+                        eval(code, scope)
+                    assert str(caught.value) == str(err)
+                    continue
+                got = eval(code, scope)
+                assert type(got) is type(expected), (op, lhs, rhs)
+                assert repr(got) == repr(expected), (op, lhs, rhs)
         for op, source in threaded._INLINE_UNOPS.items():
             for value in (5, -5, 0, 2.25, -0.5, -0.0, nan):
                 got = eval(source.format(a="a"), {"a": value})
@@ -286,7 +294,7 @@ class TestBackendSelection:
             Machine(mod, backend="jit")
 
     def test_backends_listing(self):
-        assert BACKENDS == ("reference", "threaded", "pycodegen")
+        assert BACKENDS == ("reference", "threaded")
 
     def test_trap_matches_reference(self):
         for backend in BACKENDS:
@@ -364,11 +372,19 @@ def _shape_of(runner):
     return shapes[0]
 
 
-def _runners(mod, name="f"):
+def _runners(mod, name="f", mode="counted"):
     """The threaded block functions of ``mod``'s function ``name``."""
-    machine = Machine(mod, backend="threaded")
+    machine = Machine(mod, backend="threaded", codegen_mode=mode)
     return machine._backend.translation(mod.functions[name], 0.0,
                                         1.0).runners
+
+
+def _tags(shape):
+    """The part tags of ``shape``, in order."""
+    i = 1
+    while i < len(shape):
+        yield shape[i]
+        i += 1 + threaded._FIELDS[shape[i]]
 
 
 @pytest.mark.usefixtures("fresh_templates")
@@ -670,6 +686,159 @@ class TestTemplates:
             assert machine.run("f", 0) == n - 1
             assert len(threaded._TEMPLATES) <= 3
         assert isinstance(threaded._TEMPLATE_CAP, int)
+
+    #: The template of ``a = x; b = a; c = a + b; return c``: a commit
+    #: with three run-time float extras over two distinct locals.
+    FLOAT_TESTS = """\
+def block(E, h0, h1, h2, h3, h4, h5, h6, h7, h8, ST, M):
+    try:
+        v1 = E[h1]
+        E[h0] = v1
+        v3 = v1
+        E[h2] = v3
+        v5 = (v1 + v3)
+        E[h3] = v5
+    except KeyError as missing:
+        _undefined(missing)
+    Fv1 = type(v1) is float
+    Fv3 = type(v3) is float
+    X = h4
+    if Fv1:
+        X += h5
+    if Fv3:
+        X += h6
+    if Fv1 or Fv3:
+        X += h7
+    ST.cycles += h8 + X
+    t = ST.instructions + 4
+    ST.instructions = t
+    if t > M.step_limit:
+        _over(M)
+    return ('return', v5)
+"""
+
+    def test_a_commit_type_tests_each_local_once(self):
+        """The shape ``mov r; mov v1; bin add v1 v3; commit; ret`` tests
+        ``v1`` and ``v3`` once each, before its extras are added to
+        ``X`` in occurrence order; the stats stay the reference's."""
+        mod = _function(("e", [Move("a", Reg("x")), Move("b", Reg("a")),
+                               BinOp("c", Op.ADD, Reg("a"), Reg("b")),
+                               Return(Reg("c"))]))
+        shape = _shape_of(_runners(mod)["e"])
+        assert shape == (0, "mov", "r", "mov", "v1", "bin", "add", "v1",
+                         "v3", "commit", 4, (1, 3, 5), "ret", "v5")
+        assert threaded._render(shape) == self.FLOAT_TESTS
+        for x in (3, 2.5, True):
+            outcomes = _outcome(mod, x)
+            assert outcomes["reference"][0][0] == "ok"
+            for backend in BACKENDS:
+                assert outcomes[backend] == outcomes["reference"], backend
+
+
+@pytest.mark.usefixtures("fresh_templates")
+class TestUncountedMode:
+    def test_modes_translate_to_disjoint_shapes(self):
+        """An uncounted translation ends every segment in a ``tick`` and
+        a counted one in a ``commit``, so no shape of one mode is a
+        shape of the other; a counted run made after an uncounted run
+        in the same process still leaves the reference's stats, and an
+        uncounted run the reference's result and instruction count."""
+        mod = _function(
+            ("e", [Move("a", Reg("x")),
+                   BinOp("b", Op.MUL, Reg("a"), Imm(2.5)),
+                   Call("r", "g", (Reg("b"),)),
+                   BinOp("c", Op.LT, Reg("r"), Reg("a")),
+                   Branch(Reg("c"), "yes", "no")]),
+            ("yes", [Return(Reg("b"))]),
+            ("no", [BinOp("d", Op.ADD, Reg("a"), Reg("b")),
+                    Return(Reg("d"))]),
+            extra=[_g(1)])
+        shapes = {mode: {_shape_of(runner)
+                         for runner in _runners(mod, mode=mode).values()}
+                  for mode in CODEGEN_MODES}
+        tags = {mode: {tag for shape in found for tag in _tags(shape)}
+                for mode, found in shapes.items()}
+        assert "commit" in tags["counted"] and "tick" not in tags["counted"]
+        assert "tick" in tags["fast"] and "commit" not in tags["fast"]
+        assert not shapes["counted"] & shapes["fast"]
+        workload = WORKLOADS_BY_NAME["romberg"]
+        _run_under(workload, ALL_ON, "threaded", "fast")
+        assert _run_under(workload, ALL_ON, "threaded") \
+            == _run_under(workload, ALL_ON, "reference")
+        for mode in CODEGEN_MODES:
+            for x in (3, 0.5):
+                machine = Machine(mod, backend="threaded",
+                                  codegen_mode=mode)
+                outcome = machine.run("f", x), machine.stats.snapshot()
+                reference = Machine(mod)
+                expected = reference.run("f", x), reference.stats
+                if mode == "fast":
+                    outcome = outcome[0], outcome[1].instructions
+                    expected = expected[0], expected[1].instructions
+                assert outcome == expected, (mode, x)
+
+
+class TestFastMode:
+    @pytest.mark.parametrize("name", [w.name for w in ALL_WORKLOADS])
+    def test_results_match_counted(self, name):
+        """Fast mode drops the block cycle charges, never semantics or
+        the instruction count: the verified static and dynamic results
+        equal the counted run's, and so do both machines'
+        ``stats.instructions``."""
+        workload = WORKLOADS_BY_NAME[name]
+        counted = _run_under(workload, ALL_ON, "threaded")
+        fast = _run_under(workload, ALL_ON, "threaded", "fast")
+        for key in ("static_result", "dynamic_result"):
+            assert fast[key] == counted[key], key
+        for run in ("static", "dynamic"):
+            assert fast[run]["instructions"] \
+                == counted[run]["instructions"], run
+            assert fast[run]["cycles"] < counted[run]["cycles"], run
+        result = run_workload(workload, backend="threaded",
+                              codegen_mode="fast")
+        assert result.outputs_match
+        assert result.return_values \
+            == run_workload(workload).return_values
+
+    def test_fast_mode_bypasses_memo(self, tmp_path):
+        """Fast-mode stats must never be served from (or stored to) the
+        shared content-hash cache the counted runs key."""
+        memo = Memoizer(str(tmp_path))
+        workload = WORKLOADS_BY_NAME["dotproduct"]
+        run_workload(workload, backend="threaded", codegen_mode="fast",
+                     memo=memo)
+        assert list(tmp_path.iterdir()) == []
+        counted = run_workload(workload, backend="threaded", memo=memo)
+        assert list(tmp_path.iterdir()) != []
+        assert counted.dynamic_total_cycles > 0
+
+
+class TestResolution:
+    def test_backends_accepted(self):
+        for backend in BACKENDS:
+            assert resolve_backend(backend) == backend
+        for backend in ("jit", "pycodegen"):
+            with pytest.raises(ValueError):
+                resolve_backend(backend)
+
+    def test_codegen_mode_default_and_env(self, monkeypatch):
+        monkeypatch.delenv("REPRO_CODEGEN_MODE", raising=False)
+        assert resolve_codegen_mode(None) == "counted"
+        monkeypatch.setenv("REPRO_CODEGEN_MODE", "fast")
+        assert resolve_codegen_mode(None) == "fast"
+        assert resolve_codegen_mode("counted") == "counted"
+        with pytest.raises(ValueError):
+            resolve_codegen_mode("warp")
+        assert CODEGEN_MODES == ("counted", "fast")
+
+    def test_machine_rejects_unknown_mode(self):
+        b = FunctionBuilder("f", ())
+        b.ret(0)
+        mod = Module()
+        mod.add_function(b.finish())
+        for backend in BACKENDS:
+            with pytest.raises(MachineError):
+                Machine(mod, backend=backend, codegen_mode="warp")
 
 
 def _reads(runner):
