@@ -34,7 +34,6 @@ import tempfile
 import time
 
 from repro.evalharness.memo import Memoizer
-from repro.serve import knobs
 from repro.serve.loadgen import (
     DEFAULT_WORKLOADS,
     LegResult,
@@ -133,12 +132,13 @@ class SupervisedFleet:
 
     def __init__(self, *, procs: int, fault_spec: str | None,
                  memo_dir: str, state_file: str,
-                 env_overrides: dict[str, str] | None = None):
+                 env_overrides: dict[str, str] | None = None,
+                 flags: tuple[str, ...] = ()):
         self.state_file = state_file
         argv = [sys.executable, "-m", "repro.serve.supervisor",
                 "--port", "0", "--procs", str(procs),
                 "--state-file", state_file,
-                "--memo-dir", memo_dir]
+                "--memo-dir", memo_dir, *flags]
         if fault_spec:
             argv += ["--faults", fault_spec]
         env = dict(os.environ)
@@ -338,12 +338,12 @@ def run_chaos(args: argparse.Namespace) -> tuple[dict, list[str]]:
     memo_dir = os.path.join(scratch, "memo")
     env = {
         # Fast hang detection so heartbeat faults recycle within the
-        # smoke budget.  None of these knobs can change a run, so none
+        # smoke budget.  Neither setting can change a run, so neither
         # is part of a memo key.
         "REPRO_HEARTBEAT_INTERVAL": "0.25",
         "REPRO_HEARTBEAT_TIMEOUT": "2.0",
-        "REPRO_BREAKER_THRESHOLD": str(args.breaker_threshold),
     }
+    flags = ("--breaker-threshold", str(args.breaker_threshold))
     report: dict = {
         "schema": 1,
         "kind": "chaos-bench",
@@ -362,7 +362,7 @@ def run_chaos(args: argparse.Namespace) -> tuple[dict, list[str]]:
         procs=args.procs, fault_spec=schedule["fault_spec"],
         memo_dir=memo_dir,
         state_file=os.path.join(scratch, "sup.json"),
-        env_overrides=env)
+        env_overrides=env, flags=flags)
     warm_fleet: SupervisedFleet | None = None
     try:
         state = fleet.wait_ready(args.procs)
@@ -433,7 +433,7 @@ def run_chaos(args: argparse.Namespace) -> tuple[dict, list[str]]:
         warm_fleet = SupervisedFleet(
             procs=args.procs, fault_spec=None, memo_dir=memo_dir,
             state_file=os.path.join(scratch, "sup-warm.json"),
-            env_overrides=env)
+            env_overrides=env, flags=flags)
         wstate = warm_fleet.wait_ready(args.procs)
         asyncio.run(wait_ready(wstate["host"], wstate["port"]))
         warm_leg = asyncio.run(run_leg(

@@ -65,8 +65,8 @@ class OptConfig:
     #: ``REPRO_FAULTS`` environment variable.
     faults: str = ""
     #: Force the graceful-degradation ladder on.  It also activates
-    #: automatically whenever any fault point is armed, or via the
-    #: ``REPRO_DEGRADE`` environment variable.
+    #: automatically whenever a fault point that fires inside a run is
+    #: armed, or via the ``REPRO_DEGRADE`` environment variable.
     degrade: bool = False
     #: Bound on live entries per ``cache_all`` code cache (0 = unbounded);
     #: full caches evict clock/second-chance victims instead of growing.

@@ -141,8 +141,11 @@ class SpecializationBudgetError(SpecializationError):
     """
 
 
-class FaultConfigError(ReproError):
-    """Raised for malformed ``REPRO_FAULTS`` / ``OptConfig.faults`` specs."""
+class FaultConfigError(ReproError, ValueError):
+    """Raised for malformed ``REPRO_FAULTS`` / ``OptConfig.faults`` specs.
+
+    A ``ValueError``, like every other setting the package rejects
+    (:mod:`repro.settings`)."""
 
 
 class WorkerFault(ReproError):

@@ -40,29 +40,27 @@ import pickle
 import tempfile
 import threading
 
+from repro import settings
 from repro.config import OptConfig
 from repro.errors import SpecializationBudgetError, SpecializationError
-from repro.faults import resolve_degrade, resolve_fault_spec
 from repro.machine.costs import CostModel
 from repro.runtime.overhead import OverheadModel
-from repro.workloads import WORKLOADS_BY_NAME
 from repro.workloads.base import Workload
 
 #: Bump when the RunResult layout, the entry format or the key recipe
 #: changes; stale entries from older schemas simply never match.
 #: Schema 8 seals every entry with a checksum and no longer keys on a
 #: persistent artifact store; schema 9 drops ``degraded_compilations``
-#: from the RunResult and the codegen source limit from the key.
-_SCHEMA = 9
+#: from the RunResult and the codegen source limit from the key;
+#: schema 10 drops the refused-translation counter from the RunResult
+#: and keys on the settings table's keyed entries, which leaves the
+#: pool's task timeout out.
+_SCHEMA = 10
 
 #: Every entry file starts with this tag, then the SHA-256 of the
 #: entry's key and its pickled payload, then the payload.
 _MAGIC = b"repro-memo\n"
 _HEAD = len(_MAGIC) + hashlib.sha256().digest_size
-
-#: Default cache directory (relative to the current working directory)
-#: when none is given explicitly or via ``REPRO_MEMO_DIR``.
-DEFAULT_MEMO_DIR = ".repro_memo"
 
 #: Entries kept by each in-process invariant cache: workload key
 #: prefixes here, parsed modules and static baselines in the runner
@@ -72,9 +70,10 @@ INVARIANT_CACHE_CAPACITY = 64
 
 
 def resolve_memo_dir(directory: str | None) -> str:
-    """Resolve a memo directory choice (explicit > env > default)."""
+    """Resolve a memo directory choice (explicit > ``REPRO_MEMO_DIR``,
+    whose default is ``.repro_memo`` in the working directory)."""
     if directory is None:
-        directory = os.environ.get("REPRO_MEMO_DIR") or DEFAULT_MEMO_DIR
+        directory = settings.read("REPRO_MEMO_DIR")
     return directory
 
 
@@ -91,23 +90,6 @@ def _fingerprint_inputs(workload: Workload) -> str:
     prepared = prepared_input(workload)
     has_checksum = prepared.checksum is not None
     return repr((prepared.args, has_checksum, prepared.words))
-
-
-def backend_env_fingerprint() -> tuple:
-    """Resolved values of the environment knobs that can change a run.
-
-    ``REPRO_TASK_TIMEOUT`` decides whether the supervised pool retries
-    or reports a hung worker's task.  It is not visible in
-    ``OptConfig``, so without feeding the *resolved* value into the key
-    a warm hit could serve a result computed under a different
-    configuration.  Knobs that only shape operations (the serve tier's
-    breakers and worker count) are left out: they cannot change a
-    ``RunResult``.  The timeout is read through
-    :func:`repro.evalharness.parallel.resolve_task_timeout` lazily to
-    keep this module import-light.
-    """
-    from repro.evalharness.parallel import resolve_task_timeout
-    return (resolve_task_timeout(),)
 
 
 def _feed(hasher, part: object) -> None:
@@ -153,16 +135,11 @@ def memo_key(workload: Workload,
     hasher = workload_prefix(workload)
     feed = functools.partial(_feed, hasher)
     feed(sorted(dataclasses.asdict(config).items()))
-    # Fault-injection and degradation settings change run statistics but
-    # partly live in environment variables (REPRO_FAULTS/REPRO_DEGRADE),
-    # which ``asdict(config)`` cannot see: feed the *resolved* values so a
-    # faulted run can never serve a clean run from the cache (or vice
+    # The environment settings that can change a run (the fault spec
+    # and the degradation ladder), which ``asdict(config)`` cannot see:
+    # a faulted run can never serve a clean run from the cache (or vice
     # versa).
-    feed(("resolved_faults", resolve_fault_spec(config)))
-    feed(("resolved_degrade", resolve_degrade(config)))
-    # Backend-affecting environment knobs (same rationale: they change
-    # run behavior but are invisible to ``asdict(config)``).
-    feed(("resolved_env", backend_env_fingerprint()))
+    feed(("settings", settings.keyed()))
     feed(sorted(dataclasses.asdict(cost_model).items()))
     feed(sorted(dataclasses.asdict(overhead).items()))
     feed(verify)
@@ -181,10 +158,9 @@ def _rebuild(payload: dict):
                if payload.get("error_kind") == "budget"
                else SpecializationError)
         return cls(payload["error"], **(payload.get("error_fields") or {}))
-    fields = payload["result"]
-    from repro.evalharness.runner import RunResult
-    return RunResult(**{**fields,
-                        "workload": WORKLOADS_BY_NAME[fields["workload"]]})
+    # Imported here: the runner imports this module.
+    from repro.evalharness.runner import unpack_result
+    return unpack_result(payload["result"])
 
 
 def _decode(key: str, raw: bytes) -> tuple[str, dict | None]:
@@ -317,12 +293,8 @@ class Memoizer:
 
     def put(self, key: str, result) -> None:
         """Cache a RunResult (the Workload is stored by name)."""
-        fields = {
-            f.name: getattr(result, f.name)
-            for f in dataclasses.fields(result)
-        }
-        fields["workload"] = result.workload.name
-        self._write(key, {"schema": _SCHEMA, "result": fields})
+        from repro.evalharness.runner import pack_result
+        self._write(key, {"schema": _SCHEMA, "result": pack_result(result)})
 
     def put_error(self, key: str, error: SpecializationError) -> None:
         """Cache a deterministic specialization failure.

@@ -4,9 +4,10 @@ Each run of one (workload, config) pair is an independent, deterministic
 computation, so the harness can farm runs out to worker processes.  The
 workers are plain top-level functions taking picklable task tuples —
 workloads travel by *name* (rehydrated from ``WORKLOADS_BY_NAME`` in the
-worker) and results travel back with the workload field replaced by its
-name, because :class:`~repro.workloads.base.Workload` carries setup and
-checksum callables that may not pickle.
+worker) and results travel back packed by
+:func:`~repro.evalharness.runner.pack_result`, because
+:class:`~repro.workloads.base.Workload` carries setup and checksum
+callables that may not pickle.
 
 ``jobs <= 1`` runs every task serially in-process through the exact same
 worker functions, so the two paths cannot drift apart behaviourally.
@@ -34,10 +35,16 @@ from concurrent.futures import (
 )
 from concurrent.futures.process import BrokenProcessPool
 
+from repro import settings
 from repro.config import ALL_ON, OptConfig
 from repro.errors import HarnessError, SpecializationError, WorkerFault
 from repro.evalharness.memo import Memoizer
-from repro.evalharness.runner import RunResult, run_workload
+from repro.evalharness.runner import (
+    RunResult,
+    pack_result,
+    run_workload,
+    unpack_result,
+)
 from repro.faults import FaultRegistry, resolve_fault_spec
 from repro.workloads import WORKLOADS_BY_NAME
 
@@ -45,34 +52,16 @@ from repro.workloads import WORKLOADS_BY_NAME
 def resolve_jobs(jobs: int | None) -> int:
     """Resolve a worker-count choice.
 
-    ``None`` falls back to the ``REPRO_JOBS`` environment variable, then
-    to 1 (serial).  ``0`` means "one worker per CPU".
+    ``None`` falls back to the ``REPRO_JOBS`` setting, whose default is
+    1 (serial).  ``0`` means "one worker per CPU".
     """
     if jobs is None:
-        env = os.environ.get("REPRO_JOBS")
-        jobs = int(env) if env else 1
+        jobs = settings.read("REPRO_JOBS")
     if jobs == 0:
         jobs = os.cpu_count() or 1
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     return jobs
-
-
-def resolve_task_timeout() -> float:
-    """Per-round no-progress timeout in seconds (0 disables it).
-
-    Read from ``REPRO_TASK_TIMEOUT``.  The timeout is deliberately
-    *no-progress* rather than per-task: any completion resets the clock,
-    so a large sweep with one slow task is not misdiagnosed as hung.
-    """
-    env = os.environ.get("REPRO_TASK_TIMEOUT")
-    if not env:
-        return 0.0
-    try:
-        value = float(env)
-    except ValueError:
-        return 0.0
-    return max(0.0, value)
 
 
 @dataclasses.dataclass
@@ -82,24 +71,6 @@ class TaskFailure:
     error_type: str
     error: str
     attempts: int
-
-
-# ----------------------------------------------------------------------
-# Result transport
-# ----------------------------------------------------------------------
-
-def _pack(result: RunResult) -> dict:
-    fields = {
-        f.name: getattr(result, f.name)
-        for f in dataclasses.fields(result)
-    }
-    fields["workload"] = result.workload.name
-    return fields
-
-
-def _unpack(fields: dict) -> RunResult:
-    workload = WORKLOADS_BY_NAME[fields["workload"]]
-    return RunResult(**{**fields, "workload": workload})
 
 
 # ----------------------------------------------------------------------
@@ -118,18 +89,12 @@ def _worker_faults(attempt: int) -> None:
     """
     if attempt != 0:
         return
-    spec = resolve_fault_spec(None)
-    if not spec:
-        return
-    registry = FaultRegistry.from_spec(spec)
-    if registry.enabled("worker.hang") \
-            and registry.should_fire("worker.hang"):
+    registry = FaultRegistry.from_spec(resolve_fault_spec(None))
+    if registry.should_fire("worker.hang"):
         time.sleep(registry.param("worker.hang", "secs", 30.0))
-    if registry.enabled("worker.crash") \
-            and registry.should_fire("worker.crash"):
+    if registry.should_fire("worker.crash"):
         os._exit(86)
-    if registry.enabled("worker.error") \
-            and registry.should_fire("worker.error"):
+    if registry.should_fire("worker.error"):
         raise WorkerFault("injected worker fault (worker.error)")
 
 
@@ -139,8 +104,8 @@ def _run_config_task(task) -> dict:
     _worker_faults(rest[0] if rest else -1)
     workload = WORKLOADS_BY_NAME[name]
     memo = Memoizer(memo_dir) if memo_dir is not None else None
-    return _pack(run_workload(workload, config, backend=backend,
-                              memo=memo))
+    return pack_result(run_workload(workload, config, backend=backend,
+                                    memo=memo))
 
 
 def _run_ablation_task(task) -> tuple[dict, bool]:
@@ -164,7 +129,7 @@ def _run_ablation_task(task) -> tuple[dict, bool]:
             backend=backend, memo=memo,
         )
         starred = True
-    return _pack(result), starred
+    return pack_result(result), starred
 
 
 # ----------------------------------------------------------------------
@@ -266,7 +231,9 @@ def _map_tasks(worker, payloads, jobs: int | None, on_done=None) -> list:
                 failures[index] = TaskFailure(index, type(err).__name__,
                                               str(err), 1)
     else:
-        timeout = resolve_task_timeout()
+        # No-progress, not per task: any completion resets the clock,
+        # so a large sweep with one slow task is not taken for hung.
+        timeout = settings.read("REPRO_TASK_TIMEOUT")
         pending = list(range(len(payloads)))
         for attempt in range(2):
             if not pending:
@@ -301,7 +268,7 @@ def run_configs(tasks: list[tuple[str, OptConfig]],
     if progress is not None:
         on_done = lambda index: progress(*tasks[index])  # noqa: E731
     packed = _map_tasks(_run_config_task, payloads, jobs, on_done)
-    return [_unpack(fields) for fields in packed]
+    return [unpack_result(fields) for fields in packed]
 
 
 def run_ablations(tasks: list[tuple[str, str]],
@@ -320,4 +287,5 @@ def run_ablations(tasks: list[tuple[str, str]],
     if progress is not None:
         on_done = lambda index: progress(*tasks[index])  # noqa: E731
     packed = _map_tasks(_run_ablation_task, payloads, jobs, on_done)
-    return [(_unpack(fields), starred) for fields, starred in packed]
+    return [(unpack_result(fields), starred)
+            for fields, starred in packed]

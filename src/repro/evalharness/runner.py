@@ -4,9 +4,9 @@ Each run executes the dynamically compiled workload on a fresh memory and
 verifies its output against the static baseline — the same program
 compiled with its annotations ignored (§3.3) — before reporting any
 numbers.  The baseline does not depend on the configuration, so its
-plain values (return value, output checksum, cycle totals, degradation
-counters) are kept in a bounded in-process cache keyed by content, as is
-the parsed module; the static == dynamic check still runs on every call.
+plain values (return value, output checksum, cycle totals) are kept in
+a bounded in-process cache keyed by content, as is the parsed module;
+the static == dynamic check still runs on every call.
 The annotated compile depends only on the configuration's
 :func:`~repro.dyc.compile_key`, so runs that agree on it share one
 compiled program, each under its own configuration; its
@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
+from repro import settings
 from repro.config import ALL_ON, OptConfig
 from repro.dyc import (
     CompiledProgram,
@@ -57,6 +57,7 @@ from repro.machine import (
 from repro.machine.costs import CostModel
 from repro.runtime.overhead import DEFAULT_OVERHEAD, OverheadModel
 from repro.runtime.stats import RegionStats
+from repro.workloads import WORKLOADS_BY_NAME
 from repro.workloads.base import Workload, WorkloadInput
 
 
@@ -84,10 +85,6 @@ class RunResult:
     region_functions: dict[str, list[int]]
     outputs_match: bool = True
     return_values: tuple = ()
-    #: Backend-ladder degradations over both machines (static+dynamic):
-    #: threaded translations that fell back to the reference
-    #: interpreter.
-    degraded_translations: int = 0
 
     # ------------------------------------------------------------------
 
@@ -95,10 +92,7 @@ class RunResult:
     def degraded(self) -> bool:
         """True when any region walked down the degradation ladder
         (failed specializations, fallback executions, quarantines,
-        budget truncations, or cache corruption recoveries) or the
-        backend walked down the backend ladder (refused translations)."""
-        if self.degraded_translations:
-            return True
+        budget truncations, or cache corruption recoveries)."""
         return any(stats.degraded for stats in self.region_stats.values())
 
     @property
@@ -160,6 +154,22 @@ class RunResult:
         ]
 
 
+def pack_result(result: RunResult) -> dict:
+    """``result``'s fields as plain data, for a pool worker's reply and
+    a memo entry.  The workload travels as its name: its ``setup`` and
+    checksum callables may not pickle."""
+    fields = {f.name: getattr(result, f.name)
+              for f in dataclasses.fields(result)}
+    fields["workload"] = result.workload.name
+    return fields
+
+
+def unpack_result(fields: dict) -> RunResult:
+    """The :class:`RunResult` that :func:`pack_result` packed."""
+    return RunResult(**{**fields,
+                        "workload": WORKLOADS_BY_NAME[fields["workload"]]})
+
+
 def _machine_kwargs(workload: Workload, cost_model: CostModel,
                     backend: str, codegen_mode: str = "counted"):
     icache = None
@@ -174,13 +184,12 @@ def _machine_kwargs(workload: Workload, cost_model: CostModel,
 def resolve_backend(backend: str | None) -> str:
     """Resolve an execution backend choice.
 
-    ``None`` falls back to the ``REPRO_BACKEND`` environment variable,
-    then to the fast threaded backend (both backends produce
-    byte-identical stats in counted mode, so the harness defaults to the
-    fast one).
+    ``None`` falls back to the ``REPRO_BACKEND`` setting, whose default
+    is the fast threaded backend (both backends produce byte-identical
+    stats in counted mode, so the harness defaults to the fast one).
     """
     if backend is None:
-        backend = os.environ.get("REPRO_BACKEND") or "threaded"
+        backend = settings.read("REPRO_BACKEND")
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
     return backend
@@ -189,12 +198,12 @@ def resolve_backend(backend: str | None) -> str:
 def resolve_codegen_mode(mode: str | None) -> str:
     """Resolve the threaded backend's codegen mode choice.
 
-    ``None``/empty falls back to the ``REPRO_CODEGEN_MODE`` environment
-    variable, then to ``counted`` (stats byte-identical to the
-    reference interpreter; ``fast`` drops the per-block cycle charges).
+    ``None``/empty falls back to the ``REPRO_CODEGEN_MODE`` setting,
+    whose default is ``counted`` (stats byte-identical to the reference
+    interpreter; ``fast`` drops the per-block cycle charges).
     """
     if not mode:
-        mode = os.environ.get("REPRO_CODEGEN_MODE") or "counted"
+        mode = settings.read("REPRO_CODEGEN_MODE")
     if mode not in CODEGEN_MODES:
         raise ValueError(f"unknown codegen mode {mode!r}")
     return mode
@@ -248,7 +257,6 @@ class StaticBaseline:
     total_cycles: float
     #: Inclusive cycles per tracked function, as ``(name, cycles)``.
     region_cycles: tuple
-    degraded_translations: int
 
 
 _STATIC_BASELINES = _LRUCache(INVARIANT_CACHE_CAPACITY)
@@ -359,7 +367,6 @@ def static_baseline(workload: Workload, module: Module,
                   else inputs.checksum(memory, machine)),
         total_cycles=machine.stats.cycles,
         region_cycles=tuple(machine.stats.scope_cycles.items()),
-        degraded_translations=machine.stats.degraded_translations,
     )
     if key is not None:
         _STATIC_BASELINES.put(key, baseline)
@@ -524,8 +531,4 @@ def run_workload(workload: Workload,
                           in compiled.region_functions.items()},
         outputs_match=outputs_match,
         return_values=(static.return_value, dynamic_result),
-        degraded_translations=(
-            static.degraded_translations
-            + dynamic_machine.stats.degraded_translations
-        ),
     )

@@ -2,22 +2,24 @@
 
 from repro.faults.registry import (
     FAULT_POINTS,
-    WORKER_POINTS,
+    RUN_POINTS,
     FaultRegistry,
     FaultSpec,
     combine_specs,
     parse_spec,
     resolve_degrade,
     resolve_fault_spec,
+    run_faults,
 )
 
 __all__ = [
     "FAULT_POINTS",
-    "WORKER_POINTS",
+    "RUN_POINTS",
     "FaultRegistry",
     "FaultSpec",
     "combine_specs",
     "parse_spec",
     "resolve_degrade",
     "resolve_fault_spec",
+    "run_faults",
 ]

@@ -3,8 +3,8 @@
 The degradation ladder (see ``DESIGN.md``) only earns trust if every rung
 can be *exercised on demand*: this module provides named fault points
 spread across the dynamic-compilation pipeline — the specializer, the
-code caches, the instruction emitter, the threaded-translation cache, and
-the eval-harness pool workers — each of which can be armed with a
+code caches, the instruction emitter, the serve daemon and the
+eval-harness pool workers — each of which can be armed with a
 deterministic trigger.  No global randomness is involved: probabilistic
 triggers use a per-point xorshift64 stream seeded from the spec, so a
 given spec string always injects the same faults at the same hit counts.
@@ -22,17 +22,17 @@ A spec is a ``;``-separated list of ``point[:param[,param...]]`` entries::
     worker.hang:once,secs=2          point-specific extras ride along
 
 Specs combine from ``OptConfig.faults`` and the ``REPRO_FAULTS``
-environment variable (see :func:`resolve_fault_spec`); arming any fault
-point also switches the runtime's graceful degradation on by default
-(:func:`resolve_degrade`), since injecting faults without the ladder
-would just crash.
+environment variable (see :func:`resolve_fault_spec`); arming a point
+that fires inside a run (:data:`RUN_POINTS`) also switches the
+runtime's graceful degradation on by default (:func:`resolve_degrade`),
+since injecting faults without the ladder would just crash.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
+from repro import settings
 from repro.errors import FaultConfigError
 
 #: Every named fault point, with the failure it simulates.
@@ -49,8 +49,6 @@ FAULT_POINTS: dict[str, str] = {
         "a cache-all insertion stores a corrupt entry checksum",
     "cache.evict":
         "a cache-all insertion first evicts a live entry",
-    "threaded.translate":
-        "the threaded backend fails to translate a function",
     "serve.admit":
         "the serve daemon fails an admitted request before execution",
     "serve.worker_heartbeat":
@@ -65,9 +63,13 @@ FAULT_POINTS: dict[str, str] = {
         "a pool worker sleeps (bounded) before running its task",
 }
 
-#: Fault points that fire inside eval-harness pool workers rather than
-#: inside the runtime proper.
-WORKER_POINTS = ("worker.crash", "worker.error", "worker.hang")
+#: Fault points that fire inside ``run_workload``: in the specializer,
+#: the emitter and the code caches.  Only these switch the degradation
+#: ladder on, and only these turn the runaway prediction off; a point
+#: that fires in the serve daemon or a pool worker leaves runs alone.
+RUN_POINTS = ("specializer.entry", "specializer.continuation",
+              "specializer.budget", "emit.template", "cache.corrupt",
+              "cache.evict")
 
 _MODES = ("always", "once", "at", "every", "p")
 
@@ -274,21 +276,28 @@ def resolve_fault_spec(config=None) -> str:
     """
     config_spec = getattr(config, "faults", "") if config is not None \
         else ""
-    return combine_specs(config_spec, os.environ.get("REPRO_FAULTS"))
+    return combine_specs(config_spec, settings.read("REPRO_FAULTS"))
+
+
+def run_faults(config=None) -> FaultRegistry:
+    """A registry of the effective spec's :data:`RUN_POINTS`, for one
+    run's runtime."""
+    specs = parse_spec(resolve_fault_spec(config))
+    return FaultRegistry(specs={point: spec for point, spec
+                                in specs.items() if point in RUN_POINTS})
 
 
 def resolve_degrade(config=None) -> bool:
     """Is the graceful-degradation ladder active?
 
-    On when ``OptConfig.degrade`` is set, when ``REPRO_DEGRADE`` is a
-    truthy string, or when any fault point is armed (injecting faults
-    without the ladder would just crash, which defeats the exercise).
+    On when ``OptConfig.degrade`` is set; otherwise ``REPRO_DEGRADE``
+    decides when set, and when unset the ladder is on exactly when a
+    point of :data:`RUN_POINTS` is armed (injecting faults without the
+    ladder would just crash, which defeats the exercise).
     """
     if config is not None and getattr(config, "degrade", False):
         return True
-    env = os.environ.get("REPRO_DEGRADE", "").strip().lower()
-    if env in ("1", "true", "yes", "on"):
-        return True
-    if env in ("0", "false", "no", "off"):
-        return False
-    return bool(resolve_fault_spec(config))
+    env = settings.read("REPRO_DEGRADE")
+    if env is not None:
+        return env
+    return run_faults(config).active

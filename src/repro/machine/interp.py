@@ -144,10 +144,6 @@ class ExecutionStats:
     dispatches: int = 0
     scope_cycles: dict[str, float] = field(default_factory=dict)
     scope_entries: dict[str, int] = field(default_factory=dict)
-    #: Threaded-backend translations that fell back to the reference
-    #: interpreter (injected ``threaded.translate`` faults).  Zero on a
-    #: clean run; the fallback is cycle-identical by construction.
-    degraded_translations: int = 0
 
     def snapshot(self) -> "ExecutionStats":
         return ExecutionStats(
@@ -158,7 +154,6 @@ class ExecutionStats:
             dispatches=self.dispatches,
             scope_cycles=dict(self.scope_cycles),
             scope_entries=dict(self.scope_entries),
-            degraded_translations=self.degraded_translations,
         )
 
 
@@ -466,15 +461,11 @@ class Machine:
                 raise MachineError(f"unexpected block outcome {kind!r}")
 
     def _exec_region_interp(self, code: Function, env: dict,
-                            footprint: int,
-                            label: str | None = None) -> tuple[str, object]:
-        """Reference-interpreter region loop, from the entry or resumable
-        at ``label`` (the threaded backend degrades into it, at entry or
-        mid-region, when a translation is refused).  It computes the
-        I-cache penalty on every entry, as the oracle the threaded
-        backend's per-code-version bindings are checked against."""
-        if label is None:
-            label = code.entry
+                            footprint: int) -> tuple[str, object]:
+        """Reference-interpreter region loop.  It computes the I-cache
+        penalty on every entry, as the oracle the threaded backend's
+        per-code-version bindings are checked against."""
+        label = code.entry
         penalty = self.icache.per_instruction_penalty(footprint)
         while True:
             kind, payload = self._exec_block(

@@ -311,16 +311,6 @@ def _binop_source(op: Op, a: str, b: str) -> str:
     return _INLINE_BINOPS[op].format(a=a, b=b)
 
 
-class TranslationFault(MachineError):
-    """An injected ``threaded.translate`` fault refused a translation.
-
-    Raised only by fault injection (:mod:`repro.faults`); the drivers
-    catch it and degrade to the reference interpreter, which is
-    cycle-identical by construction, so a translation fault is invisible
-    in the stats except for ``degraded_translations``.
-    """
-
-
 # ----------------------------------------------------------------------
 # Block templates
 # ----------------------------------------------------------------------
@@ -776,24 +766,11 @@ class ThreadedBackend:
                 and entry.penalty == penalty
                 and entry.scale == scale):
             return entry
-        runtime = self.machine.runtime
-        if runtime is not None:
-            faults = getattr(runtime, "faults", None)
-            if faults is not None and faults.active \
-                    and faults.should_fire("threaded.translate"):
-                raise TranslationFault(
-                    f"injected fault translating {fn.name!r} "
-                    f"(version {fn.version})"
-                )
         entry = self._translate(fn, penalty, scale)
         self._cache[id(fn)] = entry
         return entry
 
     # -- drivers --------------------------------------------------------
-
-    def exec_function(self, function: Function, env: dict):
-        """Threaded equivalent of ``Machine._exec_function_interp``."""
-        return self.host_loop(function)(env)
 
     def host_loop(self, function: Function):
         """The host loop of ``function``, bound once per backend:
@@ -801,9 +778,7 @@ class ThreadedBackend:
 
         It holds the function's translation and checks only
         ``Function.version`` per call; the I-cache penalty is computed
-        only when a translation is built.  A refused translation stores
-        nothing, so the next call retries it and runs this one on the
-        reference interpreter.
+        only when a translation is built.
         """
         bound = self._hosts.get(id(function))
         if bound is not None and bound[0] is function:
@@ -818,12 +793,7 @@ class ThreadedBackend:
                     _fn.instruction_count()
                 )
                 scale = _m.costs.static_schedule_factor
-                try:
-                    trans = self.translation(_fn, penalty, scale)
-                except TranslationFault:
-                    _m.stats.degraded_translations += 1
-                    return _m._exec_function_interp(_fn, env)
-                _held[0] = trans
+                trans = _held[0] = self.translation(_fn, penalty, scale)
             runners = trans.runners
             label = _fn.entry
             while True:
@@ -866,16 +836,7 @@ class ThreadedBackend:
         label = code.entry
         while True:
             if code.version != version:
-                try:
-                    trans = self.translation(code, penalty, 1.0)
-                except TranslationFault:
-                    # Degradation at entry or mid-region: resume the
-                    # reference loop at the current block.
-                    machine.stats.degraded_translations += 1
-                    return machine._exec_region_interp(
-                        code, env, footprint, label
-                    )
-                bound[3] = trans
+                trans = bound[3] = self.translation(code, penalty, 1.0)
                 runners = trans.runners
                 version = trans.version
             kind, payload = runners[label](env)

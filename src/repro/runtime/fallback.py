@@ -25,25 +25,9 @@ region's *template* (the pre-rewrite snapshot of the host CFG that
 Annotation markers (``MakeStatic``/``MakeDynamic``) are stripped: they
 are free no-ops at execution time, but the fallback should look like the
 statically compiled code, which never carries them.
-
-A parallel, orthogonal ladder exists at the *backend* level (see
-:data:`BACKEND_LADDER`): which execution engine runs the code, as
-opposed to which code runs.  Both ladders compose — a workload can
-degrade from the threaded backend to the reference interpreter on an
-injected translation fault while, independently, a region degrades from
-specialized code to this module's unspecialized fallback.
 """
 
 from __future__ import annotations
-
-#: Backend degradation ladder, fastest rung first.  The threaded
-#: backend (:mod:`repro.machine.threaded`) degrades to the reference
-#: interpreter on a :class:`~repro.machine.threaded.TranslationFault`
-#: (injected ``threaded.translate`` faults), at a region's entry or
-#: resuming mid-region at the current label.  Both rungs are
-#: cycle-identical in counted mode, so degradation is invisible in the
-#: stats except for the ``degraded_translations`` counter.
-BACKEND_LADDER = ("threaded", "reference")
 
 from repro.errors import SpecializationError
 from repro.ir.function import BasicBlock, Function

@@ -15,11 +15,7 @@ from typing import NamedTuple
 
 from repro.dyc.genext import GeneratingExtension
 from repro.errors import SpecializationError
-from repro.faults import (
-    FaultRegistry,
-    resolve_degrade,
-    resolve_fault_spec,
-)
+from repro.faults import resolve_degrade, run_faults
 from repro.ir.instructions import EnterRegion
 from repro.machine.interp import Machine
 from repro.runtime.cache import (
@@ -65,7 +61,8 @@ class DycRuntime:
     """Run-time dispatching, specialization, and statistics.
 
     When the degradation ladder is active (``config.degrade``, the
-    ``REPRO_DEGRADE`` environment variable, or any armed fault point) a
+    ``REPRO_DEGRADE`` environment variable, or an armed fault point that
+    fires inside a run, :data:`~repro.faults.RUN_POINTS`) a
     failed specialization no longer aborts execution: the dispatcher
     retries once, then runs the region *unspecialized* from its template,
     and quarantines a (region, context) pair that keeps failing so later
@@ -78,9 +75,7 @@ class DycRuntime:
         self.overhead = overhead if overhead is not None else \
             DEFAULT_OVERHEAD
         self.stats = RuntimeStats()
-        self.faults = FaultRegistry.from_spec(
-            resolve_fault_spec(self.config)
-        )
+        self.faults = run_faults(self.config)
         self.degrade = resolve_degrade(self.config)
         self.quarantine_after = max(1, self.config.quarantine_after)
         self.specializer = Specializer(self)

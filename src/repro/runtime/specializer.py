@@ -354,7 +354,8 @@ class Specializer:
         # A context the generating extension proved runaway would only
         # mint contexts until the budget runs out; fail it up front.
         # Degrade mode truncates at the budget instead, and an armed
-        # fault could fail the batch first, so both run on.
+        # fault (the runtime's registry holds only the points that fire
+        # inside a run) could fail the batch first, so both run on.
         runaway = ({} if self.runtime.degrade or faults.active
                    else genext.runaway)
         worklist = batch.worklist

@@ -18,11 +18,9 @@ Flags::
                             $REPRO_FAULTS
     --breaker-threshold N   consecutive 5xx outcomes that trip a
                             per-(tenant, workload) circuit breaker
-                            (default $REPRO_BREAKER_THRESHOLD or 5;
-                            0 disables)
+                            (default 5; 0 disables)
     --breaker-cooldown S    open-breaker cooldown before the half-open
-                            probe (default $REPRO_BREAKER_COOLDOWN
-                            or 1.0)
+                            probe (default 1.0)
     --memo-dir DIR          serve and store every run through the
                             harness's result memoizer at DIR, so a
                             restarted daemon serves earlier runs from
@@ -31,8 +29,8 @@ Flags::
 
 Every miss runs on one backend, resolved at start-up as the eval
 harness resolves it: ``$REPRO_BACKEND``, else ``threaded``.  A bad
-``$REPRO_BACKEND`` or fault spec refuses to start (exit 2) before the
-socket is bound.
+fault spec or a malformed ``REPRO_*`` setting (:mod:`repro.settings`)
+refuses to start (exit 2) before the socket is bound.
 
 The daemon prints one ``serving on http://host:port`` line to stderr
 once the socket is bound, so supervisors (and the CI smoke job) can
@@ -43,11 +41,10 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import os
 import sys
 
+from repro import settings
 from repro.errors import FaultConfigError
-from repro.evalharness.runner import resolve_backend
 from repro.faults import combine_specs, parse_spec
 from repro.serve.app import (
     DEFAULT_CAPACITY_PER_SHARD,
@@ -55,6 +52,10 @@ from repro.serve.app import (
     DEFAULT_SHARDS,
     DEFAULT_TENANT_QUOTA,
     ServeApp,
+)
+from repro.serve.breaker import (
+    DEFAULT_BREAKER_COOLDOWN,
+    DEFAULT_BREAKER_THRESHOLD,
 )
 from repro.serve.http import ServeDaemon
 
@@ -96,15 +97,15 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     parser.add_argument("--memo-dir", default=None, metavar="DIR",
                         help="serve and store runs through the result "
                              "memoizer at DIR (off unless given)")
-    parser.add_argument("--breaker-threshold", type=int, default=None,
+    parser.add_argument("--breaker-threshold", type=int,
+                        default=DEFAULT_BREAKER_THRESHOLD,
                         help="consecutive 5xx outcomes that trip a "
                              "per-(tenant, workload) circuit breaker "
-                             "(default $REPRO_BREAKER_THRESHOLD or 5; "
-                             "0 disables)")
-    parser.add_argument("--breaker-cooldown", type=float, default=None,
+                             "(default %(default)s; 0 disables)")
+    parser.add_argument("--breaker-cooldown", type=float,
+                        default=DEFAULT_BREAKER_COOLDOWN,
                         help="seconds an open breaker waits before a "
-                             "half-open probe (default "
-                             "$REPRO_BREAKER_COOLDOWN or 1.0)")
+                             "half-open probe (default %(default)s)")
     return parser.parse_args(argv)
 
 
@@ -112,23 +113,28 @@ def startup_error(faults: str | None) -> str | None:
     """Why a daemon with fault spec ``faults`` must not start, if so.
 
     Checked before binding (and, under the supervisor, before forking):
-    a bad fault spec or ``REPRO_BACKEND`` would otherwise fail every
-    request, or crash-loop every worker up to the restart cap.
+    a bad fault spec or a malformed setting such as ``REPRO_BACKEND``
+    would otherwise fail every request, or crash-loop every worker up
+    to the restart cap.
     """
     try:
-        parse_spec(combine_specs(faults, os.environ.get("REPRO_FAULTS")))
+        parse_spec(combine_specs(faults, settings.read("REPRO_FAULTS")))
     except FaultConfigError as err:
         return f"bad fault spec: {err}"
-    try:
-        resolve_backend(None)
-    except ValueError as err:
-        return f"bad REPRO_BACKEND: {err}"
+    for name in settings.SETTINGS:
+        try:
+            settings.read(name)
+        except ValueError as err:
+            return f"bad {err}"
     return None
 
 
-def build_app(args: argparse.Namespace) -> ServeApp:
+def build_app(args: argparse.Namespace, worker: int | None = None,
+              supervisor_state: str | None = None) -> ServeApp:
+    """The app a daemon serves; a supervised worker passes its id and
+    the supervisor's state-file path."""
     fault_spec = combine_specs(args.faults,
-                               os.environ.get("REPRO_FAULTS"))
+                               settings.read("REPRO_FAULTS"))
     return ServeApp(
         shards=args.shards,
         cache_capacity=args.cache_capacity,
@@ -139,6 +145,8 @@ def build_app(args: argparse.Namespace) -> ServeApp:
         memo_dir=args.memo_dir,
         breaker_threshold=args.breaker_threshold,
         breaker_cooldown=args.breaker_cooldown,
+        worker=worker,
+        supervisor_state=supervisor_state,
     )
 
 

@@ -10,7 +10,7 @@ Request lifecycle for ``POST /run``:
    error memoization.  Cache hits bypass the circuit breaker — serving
    known-good bytes is always safe.
 3. **Circuit breaker** (:mod:`repro.serve.breaker`) — a per-(tenant,
-   workload) breaker that has seen ``REPRO_BREAKER_THRESHOLD``
+   workload) breaker that has seen ``--breaker-threshold``
    consecutive 5xx outcomes rejects the miss with a ``circuit_open``
    503 (plus ``Retry-After``) until its cooldown admits a half-open
    probe.  Every non-cached outcome settles the breaker.
@@ -48,6 +48,8 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -57,15 +59,19 @@ from repro.evalharness.runner import resolve_backend, run_workload
 from repro.faults import FaultRegistry
 from repro.machine.costs import ALPHA_21164
 from repro.runtime.overhead import DEFAULT_OVERHEAD
-from repro.serve import knobs
 from repro.serve.admission import (
     AdmissionQueue,
     Backpressure,
     QuotaExceeded,
 )
-from repro.serve.breaker import BreakerBoard
+from repro.serve.breaker import (
+    DEFAULT_BREAKER_COOLDOWN,
+    DEFAULT_BREAKER_THRESHOLD,
+    BreakerBoard,
+)
 from repro.serve.cache import ShardedResultCache
 from repro.serve.protocol import (
+    DEGRADATION_KEYS,
     BadRequest,
     RunRequest,
     classify_error,
@@ -80,20 +86,19 @@ DEFAULT_CAPACITY_PER_SHARD = 256
 DEFAULT_MAX_QUEUE = 1024
 DEFAULT_TENANT_QUOTA = 128
 
-_DEGRADATION_KEYS = (
-    "specialization_failures",
-    "respecializations",
-    "fallback_executions",
-    "quarantined_contexts",
-    "quarantine_skips",
-    "budget_truncations",
-    "cache_corruptions",
-    "degraded_translations",
-)
+#: Exit code of a supervised worker killed by the ``serve.respond``
+#: fault point, so the supervisor can tell an injected crash from a
+#: real one.
+EXIT_RESPOND_FAULT = 17
 
 
 class ServeApp:
-    """Routing + request orchestration for the serve daemon."""
+    """Routing + request orchestration for the serve daemon.
+
+    A supervised worker is built with its ``worker`` id, which lets the
+    ``serve.respond`` fault point exit the process, and the path of the
+    supervisor's ``supervisor_state`` file, which ``GET /stats`` shows.
+    """
 
     def __init__(self, *,
                  shards: int = DEFAULT_SHARDS,
@@ -103,12 +108,15 @@ class ServeApp:
                  tenant_quota: int = DEFAULT_TENANT_QUOTA,
                  fault_spec: str | None = None,
                  memo_dir: str | None = None,
-                 breaker_threshold: int | None = None,
-                 breaker_cooldown: float | None = None):
-        import os
+                 breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD,
+                 breaker_cooldown: float = DEFAULT_BREAKER_COOLDOWN,
+                 worker: int | None = None,
+                 supervisor_state: str | None = None):
         # First, so a bad REPRO_BACKEND refuses the daemon before any
         # thread or socket exists.
         self.backend = resolve_backend(None)
+        self.worker = worker
+        self.supervisor_state = supervisor_state
         if workers is None:
             workers = min(8, os.cpu_count() or 2)
         self.started = time.time()
@@ -144,7 +152,7 @@ class ServeApp:
         self.coalesced = 0
         self.cache_served = 0
         self.executions = 0
-        self.degradation = {name: 0 for name in _DEGRADATION_KEYS}
+        self.degradation = dict.fromkeys(DEGRADATION_KEYS, 0)
         self.degraded_runs = 0
         self.tenants: dict[str, dict[str, int]] = {}
 
@@ -218,16 +226,12 @@ class ServeApp:
         cannot retry into another worker, so firing here would turn a
         simulated crash into a guaranteed lost response — the drain
         guarantee is the one property this fault must not break."""
-        if self.draining \
-                or not self.faults.enabled("serve.respond") \
-                or not self.faults.should_fire("serve.respond"):
+        if self.draining or not self.faults.should_fire("serve.respond"):
             return False
         self.respond_drops += 1
-        if knobs.worker_id() is not None:
-            import os
-            import sys
+        if self.worker is not None:
             sys.stderr.flush()
-            os._exit(knobs.EXIT_RESPOND_FAULT)
+            os._exit(EXIT_RESPOND_FAULT)
         return True
 
     # -- POST /run -------------------------------------------------------
@@ -365,7 +369,7 @@ class ServeApp:
     def _absorb_degradation(self, tenant: str,
                             counters: dict[str, int]) -> None:
         degraded = False
-        for name in _DEGRADATION_KEYS:
+        for name in DEGRADATION_KEYS:
             value = counters.get(name, 0)
             if value:
                 degraded = True
@@ -385,19 +389,18 @@ class ServeApp:
             "degraded_runs": self.degraded_runs,
             "quarantined_contexts":
                 self.degradation["quarantined_contexts"],
-            "worker": knobs.worker_id(),
+            "worker": self.worker,
             "draining": self.draining,
         }
 
-    @staticmethod
-    def _supervisor_stats() -> dict | None:
+    def _supervisor_stats(self) -> dict | None:
         """Supervision counters, when running under a supervisor.
 
         The supervisor rewrites its state file atomically on every
         lifecycle event; any worker can therefore surface fleet-wide
         restart counters on its own ``/stats`` without IPC.
         """
-        path = knobs.supervisor_state_path()
+        path = self.supervisor_state
         if path is None:
             return None
         try:
@@ -412,7 +415,7 @@ class ServeApp:
     def _stats(self) -> dict:
         return {
             "server": {
-                "worker": knobs.worker_id(),
+                "worker": self.worker,
                 "uptime_seconds": round(time.time() - self.started, 3),
                 "requests_total": self.requests_total,
                 "status_counts": dict(sorted(self.status_counts.items())),

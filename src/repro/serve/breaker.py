@@ -37,10 +37,12 @@ from __future__ import annotations
 
 import time
 
-from repro.serve.knobs import (
-    resolve_breaker_cooldown,
-    resolve_breaker_threshold,
-)
+#: Consecutive failure signals (5xx) that trip a breaker; the serve
+#: daemon's ``--breaker-threshold`` (0 disables breakers).
+DEFAULT_BREAKER_THRESHOLD = 5
+#: Seconds an open breaker waits before a half-open probe; the serve
+#: daemon's ``--breaker-cooldown``.
+DEFAULT_BREAKER_COOLDOWN = 1.0
 
 CLOSED = "closed"
 OPEN = "open"
@@ -118,19 +120,16 @@ class CircuitBreaker:
 class BreakerBoard:
     """All breakers for one daemon, keyed ``(tenant, workload)``.
 
-    ``threshold=0`` (the resolved default of ``REPRO_BREAKER_THRESHOLD``
-    when explicitly zeroed) disables the board: :meth:`acquire` always
-    admits and :meth:`settle` is a no-op, so the request path has no
-    breaker overhead at all.
+    ``threshold=0`` (``--breaker-threshold 0``) disables the board:
+    :meth:`acquire` always admits and :meth:`settle` is a no-op, so the
+    request path has no breaker overhead at all.
     """
 
-    def __init__(self, threshold: int | None = None,
-                 cooldown: float | None = None, *,
+    def __init__(self, threshold: int = DEFAULT_BREAKER_THRESHOLD,
+                 cooldown: float = DEFAULT_BREAKER_COOLDOWN, *,
                  clock=time.monotonic):
-        self.threshold = resolve_breaker_threshold() \
-            if threshold is None else threshold
-        self.cooldown = resolve_breaker_cooldown() \
-            if cooldown is None else cooldown
+        self.threshold = threshold
+        self.cooldown = cooldown
         self.enabled = self.threshold > 0
         self._clock = clock
         self._breakers: dict[tuple[str, str], CircuitBreaker] = {}

@@ -193,9 +193,10 @@ def run_fingerprint(result) -> str:
         sorted(result.region_entries.items()),
         result.outputs_match,
         result.return_values,
-        result.degraded_translations,
-        # The slot of a removed backend's degradation counter, always 0,
-        # kept so that fingerprints stay comparable across versions.
+        # The slots of two removed backend degradation counters (refused
+        # translations, then compilations), always 0, kept so that
+        # fingerprints stay comparable across versions.
+        0,
         0,
     ):
         hasher.update(repr(part).encode("utf-8"))
@@ -203,21 +204,24 @@ def run_fingerprint(result) -> str:
     return hasher.hexdigest()
 
 
+#: The ladder's per-region counters a response and ``/stats`` report.
+DEGRADATION_KEYS = (
+    "specialization_failures",
+    "respecializations",
+    "fallback_executions",
+    "quarantined_contexts",
+    "quarantine_skips",
+    "budget_truncations",
+    "cache_corruptions",
+)
+
+
 def degradation_counters(result) -> dict[str, int]:
     """Aggregate the ladder's per-region counters over a run."""
-    totals = {
-        "specialization_failures": 0,
-        "respecializations": 0,
-        "fallback_executions": 0,
-        "quarantined_contexts": 0,
-        "quarantine_skips": 0,
-        "budget_truncations": 0,
-        "cache_corruptions": 0,
-    }
+    totals = dict.fromkeys(DEGRADATION_KEYS, 0)
     for stats in result.region_stats.values():
         for name in totals:
             totals[name] += getattr(stats, name, 0)
-    totals["degraded_translations"] = result.degraded_translations
     return totals
 
 

@@ -17,14 +17,15 @@ kernel load-balances connections), and then babysits them:
   the hang by silencing the beat while the worker keeps serving.
 * **Graceful drain** — SIGTERM/SIGINT forwards SIGTERM to every
   worker; each stops accepting, finishes its in-flight requests
-  (:meth:`~repro.serve.http.ServeDaemon.drain`), and exits.  Once all
-  workers are gone the supervisor exits 0; a fleet restarted on the
-  same ``--memo-dir`` starts warm.
+  (:meth:`~repro.serve.http.ServeDaemon.drain`, for at most
+  :data:`DRAIN_TIMEOUT` seconds), and exits.  Once all workers are gone
+  the supervisor exits 0; a fleet restarted on the same ``--memo-dir``
+  starts warm.
 * **State file** — every lifecycle event atomically rewrites a JSON
-  state file (``--state-file``; also exported to workers via
-  ``REPRO_SUPERVISOR_STATE`` so ``GET /stats`` can surface supervision
-  counters).  The chaos harness reads it to learn the bound port and
-  the live worker pids it is allowed to kill.
+  state file (``--state-file``; its path is also passed to each
+  worker's app so ``GET /stats`` can surface supervision counters).
+  The chaos harness reads it to learn the bound port and the live
+  worker pids it is allowed to kill.
 
 Workers are forked, not exec'd: the parent never starts an event loop
 (forking after asyncio starts is unsafe), and each child gets a fresh
@@ -43,24 +44,35 @@ import socket
 import sys
 import time
 
-from repro.serve import knobs
+from repro import settings
+from repro.serve.app import (
+    DEFAULT_CAPACITY_PER_SHARD,
+    DEFAULT_MAX_QUEUE,
+    DEFAULT_SHARDS,
+    DEFAULT_TENANT_QUOTA,
+    EXIT_RESPOND_FAULT,
+)
+from repro.serve.breaker import (
+    DEFAULT_BREAKER_COOLDOWN,
+    DEFAULT_BREAKER_THRESHOLD,
+)
 
 #: Respawns after which the supervisor gives up and shuts down — a
 #: backstop against crash loops, far above anything the chaos harness
 #: schedules.
 DEFAULT_MAX_RESTARTS = 100
 
+DEFAULT_PROCS = 2
+
+#: Seconds a draining worker (or the supervisor) waits for in-flight
+#: work before forcing shutdown.
+DRAIN_TIMEOUT = 30.0
+
 _TICK = 0.05
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
     from repro.serve.__main__ import DEFAULT_PORT
-    from repro.serve.app import (
-        DEFAULT_CAPACITY_PER_SHARD,
-        DEFAULT_MAX_QUEUE,
-        DEFAULT_SHARDS,
-        DEFAULT_TENANT_QUOTA,
-    )
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve.supervisor",
         description="Supervise N serve workers behind one socket with "
@@ -68,9 +80,8 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=DEFAULT_PORT)
-    parser.add_argument("--procs", type=int, default=None,
-                        help="worker processes (default "
-                             "$REPRO_SERVE_PROCS or 2)")
+    parser.add_argument("--procs", type=int, default=DEFAULT_PROCS,
+                        help="worker processes (default %(default)s)")
     parser.add_argument("--state-file", default=None, metavar="PATH",
                         help="atomically rewritten JSON supervision "
                              "state (default: <memo-dir or cwd>/"
@@ -90,8 +101,10 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     parser.add_argument("--memo-dir", default=None, metavar="DIR",
                         help="result memoizer every worker shares "
                              "(off unless given)")
-    parser.add_argument("--breaker-threshold", type=int, default=None)
-    parser.add_argument("--breaker-cooldown", type=float, default=None)
+    parser.add_argument("--breaker-threshold", type=int,
+                        default=DEFAULT_BREAKER_THRESHOLD)
+    parser.add_argument("--breaker-cooldown", type=float,
+                        default=DEFAULT_BREAKER_COOLDOWN)
     return parser.parse_args(argv)
 
 
@@ -139,7 +152,8 @@ def _heartbeat_loop(fd: int, faults, interval: float) -> None:
 
 
 def _worker_main(args: argparse.Namespace, sock: socket.socket,
-                 heartbeat_fd: int, worker: int) -> None:
+                 heartbeat_fd: int, worker: int,
+                 state_path: str | None = None) -> None:
     """Forked child body: serve on the shared socket until SIGTERM.
 
     Never returns — exits via ``os._exit`` so the child cannot fall
@@ -148,7 +162,6 @@ def _worker_main(args: argparse.Namespace, sock: socket.socket,
     import asyncio
     import threading
 
-    os.environ[knobs.ENV_WORKER_ID] = str(worker)
     # A SIGTERM that arrives while the app is still being built is
     # recorded, not fatal: the worker drains as soon as it serves.
     early_stop: list[int] = []
@@ -161,11 +174,11 @@ def _worker_main(args: argparse.Namespace, sock: socket.socket,
         from repro.serve.__main__ import build_app
         from repro.serve.http import ServeDaemon
 
-        app = build_app(args)
+        app = build_app(args, worker=worker, supervisor_state=state_path)
         beat = threading.Thread(
             target=_heartbeat_loop,
             args=(heartbeat_fd, app.faults,
-                  knobs.resolve_heartbeat_interval()),
+                  settings.read("REPRO_HEARTBEAT_INTERVAL")),
             daemon=True)
         beat.start()
 
@@ -181,7 +194,7 @@ def _worker_main(args: argparse.Namespace, sock: socket.socket,
                   f"(backend={app.backend})", file=sys.stderr, flush=True)
             await stop.wait()
             app.draining = True
-            completed = await daemon.drain(knobs.resolve_drain_timeout())
+            completed = await daemon.drain(DRAIN_TIMEOUT)
             print(f"[worker {worker}] drained "
                   f"(completed={completed})", file=sys.stderr,
                   flush=True)
@@ -215,11 +228,9 @@ class Supervisor:
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
-        self.procs = args.procs if args.procs is not None \
-            else knobs.resolve_serve_procs()
+        self.procs = args.procs
         self.max_restarts = max(0, args.max_restarts)
-        self.heartbeat_timeout = knobs.resolve_heartbeat_timeout()
-        self.drain_timeout = knobs.resolve_drain_timeout()
+        self.heartbeat_timeout = settings.read("REPRO_HEARTBEAT_TIMEOUT")
         self.sock: socket.socket | None = None
         self.port = args.port
         self.workers: dict[int, WorkerRecord] = {}   # pid -> record
@@ -259,7 +270,8 @@ class Supervisor:
                     os.close(record.pipe_fd)
                 except OSError:
                     pass
-            _worker_main(self.args, self.sock, write_fd, worker)
+            _worker_main(self.args, self.sock, write_fd, worker,
+                         os.path.abspath(self.state_path))
             os._exit(1)  # unreachable
         os.close(write_fd)
         os.set_blocking(read_fd, False)
@@ -336,7 +348,7 @@ class Supervisor:
             changed = True
             self._retire(record)
             if os.WIFEXITED(status) \
-                    and os.WEXITSTATUS(status) == knobs.EXIT_RESPOND_FAULT:
+                    and os.WEXITSTATUS(status) == EXIT_RESPOND_FAULT:
                 self.respond_fault_exits += 1
                 kind = "respond-fault exit"
             elif os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0:
@@ -406,7 +418,7 @@ class Supervisor:
                 os.kill(record.pid, signal.SIGTERM)
             except ProcessLookupError:
                 pass
-        deadline = time.monotonic() + self.drain_timeout
+        deadline = time.monotonic() + DRAIN_TIMEOUT
         while self.workers and time.monotonic() < deadline:
             self._drain_pipes(_TICK)
             self._reap()
@@ -427,8 +439,6 @@ class Supervisor:
 
     def run(self) -> int:
         self.bind()
-        os.environ[knobs.ENV_SUPERVISOR_STATE] = \
-            os.path.abspath(self.state_path)
         if self.args.memo_dir:
             os.makedirs(self.args.memo_dir, exist_ok=True)
         self.publish()

@@ -80,9 +80,6 @@ def report(name: str, dump: bool, backend: str | None = None,
     print(f"  outputs verified: {result.outputs_match}")
     if result.degraded:
         parts = []
-        if result.degraded_translations:
-            parts.append(f"{result.degraded_translations} translations "
-                         "fell back to the reference interpreter")
         for region_id, stats in sorted(result.region_stats.items()):
             if not stats.degraded:
                 continue

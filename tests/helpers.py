@@ -92,9 +92,10 @@ def run_fingerprints(result) -> tuple[str, str]:
         sorted(result.static_region_cycles.items()),
         sorted(result.dynamic_region_cycles.items()),
         sorted(result.region_entries.items()),
-        result.degraded_translations,
-        # The slot a removed backend's degradation counter filled, kept
-        # at 0 so that pinned fingerprints stay as they were.
+        # The slots two removed backend degradation counters filled
+        # (refused translations, then compilations), kept at 0 so that
+        # pinned fingerprints stay as they were.
+        0,
         0,
     )
     stats_fp = hashlib.sha256(

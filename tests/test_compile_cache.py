@@ -41,7 +41,7 @@ from repro.evalharness.runner import (
     reset_invariant_caches,
     run_workload,
 )
-from repro.faults import FAULT_POINTS
+from repro.faults import FAULT_POINTS, RUN_POINTS
 from repro.frontend import compile_source
 from repro.ir import Op
 from repro.lint.extract import embedded_sources_from_file
@@ -58,10 +58,7 @@ COLUMNS = [("reference", "counted"), ("threaded", "counted"),
 
 #: The fault points that can fire inside ``run_workload``; the serve
 #: and worker points fire around it.
-RUNTIME_FAULT_POINTS = (
-    "specializer.entry", "specializer.continuation", "specializer.budget",
-    "emit.template", "cache.corrupt", "cache.evict", "threaded.translate",
-)
+RUNTIME_FAULT_POINTS = RUN_POINTS
 
 
 @pytest.fixture(autouse=True)

@@ -118,32 +118,8 @@ class TestMemoizer:
         first.static_region_cycles.clear()
         assert memo.get(key).static_region_cycles
 
-    def test_memo_schema_is_nine(self):
-        assert memo_module._SCHEMA == 9
-
-    def test_memo_key_ignores_resilience_knobs(self, monkeypatch):
-        """Memo keys hold only knobs that can change a RunResult: the
-        breaker threshold, cooldown and worker count leave them alone,
-        while the pool's task timeout still changes them."""
-        from repro.serve import knobs
-
-        def key():
-            return memo_key(BINARY, ALL_ON, ALPHA_21164,
-                            DEFAULT_OVERHEAD)
-
-        monkeypatch.delenv(knobs.ENV_BREAKER_THRESHOLD, raising=False)
-        monkeypatch.delenv(knobs.ENV_BREAKER_COOLDOWN, raising=False)
-        monkeypatch.delenv(knobs.ENV_SERVE_PROCS, raising=False)
-        monkeypatch.delenv("REPRO_TASK_TIMEOUT", raising=False)
-        base = key()
-        monkeypatch.setenv(knobs.ENV_BREAKER_THRESHOLD, "9")
-        monkeypatch.setenv(knobs.ENV_BREAKER_COOLDOWN, "2.5")
-        monkeypatch.setenv(knobs.ENV_SERVE_PROCS, "7")
-        assert key() == base
-        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "10")
-        assert key() != base
-        monkeypatch.delenv("REPRO_TASK_TIMEOUT")
-        assert key() == base
+    def test_memo_schema_is_ten(self):
+        assert memo_module._SCHEMA == 10
 
 
 def _keys(directory) -> list[str]:

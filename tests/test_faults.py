@@ -2,8 +2,7 @@
 
 Covers the registry's trigger modes, spec parsing, every ladder rung at
 the runtime level (retry → fallback → quarantine, budget truncation,
-cache corruption recovery, threaded-translation degradation), the
-backend ladder's counters and cycles under three armed specs, the memo
+cache corruption recovery), which armed points reach a run, the memo
 cache's fault keying, and the supervised harness pool (worker crash /
 error / hang recovery, terminal :class:`HarnessError` reporting).
 """
@@ -25,6 +24,8 @@ from repro.evalharness.memo import memo_key
 from repro.evalharness.parallel import run_configs
 from repro.evalharness.runner import run_workload
 from repro.faults import (
+    FAULT_POINTS,
+    RUN_POINTS,
     FaultRegistry,
     combine_specs,
     parse_spec,
@@ -34,7 +35,7 @@ from repro.faults import (
 from repro.frontend import compile_source
 from repro.machine import ALPHA_21164
 from repro.runtime.overhead import DEFAULT_OVERHEAD
-from repro.workloads import ALL_WORKLOADS, CHEBYSHEV, DOTPRODUCT, MIPSI
+from repro.workloads import CHEBYSHEV, DOTPRODUCT, MIPSI
 
 
 def _config(base=ALL_ON, **overrides):
@@ -156,6 +157,30 @@ class TestResolution:
         # Explicit off wins over armed faults.
         monkeypatch.setenv("REPRO_DEGRADE", "0")
         assert not resolve_degrade(_config(faults="cache.corrupt:once"))
+
+    def test_only_run_points_turn_the_ladder_on(self, monkeypatch):
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        monkeypatch.delenv("REPRO_DEGRADE", raising=False)
+        for point in FAULT_POINTS:
+            assert resolve_degrade(_config(faults=point)) \
+                == (point in RUN_POINTS), point
+
+
+class TestFaultsOutsideARun:
+    """A point that fires outside ``run_workload`` (in the serve daemon
+    or a pool worker) leaves a run alone: the ladder stays off and the
+    runaway prediction stays on, so mipsi without static loads fails
+    up front instead of running the 200,000-context budget."""
+
+    @pytest.mark.parametrize("spec", ["worker.error:always",
+                                      "serve.admit:every=40"])
+    def test_runaway_mipsi_cell_still_fails_up_front(self, monkeypatch,
+                                                     spec):
+        monkeypatch.delenv("REPRO_DEGRADE", raising=False)
+        monkeypatch.setenv("REPRO_FAULTS", spec)
+        with pytest.raises(SpecializationBudgetError,
+                           match="would have exceeded"):
+            run_workload(MIPSI, ALL_ON.without("static_loads"))
 
 
 # ----------------------------------------------------------------------
@@ -342,67 +367,11 @@ class TestCacheFaultsAtRuntime:
 
 
 class TestThreadedDegradation:
-    def test_translation_fault_falls_back_to_interpreter(self):
-        clean = run_workload(CHEBYSHEV, ALL_ON, backend="threaded")
-        result = run_workload(
-            CHEBYSHEV, _config(faults="threaded.translate:every=2"),
-            backend="threaded",
-        )
-        assert result.outputs_match
-        # The interpreter fallback is cycle-identical, so the degraded
-        # run's statistics match the clean threaded run exactly.
-        assert result.dynamic_total_cycles == clean.dynamic_total_cycles
-        assert result.dc_cycles == clean.dc_cycles
-
     @pytest.mark.parametrize("spec", LADDER_SPECS)
     def test_ladder_on_threaded_backend(self, spec):
         result = run_workload(DOTPRODUCT, _config(faults=spec),
                               backend="threaded")
         assert result.outputs_match
-
-
-#: Dynamic ``(cycles, dc_cycles)`` of each workload under ``ALL_ON``:
-#: a degraded translation or compilation must not move either.
-PINNED_CYCLES = {
-    "dinero": (572051.399999979, 2071.4),
-    "m88ksim": (268497.7999998947, 2071.4),
-    "mipsi": (15087.399999999983, 11413.800000000001),
-    "pnmconvol": (128688.4, 40640.6),
-    "viewperf": (175293.7999999992, 8697.4),
-    "binary": (79110.79999999978, 7151.2),
-    "chebyshev": (155103.40000001158, 42442.4),
-    "dotproduct": (9615.400000000001, 21294.0),
-    "query": (48126.80000000102, 3071.2),
-    "romberg": (41213.799999999384, 12561.2),
-}
-
-#: ``degraded_translations`` per workload, by backend and fault spec.
-#: Under ``every=2`` a refused translation is retried on the function's
-#: next call and let through, so a host fast path that kept a refusal
-#: would degrade every later call instead.
-PINNED_LADDER = {
-    ("threaded", "threaded.translate:every=2"): {
-        "dinero": 2, "m88ksim": 2, "mipsi": 2, "pnmconvol": 1,
-        "viewperf": 5, "binary": 2, "chebyshev": 3, "dotproduct": 2,
-        "query": 2, "romberg": 3,
-    },
-}
-
-
-class TestBackendLadderPinned:
-    @pytest.mark.parametrize("backend,spec", sorted(PINNED_LADDER),
-                             ids=[f"{b}-{s}" for b, s
-                                  in sorted(PINNED_LADDER)])
-    def test_degradations_and_cycles_match_pins(self, backend, spec):
-        pinned = PINNED_LADDER[(backend, spec)]
-        assert set(pinned) == {w.name for w in ALL_WORKLOADS}
-        for workload in ALL_WORKLOADS:
-            result = run_workload(workload, _config(faults=spec),
-                                  backend=backend)
-            assert result.degraded_translations \
-                == pinned[workload.name], workload.name
-            assert (result.dynamic_total_cycles, result.dc_cycles) \
-                == PINNED_CYCLES[workload.name], workload.name
 
 
 # ----------------------------------------------------------------------

@@ -20,6 +20,7 @@ import threading
 
 import pytest
 
+from repro import settings
 from repro.config import ALL_ON
 from repro.errors import MachineError
 from repro.evalharness import runner
@@ -27,7 +28,6 @@ from repro.evalharness.memo import (
     _SCHEMA,
     Memoizer,
     _fingerprint_inputs,
-    backend_env_fingerprint,
     memo_key,
 )
 from repro.evalharness.runner import (
@@ -37,7 +37,6 @@ from repro.evalharness.runner import (
     run_workload,
     static_baseline_key,
 )
-from repro.faults import resolve_degrade, resolve_fault_spec
 from repro.frontend import compile_source
 from repro.ir import Memory
 from repro.machine import ALPHA_21164, Machine
@@ -224,9 +223,7 @@ def _memo_key_recipe(workload, config, cost_model, overhead,
     feed(workload.icache_capacity_bytes)
     feed(_fingerprint_inputs(workload))
     feed(sorted(dataclasses.asdict(config).items()))
-    feed(("resolved_faults", resolve_fault_spec(config)))
-    feed(("resolved_degrade", resolve_degrade(config)))
-    feed(("resolved_env", backend_env_fingerprint()))
+    feed(("settings", settings.keyed()))
     feed(sorted(dataclasses.asdict(cost_model).items()))
     feed(sorted(dataclasses.asdict(overhead).items()))
     feed(verify)
@@ -252,8 +249,8 @@ class TestKeys:
         assert static_ran(codegen_mode="fast")[0] == 0
 
     def test_hits_when_only_run_settings_change(self, static_runs):
-        faulted = dataclasses.replace(
-            ALL_ON, faults="threaded.translate;specializer.entry:once")
+        faulted = dataclasses.replace(ALL_ON,
+                                      faults="specializer.entry:once")
         cold = run_fingerprints(
             run_workload(DOT, faulted, backend="threaded"))
         reset_invariant_caches()

@@ -35,8 +35,9 @@ from tests.test_property_equivalence import (
     small_ints,
 )
 
-#: Keeps the runaway mipsi cells cheap when a CI leg arms a fault (which
-#: turns the up-front runaway check off); no other run comes near it.
+#: Keeps the runaway mipsi cells cheap when a CI leg arms a fault point
+#: that fires inside a run (which turns the up-front runaway check off);
+#: no other run comes near it.
 BUDGET = 1000
 
 CONFIGS = {

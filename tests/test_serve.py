@@ -503,13 +503,11 @@ class TestKeyHistory:
 
     One dotproduct key is served ten times from a one-entry cache, with
     a filler key evicting it in between, so every request recomputes.
-    Both configs make the result backend-sensitive on the default
-    (threaded) daemon: ``threaded`` translation faults degrade it to the
-    reference interpreter, and fast codegen runs it uncounted.
+    The config makes the result backend-sensitive on the default
+    (threaded) daemon: fast codegen runs it uncounted.
     """
 
     @pytest.mark.parametrize("config", [
-        {"faults": "threaded.translate"},
         {"codegen_mode": "fast"},
     ])
     def test_recomputed_key_keeps_its_fingerprint(self, config):
@@ -953,8 +951,8 @@ class TestEchoAndRespondFault:
 
     def test_drop_response_cuts_connection_unsupervised(self):
         async def go():
-            # Unsupervised (no REPRO_SERVE_WORKER): the hook reports
-            # True (http layer cuts the connection) instead of exiting.
+            # Unsupervised (no worker id): the hook reports True (the
+            # http layer cuts the connection) instead of exiting.
             app = _app(fault_spec="serve.respond:once")
             try:
                 assert app.drop_response() is True

@@ -102,10 +102,10 @@ class TestWorkerStartup:
         building_r, building_w = os.pipe()
         real_build = serve_main.build_app
 
-        def slow_build(args):
+        def slow_build(args, **kwargs):
             os.write(building_w, b"b")
             time.sleep(1.0)
-            return real_build(args)
+            return real_build(args, **kwargs)
 
         monkeypatch.setattr(serve_main, "build_app", slow_build)
         args = _parse_args(["--port", "0", "--workers", "1"])
@@ -209,10 +209,12 @@ class TestSupervisedFleet:
                 assert status == 200
                 assert body["fingerprint"] == fingerprint
                 assert body["echo"] == "sup-1"
-                # Workers surface supervision counters on /stats via
-                # the exported state-file path.
+                # Workers surface their id and the supervision counters
+                # on /stats: the supervisor passes each worker's app
+                # both the id and the state-file path.
                 status, stats, _ = await _get(host, port, "/stats")
                 assert status == 200
+                assert stats["server"]["worker"] in (0, 1)
                 sup = stats["supervisor"]
                 assert sup["readable"] is True
                 assert sup["restarts_total"] >= 1
