@@ -503,11 +503,14 @@ class TestKeyHistory:
 
     One dotproduct key is served ten times from a one-entry cache, with
     a filler key evicting it in between, so every request recomputes.
-    The config makes the result backend-sensitive on the default
-    (threaded) daemon: fast codegen runs it uncounted.
+    A ``once`` budget fault collapses only the first batch of a run, so
+    fault hit counts that leaked from one request into the next would
+    change the bytes; fast codegen makes the result backend-sensitive
+    on the default (threaded) daemon, since it runs uncounted.
     """
 
     @pytest.mark.parametrize("config", [
+        {"faults": "specializer.budget:once"},
         {"codegen_mode": "fast"},
     ])
     def test_recomputed_key_keeps_its_fingerprint(self, config):
