@@ -3,9 +3,7 @@ BTA, linter, and specializer.
 
 ``repro.analysis.dominators`` (the *submodule*, with the O(1)
 :class:`DominatorTree`) and :func:`dominator_sets` (the whole-set
-computation from :mod:`repro.analysis.cfg`) now have distinct names;
-the historical ``cfg.dominators()`` function survives there as a
-deprecated alias, no longer re-exported at package level.
+computation from :mod:`repro.analysis.cfg`) have distinct names.
 """
 
 from repro.analysis.cfg import (

@@ -93,25 +93,6 @@ def dominator_sets(function: Function) -> dict[str, set[str]]:
     return doms
 
 
-def dominators(function: Function) -> dict[str, set[str]]:
-    """Deprecated alias for :func:`dominator_sets`.
-
-    The old name collided with the :mod:`repro.analysis.dominators`
-    submodule, which forced a deliberate rebinding hack in the package
-    ``__init__``.  Use :func:`dominator_sets` (or
-    :class:`repro.analysis.dominators.DominatorTree` for O(1) queries).
-    """
-    import warnings
-
-    warnings.warn(
-        "repro.analysis.cfg.dominators() is deprecated; "
-        "use dominator_sets()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return dominator_sets(function)
-
-
 def back_edges(function: Function) -> list[tuple[str, str]]:
     """CFG edges (tail, head) where ``head`` dominates ``tail``."""
     doms = dominator_sets(function)

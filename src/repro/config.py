@@ -80,12 +80,6 @@ class OptConfig:
     #: failures; further dispatches run the unspecialized fallback
     #: directly (circuit breaker).
     quarantine_after: int = 3
-    #: Threaded-backend mode: ``"counted"`` (stats byte-identical to the
-    #: reference interpreter) or ``"fast"`` (no per-block cycle
-    #: charges).  Empty means resolve from ``REPRO_CODEGEN_MODE`` / the
-    #: default (``counted``).  Only meaningful with
-    #: ``backend="threaded"``.
-    codegen_mode: str = ""
 
     def without(self, *names: str) -> "OptConfig":
         """A copy with the named optimizations disabled (for ablations)."""
@@ -100,7 +94,6 @@ class OptConfig:
         non_opt_fields = (
             "check_annotations", "lint", "faults", "degrade",
             "cache_capacity", "specialize_budget", "quarantine_after",
-            "codegen_mode",
         )
         return tuple(
             f.name for f in dataclasses.fields(self)

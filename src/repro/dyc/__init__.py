@@ -2,8 +2,8 @@
 
 This package implements the paper's primary contribution:
 
-* :mod:`repro.dyc.config` — per-optimization switches (the knobs Table 5
-  ablates);
+* :mod:`repro.config` (package root) — per-optimization switches (the
+  knobs Table 5 ablates);
 * :mod:`repro.bta` (sibling package) — the binding-time analysis;
 * :mod:`repro.dyc.plans` — static planning for staged dynamic zero/copy
   propagation, dead-assignment elimination, and strength reduction;

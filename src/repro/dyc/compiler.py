@@ -53,8 +53,8 @@ def compile_key(config: OptConfig) -> tuple:
     :func:`compile_annotated` reads, as ``(name, value)`` pairs.
 
     Two configurations with the same key compile any module to the same
-    program.  Fault specs, budgets, quarantine and the codegen mode are
-    run-time settings, and compilation reads no environment variable.
+    program.  Fault specs, budgets and quarantine are run-time
+    settings, and compilation reads no environment variable.
     """
     return tuple((name, getattr(config, name))
                  for name in BTA_FIELDS + ("lint",))
@@ -83,8 +83,7 @@ class CompiledProgram:
                      overhead=None,
                      tracked=frozenset(),
                      step_limit: int = 500_000_000,
-                     backend: str = "reference",
-                     codegen_mode: str = "counted"):
+                     backend: str = "reference"):
         """A machine + runtime pair ready to execute this program."""
         # Imported here: the runtime package imports the generating-
         # extension definitions from this package, so a module-level
@@ -101,7 +100,6 @@ class CompiledProgram:
             tracked=tracked,
             step_limit=step_limit,
             backend=backend,
-            codegen_mode=codegen_mode,
         )
         return machine, runtime
 

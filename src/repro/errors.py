@@ -171,14 +171,5 @@ class HarnessError(ReproError):
         )
 
 
-class AnnotationError(ReproError):
-    """Raised when annotation checking detects a violated static assertion.
-
-    DyC's ``@`` loads and ``pure`` calls are unsafe programmer assertions;
-    this error is raised only when the optional checking mode is enabled and
-    observes an annotated-invariant value changing.
-    """
-
-
 class CacheError(ReproError):
     """Raised on code-cache misuse (e.g. cache-one-unchecked key change)."""

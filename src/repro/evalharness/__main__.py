@@ -6,10 +6,10 @@ comparison of the execution backends, written to ``BENCH_interp.json``).
 
 Shared flags::
 
-    --backend {reference,threaded}   execution backend (default: threaded,
-                                     or $REPRO_BACKEND)
-    --codegen-mode {counted,fast}    threaded mode (default: counted,
-                                     or $REPRO_CODEGEN_MODE)
+    --backend {reference,threaded,threaded_fast}
+                                     execution backend (default: threaded,
+                                     or $REPRO_BACKEND; threaded_fast
+                                     is uncounted)
     --jobs N                         fan runs out over N worker processes
                                      (0 = one per CPU; default $REPRO_JOBS
                                      or serial)
@@ -58,7 +58,7 @@ from repro.evalharness.tables import (
     render_table,
     run_all,
 )
-from repro.machine import BACKENDS, CODEGEN_MODES
+from repro.machine import BACKENDS
 from repro.workloads import APPLICATIONS
 
 TARGETS = ("table1", "table2", "table3", "table4", "table5",
@@ -104,11 +104,6 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     parser.add_argument("--backend", choices=BACKENDS, default=None,
                         help="execution backend (default: $REPRO_BACKEND "
                              "or threaded)")
-    parser.add_argument("--codegen-mode", choices=CODEGEN_MODES,
-                        default=None,
-                        help="threaded mode (default: "
-                             "$REPRO_CODEGEN_MODE or counted; sets "
-                             "$REPRO_CODEGEN_MODE for workers too)")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="worker processes (0 = one per CPU; "
                              "default: $REPRO_JOBS or serial)")
@@ -194,8 +189,6 @@ def _export_robustness_env(args: argparse.Namespace) -> None:
         os.environ["REPRO_DEGRADE"] = "1"
     if args.task_timeout is not None:
         os.environ["REPRO_TASK_TIMEOUT"] = str(args.task_timeout)
-    if args.codegen_mode is not None:
-        os.environ["REPRO_CODEGEN_MODE"] = args.codegen_mode
 
 
 def main(argv: list[str]) -> int:

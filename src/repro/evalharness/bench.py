@@ -1,16 +1,16 @@
-"""Wall-clock benchmark of the reference and threaded backends.
+"""Wall-clock benchmark of the execution backends.
 
 ``python -m repro.evalharness bench`` runs every workload's static and
-dynamic executions under each benchmark column, sharing one compiled
-program per workload across columns so only *execution* time is
-compared, and writes ``BENCH_interp.json`` (schema 3) with per-workload
-and aggregate wall-clock seconds, per-column speedup factors over the
-reference interpreter, a geometric-mean summary, and a SHA-256 checksum
-over each counted column's full execution statistics.  A checksum
-mismatch means the backends diverged — the CLI (and CI) treat that as a
-hard failure.
+dynamic executions on each backend (one report column per backend),
+sharing one compiled program per workload across columns so only
+*execution* time is compared, and writes ``BENCH_interp.json``
+(schema 3) with per-workload and aggregate wall-clock seconds,
+per-column speedup factors over the reference interpreter, a
+geometric-mean summary, and a SHA-256 checksum over each counted
+column's full execution statistics.  A checksum mismatch means the
+backends diverged — the CLI (and CI) treat that as a hard failure.
 
-The columns are:
+The columns, :data:`~repro.machine.BACKENDS` in order, are:
 
 ``reference``
     The reference interpreter — the baseline every speedup is against.
@@ -19,7 +19,7 @@ The columns are:
     statistics byte-identical to the reference interpreter
     (checksum-enforced here).
 ``threaded_fast``
-    The threaded backend in fast mode: no per-block cycle charges, so it
+    The threaded backend uncounted: no per-block cycle charges, so it
     participates only in the *results* checksum (program outputs must
     still match the reference run exactly).
 
@@ -47,18 +47,11 @@ from repro.dyc import compile_annotated, compile_static
 from repro.evalharness.runner import _machine_kwargs
 from repro.frontend import compile_source
 from repro.ir import Memory
-from repro.machine import ALPHA_21164, Machine
+from repro.machine import ALPHA_21164, BACKENDS, Machine
 from repro.runtime.overhead import DEFAULT_OVERHEAD
 from repro.workloads import ALL_WORKLOADS
 
 DEFAULT_BENCH_PATH = "BENCH_interp.json"
-
-#: Benchmark columns, in report order: (column name, backend, mode).
-BENCH_COLUMNS: tuple[tuple[str, str, str], ...] = (
-    ("reference", "reference", "counted"),
-    ("threaded", "threaded", "counted"),
-    ("threaded_fast", "threaded", "fast"),
-)
 
 #: Columns whose execution statistics must be byte-identical.
 COUNTED_COLUMNS = ("reference", "threaded")
@@ -67,14 +60,15 @@ COUNTED_COLUMNS = ("reference", "threaded")
 SPEEDUP_COLUMNS = ("threaded", "threaded_fast")
 
 
-def _execute(workload, static_module, compiled, backend: str, mode: str):
+def _execute(workload, static_module, compiled, backend: str):
     """One timed static + dynamic execution.
 
     Returns ``(seconds, stats_fingerprint, results_fingerprint,
-    cycles)``; the stats fingerprint is only meaningful in counted mode.
+    cycles)``; the stats fingerprint is only meaningful on a counted
+    backend.
     """
     tracked = frozenset(workload.region_functions)
-    kwargs = _machine_kwargs(workload, ALPHA_21164, backend, mode)
+    kwargs = _machine_kwargs(workload, ALPHA_21164, backend)
 
     static_memory = Memory()
     static_input = workload.setup(static_memory)
@@ -128,8 +122,8 @@ def _geomean(values: list[float]) -> float:
 def run_bench(workloads=ALL_WORKLOADS,
               config: OptConfig = ALL_ON,
               repeat: int = 3) -> dict:
-    """Benchmark every column over ``workloads``; return the report."""
-    columns = [name for name, _, _ in BENCH_COLUMNS]
+    """Benchmark every backend over ``workloads``; return the report."""
+    columns = list(BACKENDS)
     per_workload: dict[str, dict] = {}
     totals = {name: 0.0 for name in columns}
     stats_hashers = {name: hashlib.sha256() for name in COUNTED_COLUMNS}
@@ -142,11 +136,11 @@ def run_bench(workloads=ALL_WORKLOADS,
         static_module = compile_static(module)
         compiled = compile_annotated(module, config)
         entry: dict[str, float] = {}
-        for name, backend, mode in BENCH_COLUMNS:
+        for name in columns:
             best = stats_fp = results_fp = cycles = None
             for _ in range(max(1, repeat)):
                 seconds, stats_fp, results_fp, cycles = _execute(
-                    workload, static_module, compiled, backend, mode
+                    workload, static_module, compiled, name
                 )
                 best = seconds if best is None else min(best, seconds)
             if name in stats_hashers:
@@ -251,7 +245,7 @@ def compare_reports(committed: dict, fresh: dict) -> tuple[list[str], bool]:
                          + ", ".join(only_fresh))
         ok = False
 
-    for column, _, _ in BENCH_COLUMNS:
+    for column in BACKENDS:
         old = committed.get("backends", {}).get(column, {})
         new = fresh.get("backends", {}).get(column, {})
         # The fast column has no stats checksum in either report.

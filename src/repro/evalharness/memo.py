@@ -4,10 +4,10 @@ Every quantity in a :class:`~repro.evalharness.runner.RunResult` is a
 deterministic function of the workload program text, its prepared inputs,
 the optimization configuration, and the cost/overhead models — the
 execution *backend* explicitly is not part of the key, because both
-backends produce byte-identical statistics (enforced by
+counted backends produce byte-identical statistics (enforced by
 ``tests/test_threaded_backend.py``; the runner bypasses the memoizer
-entirely for threaded in fast mode, whose block cycles are not
-counted).  The memoizer therefore keys cached
+entirely on ``threaded_fast``, whose block cycles are not counted).
+The memoizer therefore keys cached
 results on a SHA-256 of exactly those inputs, so re-running tables (or the
 full ``all`` sweep) only recomputes runs whose inputs actually changed.
 
@@ -54,8 +54,10 @@ from repro.workloads.base import Workload
 #: from the RunResult and the codegen source limit from the key;
 #: schema 10 drops the refused-translation counter from the RunResult
 #: and keys on the settings table's keyed entries, which leaves the
-#: pool's task timeout out.
-_SCHEMA = 10
+#: pool's task timeout out; schema 11 keys an ``OptConfig`` that no
+#: longer holds a threaded mode (uncounted runs are the never-memoized
+#: ``threaded_fast`` backend).
+_SCHEMA = 11
 
 #: Every entry file starts with this tag, then the SHA-256 of the
 #: entry's key and its pickled payload, then the payload.
@@ -64,8 +66,8 @@ _HEAD = len(_MAGIC) + hashlib.sha256().digest_size
 
 #: Entries kept by each in-process invariant cache: workload key
 #: prefixes here, parsed modules and static baselines in the runner
-#: (ten workloads on every backend and codegen mode, with room for
-#: cost-model and input variants).
+#: (ten workloads on every backend, with room for cost-model and input
+#: variants).
 INVARIANT_CACHE_CAPACITY = 64
 
 

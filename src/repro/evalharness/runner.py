@@ -47,13 +47,7 @@ from repro.evalharness.memo import (
 from repro.evalharness.metrics import RegionMetrics
 from repro.frontend import compile_source
 from repro.ir import Memory, Module
-from repro.machine import (
-    ALPHA_21164,
-    BACKENDS,
-    CODEGEN_MODES,
-    ICacheModel,
-    Machine,
-)
+from repro.machine import ALPHA_21164, BACKENDS, ICacheModel, Machine
 from repro.machine.costs import CostModel
 from repro.runtime.overhead import DEFAULT_OVERHEAD, OverheadModel
 from repro.runtime.stats import RegionStats
@@ -171,42 +165,27 @@ def unpack_result(fields: dict) -> RunResult:
 
 
 def _machine_kwargs(workload: Workload, cost_model: CostModel,
-                    backend: str, codegen_mode: str = "counted"):
+                    backend: str):
     icache = None
     if workload.icache_capacity_bytes is not None:
         icache = ICacheModel(
             capacity_bytes=workload.icache_capacity_bytes
         )
-    return dict(cost_model=cost_model, icache=icache, backend=backend,
-                codegen_mode=codegen_mode)
+    return dict(cost_model=cost_model, icache=icache, backend=backend)
 
 
 def resolve_backend(backend: str | None) -> str:
     """Resolve an execution backend choice.
 
     ``None`` falls back to the ``REPRO_BACKEND`` setting, whose default
-    is the fast threaded backend (both backends produce byte-identical
-    stats in counted mode, so the harness defaults to the fast one).
+    is the threaded backend (both counted backends produce
+    byte-identical stats, so the harness defaults to the faster one).
     """
     if backend is None:
         backend = settings.read("REPRO_BACKEND")
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
     return backend
-
-
-def resolve_codegen_mode(mode: str | None) -> str:
-    """Resolve the threaded backend's codegen mode choice.
-
-    ``None``/empty falls back to the ``REPRO_CODEGEN_MODE`` setting,
-    whose default is ``counted`` (stats byte-identical to the reference
-    interpreter; ``fast`` drops the per-block cycle charges).
-    """
-    if not mode:
-        mode = settings.read("REPRO_CODEGEN_MODE")
-    if mode not in CODEGEN_MODES:
-        raise ValueError(f"unknown codegen mode {mode!r}")
-    return mode
 
 
 # ----------------------------------------------------------------------
@@ -325,24 +304,23 @@ def prepared_module(source: str, module: Module) -> PreparedModule:
 
 
 def static_baseline_key(workload: Workload, cost_model: CostModel,
-                        backend: str, codegen_mode: str) -> tuple:
+                        backend: str) -> tuple:
     """Everything a static baseline depends on.
 
     The workload prefix of the memo key covers the program text, entry,
     tracked functions, I-cache capacity and prepared inputs.  The
-    backend and codegen mode are in the key because an uncounted
-    threaded run charges no block cycles.  The configuration, overhead
-    model, verification flag and faults are not: the static machine has
-    no runtime, so no fault point changes what it computes.
+    backend is in the key because a ``threaded_fast`` run charges no
+    block cycles.  The configuration, overhead model, verification flag
+    and faults are not: the static machine has no runtime, so no fault
+    point changes what it computes.
     """
     return (workload_prefix(workload).hexdigest(), repr(cost_model),
-            backend, codegen_mode)
+            backend)
 
 
 def static_baseline(workload: Workload, module: Module,
                     cost_model: CostModel, backend: str,
-                    codegen_mode: str, key: tuple | None = None
-                    ) -> StaticBaseline:
+                    key: tuple | None = None) -> StaticBaseline:
     """Run ``module`` compiled with its annotations ignored (§3.3).
 
     With a ``key`` the baseline is served from and stored to the
@@ -358,7 +336,7 @@ def static_baseline(workload: Workload, module: Module,
     machine = Machine(
         static_module, memory=memory,
         tracked=frozenset(workload.region_functions),
-        **_machine_kwargs(workload, cost_model, backend, codegen_mode),
+        **_machine_kwargs(workload, cost_model, backend),
     )
     return_value = machine.run(workload.entry, *inputs.args)
     baseline = StaticBaseline(
@@ -424,7 +402,6 @@ def run_workload(workload: Workload,
                  module: Module | None = None,
                  verify: bool = True,
                  backend: str | None = None,
-                 codegen_mode: str | None = None,
                  memo=None,
                  memo_key: str | None = None) -> RunResult:
     """Execute ``workload`` dynamically, verify it against its static
@@ -440,17 +417,15 @@ def run_workload(workload: Workload,
     (or its deterministic :class:`SpecializationError`) is served from and
     stored to the content-hash cache; a damaged entry is recomputed and
     a failed write is skipped.  The backend is deliberately not
-    part of the cache key: both backends produce byte-identical stats —
-    except threaded in fast mode, which drops the block cycle charges,
-    so fast-mode runs bypass the memo entirely.  A caller that has already
+    part of the cache key: both counted backends produce byte-identical
+    stats, and ``threaded_fast``, which drops the block cycle charges,
+    bypasses the memo entirely.  A caller that has already
     computed the run's key (``memo.key_for`` over the same arguments)
     passes it as ``memo_key`` so it is not computed twice.
     """
     backend = resolve_backend(backend)
-    codegen_mode = resolve_codegen_mode(codegen_mode
-                                        or config.codegen_mode)
-    if backend == "threaded" and codegen_mode == "fast":
-        # Fast-mode stats are not the shared byte-identical stats the
+    if backend == "threaded_fast":
+        # Uncounted stats are not the shared byte-identical stats the
         # cache is keyed for; never serve or store them.
         memo = None
     if memo is not None and module is None:
@@ -463,7 +438,6 @@ def run_workload(workload: Workload,
             result = run_workload(
                 workload, config, cost_model, overhead,
                 verify=verify, backend=backend,
-                codegen_mode=codegen_mode,
             )
         except SpecializationError as err:
             memo.put_error(key, err)
@@ -474,10 +448,9 @@ def run_workload(workload: Workload,
     baseline_key = None
     if canonical_module:
         module = _parsed_module(workload.source)
-        baseline_key = static_baseline_key(workload, cost_model, backend,
-                                           codegen_mode)
+        baseline_key = static_baseline_key(workload, cost_model, backend)
     static = static_baseline(workload, module, cost_model, backend,
-                             codegen_mode, baseline_key)
+                             baseline_key)
 
     # --- dynamically compiled run --------------------------------------
     if canonical_module:
@@ -492,7 +465,7 @@ def run_workload(workload: Workload,
     dynamic_machine, runtime = compiled.make_machine(
         memory=dynamic_memory,
         tracked=frozenset(workload.region_functions), overhead=overhead,
-        **_machine_kwargs(workload, cost_model, backend, codegen_mode),
+        **_machine_kwargs(workload, cost_model, backend),
     )
     dynamic_result = dynamic_machine.run(workload.entry,
                                          *dynamic_input.args)

@@ -13,7 +13,6 @@ from repro.machine.icache import ICacheModel
 from repro.machine.intrinsics import INTRINSICS, Intrinsic
 from repro.machine.interp import (
     BACKENDS,
-    CODEGEN_MODES,
     ExecutionStats,
     Machine,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "INTRINSICS",
     "Intrinsic",
     "BACKENDS",
-    "CODEGEN_MODES",
     "Machine",
     "ExecutionStats",
     "ThreadedBackend",

@@ -22,7 +22,8 @@ Cycle accounts
 Execution backends
 ------------------
 
-Two backends execute the same IR with **bit-identical** accounting:
+Two counted backends execute the same IR with **bit-identical**
+accounting:
 
 ``backend="reference"``
     the per-instruction interpreter below — the executable specification.
@@ -31,15 +32,18 @@ Two backends execute the same IR with **bit-identical** accounting:
     each block to one Python function, built from a code template
     compiled once per block shape, with cost-model lookups and operand
     decoding folded in at translation time.  Several times faster; used
-    by the evaluation harness for large sweeps.  With
-    ``codegen_mode="fast"`` its blocks drop their cycle charges and keep
-    only the instruction count and step-limit test, for wall-clock runs.
+    by the evaluation harness for large sweeps.
 
-Both backends charge cycles with the same *segment* discipline: costs of a
-straight-line run of instructions (a block, or a block prefix up to a
-``Call``) are summed locally and committed to ``stats.cycles`` in one
-addition at the segment boundary.  Keeping the float-addition order
-identical is what makes the two backends' ``ExecutionStats`` byte-equal.
+``backend="threaded_fast"`` is the threaded backend uncounted: its
+blocks drop their cycle charges and keep only the instruction count and
+step-limit test, for wall-clock runs.
+
+Both counted backends charge cycles with the same *segment* discipline:
+costs of a straight-line run of instructions (a block, or a block prefix
+up to a ``Call``) are summed locally and committed to ``stats.cycles``
+in one addition at the segment boundary.  Keeping the float-addition
+order identical is what makes the two backends' ``ExecutionStats``
+byte-equal.
 """
 
 from __future__ import annotations
@@ -124,13 +128,10 @@ class _RecursionHeadroom:
 _recursion_headroom = _RecursionHeadroom()
 
 
-#: Execution backends accepted by :class:`Machine`.
-BACKENDS = ("reference", "threaded")
-
-#: Codegen modes accepted by :class:`Machine`: ``"counted"`` keeps every
-#: charge; ``"fast"`` (threaded only) drops each block's cycle charge
+#: Execution backends accepted by :class:`Machine`: the two counted
+#: ones, then threaded uncounted, which drops each block's cycle charge
 #: and keeps its instruction count and step-limit test.
-CODEGEN_MODES = ("counted", "fast")
+BACKENDS = ("reference", "threaded", "threaded_fast")
 
 
 @dataclass
@@ -174,13 +175,11 @@ class Machine:
         Names of functions whose inclusive cycles should be attributed in
         ``stats.scope_cycles`` (the paper's dynamic-region timings).
     backend:
-        ``"reference"`` (per-instruction interpreter) or ``"threaded"``
-        (direct-threaded block templates; same stats, much faster).
-    codegen_mode:
-        Only meaningful with ``backend="threaded"``: ``"counted"``
-        (stats byte-identical to the reference interpreter) or
-        ``"fast"`` (no per-block cycle charges, for wall-clock runs;
-        ``stats.instructions`` and the step limit are kept exactly).
+        ``"reference"`` (per-instruction interpreter), ``"threaded"``
+        (direct-threaded block templates; same stats, much faster) or
+        ``"threaded_fast"`` (threaded without per-block cycle charges,
+        for wall-clock runs; ``stats.instructions`` and the step limit
+        are kept exactly).
     """
 
     def __init__(
@@ -193,7 +192,6 @@ class Machine:
         tracked: frozenset[str] | set[str] = frozenset(),
         step_limit: int = 500_000_000,
         backend: str = "reference",
-        codegen_mode: str = "counted",
     ) -> None:
         self.module = module
         self.memory = memory if memory is not None else Memory()
@@ -216,14 +214,8 @@ class Machine:
             raise MachineError(
                 f"unknown backend {backend!r} (expected one of {BACKENDS})"
             )
-        if codegen_mode not in CODEGEN_MODES:
-            raise MachineError(
-                f"unknown codegen mode {codegen_mode!r} "
-                f"(expected one of {CODEGEN_MODES})"
-            )
         self.backend = backend
-        self.codegen_mode = codegen_mode
-        if backend == "threaded":
+        if backend != "reference":
             # Imported here so the reference interpreter has no load-time
             # dependency on its replacement.
             from repro.machine.threaded import ThreadedBackend
@@ -351,8 +343,6 @@ class Machine:
         name = function.name
         params = function.params
         tracked = name in self.tracked
-        # The machine's own host tier, even when a call site sits in code
-        # the reference interpreter runs (a refused translation).
         run = self._host_loop(function)
 
         def enter(frame, _m=self, _stats=self.stats, _run=run,
@@ -426,10 +416,9 @@ class Machine:
 
     def _exec_function_interp(self, function: Function, env: dict):
         """Reference-interpreter host loop: execute a host function until
-        Return, handling EnterRegion (also the threaded backend's
-        degradation target when translation is faulted).  It computes
-        the I-cache penalty on every call, as the oracle the threaded
-        backend's per-machine bindings are checked against."""
+        Return, handling EnterRegion.  It computes the I-cache penalty
+        on every call, as the oracle the threaded backend's per-machine
+        bindings are checked against."""
         penalty = self.icache.per_instruction_penalty(
             function.instruction_count()
         )

@@ -93,7 +93,7 @@ sum of medians 0.939-0.963.
 Uncounted mode
 --------------
 
-With ``codegen_mode="fast"`` the walk ends each segment in a ``tick``
+On the ``threaded_fast`` backend the walk ends each segment in a ``tick``
 part instead of a commit.  A tick adds the segment's instruction count
 to ``stats.instructions`` and tests the step limit, exactly as a commit
 ends, but charges no cycles, so it tests no float extras either.  An
@@ -101,7 +101,8 @@ uncounted run therefore counts the same instructions as a counted one
 and stops at the step limit on the same instruction; its cycle totals
 hold only what is charged outside blocks (call overhead, intrinsics,
 dispatch and dynamic compilation).  No tick shape equals a commit
-shape, so the two modes share the template cache but no template.
+shape, so ``threaded`` and ``threaded_fast`` share the template cache
+but no template.
 
 Translation caching and invalidation
 ------------------------------------
@@ -752,9 +753,9 @@ class ThreadedBackend:
         #: (penalty, scale) -> the charge terms a translation uses.
         self._terms: dict[tuple, _Terms] = {}
         #: What a segment ends in: a counted commit, or an uncounted
-        #: tick (``codegen_mode="fast"``).
-        self._commit = (_commit if machine.codegen_mode == "counted"
-                        else _tick)
+        #: tick on ``threaded_fast``.
+        self._commit = (_tick if machine.backend == "threaded_fast"
+                        else _commit)
 
     # -- cache ----------------------------------------------------------
 

@@ -22,9 +22,11 @@ region's *template* (the pre-rewrite snapshot of the host CFG that
     unrolling into an ordinary dynamic loop while keeping every context
     already specialized.
 
-Annotation markers (``MakeStatic``/``MakeDynamic``) are stripped: they
-are free no-ops at execution time, but the fallback should look like the
-statically compiled code, which never carries them.
+Both copy the template through one loop, :func:`_copy_template`, and
+differ only in the labels of the copies and in how a branch arm reaches
+a region exit.  Annotation markers (``MakeStatic``/``MakeDynamic``) are
+stripped: they are free no-ops at execution time, but the fallback
+should look like the statically compiled code, which never carries them.
 """
 
 from __future__ import annotations
@@ -41,12 +43,52 @@ from repro.ir.instructions import (
 )
 
 
-def _body_instrs(block) -> list:
-    """A template block's non-terminator instructions, annotations gone."""
-    return [
-        instr for instr in block.instrs[:-1]
-        if not isinstance(instr, (MakeStatic, MakeDynamic))
-    ]
+def _copy_template(region, labels: dict[str, str], exit_arm):
+    """Yield ``(label, instrs)``, a dynamic copy of each template block
+    of ``region`` in label order.
+
+    ``labels`` maps each template label to its copy's label, and every
+    region-exit edge becomes an ``ExitRegion``: inline at the end of a
+    jump block, and through ``exit_arm(index) -> label`` for a branch
+    arm.  A copy is yielded after its exit arms are built.
+    """
+    template = region.template
+    if template is None:
+        raise SpecializationError(
+            f"region {region.region_id} has no template snapshot",
+            region_id=region.region_id,
+        )
+    exit_index = {label: i for i, label in enumerate(region.exits)}
+
+    def arm(target: str) -> str:
+        if target in exit_index:
+            return exit_arm(exit_index[target])
+        return labels[target]
+
+    for label in sorted(region.blocks):
+        block = template.blocks[label]
+        instrs = [
+            instr for instr in block.instrs[:-1]
+            if not isinstance(instr, (MakeStatic, MakeDynamic))
+        ]
+        term = block.instrs[-1]
+        if isinstance(term, Jump):
+            if term.target in exit_index:
+                instrs.append(ExitRegion(exit_index[term.target]))
+            else:
+                instrs.append(Jump(labels[term.target]))
+        elif isinstance(term, Branch):
+            instrs.append(Branch(term.cond, arm(term.if_true),
+                                 arm(term.if_false)))
+        elif isinstance(term, Return):
+            instrs.append(term)
+        else:
+            raise SpecializationError(
+                f"region {region.region_id}: template block {label!r} "
+                f"ends in unexpected {type(term).__name__}",
+                region_id=region.region_id,
+            )
+        yield labels[label], instrs
 
 
 def build_fallback_function(region) -> Function:
@@ -57,50 +99,17 @@ def build_fallback_function(region) -> Function:
     terminator/thunk, so ``Machine.exec_region_code`` can run it in
     the host environment exactly like specialized code.
     """
-    template = region.template
-    if template is None:
-        raise SpecializationError(
-            f"region {region.region_id} has no template snapshot",
-            region_id=region.region_id,
-        )
-    exit_index = {label: i for i, label in enumerate(region.exits)}
     fn = Function(name=f"region{region.region_id}$fallback", params=())
     fn.entry = region.entry_block
 
-    def exit_thunk(index: int) -> str:
+    def exit_arm(index: int) -> str:
         label = f"$exit{index}"
         if label not in fn.blocks:
             fn.blocks[label] = BasicBlock(label, [ExitRegion(index)])
         return label
 
-    for label in sorted(region.blocks):
-        block = template.blocks[label]
-        instrs = _body_instrs(block)
-        term = block.instrs[-1]
-        if isinstance(term, Jump):
-            if term.target in exit_index:
-                instrs.append(ExitRegion(exit_index[term.target]))
-            else:
-                instrs.append(term)
-        elif isinstance(term, Branch):
-            if_true = term.if_true
-            if_false = term.if_false
-            if if_true in exit_index:
-                if_true = exit_thunk(exit_index[if_true])
-            if if_false in exit_index:
-                if_false = exit_thunk(exit_index[if_false])
-            if (if_true, if_false) == (term.if_true, term.if_false):
-                instrs.append(term)
-            else:
-                instrs.append(Branch(term.cond, if_true, if_false))
-        elif isinstance(term, Return):
-            instrs.append(term)
-        else:
-            raise SpecializationError(
-                f"region {region.region_id}: template block {label!r} "
-                f"ends in unexpected {type(term).__name__}",
-                region_id=region.region_id,
-            )
+    labels = {label: label for label in region.blocks}
+    for label, instrs in _copy_template(region, labels, exit_arm):
         fn.blocks[label] = BasicBlock(label, instrs)
     return fn
 
@@ -118,58 +127,29 @@ def ensure_dynamic_blocks(code, genext, charge,
     if code.dynamic_labels:
         return code.dynamic_labels
     region = genext.region
-    template = region.template
-    exit_index = {label: i for i, label in enumerate(region.exits)}
     mapping = {
         label: code.fresh_label(f"dyn_{label}")
         for label in sorted(region.blocks)
     }
-    for label in sorted(region.blocks):
-        block = template.blocks[label]
-        instrs = _body_instrs(block)
-        term = block.instrs[-1]
-        if isinstance(term, Jump):
-            if term.target in exit_index:
-                instrs.append(ExitRegion(exit_index[term.target]))
-            else:
-                instrs.append(Jump(mapping[term.target]))
-        elif isinstance(term, Branch):
-            instrs.append(Branch(
-                term.cond,
-                dynamic_arm(code, term.if_true, mapping, exit_index,
-                            charge, emit_cost),
-                dynamic_arm(code, term.if_false, mapping, exit_index,
-                            charge, emit_cost),
-            ))
-        elif isinstance(term, Return):
-            instrs.append(term)
-        else:
-            raise SpecializationError(
-                f"region {region.region_id}: template block {label!r} "
-                f"ends in unexpected {type(term).__name__}",
-                region_id=region.region_id,
-            )
-        emitted = mapping[label]
-        code.function.blocks[emitted] = BasicBlock(emitted, instrs)
+
+    def exit_arm(index: int) -> str:
+        return exit_thunk(code, index, charge, emit_cost)
+
+    for label, instrs in _copy_template(region, mapping, exit_arm):
+        code.function.blocks[label] = BasicBlock(label, instrs)
         charge(emit_cost * len(instrs))
     code.protected_labels.update(mapping.values())
     code.dynamic_labels = mapping
     return mapping
 
 
-def dynamic_arm(code, target: str, mapping: dict[str, str],
-                exit_index: dict[str, int], charge,
-                emit_cost: float) -> str:
-    """Branch-arm label inside the dynamic copy (exit thunks shared)."""
-    if target in exit_index:
-        index = exit_index[target]
-        if index not in code.exit_blocks:
-            label = code.fresh_label(f"exit{index}")
-            code.function.blocks[label] = BasicBlock(
-                label, [ExitRegion(index)]
-            )
-            code.exit_blocks[index] = label
-            code.protected_labels.add(label)
-            charge(emit_cost)
-        return code.exit_blocks[index]
-    return mapping[target]
+def exit_thunk(code, index: int, charge, emit_cost: float) -> str:
+    """The label of ``code``'s thunk for region exit ``index``, built
+    (and charged ``emit_cost``) on first use and shared after."""
+    if index not in code.exit_blocks:
+        label = code.fresh_label(f"exit{index}")
+        code.function.blocks[label] = BasicBlock(label, [ExitRegion(index)])
+        code.exit_blocks[index] = label
+        code.protected_labels.add(label)
+        charge(emit_cost)
+    return code.exit_blocks[index]

@@ -53,7 +53,7 @@ from repro.ir.instructions import (
     Return,
 )
 from repro.runtime.emit import BlockEmitter
-from repro.runtime.fallback import dynamic_arm, ensure_dynamic_blocks
+from repro.runtime.fallback import ensure_dynamic_blocks, exit_thunk
 from repro.runtime.stats import RegionStats
 
 #: Safety valve against runaway specialization (e.g. an unbounded loop
@@ -447,9 +447,6 @@ class Specializer:
         overhead = batch.overhead
         mapping = ensure_dynamic_blocks(code, genext, charge,
                                         overhead.emit_instruction)
-        exit_index = {
-            label: i for i, label in enumerate(genext.region.exits)
-        }
         # A plain emitter: no faults (truncation is the recovery path)
         # and no plans, so nothing is folded or elided.
         emitter = BlockEmitter(self.runtime.config, overhead, batch.stats,
@@ -472,9 +469,8 @@ class Specializer:
         def arm(template_target: str) -> str:
             kind, payload = action_block.succ_info[template_target]
             if kind == "exit":
-                return dynamic_arm(code, template_target, mapping,
-                                   exit_index, charge,
-                                   overhead.emit_instruction)
+                return exit_thunk(code, payload, charge,
+                                  overhead.emit_instruction)
             return mapping[payload[0]]
 
         term = action_block.terminator

@@ -28,9 +28,11 @@ Flags::
                             not read)
 
 Every miss runs on one backend, resolved at start-up as the eval
-harness resolves it: ``$REPRO_BACKEND``, else ``threaded``.  A bad
-fault spec or a malformed ``REPRO_*`` setting (:mod:`repro.settings`)
-refuses to start (exit 2) before the socket is bound.
+harness resolves it: ``$REPRO_BACKEND``, else ``threaded``.  A count
+flag below its minimum (``--shards``, ``--workers`` < 1,
+``--cache-capacity`` < 0), a bad fault spec or a malformed ``REPRO_*``
+setting (:mod:`repro.settings`) refuses to start (exit 2) before the
+socket is bound.
 
 The daemon prints one ``serving on http://host:port`` line to stderr
 once the socket is bound, so supervisors (and the CI smoke job) can
@@ -74,19 +76,30 @@ def _raise_nofile_limit(target: int = 4096) -> None:
         pass
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.serve",
-        description="Serve (workload, config) runs over HTTP with a "
-                    "sharded multi-tenant result cache.",
-    )
+def at_least(low: int):
+    """An argparse type: an int no smaller than ``low``, so a bad count
+    exits 2 when the flags are parsed, before a socket is bound or a
+    worker forked."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}")
+        return value
+    return count
+
+
+def add_serve_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags of a serving process: its address, and what each
+    worker passes to :func:`build_app`.  The daemon and the supervisor
+    both declare them here."""
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=DEFAULT_PORT)
-    parser.add_argument("--shards", type=int, default=DEFAULT_SHARDS)
-    parser.add_argument("--cache-capacity", type=int,
+    parser.add_argument("--shards", type=at_least(1),
+                        default=DEFAULT_SHARDS)
+    parser.add_argument("--cache-capacity", type=at_least(0),
                         default=DEFAULT_CAPACITY_PER_SHARD,
                         help="entries per shard")
-    parser.add_argument("--workers", type=int, default=None)
+    parser.add_argument("--workers", type=at_least(1), default=None)
     parser.add_argument("--max-queue", type=int,
                         default=DEFAULT_MAX_QUEUE)
     parser.add_argument("--tenant-quota", type=int,
@@ -106,6 +119,15 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
                         default=DEFAULT_BREAKER_COOLDOWN,
                         help="seconds an open breaker waits before a "
                              "half-open probe (default %(default)s)")
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.serve",
+        description="Serve (workload, config) runs over HTTP with a "
+                    "sharded multi-tenant result cache.",
+    )
+    add_serve_flags(parser)
     return parser.parse_args(argv)
 
 

@@ -45,17 +45,7 @@ import sys
 import time
 
 from repro import settings
-from repro.serve.app import (
-    DEFAULT_CAPACITY_PER_SHARD,
-    DEFAULT_MAX_QUEUE,
-    DEFAULT_SHARDS,
-    DEFAULT_TENANT_QUOTA,
-    EXIT_RESPOND_FAULT,
-)
-from repro.serve.breaker import (
-    DEFAULT_BREAKER_COOLDOWN,
-    DEFAULT_BREAKER_THRESHOLD,
-)
+from repro.serve.app import EXIT_RESPOND_FAULT
 
 #: Respawns after which the supervisor gives up and shuts down — a
 #: backstop against crash loops, far above anything the chaos harness
@@ -72,15 +62,14 @@ _TICK = 0.05
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    from repro.serve.__main__ import DEFAULT_PORT
+    from repro.serve.__main__ import add_serve_flags, at_least
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve.supervisor",
         description="Supervise N serve workers behind one socket with "
                     "crash/hang recovery and graceful drain.",
     )
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=DEFAULT_PORT)
-    parser.add_argument("--procs", type=int, default=DEFAULT_PROCS,
+    add_serve_flags(parser)
+    parser.add_argument("--procs", type=at_least(1), default=DEFAULT_PROCS,
                         help="worker processes (default %(default)s)")
     parser.add_argument("--state-file", default=None, metavar="PATH",
                         help="atomically rewritten JSON supervision "
@@ -88,23 +77,6 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
                              "supervisor.json)")
     parser.add_argument("--max-restarts", type=int,
                         default=DEFAULT_MAX_RESTARTS)
-    # Per-worker flags, forwarded to ServeApp (mirrors repro.serve).
-    parser.add_argument("--shards", type=int, default=DEFAULT_SHARDS)
-    parser.add_argument("--cache-capacity", type=int,
-                        default=DEFAULT_CAPACITY_PER_SHARD)
-    parser.add_argument("--workers", type=int, default=None)
-    parser.add_argument("--max-queue", type=int,
-                        default=DEFAULT_MAX_QUEUE)
-    parser.add_argument("--tenant-quota", type=int,
-                        default=DEFAULT_TENANT_QUOTA)
-    parser.add_argument("--faults", default=None, metavar="SPEC")
-    parser.add_argument("--memo-dir", default=None, metavar="DIR",
-                        help="result memoizer every worker shares "
-                             "(off unless given)")
-    parser.add_argument("--breaker-threshold", type=int,
-                        default=DEFAULT_BREAKER_THRESHOLD)
-    parser.add_argument("--breaker-cooldown", type=float,
-                        default=DEFAULT_BREAKER_COOLDOWN)
     return parser.parse_args(argv)
 
 

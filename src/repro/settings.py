@@ -19,7 +19,7 @@ import os
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.machine import BACKENDS, CODEGEN_MODES
+from repro.machine import BACKENDS
 
 
 @dataclass(frozen=True)
@@ -75,10 +75,8 @@ SETTINGS: dict[str, Setting] = {setting.name: setting for setting in (
     Setting("REPRO_FAULTS", "", _fault_spec, keyed=True),
     Setting("REPRO_DEGRADE", None, _flag, keyed=True),
     # Execution: counted backends give byte-identical stats, and the
-    # runner never memoizes an uncounted (fast) run.
+    # runner never memoizes an uncounted (threaded_fast) run.
     Setting("REPRO_BACKEND", "threaded", _one_of("backend", BACKENDS)),
-    Setting("REPRO_CODEGEN_MODE", "counted",
-            _one_of("codegen mode", CODEGEN_MODES)),
     # The offline harness's scheduling and cache directory.
     Setting("REPRO_JOBS", 1, _at_least(int, 0)),
     Setting("REPRO_MEMO_DIR", ".repro_memo", str),

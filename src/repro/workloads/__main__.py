@@ -3,47 +3,35 @@
 Runs the named workloads (default: all) statically and dynamically,
 verifies their outputs agree, and prints a per-region report: speedup,
 break-even, generated-code size, and which staged optimizations fired.
-Add ``--dump`` to also print the specialized region code,
-``--backend=reference|threaded`` to pick the execution backend (the
-reported numbers are identical either way), and
-``--codegen-mode=counted|fast`` to pick the threaded mode (fast drops
-the per-block cycle charges, so only use it when you care about
-wall-clock, not the reported numbers).
-
-``python -m repro.workloads bench`` runs the wall-clock backend
-benchmark (same report as ``python -m repro.evalharness bench``); with
-``--compare`` it diffs the committed ``BENCH_interp.json`` against a
-fresh run and exits non-zero on semantic divergence (checksum or
-workload-set changes — wall-clock drift is only reported).
+Add ``--dump`` to also print the specialized region code, and
+``--backend reference|threaded|threaded_fast`` to pick the execution
+backend (the reported numbers are identical on the two counted ones;
+``threaded_fast`` drops the per-block cycle charges, so only use it
+when you care about wall-clock, not the reported numbers).
 """
 
 from __future__ import annotations
 
+import argparse
 import sys
 
-from repro.evalharness.runner import (
-    resolve_backend,
-    resolve_codegen_mode,
-    run_workload,
-)
+from repro.evalharness.runner import resolve_backend, run_workload
 from repro.ir import format_function
+from repro.machine import BACKENDS
 from repro.workloads import ALL_WORKLOADS, get_workload
 
 
-def report(name: str, dump: bool, backend: str | None = None,
-           codegen_mode: str | None = None) -> None:
+def report(name: str, dump: bool, backend: str | None = None) -> None:
     workload = get_workload(name)
-    result = run_workload(workload, backend=backend,
-                          codegen_mode=codegen_mode)
+    result = run_workload(workload, backend=backend)
     print(f"\n=== {workload.name} ({workload.kind}): "
           f"{workload.description} ===")
     print(f"static vars: {workload.static_vars} = "
           f"{workload.static_values}")
-    if (resolve_backend(backend) == "threaded"
-            and resolve_codegen_mode(codegen_mode) == "fast"):
-        print("NOTE: fast codegen mode drops the per-block cycle "
-              "charges; the cycle-derived figures below are not "
-              "meaningful (outputs are still verified)")
+    if resolve_backend(backend) == "threaded_fast":
+        print("NOTE: threaded_fast drops the per-block cycle charges; "
+              "the cycle-derived figures below are not meaningful "
+              "(outputs are still verified)")
     print(f"whole-program speedup (incl. DC overhead): "
           f"{result.whole_program_speedup:.2f}x; region share of "
           f"static execution: {result.region_fraction_of_static:.0%}")
@@ -129,57 +117,22 @@ def report(name: str, dump: bool, backend: str | None = None,
                 print(format_function(code.function))
 
 
-def bench(compare: bool, output: str | None, repeat: int) -> int:
-    """Delegate to the evalharness bench (one shared implementation)."""
-    from repro.evalharness.__main__ import _bench
-
-    class _Args:
-        pass
-
-    args = _Args()
-    args.compare = compare
-    args.repeat = repeat
-    if output is None:
-        from repro.evalharness.bench import DEFAULT_BENCH_PATH
-        output = DEFAULT_BENCH_PATH
-    args.output = output
-    return _bench(args)
-
-
 def main(argv: list[str]) -> int:
-    dump = "--dump" in argv
-    compare = "--compare" in argv
-    backend = None
-    codegen_mode = None
-    output = None
-    repeat = 3
-    for arg in argv:
-        if arg.startswith("--backend="):
-            backend = arg.split("=", 1)[1]
-        elif arg.startswith("--codegen-mode="):
-            codegen_mode = arg.split("=", 1)[1]
-        elif arg.startswith("--output="):
-            output = arg.split("=", 1)[1]
-        elif arg.startswith("--repeat="):
-            repeat = int(arg.split("=", 1)[1])
-        elif arg.startswith("--") and arg not in ("--dump", "--compare"):
-            print(f"unknown option {arg!r}", file=sys.stderr)
-            return 2
-    names = [a for a in argv if not a.startswith("--")]
-    if names and names[0] == "bench":
-        if len(names) > 1:
-            print("bench takes no workload names", file=sys.stderr)
-            return 2
-        return bench(compare, output, repeat)
-    if compare:
-        print("--compare only applies to the bench subcommand",
-              file=sys.stderr)
-        return 2
-    if not names:
-        names = [w.name for w in ALL_WORKLOADS]
-    for name in names:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.workloads",
+        description="Run workloads, verify them and report each region.",
+    )
+    parser.add_argument("names", nargs="*", metavar="name",
+                        help="workloads to run (default: all)")
+    parser.add_argument("--dump", action="store_true",
+                        help="also print the specialized region code")
+    parser.add_argument("--backend", choices=BACKENDS, default=None,
+                        help="execution backend (default: $REPRO_BACKEND "
+                             "or threaded)")
+    args = parser.parse_args(argv)
+    for name in args.names or [w.name for w in ALL_WORKLOADS]:
         try:
-            report(name, dump, backend, codegen_mode)
+            report(name, args.dump, args.backend)
         except KeyError as error:
             print(error.args[0], file=sys.stderr)
             return 2

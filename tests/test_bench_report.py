@@ -8,7 +8,6 @@ import json
 import pytest
 
 from repro.evalharness.bench import (
-    BENCH_COLUMNS,
     COUNTED_COLUMNS,
     SPEEDUP_COLUMNS,
     compare_reports,
@@ -16,6 +15,7 @@ from repro.evalharness.bench import (
     run_bench,
     write_bench,
 )
+from repro.machine import BACKENDS
 from repro.workloads import WORKLOADS_BY_NAME
 
 
@@ -29,10 +29,11 @@ def report():
 class TestSchema:
     def test_layout(self, report):
         assert report["schema"] == 3
-        assert report["columns"] == [n for n, _, _ in BENCH_COLUMNS]
+        assert report["columns"] == list(BACKENDS) \
+            == ["reference", "threaded", "threaded_fast"]
         assert set(report["workloads"]) == {"dotproduct", "dinero"}
         for entry in report["workloads"].values():
-            for name, _, _ in BENCH_COLUMNS:
+            for name in BACKENDS:
                 assert entry[f"{name}_seconds"] > 0
             for name in SPEEDUP_COLUMNS:
                 assert entry[f"{name}_speedup"] > 0

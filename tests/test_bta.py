@@ -8,7 +8,7 @@ from repro.bta import (
     split_at_annotations,
 )
 from repro.bta.facts import InstrClass
-from repro.dyc.config import ALL_ON, OptConfig
+from repro.config import ALL_ON, OptConfig
 from repro.errors import BTAError
 from repro.frontend import compile_source
 from repro.ir import MakeStatic

@@ -45,16 +45,13 @@ from repro.faults import FAULT_POINTS, RUN_POINTS
 from repro.frontend import compile_source
 from repro.ir import Op
 from repro.lint.extract import embedded_sources_from_file
+from repro.machine import BACKENDS
 from repro.workloads import ALL_WORKLOADS, WORKLOADS_BY_NAME
-from tests.helpers import run_fingerprints
+from tests.helpers import BACKEND_IDS, run_fingerprints
 
 ROOT = Path(__file__).parent.parent
 DOT = WORKLOADS_BY_NAME["dotproduct"]
 MIPSI = WORKLOADS_BY_NAME["mipsi"]
-
-#: (backend, codegen mode) columns of ``BENCH_interp.json``.
-COLUMNS = [("reference", "counted"), ("threaded", "counted"),
-           ("threaded", "fast")]
 
 #: The fault points that can fire inside ``run_workload``; the serve
 #: and worker points fire around it.
@@ -237,7 +234,7 @@ def _image(prepared) -> bytes:
 
 
 def _check_shared(workload, config) -> None:
-    """Compile ``workload`` into the cache, run it on every column, and
+    """Compile ``workload`` into the cache, run it on every backend, and
     require each run to match a ``module=`` run and to leave the cached
     program, its front half and the prepared inputs byte-identical."""
     runner.compiled_program(
@@ -248,13 +245,11 @@ def _check_shared(workload, config) -> None:
     front_before = pickle.dumps(front)
     prepared = runner.prepared_input(workload)
     image = _image(prepared)
-    for backend, mode in COLUMNS:
+    for backend in BACKENDS:
         fresh = _outcome(workload, config, backend=backend,
-                         codegen_mode=mode,
                          module=compile_source(workload.source))
-        assert _outcome(workload, config, backend=backend,
-                        codegen_mode=mode) == fresh, \
-            (workload.name, backend, mode)
+        assert _outcome(workload, config, backend=backend) == fresh, \
+            (workload.name, backend)
     assert pickle.dumps(shared) == before, workload.name
     assert runner._COMPILED_PROGRAMS.get(_key(workload, config)) is shared
     assert pickle.dumps(front) == front_before, workload.name
@@ -279,7 +274,7 @@ KEYED_SWEEP_CONFIGS = list({
 }.values())
 
 
-def _sweep(workload, backend, mode) -> None:
+def _sweep(workload, backend) -> None:
     """A Table 5 sweep's runs of ``workload`` on one column: ``ALL_ON``
     and each applicable ablation, with the starred fallback (complete
     loop unrolling off too) after a run that cannot be specialized.
@@ -287,7 +282,7 @@ def _sweep(workload, backend, mode) -> None:
     def run(config):
         return run_workload(workload, dataclasses.replace(
             config, specialize_budget=SHARED_BUDGET),
-            backend=backend, codegen_mode=mode)
+            backend=backend)
 
     base = run(ALL_ON)
     needed = {name for function in workload.region_functions
@@ -327,9 +322,8 @@ class TestShared:
                 assert _program_ir(cached) == _program_ir(fresh), \
                     (workload.name, compile_key(config))
 
-    @pytest.mark.parametrize("backend,mode", COLUMNS,
-                             ids=[f"{b}-{m}" for b, m in COLUMNS])
-    def test_shared_front_half_unchanged_by_a_sweep(self, backend, mode):
+    @pytest.mark.parametrize("backend", BACKENDS, ids=BACKEND_IDS)
+    def test_shared_front_half_unchanged_by_a_sweep(self, backend):
         """A BTA block split or host rewrite that reached the front half
         would change it; every compile and run of a sweep leaves it
         byte-identical."""
@@ -339,7 +333,7 @@ class TestShared:
                 workload.source, runner._parsed_module(workload.source))
             fronts[workload.name] = (front, pickle.dumps(front))
         for workload in ALL_WORKLOADS:
-            _sweep(workload, backend, mode)
+            _sweep(workload, backend)
         for workload in ALL_WORKLOADS:
             front, before = fronts[workload.name]
             assert runner._PREPARED_MODULES.get(workload.source) is front
@@ -465,7 +459,7 @@ class TestKeys:
             dead_assignment_elimination=False, strength_reduction=False,
             check_annotations=True, faults="specializer.entry:once",
             degrade=True, cache_capacity=4, specialize_budget=1000,
-            quarantine_after=9, codegen_mode="fast")
+            quarantine_after=9)
         for config in (ALL_ON.without("zero_copy_propagation"),
                        ALL_ON.without("unchecked_dispatching"),
                        every_run_setting):

@@ -118,8 +118,8 @@ class TestMemoizer:
         first.static_region_cycles.clear()
         assert memo.get(key).static_region_cycles
 
-    def test_memo_schema_is_ten(self):
-        assert memo_module._SCHEMA == 10
+    def test_memo_schema_is_eleven(self):
+        assert memo_module._SCHEMA == 11
 
 
 def _keys(directory) -> list[str]:

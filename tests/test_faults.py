@@ -36,6 +36,22 @@ from repro.frontend import compile_source
 from repro.machine import ALPHA_21164
 from repro.runtime.overhead import DEFAULT_OVERHEAD
 from repro.workloads import CHEBYSHEV, DOTPRODUCT, MIPSI
+from tests.helpers import run_fingerprints
+
+
+#: ``run_fingerprints`` (stats, results) of two degraded dotproduct
+#: runs: one that only ever runs the unspecialized fallback, and one
+#: truncated at a two-context budget.  Both rungs copy the region
+#: template (``runtime/fallback.py``), so a change to the copies, their
+#: exit thunks or their dc charges moves these.
+DEGRADED_FINGERPRINTS = {
+    "fallback": (
+        "9555c21326ee5683ff932e80259f62362534824061fa24e186cd33ad419209d6",
+        "6d34cbcf128ef715233e858c4d2df6c1c9bf349a7ca60f1b87d56d5f372b8490"),
+    "budget": (
+        "8c7b66e452ab7d7d7adb1aab7bafae49b8565734ff1dff7e92526d3d9a8afc83",
+        "6d34cbcf128ef715233e858c4d2df6c1c9bf349a7ca60f1b87d56d5f372b8490"),
+}
 
 
 def _config(base=ALL_ON, **overrides):
@@ -255,6 +271,17 @@ class TestDegradationLadder:
         assert result.outputs_match
         assert stats.budget_truncations >= 1
         assert result.degraded
+
+    @pytest.mark.parametrize("backend", ["reference", "threaded"])
+    @pytest.mark.parametrize("rung,overrides", [
+        ("fallback", {"faults": "specializer.entry:always"}),
+        ("budget", {"specialize_budget": 2, "degrade": True}),
+    ], ids=["fallback", "budget"])
+    def test_degraded_run_keeps_its_fingerprint(self, rung, overrides,
+                                                backend):
+        result = run_workload(DOTPRODUCT, _config(**overrides),
+                              backend=backend)
+        assert run_fingerprints(result) == DEGRADED_FINGERPRINTS[rung]
 
     def test_budget_fault_collapses_batch(self):
         result = run_workload(

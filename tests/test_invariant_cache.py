@@ -39,17 +39,13 @@ from repro.evalharness.runner import (
 )
 from repro.frontend import compile_source
 from repro.ir import Memory
-from repro.machine import ALPHA_21164, Machine
+from repro.machine import ALPHA_21164, BACKENDS, Machine
 from repro.runtime.overhead import DEFAULT_OVERHEAD
 from repro.workloads import ALL_WORKLOADS, WORKLOADS_BY_NAME, WorkloadInput
-from tests.helpers import run_fingerprints
+from tests.helpers import BACKEND_IDS, run_fingerprints
 
 DOT = WORKLOADS_BY_NAME["dotproduct"]
 BINARY = WORKLOADS_BY_NAME["binary"]
-
-#: (backend, codegen mode) columns of ``BENCH_interp.json``.
-COLUMNS = [("reference", "counted"), ("threaded", "counted"),
-           ("threaded", "fast")]
 
 #: ``run_fingerprints`` of every workload's ``ALL_ON`` run on the
 #: threaded backend, (stats SHA-256, results SHA-256), as the deleted
@@ -115,22 +111,18 @@ def _ir(module) -> bytes:
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize("backend,mode", COLUMNS,
-                             ids=[f"{b}-{m}" for b, m in COLUMNS])
-    def test_cold_warm_and_explicit_module_runs_agree(self, backend,
-                                                      mode):
+    @pytest.mark.parametrize("backend", BACKENDS, ids=BACKEND_IDS)
+    def test_cold_warm_and_explicit_module_runs_agree(self, backend):
         for workload in ALL_WORKLOADS:
             shared = runner._parsed_module(workload.source)
             before = _ir(shared)
             program = runner.compiled_program(workload.source, shared,
                                               ALL_ON)
             program_before = _ir(program)
-            cold = run_workload(workload, backend=backend,
-                                codegen_mode=mode)
-            warm = run_workload(workload, backend=backend,
-                                codegen_mode=mode)
+            cold = run_workload(workload, backend=backend)
+            warm = run_workload(workload, backend=backend)
             explicit = run_workload(
-                workload, backend=backend, codegen_mode=mode,
+                workload, backend=backend,
                 module=compile_source(workload.source))
             assert run_fingerprints(cold) == run_fingerprints(warm) \
                 == run_fingerprints(explicit), workload.name
@@ -189,7 +181,7 @@ class TestVerificationOnHit:
         assert len(static_runs) == 1  # the static side was a cache hit
 
     def test_failed_static_run_leaves_no_entry(self, monkeypatch):
-        key = static_baseline_key(DOT, ALPHA_21164, "threaded", "counted")
+        key = static_baseline_key(DOT, ALPHA_21164, "threaded")
         inner = Machine.run
 
         def failing(self, *args, **kwargs):
@@ -245,8 +237,8 @@ class TestKeys:
             DOT, icache_capacity_bytes=1024))[0] == 1
         assert static_ran(backend="reference")[0] == 1
         # An uncounted run charges no block cycles: its own baseline.
-        assert static_ran(codegen_mode="fast")[0] == 1
-        assert static_ran(codegen_mode="fast")[0] == 0
+        assert static_ran(backend="threaded_fast")[0] == 1
+        assert static_ran(backend="threaded_fast")[0] == 0
 
     def test_hits_when_only_run_settings_change(self, static_runs):
         faulted = dataclasses.replace(ALL_ON,
@@ -313,17 +305,16 @@ class TestKeys:
         cache = runner._STATIC_BASELINES
         assert cache.capacity == INVARIANT_CACHE_CAPACITY
         monkeypatch.setattr(cache, "capacity", 2)
-        keys = {(backend, mode): static_baseline_key(DOT, ALPHA_21164,
-                                                     backend, mode)
-                for backend, mode in COLUMNS}
+        keys = {backend: static_baseline_key(DOT, ALPHA_21164, backend)
+                for backend in BACKENDS}
         run_workload(DOT, backend="threaded")
         run_workload(DOT, backend="reference")
         run_workload(DOT, backend="threaded")  # now the most recent
-        run_workload(DOT, backend="threaded", codegen_mode="fast")
+        run_workload(DOT, backend="threaded_fast")
         assert len(cache) == 2
-        assert keys["threaded", "counted"] in cache
-        assert keys["threaded", "fast"] in cache
-        assert keys["reference", "counted"] not in cache
+        assert keys["threaded"] in cache
+        assert keys["threaded_fast"] in cache
+        assert keys["reference"] not in cache
 
 
 def _counting_setup(workload):
@@ -373,14 +364,13 @@ class TestPreparedInputs:
         """mipsi sorts its data in place and dinero fills its tag
         arrays; every run starts from the image ``setup`` builds."""
         workload = WORKLOADS_BY_NAME[name]
-        for backend, mode in COLUMNS:
-            runs = [run_fingerprints(run_workload(
-                workload, backend=backend, codegen_mode=mode))
-                for _ in range(2)]
+        for backend in BACKENDS:
+            runs = [run_fingerprints(run_workload(workload, backend=backend))
+                    for _ in range(2)]
             explicit = run_fingerprints(run_workload(
-                workload, backend=backend, codegen_mode=mode,
+                workload, backend=backend,
                 module=compile_source(workload.source)))
-            assert runs[0] == runs[1] == explicit, (name, backend, mode)
+            assert runs[0] == runs[1] == explicit, (name, backend)
         prepared = runner.prepared_input(workload)
         assert (prepared.words, prepared.args) == _fresh_image(workload)
 

@@ -81,8 +81,8 @@ def test_readme_table_lists_every_variable():
                              for name, setting in SETTINGS.items()}
 
 
-def test_nine_settings_and_two_keyed():
-    assert len(SETTINGS) == 9
+def test_eight_settings_and_two_keyed():
+    assert len(SETTINGS) == 8
     assert [name for name, s in SETTINGS.items() if s.keyed] \
         == ["REPRO_FAULTS", "REPRO_DEGRADE"]
 

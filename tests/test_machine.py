@@ -40,7 +40,12 @@ from repro.runtime.runtime import DycRuntime
 from repro.runtime.specializer import Specializer
 from repro.runtime.stats import RuntimeStats
 from repro.workloads import WORKLOADS_BY_NAME
-from tests.helpers import build_countdown, build_diamond, run_function
+from tests.helpers import (
+    COUNTED_BACKENDS,
+    build_countdown,
+    build_diamond,
+    run_function,
+)
 
 
 class TestExecution:
@@ -366,7 +371,7 @@ class TestMemoryFastPath:
     def test_edge_addresses_match_reference(self, access, imm):
         for addr in _EDGE_ADDRESSES + (1, 3):
             outcomes = {}
-            for backend in BACKENDS:
+            for backend in COUNTED_BACKENDS:
                 memory = Memory()
                 memory.alloc_array([10, 20.5, 30])   # words 1-3
                 if addr == "end":
@@ -384,7 +389,7 @@ class TestMemoryFastPath:
                 assert result[0] == "ok", (access, addr)
             else:
                 assert result[0] == "MemoryFault", (access, addr)
-            for backend in BACKENDS:
+            for backend in COUNTED_BACKENDS:
                 assert outcomes[backend] == outcomes["reference"], \
                     (backend, access, addr, imm)
 
@@ -480,7 +485,7 @@ class _CallLog:
         self.events.append(("leave", name, cycles))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", COUNTED_BACKENDS)
 class TestCallBinding:
     """Host calls to module functions are bound when a block is
     translated; these pin what that binding must not change."""
@@ -607,17 +612,16 @@ class TestCallBinding:
 
 
 class TestComputedOnce:
-    @pytest.mark.parametrize("mode", ["counted", "fast"],
+    @pytest.mark.parametrize("backend", ["threaded", "threaded_fast"],
                              ids=["threaded", "threaded-fast"])
     def test_host_penalty_sized_once_per_machine(self, monkeypatch,
-                                                 mode):
+                                                 backend):
         """A canonical binary run enters ``bsearch`` 1,500 times; the
         host loop sizes each host function once per machine, and the
-        specializer sizes its code buffer three times per batch, in
-        either codegen mode."""
+        specializer sizes its code buffer three times per batch, counted
+        or not."""
         binary = WORKLOADS_BY_NAME["binary"]
-        run = functools.partial(run_workload, binary, backend="threaded",
-                                codegen_mode=mode)
+        run = functools.partial(run_workload, binary, backend=backend)
         run()   # warm the static side
         sized: collections.Counter = collections.Counter()
         machines: list = []
@@ -774,7 +778,7 @@ def _dispatches(source, calls, config=ALL_ON):
     lookup count."""
     compiled = compile_annotated(compile_source(source), config)
     outcomes = {}
-    for backend in BACKENDS:
+    for backend in COUNTED_BACKENDS:
         machine, runtime = compiled.make_machine(backend=backend)
         seen = []
         for args in calls:
@@ -820,10 +824,10 @@ class TestBoundRegionDispatch:
         monkeypatch.setattr(CompiledProgram, "make_machine", making)
         monkeypatch.setattr(DycRuntime, "bind_entry", binding)
         results = {backend: run_workload(binary, backend=backend)
-                   for backend in BACKENDS}
+                   for backend in COUNTED_BACKENDS}
         assert entered == {"reference": 1500, "threaded": 1}
         assert bound == {"threaded": 1}
-        for backend in BACKENDS:
+        for backend in COUNTED_BACKENDS:
             assert results[backend].region_entries["bsearch"] == 1500
             assert results[backend] == results["reference"], backend
             caches = lookups[backend]
@@ -836,7 +840,7 @@ class TestBoundRegionDispatch:
             "SpecializationError",
             "region 0: promoted variable 'k' is undefined at region "
             "entry")
-        for backend in BACKENDS:
+        for backend in COUNTED_BACKENDS:
             assert outcomes[backend] == outcomes["reference"], backend
         assert entered == {"reference": 2, "threaded": 1}
 
@@ -846,11 +850,11 @@ class TestBoundRegionDispatch:
                                config)
         assert [seen[0][0] for seen in outcomes["reference"]] \
             == ["ok", "ok", "CacheError"]
-        for backend in BACKENDS:
+        for backend in COUNTED_BACKENDS:
             assert outcomes[backend] == outcomes["reference"], backend
         # A strict slot compares keys, so every dispatch takes
         # enter_region.
-        assert entered == {backend: 3 for backend in BACKENDS}
+        assert entered == {backend: 3 for backend in COUNTED_BACKENDS}
 
     def test_unreached_entry_creates_no_region_state(self):
         outcomes = _dispatches(_BRANCHED, [(2, 3, 0), (2, 3, 1), (2, 3, 1)])
@@ -858,7 +862,7 @@ class TestBoundRegionDispatch:
         assert result == ("ok", 3) and regions == {} and caches == {}
         assert [seen[0] for seen in outcomes["reference"][1:]] \
             == [("ok", 7), ("ok", 7)]
-        for backend in BACKENDS:
+        for backend in COUNTED_BACKENDS:
             assert outcomes[backend] == outcomes["reference"], backend
 
 
@@ -882,31 +886,29 @@ class TestStepLimit:
         machine, _ = compiled.make_machine()
         assert machine.run("f", 3, 2, 1) == machine.run("f", 3, 2, 1) == 7
         total = machine.stats.instructions
-        columns = [(backend, "counted") for backend in BACKENDS]
-        columns.append(("threaded", "fast"))
         for limit in range(total + 1):
             outcomes = {}
-            for backend, mode in columns:
+            for backend in BACKENDS:
                 machine, _ = compiled.make_machine(
-                    step_limit=limit, backend=backend, codegen_mode=mode)
+                    step_limit=limit, backend=backend)
                 seen = []
                 for _ in range(2):
                     try:
                         seen.append(("ok", machine.run("f", 3, 2, 1)))
                     except MachineError as exc:
                         seen.append(("MachineError", str(exc)))
-                outcomes[backend, mode] = (seen, machine.stats.snapshot())
-            seen, stats = outcomes["reference", "counted"]
+                outcomes[backend] = (seen, machine.stats.snapshot())
+            seen, stats = outcomes["reference"]
             if limit < total:
                 assert seen[1][0] == "MachineError", limit
                 assert "step limit" in seen[1][1]
             else:
                 assert seen == [("ok", 7), ("ok", 7)]
-            for column in columns:
-                got, got_stats = outcomes[column]
-                if column[1] == "fast":
+            for backend in BACKENDS:
+                got, got_stats = outcomes[backend]
+                if backend == "threaded_fast":
                     assert (got, got_stats.instructions) \
-                        == (seen, stats.instructions), (column, limit)
+                        == (seen, stats.instructions), (backend, limit)
                 else:
                     assert (got, got_stats) == (seen, stats), \
-                        (column, limit)
+                        (backend, limit)

@@ -38,6 +38,7 @@ from repro.errors import CacheError
 from repro.frontend import compile_source
 from repro.ir import Memory
 from repro.machine import BACKENDS, Machine
+from tests.helpers import COUNTED_BACKENDS
 
 # ----------------------------------------------------------------------
 # Random program generation
@@ -227,21 +228,19 @@ def _stats(machine) -> dict:
     return dataclasses.asdict(machine.stats.snapshot())
 
 
-def _run_on(backend: str, static_module, compiled, args,
-            mode: str = "counted"):
-    """Static and dynamic runs of ``f``, twice each, on ``backend`` in
-    codegen ``mode``; returns the static and the dynamic results, each
-    with ``arr`` after it, and both machines' stats."""
+def _run_on(backend: str, static_module, compiled, args):
+    """Static and dynamic runs of ``f``, twice each, on ``backend``;
+    returns the static and the dynamic results, each with ``arr`` after
+    it, and both machines' stats."""
     mem_s, arr_s, sarr_s = _fresh_memory()
     static_machine = Machine(static_module, memory=mem_s,
-                             step_limit=500_000, backend=backend,
-                             codegen_mode=mode)
+                             step_limit=500_000, backend=backend)
     expected = static_machine.run("f", *args, arr_s, sarr_s)
     expected_arr = mem_s.read_array(arr_s, 8)
 
     mem_d, arr_d, sarr_d = _fresh_memory()
     machine, _ = compiled.make_machine(memory=mem_d, step_limit=500_000,
-                                       backend=backend, codegen_mode=mode)
+                                       backend=backend)
     actual = machine.run("f", *args, arr_d, sarr_d)
     actual_arr = mem_d.read_array(arr_d, 8)
     # Run again: cached code must stay consistent (stores may have
@@ -279,10 +278,9 @@ def run_both(source: str, args, config):
     compiled = compile_annotated(module, config)
     runs = {backend: _run_on(backend, static_module, compiled, args)
             for backend in BACKENDS}
-    for backend in BACKENDS:
+    for backend in COUNTED_BACKENDS:
         assert runs[backend] == runs["reference"], backend
-    uncounted = _run_on("threaded", static_module, compiled, args, "fast")
-    assert uncounted[:2] == runs["reference"][:2]
+    assert runs["threaded_fast"][:2] == runs["reference"][:2]
     if "cache_one_unchecked" in source \
             and not _keeps_unchecked_promise(module, args, config):
         return
@@ -327,7 +325,7 @@ class TestRandomProgramEquivalence:
         static_module = compile_static(module)
         compiled = compile_annotated(module, ALL_ON)
         stats = {}
-        for backend in BACKENDS:
+        for backend in COUNTED_BACKENDS:
             mem_s, arr_s, sarr_s = _fresh_memory()
             static_machine = Machine(static_module, memory=mem_s,
                                      step_limit=500_000)
@@ -343,5 +341,5 @@ class TestRandomProgramEquivalence:
                 assert mem_d.read_array(arr_d, 8) \
                     == mem_s.read_array(arr_s, 8)
             stats[backend] = _stats(machine)
-        for backend in BACKENDS:
+        for backend in COUNTED_BACKENDS:
             assert stats[backend] == stats["reference"], backend

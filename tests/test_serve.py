@@ -458,27 +458,58 @@ class TestServeApp:
 # One backend per daemon
 # ----------------------------------------------------------------------
 
+def _served(monkeypatch, backend):
+    """The fingerprint of one dotproduct run on a daemon built under
+    ``REPRO_BACKEND=backend`` (unset for None), which must label the
+    run and its ``/stats`` tier with that backend."""
+    async def go():
+        if backend is None:
+            monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_BACKEND", backend)
+        app = _app()
+        try:
+            status, body = await _post_run(
+                app, {"workload": "dotproduct", "tenant": "t"})
+            assert status == 200
+            assert body["backend"] == (backend or "threaded")
+            status, stats = await app.handle("GET", "/stats", b"")
+            assert stats["server"]["tiers"] == {body["backend"]: 1}
+            return body["fingerprint"]
+        finally:
+            app.close()
+
+    return _run(go())
+
+
 class TestServeBackend:
     def test_every_backend_serves_the_same_bytes(self, monkeypatch):
-        async def served(backend):
-            if backend is None:
-                monkeypatch.delenv("REPRO_BACKEND", raising=False)
-            else:
-                monkeypatch.setenv("REPRO_BACKEND", backend)
+        unset = _served(monkeypatch, None)
+        assert _served(monkeypatch, "reference") == unset
+
+    def test_uncounted_daemon_serves_its_own_bytes(self, monkeypatch):
+        uncounted = _served(monkeypatch, "threaded_fast")
+        assert uncounted != _served(monkeypatch, "threaded")
+        assert uncounted == run_fingerprint(run_workload(
+            _workload("dotproduct"), backend="threaded_fast"))
+
+    def test_a_request_cannot_choose_the_backend(self):
+        async def go():
             app = _app()
             try:
-                status, body = await _post_run(
-                    app, {"workload": "dotproduct", "tenant": "t"})
-                assert status == 200
-                assert body["backend"] == (backend or "threaded")
-                status, stats = await app.handle("GET", "/stats", b"")
-                assert stats["server"]["tiers"] == {body["backend"]: 1}
-                return body["fingerprint"]
+                for config in ({"codegen_mode": "fast"},
+                               {"backend": "reference"}):
+                    status, body = await _post_run(app, {
+                        "workload": "dotproduct", "config": config})
+                    assert status == 400, config
+                    assert body["error"]["code"] == "bad_request"
+                    assert "unknown config field" \
+                        in body["error"]["message"]
+                assert app.executions == 0
             finally:
                 app.close()
 
-        unset = _run(served(None))
-        assert _run(served("reference")) == unset
+        _run(go())
 
     def test_bogus_backend_refuses_to_build(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "bogus")
@@ -498,6 +529,55 @@ class TestServeBackend:
         assert "bad REPRO_BACKEND" in capsys.readouterr().err
 
 
+class TestServeFlags:
+    """The daemon and the supervisor declare the serving flags once and
+    check each count when they parse it: a bad one exits 2 before a
+    socket is bound or a worker forked."""
+
+    @staticmethod
+    def _mains():
+        from repro.serve import __main__ as serve_main
+        from repro.serve import supervisor
+        return serve_main, supervisor
+
+    @pytest.mark.parametrize("entry,argv", [
+        ("daemon", ["--shards", "0"]),
+        ("daemon", ["--workers", "0"]),
+        ("daemon", ["--cache-capacity", "-1"]),
+        ("supervisor", ["--procs", "0"]),
+        ("supervisor", ["--shards", "0"]),
+        ("supervisor", ["--workers", "0"]),
+        ("supervisor", ["--cache-capacity", "-1"]),
+    ])
+    def test_bad_count_exits_2_before_starting(self, monkeypatch, capsys,
+                                               entry, argv):
+        serve_main, supervisor = self._mains()
+
+        def refused(*args, **kwargs):
+            raise AssertionError("started despite a bad count")
+
+        monkeypatch.setattr(serve_main, "ServeDaemon", refused)
+        monkeypatch.setattr("os.fork", refused)
+        monkeypatch.setattr("socket.socket", refused)
+        main = serve_main.main if entry == "daemon" else supervisor.main
+        with pytest.raises(SystemExit) as exited:
+            main(["--port", "0", *argv])
+        assert exited.value.code == 2
+        assert f"argument {argv[0]}: must be >=" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", ["daemon", "supervisor"])
+    def test_lowest_counts_and_benchmark_flags_parse(self, entry):
+        serve_main, supervisor = self._mains()
+        parse = (serve_main._parse_args if entry == "daemon"
+                 else supervisor._parse_args)
+        args = parse(["--shards", "8", "--cache-capacity", "4"])
+        assert (args.shards, args.cache_capacity) == (8, 4)
+        args = parse(["--shards", "1", "--workers", "1",
+                      "--cache-capacity", "0"])
+        assert (args.shards, args.workers, args.cache_capacity) \
+            == (1, 1, 0)
+
+
 class TestKeyHistory:
     """A served key's bytes never depend on how often it was looked up.
 
@@ -505,15 +585,16 @@ class TestKeyHistory:
     a filler key evicting it in between, so every request recomputes.
     A ``once`` budget fault collapses only the first batch of a run, so
     fault hit counts that leaked from one request into the next would
-    change the bytes; fast codegen makes the result backend-sensitive
-    on the default (threaded) daemon, since it runs uncounted.
+    change the bytes.  Each key is served by a counted and by an
+    uncounted (``threaded_fast``) daemon, whose bytes are its own.
     """
 
     @pytest.mark.parametrize("config", [
         {"faults": "specializer.budget:once"},
-        {"codegen_mode": "fast"},
+        {},
     ])
-    def test_recomputed_key_keeps_its_fingerprint(self, config):
+    def test_recomputed_key_keeps_its_fingerprint(self, config,
+                                                  monkeypatch):
         async def go():
             app = ServeApp(shards=1, cache_capacity=1, workers=1)
             try:
@@ -533,10 +614,13 @@ class TestKeyHistory:
             finally:
                 app.close()
 
-        backend, fingerprints = _run(go())
-        offline = run_workload(_workload("dotproduct"),
-                               build_config(config), backend=backend)
-        assert fingerprints == {run_fingerprint(offline)}
+        for backend in ("threaded", "threaded_fast"):
+            monkeypatch.setenv("REPRO_BACKEND", backend)
+            served_by, fingerprints = _run(go())
+            assert served_by == backend
+            offline = run_workload(_workload("dotproduct"),
+                                   build_config(config), backend=backend)
+            assert fingerprints == {run_fingerprint(offline)}, backend
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,6 @@ VALID = {
     "REPRO_FAULTS": "specializer.entry:once",
     "REPRO_DEGRADE": "on",
     "REPRO_BACKEND": "reference",
-    "REPRO_CODEGEN_MODE": "fast",
     "REPRO_JOBS": "3",
     "REPRO_MEMO_DIR": "elsewhere",
     "REPRO_TASK_TIMEOUT": "60",
@@ -41,7 +40,6 @@ JUNK = {
     "REPRO_FAULTS": "specializer.nowhere",
     "REPRO_DEGRADE": "maybe",
     "REPRO_BACKEND": "bogus",
-    "REPRO_CODEGEN_MODE": "turbo",
     "REPRO_JOBS": "many",
     "REPRO_MEMO_DIR": None,
     "REPRO_TASK_TIMEOUT": "-1",
@@ -92,8 +90,8 @@ def test_task_timeout_leaves_the_key_alone(clean_env):
 def test_cold_run_reads_only_keyed_or_explained_settings(clean_env,
                                                          tmp_path):
     """The backend is left out of the key because counted backends are
-    byte-identical, and the codegen mode because uncounted runs bypass
-    the memo (README, "Environment variables")."""
+    byte-identical and ``threaded_fast`` runs bypass the memo (README,
+    "Environment variables")."""
     names = []
     inner = settings.read
 
@@ -109,7 +107,7 @@ def test_cold_run_reads_only_keyed_or_explained_settings(clean_env,
         reset_invariant_caches()
     keyed = {name for name, s in settings.SETTINGS.items() if s.keyed}
     assert {"REPRO_FAULTS", "REPRO_DEGRADE", "REPRO_BACKEND"} <= set(names)
-    assert set(names) <= keyed | {"REPRO_BACKEND", "REPRO_CODEGEN_MODE"}
+    assert set(names) <= keyed | {"REPRO_BACKEND"}
 
 
 @pytest.mark.parametrize("name", sorted(n for n in JUNK if JUNK[n]))

@@ -28,7 +28,7 @@ from repro.ir import (
     Reg,
     Return,
 )
-from repro.machine import Machine
+from repro.machine import BACKENDS, Machine
 from repro.runtime.cache import UncheckedCache
 from repro.runtime.specializer import Specializer, SpecializedCode
 from repro.workloads import ALL_WORKLOADS, WORKLOADS_BY_NAME
@@ -129,21 +129,16 @@ class TestJumpOnlyCycle:
     }
     """
 
-    @pytest.mark.parametrize(
-        "backend,mode",
-        [("reference", "counted"), ("threaded", "counted"),
-         ("threaded", "fast")],
-        ids=["reference", "threaded", "threaded-fast"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_loops_to_the_step_limit_like_the_static_program(self,
-                                                             backend,
-                                                             mode):
+                                                             backend):
         module = compile_source(self.SRC)
         static = Machine(compile_static(module), step_limit=20000,
-                         backend=backend, codegen_mode=mode)
+                         backend=backend)
         with pytest.raises(MachineError, match="step limit"):
             static.run("spin", 1, 5)
         machine, runtime = compile_annotated(module).make_machine(
-            step_limit=20000, backend=backend, codegen_mode=mode)
+            step_limit=20000, backend=backend)
         with pytest.raises(MachineError, match="step limit"):
             machine.run("spin", 1, 5)
         code = runtime.entry_caches[0]._value
