@@ -8,12 +8,13 @@
 * :mod:`repro.evalharness.tables` — builders and text renderers for each
   table;
 * :mod:`repro.evalharness.memo` — content-hash memoization of run
-  results (backend-independent, since both backends produce
-  byte-identical statistics);
+  results (backend-independent, since both counted backends produce
+  byte-identical statistics; ``threaded_fast`` runs are never
+  memoized);
 * :mod:`repro.evalharness.parallel` — process-pool fan-out of runs
   (``--jobs N``);
-* :mod:`repro.evalharness.bench` — wall-clock benchmark of the
-  reference vs. threaded execution backends (``BENCH_interp.json``);
+* :mod:`repro.evalharness.bench` — wall-clock benchmark of every
+  execution backend (``BENCH_interp.json``);
 * ``python -m repro.evalharness <table1|…|table5|dispatch|all|bench>``
   regenerates them from scratch.
 """

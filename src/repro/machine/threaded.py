@@ -90,8 +90,8 @@ store, interleaved per call (runs of 9, 9 and 15 repetitions), the sum
 of per-call minimum times read 0.969-0.979 with over without, and the
 sum of medians 0.939-0.963.
 
-Uncounted mode
---------------
+Uncounted backend
+-----------------
 
 On the ``threaded_fast`` backend the walk ends each segment in a ``tick``
 part instead of a commit.  A tick adds the segment's instruction count

@@ -179,8 +179,10 @@ def run_fingerprint(result) -> str:
 
     Backends are excluded by construction: every counted backend
     produces byte-identical statistics, so a client can re-run the same
-    (workload, config) offline on any backend and compare fingerprints
-    to prove the daemon served an untampered result.
+    (workload, config) offline on any counted backend (on
+    ``threaded_fast`` for an uncounted daemon, whose payloads say so)
+    and compare fingerprints to prove the daemon served an untampered
+    result.
     """
     hasher = hashlib.sha256()
     for part in (

@@ -120,6 +120,18 @@ class TestWorkloadCli:
         from repro.workloads.__main__ import main
         assert main(["nonsense"]) == 2
 
+    def test_cli_backend_is_the_one_execution_choice(self, capsys):
+        from repro.evalharness.__main__ import _parse_args
+        from repro.workloads.__main__ import main
+        assert main(["query", "--backend", "threaded_fast"]) == 0
+        assert "threaded_fast drops" in capsys.readouterr().out
+        assert _parse_args(["--backend", "threaded_fast"]).backend \
+            == "threaded_fast"
+        for parse in (main, _parse_args):
+            with pytest.raises(SystemExit) as exited:
+                parse(["--codegen-mode", "fast"])
+            assert exited.value.code == 2
+
 
 class TestEvalCliPieces:
     def test_dispatch_table_builder(self):
