@@ -47,14 +47,11 @@ from repro.dyc import compile_annotated, compile_static
 from repro.evalharness.runner import _machine_kwargs
 from repro.frontend import compile_source
 from repro.ir import Memory
-from repro.machine import ALPHA_21164, BACKENDS, Machine
+from repro.machine import ALPHA_21164, BACKENDS, COUNTED_BACKENDS, Machine
 from repro.runtime.overhead import DEFAULT_OVERHEAD
 from repro.workloads import ALL_WORKLOADS
 
 DEFAULT_BENCH_PATH = "BENCH_interp.json"
-
-#: Columns whose execution statistics must be byte-identical.
-COUNTED_COLUMNS = ("reference", "threaded")
 
 #: Columns with a speedup factor over the reference interpreter.
 SPEEDUP_COLUMNS = ("threaded", "threaded_fast")
@@ -126,9 +123,9 @@ def run_bench(workloads=ALL_WORKLOADS,
     columns = list(BACKENDS)
     per_workload: dict[str, dict] = {}
     totals = {name: 0.0 for name in columns}
-    stats_hashers = {name: hashlib.sha256() for name in COUNTED_COLUMNS}
+    stats_hashers = {name: hashlib.sha256() for name in COUNTED_BACKENDS}
     results_hashers = {name: hashlib.sha256() for name in columns}
-    total_cycles = {name: 0.0 for name in COUNTED_COLUMNS}
+    total_cycles = {name: 0.0 for name in COUNTED_BACKENDS}
     speedups: dict[str, list[float]] = {c: [] for c in SPEEDUP_COLUMNS}
 
     for workload in workloads:
@@ -158,7 +155,7 @@ def run_bench(workloads=ALL_WORKLOADS,
         per_workload[workload.name] = entry
 
     stats_checksums = {c: stats_hashers[c].hexdigest()
-                       for c in COUNTED_COLUMNS}
+                       for c in COUNTED_BACKENDS}
     results_checksums = {c: results_hashers[c].hexdigest()
                          for c in columns}
     backends: dict[str, dict] = {}
@@ -167,7 +164,7 @@ def run_bench(workloads=ALL_WORKLOADS,
             "seconds": round(totals[name], 6),
             "results_checksum": results_checksums[name],
         }
-        if name in COUNTED_COLUMNS:
+        if name in COUNTED_BACKENDS:
             info["cycles"] = total_cycles[name]
             info["stats_checksum"] = stats_checksums[name]
         backends[name] = info

@@ -47,7 +47,13 @@ from repro.evalharness.memo import (
 from repro.evalharness.metrics import RegionMetrics
 from repro.frontend import compile_source
 from repro.ir import Memory, Module
-from repro.machine import ALPHA_21164, BACKENDS, ICacheModel, Machine
+from repro.machine import (
+    ALPHA_21164,
+    BACKENDS,
+    COUNTED_BACKENDS,
+    ICacheModel,
+    Machine,
+)
 from repro.machine.costs import CostModel
 from repro.runtime.overhead import DEFAULT_OVERHEAD, OverheadModel
 from repro.runtime.stats import RegionStats
@@ -424,7 +430,7 @@ def run_workload(workload: Workload,
     passes it as ``memo_key`` so it is not computed twice.
     """
     backend = resolve_backend(backend)
-    if backend == "threaded_fast":
+    if backend not in COUNTED_BACKENDS:
         # Uncounted stats are not the shared byte-identical stats the
         # cache is keyed for; never serve or store them.
         memo = None

@@ -13,6 +13,7 @@ from repro.machine.icache import ICacheModel
 from repro.machine.intrinsics import INTRINSICS, Intrinsic
 from repro.machine.interp import (
     BACKENDS,
+    COUNTED_BACKENDS,
     ExecutionStats,
     Machine,
 )
@@ -25,6 +26,7 @@ __all__ = [
     "INTRINSICS",
     "Intrinsic",
     "BACKENDS",
+    "COUNTED_BACKENDS",
     "Machine",
     "ExecutionStats",
     "ThreadedBackend",

@@ -133,6 +133,10 @@ _recursion_headroom = _RecursionHeadroom()
 #: and keeps its instruction count and step-limit test.
 BACKENDS = ("reference", "threaded", "threaded_fast")
 
+#: The backends that charge every block's cycles, and so give
+#: byte-identical ``ExecutionStats``.
+COUNTED_BACKENDS = ("reference", "threaded")
+
 
 @dataclass
 class ExecutionStats:

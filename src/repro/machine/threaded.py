@@ -170,6 +170,7 @@ from repro.ir.instructions import (
     UnOp,
 )
 from repro.machine.costs import binop_terms, flat_term, move_terms
+from repro.machine.interp import COUNTED_BACKENDS
 
 # ----------------------------------------------------------------------
 # Per-operator evaluators
@@ -754,8 +755,8 @@ class ThreadedBackend:
         self._terms: dict[tuple, _Terms] = {}
         #: What a segment ends in: a counted commit, or an uncounted
         #: tick on ``threaded_fast``.
-        self._commit = (_tick if machine.backend == "threaded_fast"
-                        else _commit)
+        self._commit = (_commit if machine.backend in COUNTED_BACKENDS
+                        else _tick)
 
     # -- cache ----------------------------------------------------------
 

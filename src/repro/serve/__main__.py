@@ -76,30 +76,20 @@ def _raise_nofile_limit(target: int = 4096) -> None:
         pass
 
 
-def at_least(low: int):
-    """An argparse type: an int no smaller than ``low``, so a bad count
-    exits 2 when the flags are parsed, before a socket is bound or a
-    worker forked."""
-    def count(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}")
-        return value
-    return count
-
-
 def add_serve_flags(parser: argparse.ArgumentParser) -> None:
     """The flags of a serving process: its address, and what each
     worker passes to :func:`build_app`.  The daemon and the supervisor
-    both declare them here."""
+    both declare them here.  A bad count exits 2 when the flags are
+    parsed, before a socket is bound or a worker forked."""
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=DEFAULT_PORT)
-    parser.add_argument("--shards", type=at_least(1),
+    parser.add_argument("--shards", type=settings.at_least(int, 1),
                         default=DEFAULT_SHARDS)
-    parser.add_argument("--cache-capacity", type=at_least(0),
+    parser.add_argument("--cache-capacity", type=settings.at_least(int, 0),
                         default=DEFAULT_CAPACITY_PER_SHARD,
                         help="entries per shard")
-    parser.add_argument("--workers", type=at_least(1), default=None)
+    parser.add_argument("--workers", type=settings.at_least(int, 1),
+                        default=None)
     parser.add_argument("--max-queue", type=int,
                         default=DEFAULT_MAX_QUEUE)
     parser.add_argument("--tenant-quota", type=int,

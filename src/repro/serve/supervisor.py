@@ -62,14 +62,15 @@ _TICK = 0.05
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    from repro.serve.__main__ import add_serve_flags, at_least
+    from repro.serve.__main__ import add_serve_flags
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve.supervisor",
         description="Supervise N serve workers behind one socket with "
                     "crash/hang recovery and graceful drain.",
     )
     add_serve_flags(parser)
-    parser.add_argument("--procs", type=at_least(1), default=DEFAULT_PROCS,
+    parser.add_argument("--procs", type=settings.at_least(int, 1),
+                        default=DEFAULT_PROCS,
                         help="worker processes (default %(default)s)")
     parser.add_argument("--state-file", default=None, metavar="PATH",
                         help="atomically rewritten JSON supervision "

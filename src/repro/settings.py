@@ -59,12 +59,18 @@ def _one_of(what: str, choices: tuple) -> Callable[[str], str]:
     return parse
 
 
-def _at_least(cast, low, strict: bool = False) -> Callable[[str], object]:
+def at_least(cast, low, strict: bool = False) -> Callable[[str], object]:
+    """A parser of a ``cast`` value no smaller than ``low`` (above it
+    when ``strict``).  It raises ``ValueError`` on a bad value, so it is
+    also an argparse ``type``, whose error names the bound."""
+    bound = f"{'>' if strict else '>='} {low}"
+
     def parse(text: str):
         value = cast(text)
         if not (value > low if strict else value >= low):
-            raise ValueError(f"must be {'>' if strict else '>='} {low}")
+            raise ValueError(f"must be {bound}")
         return value
+    parse.__name__ = f"{cast.__name__} {bound}"
     return parse
 
 
@@ -78,14 +84,14 @@ SETTINGS: dict[str, Setting] = {setting.name: setting for setting in (
     # runner never memoizes an uncounted (threaded_fast) run.
     Setting("REPRO_BACKEND", "threaded", _one_of("backend", BACKENDS)),
     # The offline harness's scheduling and cache directory.
-    Setting("REPRO_JOBS", 1, _at_least(int, 0)),
+    Setting("REPRO_JOBS", 1, at_least(int, 0)),
     Setting("REPRO_MEMO_DIR", ".repro_memo", str),
-    Setting("REPRO_TASK_TIMEOUT", 0.0, _at_least(float, 0)),
+    Setting("REPRO_TASK_TIMEOUT", 0.0, at_least(float, 0)),
     # Serve supervision, in seconds.
     Setting("REPRO_HEARTBEAT_INTERVAL", 0.5,
-            _at_least(float, 0, strict=True)),
+            at_least(float, 0, strict=True)),
     Setting("REPRO_HEARTBEAT_TIMEOUT", 5.0,
-            _at_least(float, 0, strict=True)),
+            at_least(float, 0, strict=True)),
 )}
 
 

@@ -17,7 +17,7 @@ import sys
 
 from repro.evalharness.runner import resolve_backend, run_workload
 from repro.ir import format_function
-from repro.machine import BACKENDS
+from repro.machine import BACKENDS, COUNTED_BACKENDS
 from repro.workloads import ALL_WORKLOADS, get_workload
 
 
@@ -28,8 +28,9 @@ def report(name: str, dump: bool, backend: str | None = None) -> None:
           f"{workload.description} ===")
     print(f"static vars: {workload.static_vars} = "
           f"{workload.static_values}")
-    if resolve_backend(backend) == "threaded_fast":
-        print("NOTE: threaded_fast drops the per-block cycle charges; "
+    backend = resolve_backend(backend)
+    if backend not in COUNTED_BACKENDS:
+        print(f"NOTE: {backend} drops the per-block cycle charges; "
               "the cycle-derived figures below are not meaningful "
               "(outputs are still verified)")
     print(f"whole-program speedup (incl. DC overhead): "

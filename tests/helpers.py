@@ -8,9 +8,6 @@ import hashlib
 from repro.ir import Function, FunctionBuilder, Memory, Module, Op
 from repro.machine import Machine
 
-#: The backends whose ``ExecutionStats`` must be byte-identical.
-COUNTED_BACKENDS = ("reference", "threaded")
-
 #: Test ids of ``repro.machine.BACKENDS``, in order, saying which ones
 #: count block cycles.
 BACKEND_IDS = ("reference-counted", "threaded-counted", "threaded-fast")

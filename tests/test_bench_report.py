@@ -8,14 +8,13 @@ import json
 import pytest
 
 from repro.evalharness.bench import (
-    COUNTED_COLUMNS,
     SPEEDUP_COLUMNS,
     compare_reports,
     load_bench,
     run_bench,
     write_bench,
 )
-from repro.machine import BACKENDS
+from repro.machine import BACKENDS, COUNTED_BACKENDS
 from repro.workloads import WORKLOADS_BY_NAME
 
 
@@ -41,7 +40,7 @@ class TestSchema:
     def test_counted_columns_checksum_identical(self, report):
         checksums = {
             report["backends"][c]["stats_checksum"]
-            for c in COUNTED_COLUMNS
+            for c in COUNTED_BACKENDS
         }
         assert len(checksums) == 1
         assert report["checksums_match"]

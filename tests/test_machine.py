@@ -33,7 +33,13 @@ from repro.ir import (
     Return,
     Store,
 )
-from repro.machine import ALPHA_21164, BACKENDS, ICacheModel, Machine
+from repro.machine import (
+    ALPHA_21164,
+    BACKENDS,
+    COUNTED_BACKENDS,
+    ICacheModel,
+    Machine,
+)
 from repro.machine import interp
 from repro.machine.costs import CostModel
 from repro.runtime.runtime import DycRuntime
@@ -41,7 +47,6 @@ from repro.runtime.specializer import Specializer
 from repro.runtime.stats import RuntimeStats
 from repro.workloads import WORKLOADS_BY_NAME
 from tests.helpers import (
-    COUNTED_BACKENDS,
     build_countdown,
     build_diamond,
     run_function,

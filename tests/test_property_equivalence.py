@@ -37,8 +37,7 @@ from repro.dyc import compile_annotated, compile_static
 from repro.errors import CacheError
 from repro.frontend import compile_source
 from repro.ir import Memory
-from repro.machine import BACKENDS, Machine
-from tests.helpers import COUNTED_BACKENDS
+from repro.machine import BACKENDS, COUNTED_BACKENDS, Machine
 
 # ----------------------------------------------------------------------
 # Random program generation

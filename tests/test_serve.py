@@ -563,7 +563,8 @@ class TestServeFlags:
         with pytest.raises(SystemExit) as exited:
             main(["--port", "0", *argv])
         assert exited.value.code == 2
-        assert f"argument {argv[0]}: must be >=" in capsys.readouterr().err
+        assert f"argument {argv[0]}: invalid int >=" \
+            in capsys.readouterr().err
 
     @pytest.mark.parametrize("entry", ["daemon", "supervisor"])
     def test_lowest_counts_and_benchmark_flags_parse(self, entry):

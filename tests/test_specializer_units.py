@@ -129,7 +129,9 @@ class TestJumpOnlyCycle:
     }
     """
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize(
+        "backend", BACKENDS,
+        ids=["reference", "threaded", "threaded-fast"])
     def test_loops_to_the_step_limit_like_the_static_program(self,
                                                              backend):
         module = compile_source(self.SRC)

@@ -45,11 +45,16 @@ from repro.ir.instructions import (
     Store,
     UnOp,
 )
-from repro.machine import ALPHA_21164, BACKENDS, ICacheModel, Machine
+from repro.machine import (
+    ALPHA_21164,
+    BACKENDS,
+    COUNTED_BACKENDS,
+    ICacheModel,
+    Machine,
+)
 from repro.machine import threaded
 from repro.machine.threaded import BINOP_FUNCS, UNOP_FUNCS
 from repro.workloads import ALL_WORKLOADS, WORKLOADS_BY_NAME
-from tests.helpers import COUNTED_BACKENDS
 
 #: The comparison operators, which write the int 1 or 0.
 COMPARISONS = (Op.EQ, Op.NE, Op.LT, Op.LE, Op.GT, Op.GE)
