@@ -11,7 +11,6 @@ from repro.analysis.cfg import (
     back_edges,
     dominator_sets,
     immediate_dominators,
-    loop_body_map,
     natural_loops,
     postorder,
     reverse_postorder,
@@ -22,12 +21,7 @@ from repro.analysis.defuse import (
     unreachable_blocks,
     use_before_def,
 )
-from repro.analysis.dominators import DominatorTree, dominance_frontier
-from repro.analysis.expressions import (
-    anticipated_expressions,
-    available_expressions,
-    expression_of,
-)
+from repro.analysis.dominators import DominatorTree
 from repro.analysis.framework import (
     BACKWARD,
     FORWARD,
@@ -38,11 +32,6 @@ from repro.analysis.framework import (
     solve,
 )
 from repro.analysis.liveness import LivenessResult, liveness
-from repro.analysis.reaching import (
-    DefSite,
-    ReachingResult,
-    reaching_definitions,
-)
 
 __all__ = [
     # engine
@@ -61,9 +50,7 @@ __all__ = [
     "back_edges",
     "natural_loops",
     "Loop",
-    "loop_body_map",
     "DominatorTree",
-    "dominance_frontier",
     # dataflow clients
     "liveness",
     "LivenessResult",
@@ -71,10 +58,4 @@ __all__ = [
     "definitely_assigned",
     "unreachable_blocks",
     "use_before_def",
-    "reaching_definitions",
-    "ReachingResult",
-    "DefSite",
-    "anticipated_expressions",
-    "available_expressions",
-    "expression_of",
 ]

@@ -132,13 +132,3 @@ def natural_loops(function: Function) -> list[Loop]:
             worklist.extend(preds.get(label, ()))
     return list(by_header.values())
 
-
-def loop_body_map(function: Function) -> dict[str, set[str]]:
-    """Map each block label to the headers of all loops containing it."""
-    membership: dict[str, set[str]] = {
-        label: set() for label in function.blocks
-    }
-    for loop in natural_loops(function):
-        for label in loop.body:
-            membership[label].add(loop.header)
-    return membership

@@ -1,4 +1,4 @@
-"""Dominator tree and dominance frontiers over :class:`Function` CFGs.
+"""Dominator tree over :class:`Function` CFGs.
 
 :mod:`repro.analysis.cfg` computes immediate dominators (the
 Cooper-Harvey-Kennedy iteration); this module packages them into a
@@ -93,28 +93,3 @@ class DominatorTree:
             current = self.idom[current]
         return depth
 
-
-def dominance_frontier(function: Function,
-                       tree: DominatorTree | None = None
-                       ) -> dict[str, set[str]]:
-    """Cytron et al.'s dominance frontiers, per reachable block.
-
-    ``DF(x)`` is the set of blocks ``y`` such that ``x`` dominates a
-    predecessor of ``y`` but does not strictly dominate ``y`` — the
-    classic placement set for merge-point computations.
-    """
-    if tree is None:
-        tree = DominatorTree.build(function)
-    frontier: dict[str, set[str]] = {label: set() for label in tree.idom}
-    preds = function.predecessors()
-    for label in tree.idom:
-        relevant = [p for p in preds[label] if p in tree.idom]
-        if len(relevant) < 2:
-            continue
-        target = tree.idom[label]
-        for pred in relevant:
-            runner = pred
-            while runner is not None and runner != target:
-                frontier[runner].add(label)
-                runner = tree.idom[runner]
-    return frontier

@@ -1,35 +1,37 @@
 """Generic monotone-fixpoint dataflow engine.
 
-One worklist solver serves every dataflow analysis in the system —
-forward and backward, may and must.  An analysis is a
-:class:`DataflowProblem`: a lattice (``join``/``equal``/optional
-``widen``), a ``transfer`` function over whole blocks, and boundary and
+One worklist solver serves the dataflow analyses and optimizer passes
+listed below — forward and backward, may and must.  An analysis is a
+:class:`DataflowProblem`: a lattice (``join``/``equal``), a
+``transfer`` function over whole blocks, and boundary and
 initialization values.  The solver iterates a priority worklist ordered
 by reverse postorder (forward) or postorder (backward), which visits
-acyclic regions once and converges loops in a handful of sweeps.
+acyclic regions once and converges loops in a handful of sweeps.  Every
+lattice here has finite height, so the solver needs no widening.
 
-Clients in this package:
+Clients:
 
 * :func:`repro.analysis.liveness.liveness` — backward may (union)
 * :func:`repro.analysis.defuse.definitely_assigned` — forward must
   (intersection)
-* :func:`repro.analysis.reaching.reaching_definitions` — forward may
-* :func:`repro.analysis.expressions.anticipated_expressions` — backward
-  must (very-busy expressions)
-* :func:`repro.analysis.expressions.available_expressions` — forward
-  must
-* :func:`repro.analysis.effects.effect_summaries` — interprocedural,
-  iterating intraprocedural summaries over call-graph SCCs
+* :func:`repro.opt.constprop.constant_propagation` — forward, over a
+  flat constant lattice per register
+* :func:`repro.opt.copyprop.copy_propagation` — forward must, over
+  available copies
 
-The reference implementations these replaced live on in
-:mod:`repro.analysis.legacy`; debug-mode pass verification and the
-differential test suite cross-check the ported analyses against them.
+The interprocedural effect summaries
+(:func:`repro.analysis.effects.effect_summaries`) iterate over
+call-graph SCCs with their own loop, not with :func:`solve`.
+
+The reference implementations of liveness and definite assignment live
+on in :mod:`repro.analysis.legacy`; debug-mode pass verification and
+the differential test suite cross-check the ports against them.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Generic, TypeVar
 
 from repro.analysis.cfg import postorder, reverse_postorder
@@ -59,10 +61,6 @@ class DataflowProblem(Generic[V]):
     #: blocks); ``"all"`` also converges unreachable blocks, matching
     #: the historical whole-CFG behaviour of liveness.
     scope: str = "reachable"
-    #: Apply :meth:`widen` once a block has been visited more than this
-    #: many times.  ``None`` disables widening — correct for the finite
-    #: lattices used here; infinite-height lattices must set it.
-    widen_after: int | None = None
 
     def boundary(self, function: Function) -> V:
         """Value at the boundary: function entry (forward) / exits
@@ -82,14 +80,6 @@ class DataflowProblem(Generic[V]):
         """Push a fact through one block, input edge to output edge."""
         raise NotImplementedError
 
-    def widen(self, old: V, new: V, visits: int) -> V:
-        """Accelerate convergence on infinite-ascending-chain lattices.
-
-        Called instead of plain replacement once ``visits`` exceeds
-        :attr:`widen_after`.  The default returns ``new`` (no widening).
-        """
-        return new
-
     def equal(self, a: V, b: V) -> bool:
         return a == b
 
@@ -104,10 +94,6 @@ class DataflowResult(Generic[V]):
 
     before: dict[str, V]
     after: dict[str, V]
-    #: Total block visits until the fixpoint (a cost/regression probe).
-    visits: int = 0
-    #: Labels where widening fired (empty for finite lattices).
-    widened: frozenset[str] = field(default_factory=frozenset)
 
 
 def _unreachable(function: Function, reachable: list[str]) -> list[str]:
@@ -149,9 +135,6 @@ def solve(function: Function,
     boundary = problem.boundary(function)
     in_facts: dict[str, V] = {}
     out_facts: dict[str, V] = {}
-    visits: dict[str, int] = {}
-    total_visits = 0
-    widened: set[str] = set()
 
     worklist: list[tuple[int, str]] = [
         (position[label], label) for label in order
@@ -182,18 +165,6 @@ def solve(function: Function,
                 in_fact = problem.initial(function, label)
 
         out_fact = problem.transfer(function, label, in_fact)
-        visits[label] = visits.get(label, 0) + 1
-        total_visits += 1
-        if (problem.widen_after is not None
-                and visits[label] > problem.widen_after
-                and label in out_facts):
-            widened_fact = problem.widen(
-                out_facts[label], out_fact, visits[label]
-            )
-            if not problem.equal(widened_fact, out_fact):
-                widened.add(label)
-            out_fact = widened_fact
-
         in_facts[label] = in_fact
         if label not in out_facts \
                 or not problem.equal(out_facts[label], out_fact):
@@ -207,10 +178,7 @@ def solve(function: Function,
         before, after = in_facts, out_facts
     else:
         before, after = out_facts, in_facts
-    return DataflowResult(
-        before=before, after=after,
-        visits=total_visits, widened=frozenset(widened),
-    )
+    return DataflowResult(before=before, after=after)
 
 
 # ----------------------------------------------------------------------

@@ -100,11 +100,6 @@ class RegionInfo:
     #: Per-variable cache policy (from annotations).
     policies: dict[str, str] = field(default_factory=dict)
 
-    def facts_for(self, label: str,
-                  division: Division) -> ContextFacts:
-        """Facts for a block under a division (exact key required)."""
-        return self.contexts[(label, division)]
-
     @property
     def division_count(self) -> int:
         """Number of distinct divisions across the region's contexts."""

@@ -150,7 +150,6 @@ class SupervisedFleet:
         self.proc = subprocess.Popen(
             argv, env=env, start_new_session=True,
             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
-        self._stderr_tail: list[bytes] = []
 
     def wait_ready(self, procs: int, timeout: float = 30.0) -> dict:
         """Block until the state file shows a full worker fleet."""
@@ -194,14 +193,9 @@ class SupervisedFleet:
             pass
         if self.proc.stderr is not None:
             try:
-                self._stderr_tail = self.proc.stderr.read().splitlines()
                 self.proc.stderr.close()
             except OSError:
                 pass
-
-    def stderr_tail(self, lines: int = 40) -> list[str]:
-        return [raw.decode(errors="replace")
-                for raw in self._stderr_tail[-lines:]]
 
 
 def kill_worker(fleet: SupervisedFleet, slot: int,

@@ -73,14 +73,6 @@ class FunctionBuilder:
         self._current = block
         return name
 
-    def switch_to(self, name: str) -> None:
-        """Resume appending to an existing block."""
-        self._current = self.function.block(name)
-
-    @property
-    def current_label(self) -> str:
-        return self._require_block().label
-
     def fresh_label(self, hint: str = "L") -> str:
         """Reserve a unique label without creating the block yet."""
         self._temp_counter += 1

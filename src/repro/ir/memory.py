@@ -112,11 +112,6 @@ class Memory:
         self._check(base + count - 1)
         return self._words[base:base + count]
 
-    def write_array(self, base: int, values) -> None:
-        """Write consecutive words starting at ``base``."""
-        for offset, value in enumerate(values):
-            self.store(base + offset, value)
-
     # ------------------------------------------------------------------
     # Invariance watching (annotation checker support)
     # ------------------------------------------------------------------

@@ -41,9 +41,6 @@ class ICacheModel:
     def instructions_per_line(self) -> int:
         return self.line_bytes // self.instruction_bytes
 
-    def footprint_bytes(self, instruction_count: int) -> int:
-        return instruction_count * self.instruction_bytes
-
     def overflow_ratio(self, instruction_count: int) -> float:
         """How far (0..1) a code object's loop footprint exceeds capacity."""
         capacity = self.capacity_instructions

@@ -45,7 +45,3 @@ INTRINSICS: dict[str, Intrinsic] = {
     "pow2": Intrinsic("pow2", lambda m, a: 2 ** a[0]),
     "print_val": Intrinsic("print_val", _print_val, pure=False),
 }
-
-
-def is_intrinsic(name: str) -> bool:
-    return name in INTRINSICS

@@ -1,14 +1,16 @@
 """Global constant propagation and folding.
 
 A forward dataflow over a flat constant lattice (unknown ⊑ const ⊑ many),
-followed by a rewriting sweep that substitutes known constants into
-operands, folds fully constant expressions, and turns constant branches
-into jumps.
+solved by :func:`repro.analysis.framework.solve`, followed by a
+rewriting sweep that substitutes known constants into operands, folds
+fully constant expressions, and turns constant branches into jumps.
 """
 
 from __future__ import annotations
 
-from repro.analysis.cfg import reverse_postorder
+import math
+
+from repro.analysis.framework import DataflowProblem, solve
 from repro.errors import TrapError
 from repro.ir.eval import eval_binop, eval_unop
 from repro.ir.function import Function
@@ -35,15 +37,21 @@ _UNDEF = object()
 ConstMap = dict[str, object]
 
 
-def _merge(maps: list[ConstMap]) -> ConstMap:
-    if not maps:
-        return {}
-    merged: ConstMap = dict(maps[0])
-    for other in maps[1:]:
-        for name in list(merged):
-            if name not in other or other[name] != merged[name]:
-                del merged[name]
-    return merged
+def _same(a, b) -> bool:
+    """True when constants ``a`` and ``b`` are interchangeable: same type
+    and value, with ``0.0`` and ``-0.0`` apart (``1 == 1.0`` and
+    ``0.0 == -0.0`` in Python, but they compute different results)."""
+    if type(a) is not type(b) or a != b:
+        return False
+    return not isinstance(a, float) \
+        or math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def _merge(a: ConstMap, b: ConstMap) -> ConstMap:
+    return {
+        name: value for name, value in a.items()
+        if name in b and _same(value, b[name])
+    }
 
 
 def _transfer(block, consts: ConstMap) -> ConstMap:
@@ -102,40 +110,30 @@ def _subst(operand: Operand, consts: ConstMap) -> Operand:
     return operand
 
 
+class _Constants(DataflowProblem[ConstMap]):
+    def boundary(self, function: Function) -> ConstMap:
+        return {}
+
+    def initial(self, function: Function, label: str) -> ConstMap:
+        return {}
+
+    def join(self, a: ConstMap, b: ConstMap) -> ConstMap:
+        return _merge(a, b)
+
+    def transfer(self, function: Function, label: str,
+                 consts: ConstMap) -> ConstMap:
+        return _transfer(function.blocks[label], consts)
+
+
 def constant_propagation(function: Function) -> bool:
     """Propagate and fold constants; returns True if anything changed."""
-    # --- dataflow: compute constants at block entry ---
-    order = reverse_postorder(function)
-    preds = function.predecessors()
-    entry_consts: dict[str, ConstMap] = {}
-    out_consts: dict[str, ConstMap] = {}
-
-    changed = True
-    visited: set[str] = set()
-    while changed:
-        changed = False
-        for label in order:
-            block = function.blocks[label]
-            if label == function.entry:
-                in_map: ConstMap = {}
-            else:
-                pred_maps = [
-                    out_consts[p] for p in preds[label] if p in visited
-                ]
-                in_map = _merge(pred_maps) if pred_maps else {}
-            out_map = _transfer(block, in_map)
-            if (label not in visited or in_map != entry_consts[label]
-                    or out_map != out_consts[label]):
-                visited.add(label)
-                entry_consts[label] = in_map
-                out_consts[label] = out_map
-                changed = True
+    entry_consts = solve(function, _Constants()).before
 
     # --- rewrite using the computed entry states ---
     rewrote = False
-    for label in order:
+    for label, entry in entry_consts.items():
         block = function.blocks[label]
-        consts = dict(entry_consts[label])
+        consts = dict(entry)
         new_instrs: list[Instr] = []
         for instr in block.instrs:
             replacement = _rewrite(instr, consts)

@@ -1,14 +1,15 @@
 """Global copy propagation.
 
 A forward dataflow of available copies (``dest`` currently equals ``src``)
-with intersection at joins, followed by a sweep that rewrites uses of copy
-destinations to their sources.  Leaves the now-possibly-dead copies for
-dead-code elimination to sweep up.
+with intersection at joins, solved by
+:func:`repro.analysis.framework.solve`, followed by a sweep that rewrites
+uses of copy destinations to their sources.  Leaves the now-possibly-dead
+copies for dead-code elimination to sweep up.
 """
 
 from __future__ import annotations
 
-from repro.analysis.cfg import reverse_postorder
+from repro.analysis.framework import DataflowProblem, solve
 from repro.ir.function import Function
 from repro.ir.instructions import (
     BinOp,
@@ -50,15 +51,8 @@ def _apply(instr: Instr, copies: CopyMap) -> None:
         _kill(copies, name)
 
 
-def _merge(maps: list[CopyMap]) -> CopyMap:
-    if not maps:
-        return {}
-    merged = dict(maps[0])
-    for other in maps[1:]:
-        for dest in list(merged):
-            if other.get(dest) != merged[dest]:
-                del merged[dest]
-    return merged
+def _merge(a: CopyMap, b: CopyMap) -> CopyMap:
+    return {dest: src for dest, src in a.items() if b.get(dest) == src}
 
 
 def _subst(operand: Operand, copies: CopyMap) -> Operand:
@@ -74,36 +68,27 @@ def _subst(operand: Operand, copies: CopyMap) -> Operand:
     return operand
 
 
+class _Copies(DataflowProblem[CopyMap]):
+    def boundary(self, function: Function) -> CopyMap:
+        return {}
+
+    def initial(self, function: Function, label: str) -> CopyMap:
+        return {}
+
+    def join(self, a: CopyMap, b: CopyMap) -> CopyMap:
+        return _merge(a, b)
+
+    def transfer(self, function: Function, label: str,
+                 copies: CopyMap) -> CopyMap:
+        return _transfer(function.blocks[label], copies)
+
+
 def copy_propagation(function: Function) -> bool:
     """Rewrite uses of copies to their sources; True if changed."""
-    order = reverse_postorder(function)
-    preds = function.predecessors()
-    entry: dict[str, CopyMap] = {}
-    exit_: dict[str, CopyMap] = {}
-    visited: set[str] = set()
-
-    changed = True
-    while changed:
-        changed = False
-        for label in order:
-            block = function.blocks[label]
-            if label == function.entry:
-                in_map: CopyMap = {}
-            else:
-                pred_maps = [exit_[p] for p in preds[label] if p in visited]
-                in_map = _merge(pred_maps) if pred_maps else {}
-            out_map = _transfer(block, in_map)
-            if (label not in visited or entry[label] != in_map
-                    or exit_[label] != out_map):
-                visited.add(label)
-                entry[label] = in_map
-                exit_[label] = out_map
-                changed = True
-
     rewrote = False
-    for label in order:
+    for label, entry in solve(function, _Copies()).before.items():
         block = function.blocks[label]
-        copies = dict(entry[label])
+        copies = dict(entry)
         new_instrs: list[Instr] = []
         for instr in block.instrs:
             replacement = _rewrite_uses(instr, copies)

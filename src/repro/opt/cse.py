@@ -9,19 +9,47 @@ what a full global value-numbering pass would.
 
 from __future__ import annotations
 
-from repro.analysis.expressions import (
-    available_expressions,
-    expression_of as _expr_key,
-    key_uses_name as _uses_name,
-)
 from repro.ir.function import Function
 from repro.ir.instructions import (
+    COMMUTATIVE_OPS,
+    BinOp,
     Call,
     Instr,
+    Load,
     Move,
     Reg,
     Store,
+    UnOp,
 )
+
+
+def expression_of(instr: Instr):
+    """A hashable key identifying the pure expression ``instr`` computes,
+    or ``None`` for instructions that are not CSE candidates.
+
+    Commutative binary operands are canonically ordered, so ``a + b``
+    and ``b + a`` share a key.  ``@``-annotated (static) loads are
+    excluded: they are specialization directives, not plain memory
+    reads, and must not be merged with dynamic loads of the same
+    address.
+    """
+    if isinstance(instr, BinOp):
+        lhs, rhs = instr.lhs, instr.rhs
+        if instr.op in COMMUTATIVE_OPS:
+            lhs, rhs = sorted((lhs, rhs), key=repr)
+        return ("bin", instr.op, lhs, rhs)
+    if isinstance(instr, UnOp):
+        return ("un", instr.op, instr.src)
+    if isinstance(instr, Load) and not instr.static:
+        return ("load", instr.addr)
+    return None
+
+
+def key_uses_name(key, name: str) -> bool:
+    """True when the expression key reads register ``name``."""
+    return any(
+        isinstance(part, Reg) and part.name == name for part in key
+    )
 
 
 def local_cse(function: Function) -> bool:
@@ -31,7 +59,7 @@ def local_cse(function: Function) -> bool:
         available: dict[object, str] = {}
         new_instrs: list[Instr] = []
         for instr in block.instrs:
-            key = _expr_key(instr)
+            key = expression_of(instr)
             if key is not None and key in available:
                 new_instrs.append(Move(instr.dest, Reg(available[key])))
                 changed = True
@@ -50,52 +78,10 @@ def local_cse(function: Function) -> bool:
     return changed
 
 
-def global_cse(function: Function) -> bool:
-    """Cross-block CSE driven by available-expressions (optional pass).
-
-    Each block's table is seeded from the framework's forward must-
-    analysis: ``(key, holder)`` pairs valid on *every* path into the
-    block, so a redundant re-evaluation anywhere downstream of the
-    original computation collapses to a copy — no merge moves are ever
-    needed because the pair lattice already required one holder
-    register on all paths.  Not part of ``DEFAULT_PASSES``: the
-    reproduction's cost calibration is pinned to the default pipeline.
-    """
-    changed = False
-    available_in = available_expressions(function)
-    for label, block in function.blocks.items():
-        seeded = available_in.get(label)
-        if seeded is None:
-            continue  # unreachable: nothing is available, nothing to do
-        available: dict[object, str] = {}
-        for key, holder in sorted(seeded, key=repr):
-            available.setdefault(key, holder)
-        new_instrs: list[Instr] = []
-        for instr in block.instrs:
-            key = _expr_key(instr)
-            if key is not None and key in available:
-                new_instrs.append(Move(instr.dest, Reg(available[key])))
-                changed = True
-                _kill_defs(available, instr.defs())
-                continue
-            if isinstance(instr, (Store, Call)):
-                available = {
-                    k: v for k, v in available.items() if k[0] != "load"
-                }
-            defs = instr.defs()
-            _kill_defs(available, defs)
-            if key is not None and not any(
-                    _uses_name(key, name) for name in defs):
-                available[key] = instr.dest
-            new_instrs.append(instr)
-        block.instrs = new_instrs
-    return changed
-
-
 def _kill_defs(available: dict, defs) -> None:
     for name in defs:
         for key in [
             k for k, v in available.items()
-            if v == name or _uses_name(k, name)
+            if v == name or key_uses_name(k, name)
         ]:
             del available[key]

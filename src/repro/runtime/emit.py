@@ -165,10 +165,6 @@ class BlockEmitter:
         body.append(terminator)
         return body
 
-    @property
-    def live_count(self) -> int:
-        return sum(1 for item in self.items if not item.dead)
-
     # ------------------------------------------------------------------
     # Substitution: holes and note propagation
     # ------------------------------------------------------------------

@@ -194,15 +194,5 @@ class RuntimeStats:
         return self.regions[region_id]
 
     @property
-    def total_instructions_generated(self) -> int:
-        return sum(
-            r.instructions_generated for r in self.regions.values()
-        )
-
-    @property
-    def total_dc_cycles(self) -> float:
-        return sum(r.dc_cycles for r in self.regions.values())
-
-    @property
     def degraded(self) -> bool:
         return any(r.degraded for r in self.regions.values())

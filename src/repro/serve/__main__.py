@@ -29,10 +29,11 @@ Flags::
 
 Every miss runs on one backend, resolved at start-up as the eval
 harness resolves it: ``$REPRO_BACKEND``, else ``threaded``.  A count
-flag below its minimum (``--shards``, ``--workers`` < 1,
-``--cache-capacity`` < 0), a bad fault spec or a malformed ``REPRO_*``
-setting (:mod:`repro.settings`) refuses to start (exit 2) before the
-socket is bound.
+flag below its minimum (``--shards``, ``--workers``,
+``--cache-capacity``, ``--tenant-quota`` < 1; ``--max-queue``,
+``--breaker-threshold``, ``--breaker-cooldown`` < 0), a bad fault spec
+or a malformed ``REPRO_*`` setting (:mod:`repro.settings`) refuses to
+start (exit 2) before the socket is bound.
 
 The daemon prints one ``serving on http://host:port`` line to stderr
 once the socket is bound, so supervisors (and the CI smoke job) can
@@ -85,14 +86,14 @@ def add_serve_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--port", type=int, default=DEFAULT_PORT)
     parser.add_argument("--shards", type=settings.at_least(int, 1),
                         default=DEFAULT_SHARDS)
-    parser.add_argument("--cache-capacity", type=settings.at_least(int, 0),
+    parser.add_argument("--cache-capacity", type=settings.at_least(int, 1),
                         default=DEFAULT_CAPACITY_PER_SHARD,
                         help="entries per shard")
     parser.add_argument("--workers", type=settings.at_least(int, 1),
                         default=None)
-    parser.add_argument("--max-queue", type=int,
+    parser.add_argument("--max-queue", type=settings.at_least(int, 0),
                         default=DEFAULT_MAX_QUEUE)
-    parser.add_argument("--tenant-quota", type=int,
+    parser.add_argument("--tenant-quota", type=settings.at_least(int, 1),
                         default=DEFAULT_TENANT_QUOTA)
     parser.add_argument("--faults", default=None, metavar="SPEC",
                         help="server-side fault spec (e.g. "
@@ -100,12 +101,14 @@ def add_serve_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--memo-dir", default=None, metavar="DIR",
                         help="serve and store runs through the result "
                              "memoizer at DIR (off unless given)")
-    parser.add_argument("--breaker-threshold", type=int,
+    parser.add_argument("--breaker-threshold",
+                        type=settings.at_least(int, 0),
                         default=DEFAULT_BREAKER_THRESHOLD,
                         help="consecutive 5xx outcomes that trip a "
                              "per-(tenant, workload) circuit breaker "
                              "(default %(default)s; 0 disables)")
-    parser.add_argument("--breaker-cooldown", type=float,
+    parser.add_argument("--breaker-cooldown",
+                        type=settings.at_least(float, 0),
                         default=DEFAULT_BREAKER_COOLDOWN,
                         help="seconds an open breaker waits before a "
                              "half-open probe (default %(default)s)")

@@ -62,8 +62,8 @@ class AdmissionQueue:
         if max_concurrency < 1:
             raise ValueError("max_concurrency must be >= 1")
         self.max_concurrency = max_concurrency
-        self.max_queue = max(0, max_queue)
-        self.tenant_quota = max(1, tenant_quota)
+        self.max_queue = max_queue
+        self.tenant_quota = tenant_quota
         self._sem = asyncio.Semaphore(max_concurrency)
         self._waiting = 0
         self._running = 0

@@ -44,6 +44,8 @@ class ShardedResultCache:
                  fault_spec: str | None = None):
         if shards < 1:
             raise ValueError("shards must be >= 1")
+        if capacity_per_shard < 1:
+            raise ValueError("capacity_per_shard must be >= 1")
         self._shards: list[CodeCache] = []
         for _ in range(shards):
             faults = FaultRegistry.from_spec(fault_spec) \

@@ -76,7 +76,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
                         help="atomically rewritten JSON supervision "
                              "state (default: <memo-dir or cwd>/"
                              "supervisor.json)")
-    parser.add_argument("--max-restarts", type=int,
+    parser.add_argument("--max-restarts", type=settings.at_least(int, 0),
                         default=DEFAULT_MAX_RESTARTS)
     return parser.parse_args(argv)
 
@@ -202,7 +202,7 @@ class Supervisor:
     def __init__(self, args: argparse.Namespace):
         self.args = args
         self.procs = args.procs
-        self.max_restarts = max(0, args.max_restarts)
+        self.max_restarts = args.max_restarts
         self.heartbeat_timeout = settings.read("REPRO_HEARTBEAT_TIMEOUT")
         self.sock: socket.socket | None = None
         self.port = args.port

@@ -10,7 +10,7 @@ from repro.analysis.defuse import (
     unreachable_blocks,
     use_before_def,
 )
-from repro.analysis.dominators import DominatorTree, dominance_frontier
+from repro.analysis.dominators import DominatorTree
 from repro.analysis.liveness import liveness
 from repro.bta.annotations import split_at_annotations
 from repro.errors import IRError
@@ -83,17 +83,6 @@ class TestDominatorTree:
         tree = DominatorTree.build(build_with_orphan())
         assert "orphan" not in tree.reachable
         assert not tree.dominates("entry", "orphan")
-
-    def test_frontier_of_diamond(self):
-        frontier = dominance_frontier(build_diamond())
-        assert frontier["then"] == {"join"}
-        assert frontier["else"] == {"join"}
-        assert frontier["entry"] == set()
-
-    def test_frontier_of_loop(self):
-        frontier = dominance_frontier(build_countdown())
-        assert "head" in frontier["body"]
-        assert "head" in frontier["head"]  # head is its own frontier
 
 
 class TestUseBeforeDef:

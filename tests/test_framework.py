@@ -1,12 +1,9 @@
 """Tests for the generic dataflow engine and its clients.
 
-Covers the engine itself (directions, boundary pinning, scope,
-widening termination), differential equivalence of the framework-ported
-liveness and definite-assignment against the legacy reference
-implementations on every workload's and example's IR (pre- and
-post-optimization), the new reaching/expression analyses, and the
-framework-consuming optimizer passes (global CSE, anticipability-gated
-LICM hoisting of trapping instructions).
+Covers the engine itself (directions, boundary pinning, scope) and the
+differential equivalence of the framework-ported liveness and
+definite-assignment against the legacy reference implementations on
+every workload's and example's IR (pre- and post-optimization).
 """
 
 import copy
@@ -15,14 +12,9 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import (
-    BACKWARD,
-    DataflowProblem,
-    DefSite,
-    anticipated_expressions,
-    available_expressions,
+    SetUnionProblem,
     definitely_assigned,
     liveness,
-    reaching_definitions,
     solve,
 )
 from repro.analysis.legacy import (
@@ -31,13 +23,11 @@ from repro.analysis.legacy import (
     verify_framework_analyses,
 )
 from repro.frontend import compile_source
-from repro.ir import FunctionBuilder, Op
-from repro.ir.function import BasicBlock, Function
-from repro.ir.instructions import BinOp, Imm, Jump, Move, Reg, Return
+from repro.ir import FunctionBuilder
+from repro.ir.function import Function
+from repro.ir.instructions import Jump, Reg, Return
 from repro.lint.extract import embedded_sources_from_file
 from repro.opt import optimize_function
-from repro.opt.cse import global_cse
-from repro.opt.licm import loop_invariant_code_motion
 from repro.workloads import ALL_WORKLOADS
 from tests.helpers import build_countdown, build_diamond
 
@@ -81,61 +71,20 @@ class TestEngine:
         # The must-analysis is scoped to reachable blocks only.
         assert "orphan" not in definitely_assigned(f)
 
-    def test_visits_counted(self):
+    def test_loop_facts_flow_around_back_edges(self):
         f = build_countdown()
-        result = solve(
-            f, _CountingProblem()
-        )
-        # The loop forces at least one block to be visited twice.
-        assert result.visits > len(f.blocks)
-
-    def test_widening_terminates_infinite_lattice(self):
-        f = build_countdown()
-        problem = _CounterProblem()
-        result = solve(f, problem)
-        # Without widening the +1 transfer around the loop would never
-        # converge; the cap makes it terminate and records where.
-        assert result.widened
-        assert all(value <= _CounterProblem.CAP
-                   for value in result.after.values())
+        result = solve(f, _SeenBlocks())
+        # The header is visited before the body; only a second visit,
+        # after the back edge delivered the body's fact, records it.
+        assert "body" in result.before["head"]
+        assert result.before[f.entry] == frozenset()
 
 
-class _CountingProblem(DataflowProblem):
-    """Trivial union problem used to observe visit counts."""
-
-    def boundary(self, function):
-        return frozenset()
-
-    def initial(self, function, label):
-        return frozenset()
-
-    def join(self, a, b):
-        return a | b
+class _SeenBlocks(SetUnionProblem):
+    """Union of the labels of every block on some path to a point."""
 
     def transfer(self, function, label, value):
         return value | {label}
-
-
-class _CounterProblem(DataflowProblem):
-    """Deliberately non-converging int lattice; widening caps it."""
-
-    CAP = 40
-    widen_after = 3
-
-    def boundary(self, function):
-        return 0
-
-    def initial(self, function, label):
-        return 0
-
-    def join(self, a, b):
-        return max(a, b)
-
-    def transfer(self, function, label, value):
-        return value + 1
-
-    def widen(self, old, new, visits):
-        return min(new, self.CAP)
 
 
 # ----------------------------------------------------------------------
@@ -200,299 +149,6 @@ class TestDifferential:
         f = b.finish()
         assert definitely_assigned(f) == legacy_definitely_assigned(f)
         assert "v" in definitely_assigned(f)["join"]
-
-
-# ----------------------------------------------------------------------
-# Reaching definitions
-# ----------------------------------------------------------------------
-
-class TestReachingDefinitions:
-    def test_params_reach_entry(self):
-        f = build_diamond()
-        result = reaching_definitions(f)
-        names = {site.name for site in result.reach_in["entry"]}
-        assert set(f.params) <= names
-        assert all(site.is_param for site in result.reach_in["entry"]
-                   if site.name in f.params)
-
-    def test_redefinition_kills(self):
-        b = FunctionBuilder("kill", ("a",))
-        b.move("x", 1)
-        b.move("x", 2)
-        b.ret("x")
-        f = b.finish()
-        result = reaching_definitions(f)
-        exit_sites = result.reach_out["entry"]
-        x_sites = [s for s in exit_sites if s.name == "x"]
-        assert x_sites == [DefSite("x", "entry", 1)]
-
-    def test_loop_carries_definition_to_header(self):
-        f = build_countdown()
-        result = reaching_definitions(f)
-        # The body's decrement of ``n`` reaches the header via the
-        # back edge, alongside the parameter binding.
-        header_sites = result.definitions_of(f, "head", 0, "n")
-        assert any(not s.is_param for s in header_sites)
-        assert any(s.is_param for s in header_sites)
-
-    def test_point_query_walks_block_prefix(self):
-        b = FunctionBuilder("pt", ("a",))
-        b.move("x", 1)
-        b.binop("y", Op.ADD, "x", "a")
-        b.ret("y")
-        f = b.finish()
-        result = reaching_definitions(f)
-        sites = result.definitions_of(f, "entry", 1, "x")
-        assert sites == frozenset({DefSite("x", "entry", 0)})
-
-
-# ----------------------------------------------------------------------
-# Expression analyses
-# ----------------------------------------------------------------------
-
-def _build_while_div():
-    """while-shape: the division only runs on iterations, not at exit."""
-    b = FunctionBuilder("whl", ("a", "b", "n"))
-    b.move("i", 0)
-    b.move("q", 0)
-    b.jump("head")
-    b.label("head")
-    b.binop("c", Op.LT, "i", "n")
-    b.branch("c", "body", "done")
-    b.label("body")
-    b.binop("q", Op.DIV, "a", "b")
-    b.binop("i", Op.ADD, "i", 1)
-    b.jump("head")
-    b.label("done")
-    b.ret("q")
-    return b.finish()
-
-
-def _build_dowhile_div():
-    """do-while shape: every path from the header runs the division."""
-    b = FunctionBuilder("dw", ("a", "b", "n"))
-    b.move("i", 0)
-    b.jump("body")
-    b.label("body")
-    b.binop("q", Op.DIV, "a", "b")
-    b.binop("i", Op.ADD, "i", 1)
-    b.binop("c", Op.LT, "i", "n")
-    b.branch("c", "body", "done")
-    b.label("done")
-    b.ret("q")
-    return b.finish()
-
-
-class TestExpressionAnalyses:
-    DIV_KEY = ("bin", Op.DIV, Reg("a"), Reg("b"))
-
-    def test_division_not_anticipated_in_while_shape(self):
-        f = _build_while_div()
-        anticipated = anticipated_expressions(f)
-        assert self.DIV_KEY not in anticipated["head"]
-
-    def test_division_anticipated_in_dowhile_shape(self):
-        f = _build_dowhile_div()
-        anticipated = anticipated_expressions(f)
-        assert self.DIV_KEY in anticipated["body"]
-
-    def test_available_requires_all_paths_same_holder(self):
-        b = FunctionBuilder("av", ("a", "b", "c"))
-        b.branch("c", "then", "else")
-        b.label("then")
-        b.binop("t", Op.ADD, "a", "b")
-        b.jump("join")
-        b.label("else")
-        b.binop("t", Op.ADD, "a", "b")
-        b.jump("join")
-        b.label("join")
-        b.ret("t")
-        f = b.finish()
-        available = available_expressions(f)
-        key = ("bin", Op.ADD, Reg("a"), Reg("b"))
-        assert (key, "t") in available["join"]
-
-    def test_available_dropped_when_holders_differ(self):
-        b = FunctionBuilder("av2", ("a", "b", "c"))
-        b.branch("c", "then", "else")
-        b.label("then")
-        b.binop("t1", Op.ADD, "a", "b")
-        b.move("r", "t1")
-        b.jump("join")
-        b.label("else")
-        b.binop("t2", Op.ADD, "a", "b")
-        b.move("r", "t2")
-        b.jump("join")
-        b.label("join")
-        b.ret("r")
-        f = b.finish()
-        available = available_expressions(f)
-        key = ("bin", Op.ADD, Reg("a"), Reg("b"))
-        assert not any(k == key for k, _ in available["join"])
-
-    def test_self_redefinition_generates_nothing(self):
-        b = FunctionBuilder("self", ("x",))
-        b.binop("x", Op.ADD, "x", 1)
-        b.ret("x")
-        f = b.finish()
-        available = available_expressions(f)
-        assert available["entry"] == frozenset()
-        # Nothing valid survives the block either.
-        result = solve(f, _ProbeAvailable())
-        assert result.after["entry"] == frozenset()
-
-
-class _ProbeAvailable(DataflowProblem):
-    def boundary(self, function):
-        return frozenset()
-
-    def initial(self, function, label):
-        return frozenset()
-
-    def join(self, a, b):
-        return a & b
-
-    def transfer(self, function, label, value):
-        from repro.analysis.expressions import _AvailableExpressions
-
-        return _AvailableExpressions(function).transfer(
-            function, label, value
-        )
-
-
-# ----------------------------------------------------------------------
-# Framework-consuming optimizer passes
-# ----------------------------------------------------------------------
-
-class TestGlobalCSE:
-    def test_reuses_value_across_blocks(self):
-        b = FunctionBuilder("gcse", ("a", "b"))
-        b.binop("t", Op.ADD, "a", "b")
-        b.jump("next")
-        b.label("next")
-        b.binop("u", Op.ADD, "a", "b")
-        b.binop("r", Op.MUL, "t", "u")
-        b.ret("r")
-        f = b.finish()
-        assert global_cse(f)
-        recomputed = f.blocks["next"].instrs[0]
-        assert isinstance(recomputed, Move)
-        assert recomputed.src == Reg("t")
-
-    def test_store_kills_load_reuse_across_blocks(self):
-        b = FunctionBuilder("gcse2", ("p",))
-        b.load("x", "p")
-        b.jump("next")
-        b.label("next")
-        b.store("p", 0)
-        b.load("y", "p")
-        b.binop("r", Op.ADD, "x", "y")
-        b.ret("r")
-        f = b.finish()
-        changed = global_cse(f)
-        # The second load must survive: the store invalidated it.
-        kinds = [type(i).__name__ for i in f.blocks["next"].instrs]
-        assert "Load" in kinds
-        assert not changed
-
-    def test_does_not_merge_across_diverging_holders(self):
-        b = FunctionBuilder("gcse3", ("a", "b", "c"))
-        b.branch("c", "then", "else")
-        b.label("then")
-        b.binop("t1", Op.ADD, "a", "b")
-        b.move("r", "t1")
-        b.jump("join")
-        b.label("else")
-        b.binop("t2", Op.ADD, "a", "b")
-        b.move("r", "t2")
-        b.jump("join")
-        b.label("join")
-        b.binop("u", Op.ADD, "a", "b")
-        b.ret("u")
-        f = b.finish()
-        changed = global_cse(f)
-        assert not changed
-        assert isinstance(f.blocks["join"].instrs[0], BinOp)
-
-    def test_execution_preserved(self):
-        from tests.helpers import run_function
-
-        b = FunctionBuilder("gcse4", ("a", "b"))
-        b.binop("t", Op.ADD, "a", "b")
-        b.jump("next")
-        b.label("next")
-        b.binop("u", Op.ADD, "a", "b")
-        b.binop("r", Op.MUL, "t", "u")
-        b.ret("r")
-        f = b.finish()
-        before, _ = run_function(copy.deepcopy(f), 3, 4)
-        global_cse(f)
-        after, _ = run_function(f, 3, 4)
-        assert after == before == 49
-
-
-class TestAnticipabilityGatedLICM:
-    def test_trapping_div_hoisted_from_dowhile(self):
-        f = _build_dowhile_div()
-        assert loop_invariant_code_motion(f)
-        body_ops = [type(i).__name__ for i in f.blocks["body"].instrs]
-        assert "BinOp" in body_ops
-        assert all(
-            not (isinstance(i, BinOp) and i.op is Op.DIV)
-            for i in f.blocks["body"].instrs
-        )
-        hoisted_somewhere = any(
-            isinstance(i, BinOp) and i.op is Op.DIV
-            for block in f.blocks.values()
-            for i in block.instrs
-        )
-        assert hoisted_somewhere
-
-    def test_trapping_div_stays_in_while_shape(self):
-        f = _build_while_div()
-        loop_invariant_code_motion(f)
-        assert any(
-            isinstance(i, BinOp) and i.op is Op.DIV
-            for i in f.blocks["body"].instrs
-        )
-
-    def test_dowhile_execution_preserved(self):
-        from tests.helpers import run_function
-
-        f = _build_dowhile_div()
-        expected, _ = run_function(copy.deepcopy(f), 20, 4, 3)
-        loop_invariant_code_motion(f)
-        got, _ = run_function(f, 20, 4, 3)
-        assert got == expected
-
-    def test_liveness_blocks_clobbering_hoist(self):
-        # ``x`` is live into the header (used before its in-loop
-        # definition on the first iteration), so hoisting the in-loop
-        # ``x = a * 2`` would clobber the pre-loop value.
-        b = FunctionBuilder("clob", ("a", "n"))
-        b.move("x", 7)
-        b.move("i", 0)
-        b.move("s", 0)
-        b.jump("head")
-        b.label("head")
-        b.binop("s", Op.ADD, "s", "x")
-        b.binop("x", Op.MUL, "a", 2)
-        b.binop("i", Op.ADD, "i", 1)
-        b.binop("c", Op.LT, "i", "n")
-        b.branch("c", "head", "done")
-        b.label("done")
-        b.ret("s")
-        f = b.finish()
-        from tests.helpers import run_function
-
-        expected, _ = run_function(copy.deepcopy(f), 5, 3)
-        loop_invariant_code_motion(f)
-        got, _ = run_function(f, 5, 3)
-        assert got == expected
-        assert any(
-            isinstance(i, BinOp) and i.op is Op.MUL
-            for i in f.blocks["head"].instrs
-        )
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.dyc import compile_static
+from repro.errors import TrapError
+from repro.frontend import compile_source
 from repro.ir import (
     BinOp,
     Branch,
@@ -16,6 +19,7 @@ from repro.ir import (
     Return,
     verify_function,
 )
+from repro.machine import Machine
 from repro.opt import (
     PassManager,
     constant_propagation,
@@ -103,6 +107,45 @@ class TestConstantPropagation:
         constant_propagation(f)
         assert any(isinstance(i, BinOp) and i.op is Op.DIV
                    for i in _flat_instrs(f))
+
+    # Arms that assign equal-comparing constants of different types:
+    # ``1 == 1.0`` and ``0 == 0.0`` in Python, but int division and
+    # ``&`` tell them apart, so the join must not keep either arm's.
+    MIXED_JOINS = [
+        "func f(c) { var x = 0; if (c) { x = 1; } else { x = 1.0; } "
+        "return x / 3; }",
+        "func f(c) { var x = 0; if (c) { x = 0.0; } else { x = 0; } "
+        "return x & 1; }",
+    ]
+
+    @pytest.mark.parametrize("c", [0, 1])
+    @pytest.mark.parametrize("source", MIXED_JOINS,
+                             ids=["int-float-div", "float-int-and"])
+    def test_join_keeps_int_and_float_constants_apart(self, source, c):
+        module = compile_source(source)
+
+        def outcome(program):
+            try:
+                return repr(Machine(program, backend="reference").run("f", c))
+            except TrapError as err:
+                return f"trap: {err}"
+
+        assert outcome(compile_static(module)) == outcome(module)
+
+    def test_join_keeps_signed_zeros_apart(self):
+        b = FunctionBuilder("f", ("x",))
+        b.branch("x", "t", "e")
+        b.label("t")
+        b.move("k", 0.0)
+        b.jump("j")
+        b.label("e")
+        b.move("k", -0.0)
+        b.jump("j")
+        b.label("j")
+        b.ret("k")
+        f = b.finish()
+        constant_propagation(f)
+        assert Return(Reg("k")) in _flat_instrs(f)
 
 
 class TestCopyPropagation:

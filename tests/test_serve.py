@@ -204,6 +204,12 @@ class TestShardedCache:
         assert stats["evictions"] > 0
         assert stats["entries"] <= 4
 
+    @pytest.mark.parametrize("shards,capacity", [(0, 8), (1, 0)])
+    def test_every_shard_is_bounded(self, shards, capacity):
+        # A shard capacity of 0 would read as "no bound" in CodeCache.
+        with pytest.raises(ValueError, match="must be >= 1"):
+            ShardedResultCache(shards=shards, capacity_per_shard=capacity)
+
 
 # ----------------------------------------------------------------------
 # App routing and request orchestration
@@ -548,6 +554,17 @@ class TestServeFlags:
         ("supervisor", ["--shards", "0"]),
         ("supervisor", ["--workers", "0"]),
         ("supervisor", ["--cache-capacity", "-1"]),
+        ("daemon", ["--cache-capacity", "0"]),
+        ("daemon", ["--tenant-quota", "0"]),
+        ("daemon", ["--max-queue", "-1"]),
+        ("daemon", ["--breaker-threshold", "-1"]),
+        ("daemon", ["--breaker-cooldown", "-0.5"]),
+        ("supervisor", ["--cache-capacity", "0"]),
+        ("supervisor", ["--tenant-quota", "0"]),
+        ("supervisor", ["--max-queue", "-1"]),
+        ("supervisor", ["--breaker-threshold", "-1"]),
+        ("supervisor", ["--breaker-cooldown", "-0.5"]),
+        ("supervisor", ["--max-restarts", "-1"]),
     ])
     def test_bad_count_exits_2_before_starting(self, monkeypatch, capsys,
                                                entry, argv):
@@ -563,7 +580,8 @@ class TestServeFlags:
         with pytest.raises(SystemExit) as exited:
             main(["--port", "0", *argv])
         assert exited.value.code == 2
-        assert f"argument {argv[0]}: invalid int >=" \
+        kind = "float" if argv[0] == "--breaker-cooldown" else "int"
+        assert f"argument {argv[0]}: invalid {kind} >=" \
             in capsys.readouterr().err
 
     @pytest.mark.parametrize("entry", ["daemon", "supervisor"])
@@ -574,9 +592,14 @@ class TestServeFlags:
         args = parse(["--shards", "8", "--cache-capacity", "4"])
         assert (args.shards, args.cache_capacity) == (8, 4)
         args = parse(["--shards", "1", "--workers", "1",
-                      "--cache-capacity", "0"])
-        assert (args.shards, args.workers, args.cache_capacity) \
-            == (1, 1, 0)
+                      "--cache-capacity", "1", "--tenant-quota", "1",
+                      "--max-queue", "0", "--breaker-threshold", "0",
+                      "--breaker-cooldown", "0"])
+        assert (args.shards, args.workers, args.cache_capacity,
+                args.tenant_quota, args.max_queue, args.breaker_threshold,
+                args.breaker_cooldown) == (1, 1, 1, 1, 0, 0, 0.0)
+        if entry == "supervisor":
+            assert parse(["--max-restarts", "0"]).max_restarts == 0
 
 
 class TestKeyHistory:

@@ -9,7 +9,12 @@ Table 2 attributes to it.
 import pytest
 
 from repro.config import ALL_ON
+from repro.dyc import compile_static
+from repro.dyc.compiler import DycCompiler
 from repro.evalharness.runner import run_workload
+from repro.frontend import compile_source
+from repro.ir import Memory
+from repro.machine import Machine
 from repro.workloads import (
     ALL_WORKLOADS,
     WORKLOADS_BY_NAME,
@@ -22,6 +27,32 @@ from repro.workloads import (
 @pytest.fixture(scope="module")
 def results():
     return {w.name: run_workload(w) for w in ALL_WORKLOADS}
+
+
+class TestUnoptimizedOracle:
+    """The static optimizer is the identity: each workload's program
+    with its annotations stripped computes the same return value and
+    output checksum unoptimized as through :func:`compile_static`."""
+
+    @staticmethod
+    def _outcome(workload, module):
+        memory = Memory()
+        inputs = workload.setup(memory)
+        machine = Machine(module, memory=memory, backend="threaded")
+        value = machine.run(workload.entry, *inputs.args)
+        checksum = (None if inputs.checksum is None
+                    else inputs.checksum(memory, machine))
+        return repr(value), checksum
+
+    @pytest.mark.parametrize("workload", ALL_WORKLOADS,
+                             ids=[w.name for w in ALL_WORKLOADS])
+    def test_static_compile_matches_unoptimized(self, workload):
+        module = compile_source(workload.source)
+        static = compile_static(module)
+        for function in module.functions.values():
+            DycCompiler._strip_annotations(function)
+        assert self._outcome(workload, static) \
+            == self._outcome(workload, module)
 
 
 class TestRegistry:
