@@ -32,11 +32,8 @@ transfers to it, not earlier: unreachable arms are legal.
 
 from __future__ import annotations
 
-import operator
-from functools import partial
-
 from repro.errors import SpecializationError
-from repro.ir.eval import eval_binop, eval_unop
+from repro.ir.eval import BINOP_FUNCS, UNOP_FUNCS
 from repro.ir.function import BasicBlock
 from repro.ir.instructions import (
     BinOp,
@@ -47,7 +44,6 @@ from repro.ir.instructions import (
     Jump,
     Load,
     Move,
-    Op,
     Reg,
     Return,
     UnOp,
@@ -63,11 +59,6 @@ from repro.dyc.genext import (
     TermReturn,
     TermStatic,
 )
-
-#: Operators whose C semantics are Python's own, called directly.
-_DIRECT_BINOPS = {Op.ADD: operator.add, Op.SUB: operator.sub,
-                  Op.MUL: operator.mul}
-
 
 class EntryPoint:
     """One ``(context key, start)``: its steps and its terminator.
@@ -203,14 +194,16 @@ def _lower_eval(instr):
     if isinstance(instr, BinOp):
         return _lower_binop(instr)
     if isinstance(instr, UnOp):
-        dest, op = instr.dest, instr.op
+        dest, apply = instr.dest, UNOP_FUNCS.get(instr.op)
+        if apply is None:
+            return _fails(f"{instr.op} is not a unary operator")
         read = _reader(instr.src)
 
         def unop(b, store):
             b.dc += b.eval_cost
             src = read(store)
             b.dc += b.costs.binop_cost("alu", isinstance(src, float))
-            store[dest] = eval_unop(op, src)
+            store[dest] = apply(src)
             b.stats.static_instrs_folded += 1
         return unop
     if isinstance(instr, Load):
@@ -270,7 +263,9 @@ def _lower_move(dest: str, src):
 def _lower_binop(instr: BinOp):
     dest, lhs, rhs = instr.dest, instr.lhs, instr.rhs
     op_name = instr.op.value
-    apply = _DIRECT_BINOPS.get(instr.op) or partial(eval_binop, instr.op)
+    apply = BINOP_FUNCS.get(instr.op)
+    if apply is None:
+        return _fails(f"{op_name} is not a binary operator")
     if isinstance(lhs, Reg) and isinstance(rhs, Reg):
         left, right = lhs.name, rhs.name
 

@@ -2,7 +2,7 @@
 
 Dynamic zero/copy propagation and dead-assignment elimination are staged:
 this module is the *planning* stage, run at static compile time; the
-*completion* stage lives in :mod:`repro.runtime.zcp` and runs during
+*completion* stage lives in :mod:`repro.runtime.emit` and runs during
 dynamic compilation using only the plans computed here plus a small note
 table — no run-time IR analysis.
 
@@ -24,26 +24,46 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.liveness import LivenessResult
 from repro.bta.facts import ContextFacts, InstrClass
 from repro.ir.instructions import (
     BinOp,
     Instr,
+    Load,
+    Move,
     Op,
     Reg,
+    UnOp,
 )
+from repro.opt.strength import REDUCIBLE_OPS
 
-#: Operations eligible for value-dependent ZCP (checked at dynamic
-#: compile time by :mod:`repro.runtime.emit`).  Beyond the paper's
-#: multiply/add examples, the same staging covers the bitwise identities
-#: (x|0, x^0, x&0, shifts by 0).
-ZCP_OPS = frozenset({
-    Op.MUL, Op.ADD, Op.SUB, Op.DIV,
-    Op.OR, Op.XOR, Op.AND, Op.SHL, Op.SHR,
-})
+#: Value-dependent zero/copy propagation, checked at dynamic compile time
+#: by :mod:`repro.runtime.emit`: ``(operator, constant)`` -> ``(kind,
+#: the constant may be the left operand)``.  The kind says what the
+#: operation becomes: ``"copy"`` (the register operand), ``"zero"``
+#: (``constant * 0``, which keeps the constant's int/float flavour) or
+#: ``"clear"`` (the int 0).  A constant matches a key by ``==``, so
+#: ``1.0`` matches ``1``.  Beyond the paper's multiply/add examples, the
+#: same staging covers the bitwise identities (x|0, x^0, x&0, shifts by
+#: 0).
+ZCP_RULES = {
+    (Op.MUL, 0): ("zero", True),
+    (Op.MUL, 1): ("copy", True),
+    (Op.ADD, 0): ("copy", True),
+    (Op.SUB, 0): ("copy", False),
+    (Op.DIV, 1): ("copy", False),
+    (Op.OR, 0): ("copy", True),
+    (Op.XOR, 0): ("copy", True),
+    (Op.AND, 0): ("clear", True),
+    (Op.SHL, 0): ("copy", False),
+    (Op.SHR, 0): ("copy", False),
+}
 
-#: Operations eligible for dynamic strength reduction.
-SR_OPS = frozenset({Op.MUL, Op.DIV, Op.MOD})
+#: Operations eligible for value-dependent ZCP.
+ZCP_OPS = frozenset(op for op, _ in ZCP_RULES)
+
+#: Operations eligible for dynamic strength reduction: those the shared
+#: rule (:func:`repro.opt.strength.reduction`) rewrites.
+SR_OPS = REDUCIBLE_OPS
 
 #: Classes of emitted instructions (everything else is folded away).
 EMITTED_CLASSES = frozenset({
@@ -137,7 +157,5 @@ def plan_instruction(
 
     # Pure value-producing instructions can be deleted if unreferenced;
     # calls and stores cannot.
-    from repro.ir.instructions import Load, Move, UnOp
-
     removable = isinstance(instr, (Move, UnOp, BinOp, Load))
     return InstrPlan(zcp, sr, local_uses, remote, removable)

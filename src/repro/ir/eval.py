@@ -1,8 +1,11 @@
 """Operator semantics shared by every evaluator in the system.
 
-The static optimizer's constant folder, the BTA's set-up computations, the
-runtime specializer, and the abstract-machine interpreter must all agree
-exactly on arithmetic, so the semantics live here, next to the IR.
+The static optimizer's constant folder, the generating extensions'
+set-up computations, the run-time specializer's completion stage, the
+reference interpreter and the threaded translator must all agree
+exactly on arithmetic, so the semantics live here, next to the IR, as
+one evaluator per operator (:data:`BINOP_FUNCS`, :data:`UNOP_FUNCS`)
+that every one of them calls.
 
 Semantics are C-flavoured:
 
@@ -18,18 +21,12 @@ Division by zero raises :class:`TrapError`, mirroring a hardware trap.
 from __future__ import annotations
 
 import math
+import operator
 
 from repro.errors import TrapError
 from repro.ir.instructions import Op
 
 Number = int | float
-
-
-def _require_ints(op: Op, lhs: Number, rhs: Number) -> tuple[int, int]:
-    if isinstance(lhs, float) or isinstance(rhs, float):
-        raise TrapError(f"{op} requires integer operands, got "
-                        f"{lhs!r} and {rhs!r}")
-    return lhs, rhs
 
 
 def _c_div(lhs: int, rhs: int) -> int:
@@ -40,72 +37,81 @@ def _c_div(lhs: int, rhs: int) -> int:
     return quotient
 
 
-def _c_mod(lhs: int, rhs: int) -> int:
-    """C99 integer remainder: sign follows the dividend."""
-    return lhs - _c_div(lhs, rhs) * rhs
+def _div(lhs, rhs):
+    if rhs == 0:
+        raise TrapError("division by zero")
+    if isinstance(lhs, int) and isinstance(rhs, int):
+        return _c_div(lhs, rhs)
+    return lhs / rhs
+
+
+def _mod(lhs, rhs):
+    if rhs == 0:
+        raise TrapError("modulo by zero")
+    if isinstance(lhs, int) and isinstance(rhs, int):
+        # C99 remainder: its sign follows the dividend.
+        return lhs - _c_div(lhs, rhs) * rhs
+    return math.fmod(lhs, rhs)
+
+
+def _int_only(op: Op, fn, shift: bool = False):
+    """``fn`` behind C's checks: int operands, and a non-negative count
+    for a ``shift``."""
+    def wrapped(lhs, rhs, _op=op, _fn=fn, _shift=shift):
+        if isinstance(lhs, float) or isinstance(rhs, float):
+            raise TrapError(f"{_op} requires integer operands, got "
+                            f"{lhs!r} and {rhs!r}")
+        if _shift and rhs < 0:
+            raise TrapError("negative shift count")
+        return _fn(lhs, rhs)
+
+    return wrapped
+
+
+#: Each binary operator's evaluator, ``(lhs, rhs) -> value``: the one
+#: definition of what a ``BinOp`` computes, and of which operators exist.
+BINOP_FUNCS = {
+    Op.ADD: operator.add,
+    Op.SUB: operator.sub,
+    Op.MUL: operator.mul,
+    Op.DIV: _div,
+    Op.MOD: _mod,
+    Op.AND: _int_only(Op.AND, operator.and_),
+    Op.OR: _int_only(Op.OR, operator.or_),
+    Op.XOR: _int_only(Op.XOR, operator.xor),
+    Op.SHL: _int_only(Op.SHL, operator.lshift, shift=True),
+    Op.SHR: _int_only(Op.SHR, operator.rshift, shift=True),
+    Op.EQ: lambda lhs, rhs: int(lhs == rhs),
+    Op.NE: lambda lhs, rhs: int(lhs != rhs),
+    Op.LT: lambda lhs, rhs: int(lhs < rhs),
+    Op.LE: lambda lhs, rhs: int(lhs <= rhs),
+    Op.GT: lambda lhs, rhs: int(lhs > rhs),
+    Op.GE: lambda lhs, rhs: int(lhs >= rhs),
+}
+
+#: Each unary operator's evaluator, ``src -> value``.
+UNOP_FUNCS = {
+    Op.NEG: operator.neg,
+    Op.NOT: lambda src: int(not src),
+}
 
 
 def eval_binop(op: Op, lhs: Number, rhs: Number) -> Number:
     """Evaluate ``lhs op rhs`` with C-flavoured semantics."""
-    if op is Op.ADD:
-        return lhs + rhs
-    if op is Op.SUB:
-        return lhs - rhs
-    if op is Op.MUL:
-        return lhs * rhs
-    if op is Op.DIV:
-        if rhs == 0:
-            raise TrapError("division by zero")
-        if isinstance(lhs, int) and isinstance(rhs, int):
-            return _c_div(lhs, rhs)
-        return lhs / rhs
-    if op is Op.MOD:
-        if rhs == 0:
-            raise TrapError("modulo by zero")
-        if isinstance(lhs, int) and isinstance(rhs, int):
-            return _c_mod(lhs, rhs)
-        return math.fmod(lhs, rhs)
-    if op is Op.AND:
-        lhs, rhs = _require_ints(op, lhs, rhs)
-        return lhs & rhs
-    if op is Op.OR:
-        lhs, rhs = _require_ints(op, lhs, rhs)
-        return lhs | rhs
-    if op is Op.XOR:
-        lhs, rhs = _require_ints(op, lhs, rhs)
-        return lhs ^ rhs
-    if op is Op.SHL:
-        lhs, rhs = _require_ints(op, lhs, rhs)
-        if rhs < 0:
-            raise TrapError("negative shift count")
-        return lhs << rhs
-    if op is Op.SHR:
-        lhs, rhs = _require_ints(op, lhs, rhs)
-        if rhs < 0:
-            raise TrapError("negative shift count")
-        return lhs >> rhs
-    if op is Op.EQ:
-        return int(lhs == rhs)
-    if op is Op.NE:
-        return int(lhs != rhs)
-    if op is Op.LT:
-        return int(lhs < rhs)
-    if op is Op.LE:
-        return int(lhs <= rhs)
-    if op is Op.GT:
-        return int(lhs > rhs)
-    if op is Op.GE:
-        return int(lhs >= rhs)
-    raise TrapError(f"{op} is not a binary operator")
+    try:
+        func = BINOP_FUNCS[op]
+    except KeyError:
+        raise TrapError(f"{op} is not a binary operator") from None
+    return func(lhs, rhs)
 
 
 def eval_unop(op: Op, src: Number) -> Number:
     """Evaluate ``op src``."""
-    if op is Op.NEG:
-        return -src
-    if op is Op.NOT:
-        return int(not src)
-    raise TrapError(f"{op} is not a unary operator")
+    try:
+        func = UNOP_FUNCS[op]
+    except KeyError:
+        raise TrapError(f"{op} is not a unary operator") from None
+    return func(src)
 
 
 def is_power_of_two(value: Number) -> bool:

@@ -39,7 +39,9 @@ class Op(enum.Enum):
 
     Comparison operators yield the integers 0 or 1, as in C.  Arithmetic is
     polymorphic over ints and floats; ``DIV``/``MOD`` follow C semantics
-    (truncation toward zero) when both operands are integers.
+    (truncation toward zero) when both operands are integers.  Which
+    operators each instruction takes, and what each computes, is defined
+    once, by the evaluator tables of :mod:`repro.ir.eval`.
     """
 
     ADD = "add"
@@ -65,22 +67,10 @@ class Op(enum.Enum):
         return self.value
 
 
-#: Binary operators (usable with ``BinOp``).
-BINARY_OPS = frozenset({
-    Op.ADD, Op.SUB, Op.MUL, Op.DIV, Op.MOD, Op.AND, Op.OR, Op.XOR,
-    Op.SHL, Op.SHR, Op.EQ, Op.NE, Op.LT, Op.LE, Op.GT, Op.GE,
-})
-
-#: Unary operators (usable with ``UnOp``).
-UNARY_OPS = frozenset({Op.NEG, Op.NOT})
-
-#: Commutative binary operators (used by CSE and the ZCP planner).
+#: Commutative binary operators (used by CSE).
 COMMUTATIVE_OPS = frozenset({
     Op.ADD, Op.MUL, Op.AND, Op.OR, Op.XOR, Op.EQ, Op.NE,
 })
-
-#: Comparison operators (always produce an int 0/1).
-COMPARISON_OPS = frozenset({Op.EQ, Op.NE, Op.LT, Op.LE, Op.GT, Op.GE})
 
 
 @dataclass(frozen=True)

@@ -54,8 +54,9 @@ Each operator runs as one Python operator.  Those with a trap condition
 (``&``, ``|``, ``^``, ``<<``, ``>>``, ``/``, ``%``) take that path only
 behind a guard, ``type(a) is int and type(b) is int``, plus ``b >= 0``
 for a shift and ``a >= 0 and b > 0`` for C division and remainder; when
-the guard fails they call the checked wrapper, which traps or computes as
-``repro.ir.eval`` does (Brunthaler's speculative staging, PAPERS.md).
+the guard fails they call the operator's evaluator from
+``repro.ir.eval.BINOP_FUNCS``, the one the reference interpreter calls
+(Brunthaler's speculative staging, PAPERS.md).
 A float operand of ``&``, ``|``, ``^``, ``<<`` or ``>>`` traps before
 the segment commits, so the commit tests no float for those parts.
 
@@ -142,13 +143,11 @@ from __future__ import annotations
 import builtins
 import collections
 import itertools
-import math
-import operator
 import threading
 import types
 
 from repro.errors import MachineError, TrapError
-from repro.ir.eval import _c_div, _c_mod
+from repro.ir.eval import BINOP_FUNCS, UNOP_FUNCS
 from repro.ir.function import Function
 from repro.ir.instructions import (
     BinOp,
@@ -172,80 +171,9 @@ from repro.ir.instructions import (
 from repro.machine.costs import binop_terms, flat_term, move_terms
 from repro.machine.interp import COUNTED_BACKENDS
 
-# ----------------------------------------------------------------------
-# Per-operator evaluators
-# ----------------------------------------------------------------------
-# Translation folds operators on immediates with these, and generated
-# code calls the ones with trap conditions; the wrappers reuse the same
-# helpers as repro.ir.eval so the semantics (C99 truncating division,
-# trap conditions) cannot drift; a unit test cross-checks every operator
-# against eval_binop.
-
-
-def _div(lhs, rhs):
-    if rhs == 0:
-        raise TrapError("division by zero")
-    if isinstance(lhs, int) and isinstance(rhs, int):
-        return _c_div(lhs, rhs)
-    return lhs / rhs
-
-
-def _mod(lhs, rhs):
-    if rhs == 0:
-        raise TrapError("modulo by zero")
-    if isinstance(lhs, int) and isinstance(rhs, int):
-        return _c_mod(lhs, rhs)
-    return math.fmod(lhs, rhs)
-
-
-def _int_only(op: Op, fn):
-    def wrapped(lhs, rhs, _op=op, _fn=fn):
-        if isinstance(lhs, float) or isinstance(rhs, float):
-            raise TrapError(f"{_op} requires integer operands, got "
-                            f"{lhs!r} and {rhs!r}")
-        return _fn(lhs, rhs)
-
-    return wrapped
-
-
-def _shift(op: Op, fn):
-    def wrapped(lhs, rhs, _op=op, _fn=fn):
-        if isinstance(lhs, float) or isinstance(rhs, float):
-            raise TrapError(f"{_op} requires integer operands, got "
-                            f"{lhs!r} and {rhs!r}")
-        if rhs < 0:
-            raise TrapError("negative shift count")
-        return _fn(lhs, rhs)
-
-    return wrapped
-
-
-BINOP_FUNCS = {
-    Op.ADD: operator.add,
-    Op.SUB: operator.sub,
-    Op.MUL: operator.mul,
-    Op.DIV: _div,
-    Op.MOD: _mod,
-    Op.AND: _int_only(Op.AND, operator.and_),
-    Op.OR: _int_only(Op.OR, operator.or_),
-    Op.XOR: _int_only(Op.XOR, operator.xor),
-    Op.SHL: _shift(Op.SHL, operator.lshift),
-    Op.SHR: _shift(Op.SHR, operator.rshift),
-    Op.EQ: lambda lhs, rhs: int(lhs == rhs),
-    Op.NE: lambda lhs, rhs: int(lhs != rhs),
-    Op.LT: lambda lhs, rhs: int(lhs < rhs),
-    Op.LE: lambda lhs, rhs: int(lhs <= rhs),
-    Op.GT: lambda lhs, rhs: int(lhs > rhs),
-    Op.GE: lambda lhs, rhs: int(lhs >= rhs),
-}
-
-UNOP_FUNCS = {
-    Op.NEG: operator.neg,
-    Op.NOT: lambda src: int(not src),
-}
-
-# The evaluators by operator name, which the translation walk looks up
-# (an Op member hashes in Python; its value is a str).
+# The evaluators of repro.ir.eval by operator name, which the
+# translation walk looks up to fold operators on immediates (an Op
+# member hashes in Python; its value is a str).
 _BINOPS_BY_NAME = {op.value: fn for op, fn in BINOP_FUNCS.items()}
 _UNOPS_BY_NAME = {op.value: fn for op, fn in UNOP_FUNCS.items()}
 
@@ -265,26 +193,27 @@ _INT_ONLY_NAMES = frozenset(op.value for op in
 # ops, shift counts) runs as one Python operator behind a guard,
 # ``type(x) is int`` on both operands (a bool fails it) plus a sign test
 # where Python's operator differs from C's.  When the guard fails the
-# expression calls the checked wrapper above, so semantics and trap
-# messages cannot drift between the two backends.
+# expression calls the operator's evaluator from repro.ir.eval, bound in
+# the template globals as ``_op_<name>``, so semantics and trap messages
+# cannot drift between the two backends.
 
 
-def _int_guarded(expr: str, helper: str, guard: str = "") -> str:
+def _int_guarded(op: Op, expr: str, guard: str = "") -> str:
     return (f"({expr} if type({{a}}) is int and type({{b}}) is int"
-            f"{guard} else {helper}({{a}}, {{b}}))")
+            f"{guard} else _op_{op.value}({{a}}, {{b}}))")
 
 
 _INLINE_BINOPS = {
     Op.ADD: "({a} + {b})",
     Op.SUB: "({a} - {b})",
     Op.MUL: "({a} * {b})",
-    Op.DIV: _int_guarded("{a} // {b}", "_div", " and {a} >= 0 and {b} > 0"),
-    Op.MOD: _int_guarded("{a} % {b}", "_mod", " and {a} >= 0 and {b} > 0"),
-    Op.AND: _int_guarded("{a} & {b}", "_op_and"),
-    Op.OR: _int_guarded("{a} | {b}", "_op_or"),
-    Op.XOR: _int_guarded("{a} ^ {b}", "_op_xor"),
-    Op.SHL: _int_guarded("{a} << {b}", "_op_shl", " and {b} >= 0"),
-    Op.SHR: _int_guarded("{a} >> {b}", "_op_shr", " and {b} >= 0"),
+    Op.DIV: _int_guarded(Op.DIV, "{a} // {b}", " and {a} >= 0 and {b} > 0"),
+    Op.MOD: _int_guarded(Op.MOD, "{a} % {b}", " and {a} >= 0 and {b} > 0"),
+    Op.AND: _int_guarded(Op.AND, "{a} & {b}"),
+    Op.OR: _int_guarded(Op.OR, "{a} | {b}"),
+    Op.XOR: _int_guarded(Op.XOR, "{a} ^ {b}"),
+    Op.SHL: _int_guarded(Op.SHL, "{a} << {b}", " and {b} >= 0"),
+    Op.SHR: _int_guarded(Op.SHR, "{a} >> {b}", " and {b} >= 0"),
     Op.EQ: "(1 if {a} == {b} else 0)",
     Op.NE: "(1 if {a} != {b} else 0)",
     Op.LT: "(1 if {a} < {b} else 0)",
@@ -298,15 +227,7 @@ _INLINE_UNOPS = {
     Op.NOT: "(0 if {a} else 1)",
 }
 
-_HELPER_GLOBALS = {
-    "_div": _div,
-    "_mod": _mod,
-    "_op_and": BINOP_FUNCS[Op.AND],
-    "_op_or": BINOP_FUNCS[Op.OR],
-    "_op_xor": BINOP_FUNCS[Op.XOR],
-    "_op_shl": BINOP_FUNCS[Op.SHL],
-    "_op_shr": BINOP_FUNCS[Op.SHR],
-}
+_HELPER_GLOBALS = {f"_op_{name}": fn for name, fn in _BINOPS_BY_NAME.items()}
 
 
 def _binop_source(op: Op, a: str, b: str) -> str:

@@ -124,6 +124,14 @@ class _Constants(DataflowProblem[ConstMap]):
                  consts: ConstMap) -> ConstMap:
         return _transfer(function.blocks[label], consts)
 
+    def equal(self, a: ConstMap, b: ConstMap) -> bool:
+        # Two NaN constants for a name count as unchanged: each visit
+        # folds a new NaN object, and ``nan != nan`` would re-queue a
+        # loop whose entry block is pinned to the boundary forever.
+        return a == b or (a.keys() == b.keys() and all(
+            value == b[name] or (value != value and b[name] != b[name])
+            for name, value in a.items()))
+
 
 def constant_propagation(function: Function) -> bool:
     """Propagate and fold constants; returns True if anything changed."""

@@ -17,7 +17,12 @@ register operand, as most compilers' fast paths do for integers:
   differs from an arithmetic shift, and its modulus from a mask, for
   negatives.
 
-The workloads' index arithmetic satisfies both.
+The workloads' index arithmetic satisfies both.  The rule itself,
+:func:`reduction`, is the one the run-time completion stage
+(:mod:`repro.runtime.emit`) applies to run-time constants.  It takes
+int constants only: the pass leaves an operation by a float constant
+alone, since even ``x * 1.0`` as a copy of ``x`` would drop the
+promotion of an int ``x`` to float.
 
 Two-term temporaries are named ``%sr1``, ``%sr2``, ... afresh in every
 call, skipping names the function already uses, so the optimized IR is
@@ -28,7 +33,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from repro.ir.eval import is_power_of_two, log2_exact
+from repro.ir.eval import IMMEDIATE_LIMIT, is_power_of_two, log2_exact
 from repro.ir.function import Function
 from repro.ir.instructions import BinOp, Imm, Instr, Move, Op, Reg
 
@@ -41,7 +46,7 @@ def two_term_decomposition(value: int) -> tuple[int, str, int] | None:
     12, 14, 15, 20, 24, ...), which Alpha compilers emit as scaled
     adds/shift pairs instead of an 8-cycle multiply.
     """
-    if not isinstance(value, int) or value < 3:
+    if value < 3:
         return None
     for a in range(1, value.bit_length() + 1):
         high = 1 << a
@@ -52,6 +57,51 @@ def two_term_decomposition(value: int) -> tuple[int, str, int] | None:
         if rest > 0 and rest & (rest - 1) == 0:
             return (a, "sub", log2_exact(rest))
     return None
+
+
+def _reduce_mul(value: int, imm_is_rhs: bool) -> tuple | None:
+    if value == 1:
+        return ("copy",)
+    if is_power_of_two(value):
+        return ("shl", log2_exact(value))
+    decomposition = (two_term_decomposition(value)
+                     if value <= IMMEDIATE_LIMIT else None)
+    return None if decomposition is None else ("two_term", *decomposition)
+
+
+def _reduce_div(value: int, imm_is_rhs: bool) -> tuple | None:
+    if imm_is_rhs and value == 1:
+        return ("copy",)
+    if imm_is_rhs and is_power_of_two(value):
+        return ("shr", log2_exact(value))
+    return None
+
+
+def _reduce_mod(value: int, imm_is_rhs: bool) -> tuple | None:
+    if imm_is_rhs and is_power_of_two(value):
+        return ("and", value - 1)
+    return None
+
+
+_RULES = {Op.MUL: _reduce_mul, Op.DIV: _reduce_div, Op.MOD: _reduce_mod}
+
+#: The operators :func:`reduction` may rewrite.
+REDUCIBLE_OPS = frozenset(_RULES)
+
+
+def reduction(op: Op, value: int, imm_is_rhs: bool) -> tuple | None:
+    """The rewrite of ``x op value`` (``value op x`` when not
+    ``imm_is_rhs``) for a register ``x`` and an int constant ``value``,
+    or None.
+
+    One of ``("copy",)`` (``x`` itself), ``("shl", k)``, ``("shr", k)``
+    or ``("and", mask)`` (``x`` shifted or masked by the constant), or
+    ``("two_term", a, "add"|"sub", b)`` (``(x << a) ± (x << b)``).  The
+    static pass and the run-time completion stage
+    (:mod:`repro.runtime.emit`) both rewrite by this rule.
+    """
+    rule = _RULES.get(op)
+    return None if rule is None else rule(value, imm_is_rhs)
 
 
 def _fresh_temps(function: Function) -> Iterator[str]:
@@ -72,57 +122,35 @@ def _fresh_temps(function: Function) -> Iterator[str]:
             yield temp
 
 
-def _reduce_mul_two_term(instr: BinOp, lhs: Reg, value: int,
-                         temps: Iterator[str]) -> list[Instr] | None:
-    decomposition = two_term_decomposition(value)
-    if decomposition is None:
-        return None
-    a, op, b = decomposition
-    temp = next(temps)
-    first = BinOp(temp, Op.SHL, lhs, Imm(a))
-    second_rhs = lhs if b == 0 else Reg(f"{temp}.b")
-    parts: list[Instr] = [first]
-    if b != 0:
-        parts.append(BinOp(f"{temp}.b", Op.SHL, lhs, Imm(b)))
-        second_rhs = Reg(f"{temp}.b")
-    parts.append(BinOp(
-        instr.dest, Op.ADD if op == "add" else Op.SUB,
-        Reg(temp), second_rhs,
-    ))
-    return parts
-
-
-def _reduce(instr: Instr, temps: Iterator[str]) -> Instr | list[Instr]:
+def _reduce(instr: Instr, temps: Iterator[str]) -> list[Instr] | None:
+    """The instructions that replace ``instr``, or None to keep it."""
     if not isinstance(instr, BinOp):
-        return instr
+        return None
     lhs, rhs = instr.lhs, instr.rhs
-    if instr.op is Op.MUL:
-        if isinstance(lhs, Imm) and isinstance(rhs, Reg):
-            lhs, rhs = rhs, lhs
-        if isinstance(rhs, Imm) and isinstance(lhs, Reg):
-            if rhs.value == 1:
-                return Move(instr.dest, lhs)
-            if is_power_of_two(rhs.value):
-                return BinOp(instr.dest, Op.SHL, lhs,
-                             Imm(log2_exact(rhs.value)))
-            if isinstance(rhs.value, int) and 0 < rhs.value <= 255:
-                parts = _reduce_mul_two_term(instr, lhs, rhs.value,
-                                             temps)
-                if parts is not None:
-                    return parts
-    elif instr.op is Op.DIV:
-        if isinstance(rhs, Imm) and isinstance(lhs, Reg):
-            if rhs.value == 1:
-                return Move(instr.dest, lhs)
-            if is_power_of_two(rhs.value):
-                return BinOp(instr.dest, Op.SHR, lhs,
-                             Imm(log2_exact(rhs.value)))
-    elif instr.op is Op.MOD:
-        if isinstance(rhs, Imm) and isinstance(lhs, Reg):
-            if is_power_of_two(rhs.value):
-                return BinOp(instr.dest, Op.AND, lhs,
-                             Imm(rhs.value - 1))
-    return instr
+    if isinstance(rhs, Imm) and isinstance(lhs, Reg):
+        reg, value, imm_is_rhs = lhs, rhs.value, True
+    elif isinstance(lhs, Imm) and isinstance(rhs, Reg):
+        reg, value, imm_is_rhs = rhs, lhs.value, False
+    else:
+        return None
+    rule = (reduction(instr.op, value, imm_is_rhs)
+            if isinstance(value, int) else None)
+    if rule is None:
+        return None
+    kind, dest = rule[0], instr.dest
+    if kind == "copy":
+        return [Move(dest, reg)]
+    if kind != "two_term":
+        return [BinOp(dest, Op(kind), reg, Imm(rule[1]))]
+    _, a, op, b = rule
+    temp = next(temps)
+    parts: list[Instr] = [BinOp(temp, Op.SHL, reg, Imm(a))]
+    second = reg
+    if b != 0:
+        parts.append(BinOp(f"{temp}.b", Op.SHL, reg, Imm(b)))
+        second = Reg(f"{temp}.b")
+    parts.append(BinOp(dest, Op(op), Reg(temp), second))
+    return parts
 
 
 def strength_reduction(function: Function) -> bool:
@@ -134,13 +162,10 @@ def strength_reduction(function: Function) -> bool:
         new_instrs: list[Instr] = []
         for instr in block.instrs:
             replacement = _reduce(instr, temps)
-            if replacement is instr:
+            if replacement is None:
                 new_instrs.append(instr)
-            elif isinstance(replacement, list):
-                new_instrs.extend(replacement)
-                changed = True
             else:
-                new_instrs.append(replacement)
+                new_instrs += replacement
                 changed = True
         block.instrs = new_instrs
     return changed

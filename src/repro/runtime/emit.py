@@ -16,9 +16,10 @@ it performs:
   cascading to *its* operands (this is what deletes the image loads in
   pnmconvol's zero iterations, Figure 4);
 * **dynamic strength reduction** — multiplies/divides/moduli by run-time
-  constant powers of two become shifts/masks; ×1 becomes a move and ×0 a
-  clear (which alone buys nothing for floats on the 21164, since an FP
-  move costs an FP multiply — the paper's motivation for ZCP+DAE);
+  constant powers of two become shifts/masks, by the static pass's rule;
+  ×1 becomes a move and ×0 a clear (which alone buys nothing for floats
+  on the 21164, since an FP move costs an FP multiply — the paper's
+  motivation for ZCP+DAE);
 * **immediate fitting** — integer constants that fit an instruction
   literal field are used inline, anything else is materialized into a
   register by an extra emitted move.
@@ -35,20 +36,13 @@ requires.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.config import OptConfig
-from repro.dyc.plans import InstrPlan
+from repro.dyc.plans import ZCP_RULES, InstrPlan
 from repro.errors import SpecializationError, TrapError
-from repro.ir.eval import (
-    IMMEDIATE_LIMIT,
-    eval_binop,
-    eval_unop,
-    fits_immediate,
-    is_power_of_two,
-    log2_exact,
-)
-from repro.opt.strength import two_term_decomposition
+from repro.ir.eval import eval_binop, fits_immediate
+from repro.opt.strength import reduction
 from repro.ir.instructions import (
     BinOp,
     Branch,
@@ -242,10 +236,12 @@ class BlockEmitter:
     def _try_fold_or_reduce(self, instr: BinOp, plan: InstrPlan) -> bool:
         """Apply value-dependent folding; True when fully handled.
 
-        Like static strength reduction (:mod:`repro.opt.strength`), the
-        integer reductions assume the register operand is an integer,
-        and a divided or reduced one non-negative: only the constant's
-        type is known here.  For a float register ``x``, the reductions
+        Zero/copy propagation reads :data:`repro.dyc.plans.ZCP_RULES`.
+        The integer reductions are static strength reduction's rule
+        (:func:`repro.opt.strength.reduction`), so they assume what it
+        assumes: the register operand is an integer, and a divided or
+        reduced one non-negative, since only the constant's type is
+        known here.  For a float register ``x``, the reductions
         ``x * 2^k`` -> ``x << k`` and ``x / 2^k`` -> ``x >> k`` trap.
         """
         lhs, rhs = instr.lhs, instr.rhs
@@ -273,100 +269,48 @@ class BlockEmitter:
         # --- dynamic zero & copy propagation -------------------------
         if plan.zcp_candidate and self.config.zero_copy_propagation:
             self.charge(self.overhead.zcp_check)
-            value = imm.value
-            if instr.op is Op.MUL and value == 0:
-                zero = value * 0  # preserves int/float flavour of operand
-                self._handle_const(instr.dest, zero, plan,
-                                   dying=(reg.name,))
-                return True
-            if instr.op is Op.MUL and value == 1:
-                self._handle_copy(instr.dest, reg, plan)
-                return True
-            if instr.op is Op.ADD and value == 0:
-                self._handle_copy(instr.dest, reg, plan)
-                return True
-            if (instr.op is Op.SUB and imm_is_rhs and value == 0):
-                self._handle_copy(instr.dest, reg, plan)
-                return True
-            if (instr.op is Op.DIV and imm_is_rhs and value == 1):
-                self._handle_copy(instr.dest, reg, plan)
-                return True
-            if instr.op in (Op.OR, Op.XOR) and value == 0:
-                self._handle_copy(instr.dest, reg, plan)
-                return True
-            if instr.op is Op.AND and value == 0:
-                self._handle_const(instr.dest, 0, plan,
-                                   dying=(reg.name,))
-                return True
-            if (instr.op in (Op.SHL, Op.SHR) and imm_is_rhs
-                    and value == 0):
-                self._handle_copy(instr.dest, reg, plan)
+            rule = ZCP_RULES.get((instr.op, imm.value))
+            if rule is not None and (imm_is_rhs or rule[1]):
+                kind = rule[0]
+                if kind == "copy":
+                    self._handle_copy(instr.dest, reg, plan)
+                else:
+                    self._handle_const(
+                        instr.dest, imm.value * 0 if kind == "zero" else 0,
+                        plan, dying=(reg.name,))
                 return True
 
         # --- dynamic strength reduction -------------------------------
-        if plan.sr_candidate and self.config.strength_reduction \
-                and isinstance(imm.value, float):
+        if not (plan.sr_candidate and self.config.strength_reduction):
+            return False
+        self.charge(self.overhead.sr_check)
+        dest, value = instr.dest, imm.value
+        if isinstance(value, float):
             # FP divide by a run-time constant becomes a multiply by its
             # reciprocal (§2.2.7 covers divides with one static operand;
             # fp_div is 6x an fp_mul on the 21164).
-            self.charge(self.overhead.sr_check)
-            if instr.op is Op.DIV and imm_is_rhs and imm.value != 0.0:
-                self._emit_final(
-                    BinOp(instr.dest, Op.MUL, reg,
-                          Imm(1.0 / imm.value)), plan
-                )
-                self.stats.sr_applied += 1
-                return True
-        if plan.sr_candidate and self.config.strength_reduction \
-                and isinstance(imm.value, int):
-            self.charge(self.overhead.sr_check)
-            value = imm.value
-            if instr.op is Op.MUL:
-                if value == 0:
-                    self._emit_final(Move(instr.dest, Imm(0)), plan)
-                    self.stats.sr_applied += 1
-                    self._dec_use(reg.name)
-                    return True
-                if value == 1:
-                    self._emit_final(Move(instr.dest, reg), plan)
-                    self.stats.sr_applied += 1
-                    return True
-                if is_power_of_two(value):
-                    self._emit_final(
-                        BinOp(instr.dest, Op.SHL, reg,
-                              Imm(log2_exact(value))), plan
-                    )
-                    self.stats.sr_applied += 1
-                    return True
-                if 0 < value <= IMMEDIATE_LIMIT:
-                    decomposition = two_term_decomposition(value)
-                    if decomposition is not None:
-                        self._emit_two_term(instr.dest, reg,
-                                            decomposition, plan)
-                        self.stats.sr_applied += 1
-                        return True
-            if instr.op is Op.DIV and imm_is_rhs:
-                if value == 1:
-                    self._emit_final(Move(instr.dest, reg), plan)
-                    self.stats.sr_applied += 1
-                    return True
-                if is_power_of_two(value):
-                    self._emit_final(
-                        BinOp(instr.dest, Op.SHR, reg,
-                              Imm(log2_exact(value))), plan
-                    )
-                    self.stats.sr_applied += 1
-                    return True
-            if instr.op is Op.MOD and imm_is_rhs \
-                    and is_power_of_two(value):
-                self._emit_final(
-                    BinOp(instr.dest, Op.AND, reg, Imm(value - 1)),
-                    plan,
-                )
-                self.stats.sr_applied += 1
-                return True
-
-        return False
+            if instr.op is not Op.DIV or not imm_is_rhs or value == 0.0:
+                return False
+            self._emit_final(BinOp(dest, Op.MUL, reg, Imm(1.0 / value)),
+                             plan)
+        elif instr.op is Op.MUL and value == 0:
+            # Reached with zero/copy propagation off: a clear.
+            self._emit_final(Move(dest, Imm(0)), plan)
+            self._dec_use(reg.name)
+        else:
+            rule = reduction(instr.op, value, imm_is_rhs)
+            if rule is None:
+                return False
+            kind = rule[0]
+            if kind == "copy":
+                self._emit_final(Move(dest, reg), plan)
+            elif kind == "two_term":
+                self._emit_two_term(dest, reg, rule[1:], plan)
+            else:
+                self._emit_final(BinOp(dest, Op(kind), reg, Imm(rule[1])),
+                                 plan)
+        self.stats.sr_applied += 1
+        return True
 
     def _emit_two_term(self, dest: str, reg: Reg,
                        decomposition: tuple[int, str, int],
@@ -387,9 +331,7 @@ class BlockEmitter:
             self._append(BinOp(second_name, Op.SHL, reg, Imm(b)),
                          part_plan)
             second = Reg(second_name)
-        self._append(BinOp(
-            dest, Op.ADD if op == "add" else Op.SUB, Reg(temp), second
-        ), plan)
+        self._append(BinOp(dest, Op(op), Reg(temp), second), plan)
 
     # ------------------------------------------------------------------
     # ZCP note handling + DAE

@@ -1,5 +1,7 @@
 """Tests for the traditional optimization passes and the pipeline."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -30,6 +32,7 @@ from repro.opt import (
     simplify_cfg,
     strength_reduction,
 )
+from repro.opt.constprop import _Constants
 from tests.helpers import build_countdown, run_function
 
 
@@ -107,6 +110,32 @@ class TestConstantPropagation:
         constant_propagation(f)
         assert any(isinstance(i, BinOp) and i.op is Op.DIV
                    for i in _flat_instrs(f))
+
+    def test_folded_nan_reaches_a_fixpoint(self, monkeypatch):
+        """A loop whose entry block is its own target and folds a NaN:
+        each visit makes a new NaN object, which must not count as a
+        change."""
+        b = FunctionBuilder("f", ("n",))
+        b.binop("x", Op.MUL, 1e308, 10.0)
+        b.binop("y", Op.SUB, "x", "x")
+        b.binop("n", Op.SUB, "n", 1)
+        b.branch("n", "entry", "done")
+        b.label("done")
+        b.ret("y")
+        f = b.finish()
+        visits = []
+        transfer = _Constants.transfer
+
+        def spy(self, function, label, consts):
+            visits.append(label)
+            if len(visits) > 1000:
+                raise AssertionError("no fixpoint after 1000 block visits")
+            return transfer(self, function, label, consts)
+
+        monkeypatch.setattr(_Constants, "transfer", spy)
+        assert constant_propagation(f)
+        assert len(visits) <= 3
+        assert math.isnan(run_function(f, 2)[0])
 
     # Arms that assign equal-comparing constants of different types:
     # ``1 == 1.0`` and ``0 == 0.0`` in Python, but int division and
@@ -329,6 +358,16 @@ class TestStrengthReduction:
         verify_function(f)
         assert self._temps(f) == {"%sr1", "%sr2"}
         assert run_function(f, 7)[0] == 56
+
+
+    @pytest.mark.parametrize("op", ["*", "/"])
+    def test_float_one_keeps_the_int_to_float_promotion(self, op):
+        """The reduction rule takes int constants only: ``x * 1.0`` and
+        ``x / 1.0`` make a float of an int ``x``, so neither is a copy
+        of ``x``."""
+        module = compile_source(f"func f(x) {{ return x {op} 1.0; }}")
+        static = Machine(compile_static(module), backend="reference")
+        assert repr(static.run("f", 7)) == "7.0"
 
 
 class TestPipeline:

@@ -16,9 +16,11 @@ a float variable's arithmetic and in comparisons, calls to a second
 module function of 0-3 parameters, and static-bounded loops over a mix
 of annotated-static and dynamic variables, in a region that caches all
 versions or one unchecked version, then runs both versions on every
-backend.  Each dynamic machine runs ``f`` twice with the same keys, so
-an unchecked region's second entry is a hit on its bound dispatch.  An
-unchecked region promises, unchecked, that the values it promotes stay
+backend, and runs the program unoptimized, annotations stripped, on
+the reference backend as a third oracle for the static program.  Each
+dynamic machine runs ``f`` twice with the same keys, so an unchecked
+region's second entry is a hit on its bound dispatch.  An unchecked
+region promises, unchecked, that the values it promotes stay
 the same from entry to entry; a drawn program whose first run's stores
 change a value its second run promotes breaks that promise and reuses
 stale code by design, so when the annotation checker
@@ -34,6 +36,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import ALL_OFF, ALL_ON
 from repro.dyc import compile_annotated, compile_static
+from repro.dyc.compiler import DycCompiler
 from repro.errors import CacheError
 from repro.frontend import compile_source
 from repro.ir import Memory
@@ -267,10 +270,27 @@ def _keeps_unchecked_promise(module, args, config) -> bool:
     return True
 
 
+def _run_unoptimized(module, args):
+    """Runs ``f`` twice with annotations stripped and no optimization,
+    on the reference backend; returns what ``_run_on`` returns for the
+    static program: each result with ``arr`` after it."""
+    module = module.copy()
+    for function in module.functions.values():
+        DycCompiler._strip_annotations(function)
+    memory, arr, sarr = _fresh_memory()
+    machine = Machine(module, memory=memory, step_limit=500_000,
+                      backend="reference")
+    first = machine.run("f", *args, arr, sarr)
+    first_arr = memory.read_array(arr, 8)
+    second = machine.run("f", *args, arr, sarr)
+    return (first, first_arr, second, memory.read_array(arr, 8))
+
+
 def run_both(source: str, args, config):
     """Runs ``f`` static and dynamic on every backend: the backends must
     agree on results, memory and stats (uncounted threaded on results
-    and memory), and the dynamic runs must match the static ones unless
+    and memory), the static program must compute what the unoptimized
+    one does, and the dynamic runs must match the static ones unless
     the program breaks its unchecked promise."""
     module = compile_source(source)
     static_module = compile_static(module)
@@ -280,6 +300,10 @@ def run_both(source: str, args, config):
     for backend in COUNTED_BACKENDS:
         assert runs[backend] == runs["reference"], backend
     assert runs["threaded_fast"][:2] == runs["reference"][:2]
+    # By repr: ``1 == 1.0``, but a dropped int-to-float promotion is a
+    # different result.
+    assert repr(_run_unoptimized(module, args)) \
+        == repr(runs["reference"][0])
     if "cache_one_unchecked" in source \
             and not _keeps_unchecked_promise(module, args, config):
         return

@@ -5,7 +5,19 @@ import pytest
 
 from repro.config import ALL_ON, OptConfig
 from repro.dyc.plans import InstrPlan
-from repro.ir import BinOp, Imm, Jump, Load, Move, Op, Reg, Store
+from repro.ir import (
+    BinOp,
+    FunctionBuilder,
+    Imm,
+    Jump,
+    Load,
+    Move,
+    Op,
+    Reg,
+    Store,
+)
+from repro.ir.eval import eval_binop
+from repro.opt import strength_reduction
 from repro.runtime.emit import BlockEmitter
 from repro.runtime.overhead import DEFAULT_OVERHEAD
 from repro.runtime.stats import RegionStats
@@ -255,6 +267,92 @@ class TestStrengthReduction:
         )
         assert emitted(emitter) == [Move("d", Imm(0))]
         assert stats.sr_applied == 1
+
+
+class TestOneReductionRule:
+    """Static strength reduction and the completion stage rewrite by
+    one rule (:func:`repro.opt.strength.reduction`): for every int
+    constant on either side of ``*``, ``/`` and ``%``, both make the
+    same rewrite, and it computes what the operation computes for a
+    non-negative register operand."""
+
+    OPS = (Op.MUL, Op.DIV, Op.MOD)
+
+    @staticmethod
+    def _operands(value, imm_is_rhs, x):
+        return (x, value) if imm_is_rhs else (value, x)
+
+    def _static(self, op, value, imm_is_rhs):
+        b = FunctionBuilder("f", ("x",))
+        b.binop("d", op, *self._operands(value, imm_is_rhs, "x"))
+        b.ret("d")
+        f = b.finish()
+        if not strength_reduction(f):
+            return None
+        return f.entry_block.instrs[:-1]
+
+    def _dynamic(self, op, value, imm_is_rhs):
+        emitter, stats, _ = make_emitter(
+            ALL_ON.without("zero_copy_propagation"))
+        instr = BinOp("d", op, *self._operands(Reg("k"), imm_is_rhs,
+                                               Reg("x")))
+        emitter.emit_template(instr, {"k": value}, plan(sr=True))
+        return emitted(emitter) if stats.sr_applied else None
+
+    @staticmethod
+    def _renamed(instrs):
+        """``instrs`` with every register but ``x`` and ``d`` renamed
+        in order of first definition."""
+        names = {"x": "x", "d": "d"}
+        for instr in instrs:
+            names.setdefault(instr.dest, f"t{len(names)}")
+
+        def operand(o):
+            return Reg(names[o.name]) if isinstance(o, Reg) else o
+
+        return [Move(names[i.dest], operand(i.src)) if isinstance(i, Move)
+                else BinOp(names[i.dest], i.op, operand(i.lhs),
+                           operand(i.rhs))
+                for i in instrs]
+
+    @staticmethod
+    def _evaluate(instrs, x):
+        env = {"x": x}
+
+        def read(operand):
+            return env[operand.name] if isinstance(operand, Reg) \
+                else operand.value
+
+        for instr in instrs:
+            env[instr.dest] = (read(instr.src) if isinstance(instr, Move)
+                               else eval_binop(instr.op, read(instr.lhs),
+                                               read(instr.rhs)))
+        return env["d"]
+
+    def test_static_and_dynamic_rewrites_agree(self):
+        rewrites = 0
+        for op in self.OPS:
+            for value in range(-2, 301):
+                for imm_is_rhs in (True, False):
+                    static = self._static(op, value, imm_is_rhs)
+                    dynamic = self._dynamic(op, value, imm_is_rhs)
+                    if op is Op.MUL and value == 0:
+                        # The one run-time-only int rule: a clear.
+                        assert static is None
+                        assert dynamic == [Move("d", Imm(0))]
+                        continue
+                    case = (op, value, imm_is_rhs)
+                    assert (static is None) == (dynamic is None), case
+                    if static is None:
+                        continue
+                    rewrites += 1
+                    assert self._renamed(static) \
+                        == self._renamed(dynamic), case
+                    for x in range(65):
+                        lhs, rhs = self._operands(value, imm_is_rhs, x)
+                        assert self._evaluate(static, x) \
+                            == eval_binop(op, lhs, rhs), (case, x)
+        assert rewrites > 100
 
 
 class TestResiduals:

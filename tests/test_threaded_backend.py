@@ -29,7 +29,7 @@ from repro.ir import (
     Module,
     Op,
 )
-from repro.ir.eval import eval_binop, eval_unop
+from repro.ir.eval import BINOP_FUNCS, eval_binop, eval_unop
 from repro.ir.instructions import (
     BinOp,
     Branch,
@@ -53,7 +53,6 @@ from repro.machine import (
     Machine,
 )
 from repro.machine import threaded
-from repro.machine.threaded import BINOP_FUNCS, UNOP_FUNCS
 from repro.workloads import ALL_WORKLOADS, WORKLOADS_BY_NAME
 
 #: The comparison operators, which write the int 1 or 0.
@@ -131,20 +130,6 @@ class TestEvaluatorTables:
                (float("nan"), float("nan")), (float("nan"), 1),
                (True, 1), (-7, 2), (7, -2), (2**70, 3), (5, -1)]
 
-    def test_binop_funcs_match_eval_binop(self):
-        for op, func in BINOP_FUNCS.items():
-            for lhs, rhs in self.SAMPLES:
-                try:
-                    expected = eval_binop(op, lhs, rhs)
-                except TrapError as err:
-                    with pytest.raises(TrapError) as caught:
-                        func(lhs, rhs)
-                    assert str(caught.value) == str(err)
-                else:
-                    got = func(lhs, rhs)
-                    assert repr(got) == repr(expected), (op, lhs, rhs)
-                    assert type(got) is type(expected), (op, lhs, rhs)
-
     def test_operator_expressions_match_eval_binop(self):
         """The source a block template emits for an operator evaluates
         as ``eval_binop`` and ``eval_unop`` do: the same value and type
@@ -174,13 +159,6 @@ class TestEvaluatorTables:
                 expected = eval_unop(op, value)
                 assert type(got) is type(expected), (op, value)
                 assert repr(got) == repr(expected), (op, value)
-
-    def test_unop_funcs_match_eval_unop(self):
-        for op, func in UNOP_FUNCS.items():
-            for value in (5, -5, 0, 2.25, -0.5):
-                expected = eval_unop(op, value)
-                got = func(value)
-                assert got == expected and type(got) is type(expected)
 
 
 class TestTranslationCache:
