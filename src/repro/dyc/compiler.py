@@ -5,7 +5,7 @@
 1. traditional intraprocedural optimization;
 2. binding-time analysis for procedures containing annotations;
 3. generating-extension construction per dynamic region, lowered to
-   closures (:mod:`repro.dyc.lowering`);
+   code templates (:mod:`repro.dyc.lowering`);
 4. the host rewrite: each region's entry block is replaced by an
    ``EnterRegion`` dispatch.  The region's other blocks stay in the host
    only where paths bypassing the annotation still need them (the

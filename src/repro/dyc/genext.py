@@ -5,8 +5,8 @@ At static compile time, each dynamic region is compiled into a
 a pre-planned list of *actions* — set-up evaluations interleaved with emit
 actions whose operands are already split into holes (run-time constants)
 and dynamic registers.  Building the extension then lowers every entry
-point of those action lists to closures (:mod:`repro.dyc.lowering`), and
-the runtime specializer runs the closures; it never re-runs the BTA or
+point of those action lists to generated code (:mod:`repro.dyc.lowering`),
+and the runtime specializer runs that code; it never re-runs the BTA or
 inspects the original IR, which is the paper's staging claim ("these
 functions are in effect hard-wired into the custom compiler for that
 region").  Building an extension also proves which loop headers would
@@ -175,9 +175,9 @@ class GeneratingExtension:
     #: converges (:func:`find_runaway_loops`), read by the specializer
     #: and by lint code DYC106.
     runaway: dict[ContextKey, RunawayLoop] = field(default_factory=dict)
-    #: Every entry point lowered to closures
+    #: Every entry point lowered to generated code
     #: (:class:`repro.dyc.lowering.LoweredExtension`), built last by
-    #: :func:`build_generating_extension`.  Closures do not pickle, so
+    #: :func:`build_generating_extension`.  Functions do not pickle, so
     #: the pickled state leaves it out and unpickling lowers again.
     lowered: object = field(init=False, repr=False, compare=False)
 

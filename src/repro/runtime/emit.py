@@ -62,8 +62,26 @@ from repro.runtime.overhead import OverheadModel
 from repro.runtime.stats import RegionStats
 
 #: Plan used for materialization moves the emitter inserts itself.
-_MAT_PLAN = InstrPlan(zcp_candidate=False, sr_candidate=False,
-                      local_uses=1, remote=False, removable=True)
+MAT_PLAN = InstrPlan(zcp_candidate=False, sr_candidate=False,
+                     local_uses=1, remote=False, removable=True)
+
+#: Materialization temporaries are named ``%mat1``, ``%mat2``, ... afresh
+#: in every block.
+MAT_PREFIX = "%mat"
+
+#: The use record of an operand that reads no register: a cascade delete
+#: skips it.
+NO_USE = (None, None)
+
+
+def check_template_fault(faults) -> None:
+    """The ``emit.template`` fault point, fired once per emitted template
+    instruction while it is armed."""
+    if faults.should_fire("emit.template"):
+        raise SpecializationError(
+            "injected fault while emitting a template instruction",
+            fault_point="emit.template",
+        )
 
 
 @dataclass(slots=True)
@@ -77,7 +95,9 @@ class BufferedInstr:
     pinned: bool = False
     dead: bool = False
     #: (register, producing buffer index or None) at emit time, so a
-    #: cascade delete can release this instruction's own operands.
+    #: cascade delete can release this instruction's own operands; left
+    #: empty for an instruction no delete can reach (remote or not
+    #: removable).
     use_producers: tuple[tuple[str, int | None], ...] = ()
 
 
@@ -85,7 +105,11 @@ class BlockEmitter:
     """Emits one block of specialized code with ZCP/DAE/SR completion.
 
     One emitter serves a whole specialization batch: :meth:`reset`
-    starts each block.
+    starts each block.  The compiled generating extensions
+    (:mod:`repro.dyc.lowering`) work on the same state for the common
+    cases: they append to :attr:`items`, record :attr:`producers` and
+    number :attr:`mat_counter` as :meth:`_append` and
+    :meth:`_materialize` do, and call the methods here for the rest.
     """
 
     def __init__(self, config: OptConfig, overhead: OverheadModel,
@@ -96,7 +120,7 @@ class BlockEmitter:
         self.charge = charge  # callable(cycles): accumulate DC overhead
         # Armed only when the emit.template fault point is configured, so
         # the hot path pays a single None check otherwise.
-        self._faults = faults if faults is not None and \
+        self.faults = faults if faults is not None and \
             faults.enabled("emit.template") else None
         # Hot-path caches (_complete runs once per emitted template
         # instruction per specialized context).
@@ -109,11 +133,11 @@ class BlockEmitter:
         """Start a new block."""
         self.items: list[BufferedInstr] = []
         #: register -> producing buffer index (None: constant/zero note).
-        self._producer: dict[str, int | None] = {}
+        self.producers: dict[str, int | None] = {}
         #: register -> ("const", value) | ("copy", Reg); recorded only
         #: with zero/copy propagation on.
-        self._notes: dict[str, tuple] = {}
-        self._mat_counter = 0
+        self.notes: dict[str, tuple] = {}
+        self.mat_counter = 0
         self._residualized: set[str] = set()
 
     # ------------------------------------------------------------------
@@ -124,29 +148,16 @@ class BlockEmitter:
                       plan: InstrPlan | None) -> None:
         """Emit one template instruction, filling its holes from
         ``values`` and its operands from the note table."""
-        if values or (self._zcp_enabled and self._notes):
+        if values or (self._zcp_enabled and self.notes):
             instr = self._substitute(instr, values)
         self._complete(instr, plan, len(values))
-
-    def emit_filled(self, instr: Instr, plan: InstrPlan | None,
-                    holes: int) -> None:
-        """Emit one template instruction whose ``holes`` hole operands
-        the caller has already filled; operands a zero/copy-propagation
-        note rewrites are substituted here."""
-        if self._zcp_enabled and self._notes:
-            instr = self._substitute(instr, {})
-        self._complete(instr, plan, holes)
 
     def _complete(self, instr: Instr, plan: InstrPlan | None,
                   holes: int) -> None:
         """Finish one substituted template instruction: charge it, then
         fold/reduce, fit immediates and append."""
-        if self._faults is not None and \
-                self._faults.should_fire("emit.template"):
-            raise SpecializationError(
-                "injected fault while emitting a template instruction",
-                fault_point="emit.template",
-            )
+        if self.faults is not None:
+            check_template_fault(self.faults)
         self.charge(self._emit_cost + self._hole_cost * holes)
         if isinstance(instr, BinOp) and plan is not None:
             if self._try_fold_or_reduce(instr, plan):
@@ -170,7 +181,7 @@ class BlockEmitter:
             if name in values:
                 return Imm(values[name])
             if self._zcp_enabled:
-                note = self._notes.get(name)
+                note = self.notes.get(name)
                 if note is not None:
                     if note[0] == "const":
                         return Imm(note[1])
@@ -271,34 +282,43 @@ class BlockEmitter:
             self.charge(self.overhead.zcp_check)
             rule = ZCP_RULES.get((instr.op, imm.value))
             if rule is not None and (imm_is_rhs or rule[1]):
-                kind = rule[0]
-                if kind == "copy":
-                    self._handle_copy(instr.dest, reg, plan)
-                else:
-                    self._handle_const(
-                        instr.dest, imm.value * 0 if kind == "zero" else 0,
-                        plan, dying=(reg.name,))
+                self.apply_zcp(instr.dest, reg, imm.value, rule[0], plan)
                 return True
 
         # --- dynamic strength reduction -------------------------------
         if not (plan.sr_candidate and self.config.strength_reduction):
             return False
         self.charge(self.overhead.sr_check)
-        dest, value = instr.dest, imm.value
+        return self.reduce(instr.dest, instr.op, reg, imm.value,
+                           imm_is_rhs, plan)
+
+    def apply_zcp(self, dest: str, reg: Reg, value, kind: str,
+                  plan: InstrPlan) -> None:
+        """``dest = reg op value`` matched a zero/copy rule of ``kind``."""
+        if kind == "copy":
+            self._handle_copy(dest, reg, plan)
+        else:
+            self._handle_const(dest, value * 0 if kind == "zero" else 0,
+                               plan, dying=(reg.name,))
+
+    def reduce(self, dest: str, op: Op, reg: Reg, value,
+               imm_is_rhs: bool, plan: InstrPlan) -> bool:
+        """Strength-reduce ``dest = reg op value`` (operands in that
+        order when ``imm_is_rhs``); True when it was rewritten."""
         if isinstance(value, float):
             # FP divide by a run-time constant becomes a multiply by its
             # reciprocal (§2.2.7 covers divides with one static operand;
             # fp_div is 6x an fp_mul on the 21164).
-            if instr.op is not Op.DIV or not imm_is_rhs or value == 0.0:
+            if op is not Op.DIV or not imm_is_rhs or value == 0.0:
                 return False
             self._emit_final(BinOp(dest, Op.MUL, reg, Imm(1.0 / value)),
                              plan)
-        elif instr.op is Op.MUL and value == 0:
+        elif op is Op.MUL and value == 0:
             # Reached with zero/copy propagation off: a clear.
             self._emit_final(Move(dest, Imm(0)), plan)
             self._dec_use(reg.name)
         else:
-            rule = reduction(instr.op, value, imm_is_rhs)
+            rule = reduction(op, value, imm_is_rhs)
             if rule is None:
                 return False
             kind = rule[0]
@@ -317,16 +337,16 @@ class BlockEmitter:
                        plan: InstrPlan) -> None:
         """Emit ``dest = reg * (2^a ± 2^b)`` as shifts plus add/sub."""
         a, op, b = decomposition
-        self._mat_counter += 1
-        temp = f"%sr{self._mat_counter}"
+        self.mat_counter += 1
+        temp = f"%sr{self.mat_counter}"
         part_plan = InstrPlan(False, False, 1, False, True)
         self.charge(self.overhead.emit_instruction)
         self._append(BinOp(temp, Op.SHL, reg, Imm(a)), part_plan)
         if b == 0:
             second: Operand = reg
         else:
-            self._mat_counter += 1
-            second_name = f"%sr{self._mat_counter}"
+            self.mat_counter += 1
+            second_name = f"%sr{self.mat_counter}"
             self.charge(self.overhead.emit_instruction)
             self._append(BinOp(second_name, Op.SHL, reg, Imm(b)),
                          part_plan)
@@ -356,14 +376,14 @@ class BlockEmitter:
             self.stats.zcp_copy_hits += 1
         if self._can_elide(plan):
             self.charge(self.overhead.dae_update)
-            self._kill_notes_for(dest)
-            self._notes[dest] = ("const", value)
-            self._producer[dest] = None
+            self.kill_notes_for(dest)
+            self.notes[dest] = ("const", value)
+            self.producers[dest] = None
             return
         # Must materialize the constant (result is needed beyond this
         # block, or DAE is off) — but still note it for local propagation.
         self._emit_final(Move(dest, Imm(value)), plan)
-        self._notes[dest] = ("const", value)
+        self.notes[dest] = ("const", value)
 
     def _handle_copy(self, dest: str, src: Reg, plan: InstrPlan) -> None:
         """The instruction's result is a copy of ``src``."""
@@ -378,12 +398,12 @@ class BlockEmitter:
                 return
             self._emit_final(Move(dest, src), plan)
             return
-        src_index = self._producer.get(src.name)
+        src_index = self.producers.get(src.name)
         if self._can_elide(plan):
             self.charge(self.overhead.dae_update)
-            self._kill_notes_for(dest)
-            self._notes[dest] = ("copy", src)
-            self._producer[dest] = src_index
+            self.kill_notes_for(dest)
+            self.notes[dest] = ("copy", src)
+            self.producers[dest] = src_index
             if src_index is not None:
                 item = self.items[src_index]
                 # The eliminated instruction released one use of src but
@@ -392,14 +412,14 @@ class BlockEmitter:
                 self._maybe_kill(src_index)
             return
         self._emit_final(Move(dest, src), plan)
-        self._notes[dest] = ("copy", src)
+        self.notes[dest] = ("copy", src)
         if src_index is not None:
             # Downstream copy-propagated uses of dest will reference src
             # beyond its planned count: keep src's producer alive.
             self.items[src_index].pinned = True
 
     def _dec_use(self, name: str) -> None:
-        index = self._producer.get(name)
+        index = self.producers.get(name)
         if index is None:
             return
         item = self.items[index]
@@ -427,14 +447,15 @@ class BlockEmitter:
             inner.expected_uses -= 1
             self._maybe_kill(producer_index)
 
-    def _kill_notes_for(self, dest: str) -> None:
+    def kill_notes_for(self, dest: str) -> None:
         """A new definition of ``dest`` invalidates notes involving it."""
-        self._notes.pop(dest, None)
+        notes = self.notes
+        notes.pop(dest, None)
         for name in [
-            n for n, note in self._notes.items()
+            n for n, note in notes.items()
             if note[0] == "copy" and note[1].name == dest
         ]:
-            del self._notes[name]
+            del notes[name]
 
     # ------------------------------------------------------------------
     # Final emission (immediate fitting + buffer append)
@@ -444,10 +465,10 @@ class BlockEmitter:
         """Ensure ``operand`` can be encoded; emit a constant move if not."""
         if not isinstance(operand, Imm) or fits_immediate(operand.value):
             return operand
-        self._mat_counter += 1
-        temp = f"%mat{self._mat_counter}"
+        self.mat_counter += 1
+        temp = f"{MAT_PREFIX}{self.mat_counter}"
         self.charge(self.overhead.emit_instruction)
-        self._append(Move(temp, operand), _MAT_PLAN)
+        self._append(Move(temp, operand), MAT_PLAN)
         return Reg(temp)
 
     def _emit_final(self, instr: Instr, plan: InstrPlan | None) -> None:
@@ -497,13 +518,16 @@ class BlockEmitter:
         return instr
 
     def _append(self, instr: Instr, plan: InstrPlan | None) -> None:
-        producer = self._producer
-        get = producer.get
-        use_producers = tuple([(name, get(name)) for name in instr.uses()])
+        producer = self.producers
         if plan is None:
-            item = BufferedInstr(instr, 0, True, False, False, False,
-                                 use_producers)
+            item = BufferedInstr(instr, 0, True, False, False, False, ())
         else:
+            if plan.removable and not plan.remote:
+                get = producer.get
+                use_producers = tuple([(name, get(name))
+                                       for name in instr.uses()])
+            else:
+                use_producers = ()
             item = BufferedInstr(instr, plan.local_uses, plan.remote,
                                  plan.removable, False, False,
                                  use_producers)
@@ -511,8 +535,8 @@ class BlockEmitter:
         index = len(items)
         items.append(item)
         for dest in instr.defs():
-            if self._notes:
-                self._kill_notes_for(dest)
+            if self.notes:
+                self.kill_notes_for(dest)
             producer[dest] = index
 
     def emit_raw(self, instr: Instr) -> None:

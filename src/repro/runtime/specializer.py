@@ -12,11 +12,12 @@ the paper's "directed graph of unrolled loop bodies" (§2.2.4), including
 back edges for loops in the interpreted program (mipsi).
 
 Each context runs one entry point of the region's generating extension,
-lowered to closures when the program was compiled
-(:mod:`repro.dyc.lowering`): the steps, then the terminator closure,
-which emits the block's last instruction and queues successor contexts.
-This module drives the worklist, owns the per-batch run state the
-closures read (:class:`_Batch`), and finishes each batch.
+a function built from a per-shape code template
+(:mod:`repro.dyc.lowering`): it evaluates the set-up code, emits the
+block, emits its last instruction and queues successor contexts.  This
+module drives the worklist, owns the per-batch run state that code
+reads (:class:`_Batch`), threads the jumps of each batch's blocks, and
+finishes each batch.
 
 Internal promotions (§2.2.2) suspend specialization: the block's emitted
 code ends in a ``Promote`` terminator, and the rest of the action list is
@@ -29,6 +30,7 @@ the :class:`~repro.runtime.overhead.OverheadModel`.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -118,7 +120,7 @@ class PendingPromotion:
 
 
 @dataclass(slots=True)
-class _Task:
+class Task:
     label: str
     block_key: tuple
     action_index: int
@@ -128,48 +130,77 @@ class _Task:
     frames: dict = field(default_factory=dict)
 
 
+class _OpCosts(dict):
+    """Operator name -> (int cost, float cost) under one cost model, each
+    pair computed by ``CostModel.binop_cost`` on first use."""
+
+    __slots__ = ("costs",)
+
+    def __init__(self, costs) -> None:
+        super().__init__()
+        self.costs = costs
+
+    def __missing__(self, name: str) -> tuple:
+        pair = self[name] = (self.costs.binop_cost(name, False),
+                             self.costs.binop_cost(name, True))
+        return pair
+
+
 class _Batch:
     """The run state of one specialization batch.
 
-    Lowered closures (:mod:`repro.dyc.lowering`) take it as their first
-    argument: they hold only the extension's data, and read everything
-    that belongs to the run from here.  Every charge of the batch,
-    including the emitter's, lands in :attr:`dc` in occurrence order.
+    Compiled generating extensions (:mod:`repro.dyc.lowering`) take it
+    as their first argument: they hold only the extension's data, and
+    read everything that belongs to the run from here.  Every charge of
+    the batch, including the emitter's, lands in :attr:`dc` in
+    occurrence order.
     """
 
-    __slots__ = ("runtime", "genext", "lowered", "code", "machine",
-                 "memory", "costs", "overhead", "stats", "emitter",
-                 "worklist", "dc", "eval_cost", "emit_cost",
+    __slots__ = ("runtime", "genext", "lowered", "code", "blocks",
+                 "contexts", "machine", "memory", "overhead",
+                 "stats", "emitter", "worklist", "dc", "eval_cost",
+                 "emit_cost", "hole_cost", "block_cost", "zcp_check",
+                 "sr_check", "branch_fold", "branch_patch", "zcp", "sr",
+                 "op_costs", "move_costs", "load_cost",
                  "check_annotations")
 
     def __init__(self, runtime, genext: GeneratingExtension,
                  code: SpecializedCode, machine, stats,
                  setup: float) -> None:
         overhead = runtime.overhead
+        config = runtime.config
+        costs = machine.costs
         self.runtime = runtime
         self.genext = genext
         self.lowered = genext.lowered
         self.code = code
+        self.blocks = code.function.blocks
+        self.contexts = code.contexts
         self.machine = machine
         self.memory = machine.memory
-        self.costs = machine.costs
         self.overhead = overhead
         self.stats = stats
-        self.worklist: deque[_Task] = deque()
+        self.worklist: deque[Task] = deque()
         self.dc = setup
         self.eval_cost = overhead.eval_overhead
         self.emit_cost = overhead.emit_instruction
-        self.check_annotations = runtime.config.check_annotations
-        self.emitter = BlockEmitter(runtime.config, overhead, stats,
+        self.hole_cost = overhead.hole_patch
+        self.block_cost = overhead.block_alloc
+        self.zcp_check = overhead.zcp_check
+        self.sr_check = overhead.sr_check
+        self.branch_fold = overhead.static_branch_fold
+        self.branch_patch = overhead.branch_patch
+        self.zcp = config.zero_copy_propagation
+        self.sr = config.strength_reduction
+        self.op_costs = _OpCosts(costs)
+        self.move_costs = (costs.move_cost(False), costs.move_cost(True))
+        self.load_cost = costs.load
+        self.check_annotations = config.check_annotations
+        self.emitter = BlockEmitter(config, overhead, stats,
                                     self.charge, faults=runtime.faults)
 
     def charge(self, cycles: float) -> None:
         self.dc += cycles
-
-    def push(self, label: str, key: tuple, store: dict,
-             frames: dict) -> None:
-        """Queue a new context of the analysis context ``key``."""
-        self.worklist.append(_Task(label, key, 0, store, frames))
 
     def suspend(self, block_key, resume: int, point, store: dict,
                 frames: dict) -> Promote:
@@ -240,7 +271,7 @@ class Specializer:
         frames: dict = {}
         if region.entry_block in genext.loops:
             frames[region.entry_block] = entry_label
-        task = _Task(
+        task = Task(
             label=entry_label,
             block_key=genext.entry_key,
             action_index=genext.entry_start,
@@ -263,7 +294,7 @@ class Specializer:
         store.update(zip(pending.point_names, values))
         code = pending.code
         label = code.fresh_label("cont")
-        task = _Task(
+        task = Task(
             label=label,
             block_key=pending.block_key,
             action_index=pending.action_index,
@@ -305,7 +336,7 @@ class Specializer:
         store = dict(pending.store)
         store.update(zip(pending.point_names, values))
         label = code.fresh_label("dyncont")
-        task = _Task(
+        task = Task(
             label=label,
             block_key=pending.block_key,
             action_index=pending.action_index,
@@ -341,7 +372,7 @@ class Specializer:
 
     def _run_batch(self, code: SpecializedCode,
                    genext: GeneratingExtension, machine,
-                   stats: RegionStats, tasks: list[_Task],
+                   stats: RegionStats, tasks: list[Task],
                    setup: float) -> None:
         overhead = self.runtime.overhead
         batch = _Batch(self.runtime, genext, code, machine, stats, setup)
@@ -361,38 +392,52 @@ class Specializer:
         worklist = batch.worklist
         worklist.extend(tasks)
         process = self._process_task
+        blocks = code.function.blocks
+        first_block = len(blocks)
+        first_context = len(code.contexts)
         processed = 0
-        while worklist:
-            processed += 1
-            if processed > budget:
-                if not self.runtime.degrade:
+        try:
+            while worklist:
+                processed += 1
+                if processed > budget:
+                    if not self.runtime.degrade:
+                        raise SpecializationBudgetError(
+                            f"region {genext.region.region_id}: "
+                            f"specialization exceeded {budget} contexts — "
+                            "an annotated loop may not terminate "
+                            "statically",
+                            region_id=genext.region.region_id,
+                        )
+                    # Graceful rung: residualize every unfinished context
+                    # as ordinary dynamic code (the unrolling that ran
+                    # away becomes a plain loop) and keep the contexts
+                    # already specialized.
+                    while worklist:
+                        self._emit_truncation(batch, worklist.popleft())
+                        stats.budget_truncations += 1
+                    break
+                task = worklist.popleft()
+                loop = runaway.get(task.block_key)
+                if loop is not None and loop.applies(task.store):
                     raise SpecializationBudgetError(
                         f"region {genext.region.region_id}: "
-                        f"specialization exceeded {budget} contexts — "
-                        "an annotated loop may not terminate statically",
+                        f"specialization would have exceeded {budget} "
+                        f"contexts — {loop.reason}",
                         region_id=genext.region.region_id,
                     )
-                # Graceful rung: residualize every unfinished context as
-                # ordinary dynamic code (the unrolling that ran away
-                # becomes a plain loop) and keep the contexts already
-                # specialized.
-                while worklist:
-                    self._emit_truncation(batch, worklist.popleft())
-                    stats.budget_truncations += 1
-                break
-            task = worklist.popleft()
-            loop = runaway.get(task.block_key)
-            if loop is not None and loop.applies(task.store):
-                raise SpecializationBudgetError(
-                    f"region {genext.region.region_id}: specialization "
-                    f"would have exceeded {budget} contexts — "
-                    f"{loop.reason}",
-                    region_id=genext.region.region_id,
-                )
-            process(batch, task)
+                process(batch, task)
+        except BaseException:
+            # A continuation's code version outlives a failed batch: the
+            # successors recorded in place of jump-only blocks become
+            # those blocks.
+            for label in list(itertools.islice(blocks, first_block, None)):
+                if type(blocks[label]) is str:
+                    blocks[label] = BasicBlock(label, [Jump(blocks[label])])
+            raise
 
         code.protected_labels.update(t.label for t in tasks)
-        self._thread_jumps(code, protected=code.protected_labels)
+        self._thread_jumps(code, code.protected_labels, first_block,
+                           first_context)
         # The batch added blocks and retargeted jumps in code that may
         # already be executing (lazy promotions patch a running buffer):
         # invalidate any cached translations of it.
@@ -409,32 +454,17 @@ class Specializer:
     # One context
     # ------------------------------------------------------------------
 
-    def _process_task(self, batch: _Batch, task: _Task) -> None:
-        """Specialize one context: run its lowered entry point."""
-        entry = batch.lowered.entry_point(task.block_key,
-                                          task.action_index)
-        emitter = batch.emitter
-        emitter.reset()
-        store = task.store
-        batch.dc += batch.overhead.block_alloc
-        stats = batch.stats
-        stats.contexts_specialized += 1
-        counted = entry.counted
-        if counted is not None:
-            counts = stats.loop_context_counts
-            counts[counted] = counts.get(counted, 0) + 1
-        for step in entry.steps:
-            step(batch, store)
-        terminator = entry.finish(batch, store, task)
-        label = task.label
-        batch.code.function.blocks[label] = BasicBlock(
-            label, emitter.flush(terminator))
+    def _process_task(self, batch: _Batch, task: Task) -> None:
+        """Specialize one context: run its entry point's compiled
+        function, which installs the block."""
+        batch.lowered.entry_point(task.block_key,
+                                  task.action_index)(batch, task)
 
     # ------------------------------------------------------------------
     # Budget truncation (dynamic residualization)
     # ------------------------------------------------------------------
 
-    def _emit_truncation(self, batch: _Batch, task: _Task) -> None:
+    def _emit_truncation(self, batch: _Batch, task: Task) -> None:
         """Finish ``task``'s block as ordinary dynamic code.
 
         The block residualizes the whole static store, replays the
@@ -509,23 +539,43 @@ class Specializer:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _thread_jumps(code: SpecializedCode,
-                      protected: set[str]) -> None:
-        """Remove jump-only blocks left by contexts that emitted nothing.
+    def _thread_jumps(code: SpecializedCode, protected: set[str],
+                      first_block: int = 0, first_context: int = 0) -> None:
+        """Remove the jump-only blocks a batch's contexts left.
 
         A context whose computations were all static produces an empty
         block ending in a jump; references to it are retargeted past it
-        and the block deleted.  ``protected`` labels (batch entries, whose
-        labels are cached externally) are kept even when trivial.  A
-        cycle of jump-only blocks is a loop that never exits, so one of
-        its blocks is kept, jumping to itself.
+        and the block deleted.  A compiled context records such a block
+        as its successor's label alone, in the block's place.  A jump to
+        a block that only exits or returns takes over that terminator,
+        and the block goes when nothing references it anymore.
+        ``protected`` labels (batch entries, whose labels are cached
+        externally) are kept even when trivial.  A cycle of jump-only
+        blocks is a loop that never exits, so one of its blocks is kept,
+        jumping to itself.
+
+        Only the blocks from position ``first_block`` of the block map
+        and the contexts from ``first_context`` of the context map were
+        added by the batch: older blocks were threaded by their own
+        batch, and never name a label a later batch adds.  A context
+        whose label the pass deletes is dropped, so a later batch that
+        reaches it specializes it afresh.
         """
         function = code.function
+        blocks = function.blocks
+        added = list(itertools.islice(blocks, first_block, None))
         trivial: dict[str, str] = {}
         #: jump-only predecessors may absorb a singleton terminator block
         #: (ExitRegion / Return) directly.
         singleton_terms: dict[str, object] = {}
-        for label, block in function.blocks.items():
+        for label in added:
+            block = blocks[label]
+            if type(block) is str:
+                if label in protected or block == label:
+                    blocks[label] = BasicBlock(label, [Jump(block)])
+                else:
+                    trivial[label] = block
+                continue
             if label in protected or len(block.instrs) != 1:
                 continue
             only = block.instrs[0]
@@ -533,8 +583,6 @@ class Specializer:
                 trivial[label] = only.target
             elif isinstance(only, (ExitRegion, Return)):
                 singleton_terms[label] = only
-        if not trivial and not singleton_terms:
-            return
 
         # Break each cycle of trivial blocks at the first block a walk
         # meets twice; afterwards every chain ends outside ``trivial``.
@@ -544,6 +592,9 @@ class Specializer:
             label = start
             while label in trivial and label not in done:
                 if label in walk:
+                    if type(blocks[label]) is str:
+                        blocks[label] = BasicBlock(label,
+                                                   [Jump(trivial[label])])
                     del trivial[label]
                     break
                 walk.append(label)
@@ -555,17 +606,31 @@ class Specializer:
                 label = trivial[label]
             return label
 
-        for block in function.blocks.values():
+        def absorbed(label: str):
+            """The terminator a jump to ``label`` takes over, or None."""
+            term = singleton_terms.get(label)
+            if term is None and label not in protected \
+                    and label not in trivial:
+                # A block an earlier batch kept (a branch arm names it).
+                block = blocks.get(label)
+                if block is not None and type(block) is not str \
+                        and len(block.instrs) == 1 \
+                        and isinstance(block.instrs[0],
+                                       (ExitRegion, Return)):
+                    term = block.instrs[0]
+            return term
+
+        for label in added:
+            if label in trivial:
+                continue
+            block = blocks[label]
             term = block.instrs[-1]
             if type(term) is Jump:
-                if term.target not in trivial:
-                    if term.target in singleton_terms:
-                        block.instrs[-1] = singleton_terms[term.target]
-                    continue
                 final = resolve(term.target)
-                if final in singleton_terms:
-                    block.instrs[-1] = singleton_terms[final]
-                else:
+                taken = absorbed(final)
+                if taken is not None:
+                    block.instrs[-1] = taken
+                elif final != term.target:
                     block.instrs[-1] = Jump(final)
             elif type(term) is Branch:
                 if term.if_true in trivial or term.if_false in trivial:
@@ -575,22 +640,26 @@ class Specializer:
         if trivial:
             if function.entry in trivial:
                 function.entry = resolve(function.entry)
-            contexts = code.contexts
-            for context_id, label in contexts.items():
-                if label in trivial:
-                    contexts[context_id] = resolve(label)
             for label in trivial:
-                del function.blocks[label]
-        if not singleton_terms:
-            return
-        # Delete singleton terminator blocks nothing references anymore.
-        still_referenced: set[str] = {function.entry}
-        for block in function.blocks.values():
-            still_referenced.update(block.instrs[-1].successors())
-        for label in singleton_terms:
-            if label not in still_referenced \
-                    and label in function.blocks:
-                del function.blocks[label]
-                for index, thunk in list(code.exit_blocks.items()):
-                    if thunk == label:
-                        del code.exit_blocks[index]
+                del blocks[label]
+        if singleton_terms:
+            # Delete singleton terminator blocks nothing references
+            # anymore.
+            still_referenced: set[str] = {function.entry}
+            for label in added:
+                block = blocks.get(label)
+                if block is not None:
+                    still_referenced.update(block.instrs[-1].successors())
+            for label in singleton_terms:
+                if label not in still_referenced:
+                    del blocks[label]
+                    for index, thunk in list(code.exit_blocks.items()):
+                        if thunk == label:
+                            del code.exit_blocks[index]
+        contexts = code.contexts
+        for context_id, label in list(itertools.islice(
+                contexts.items(), first_context, None)):
+            if label in trivial:
+                label = contexts[context_id] = resolve(label)
+            if label not in blocks:
+                del contexts[context_id]

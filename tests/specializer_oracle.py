@@ -3,7 +3,7 @@
 :class:`InterpretingSpecializer` specializes each context by walking its
 ``ActionBlock`` at run time, one ``isinstance`` dispatch per action, the
 way the runtime did before ``compile_annotated`` lowered every entry
-point to closures (``repro.dyc.lowering``).  It shares the batch loop,
+point to generated code (``repro.dyc.lowering``).  It shares the batch loop,
 promotion suspension, budget truncation and jump threading with
 :class:`~repro.runtime.specializer.Specializer`, so a differential test
 comparing the two checks only the lowering.  It is a test oracle, as
@@ -39,7 +39,7 @@ from repro.ir.instructions import (
     UnOp,
 )
 from repro.runtime.emit import BlockEmitter
-from repro.runtime.specializer import Specializer, _Task
+from repro.runtime.specializer import Specializer, Task
 
 
 class InterpretingSpecializer(Specializer):
@@ -295,7 +295,7 @@ class InterpretingSpecializer(Specializer):
             )
             child_frames = dict(frames)
             child_frames[succ_key[0]] = new_label
-        batch.worklist.append(_Task(
+        batch.worklist.append(Task(
             label=new_label,
             block_key=succ_key,
             action_index=0,

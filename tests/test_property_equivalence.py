@@ -191,14 +191,37 @@ POLICIES = ("cache_all", "cache_one_unchecked")
 
 
 @st.composite
-def programs(draw, policies=POLICIES):
+def promotions(draw, arity=0):
+    """An ``if`` on ``d1`` whose then-arm promotes ``d2`` (an internal
+    promotion, ``cache_all``) and uses it: the continuation is
+    specialized lazily, once per value of ``d2``, in the code version
+    the region entry built.  It may be followed by an early return on a
+    static condition, whose block holds the return alone."""
+    cond = f"d1 {draw(_comparisons)} {draw(st.sampled_from(['0', '1']))}"
+    scale = draw(st.sampled_from(("1", "2", "d2")))
+    other = draw(statements(depth=0, arity=arity))
+    promotion = (f"if ({cond}) {{ make_static(d2) : cache_all; "
+                 f"d1 = d1 + d2 * {scale}; }} else {{ {other} }}")
+    if draw(st.booleans()):
+        test = draw(conditions(st.sampled_from(STATIC_VARS)))
+        promotion += (f" if ({test}) {{ "
+                      f"return {draw(st.sampled_from(ALL_VARS))}; }}")
+    return promotion
+
+
+@st.composite
+def programs(draw, policies=POLICIES, promote=None):
+    """A program: ``g`` and a region in ``f``.  With ``promote`` None
+    the body sometimes holds an internal promotion, with True always."""
     policy = draw(st.sampled_from(policies))
     arity = draw(st.integers(min_value=0, max_value=3))
     params = G_PARAMS[:arity]
     callee = draw(callee_bodies(params))
-    body = " ".join(draw(
-        st.lists(statements(arity=arity), min_size=1, max_size=5)
-    ))
+    body = draw(st.lists(statements(arity=arity), min_size=1, max_size=5))
+    if promote or draw(st.booleans()):
+        body.insert(draw(st.integers(min_value=0, max_value=len(body))),
+                    draw(promotions(arity=arity)))
+    body = " ".join(body)
     return f"""
     func g({", ".join(params)}) {{
         {callee}
@@ -313,6 +336,10 @@ def run_both(source: str, args, config):
 
 small_ints = st.integers(min_value=-20, max_value=20)
 
+#: ``(d1, d2)`` tuples one machine runs in turn: both signs of ``d1``
+#: and values of ``d2`` that recur.
+DYNAMIC_ARGUMENTS = ((-1, 2), (1, 2), (2, 3), (-2, 3), (1, 2), (0, -1))
+
 
 class TestRandomProgramEquivalence:
     @settings(max_examples=120, deadline=None)
@@ -337,6 +364,36 @@ class TestRandomProgramEquivalence:
     )
     def test_single_ablations(self, source, ablation, s1, d1):
         run_both(source, (s1, 2, d1, 3), ALL_ON.without(ablation))
+
+    @settings(max_examples=60, deadline=None)
+    @given(programs(policies=("cache_all",), promote=True), small_ints,
+           small_ints, st.sampled_from(["all_on", "polyvariant_division"]))
+    def test_dynamic_arguments_share_a_machine(self, source, s1, s2,
+                                               config):
+        # One machine per backend runs ``f`` over several dynamic
+        # argument tuples with the same static key, so a promotion's
+        # continuation batch meets contexts an earlier batch of the same
+        # code version minted.  Every call must match the static
+        # program.
+        config = ALL_ON if config == "all_on" else ALL_ON.without(config)
+        module = compile_source(source)
+        static_module = compile_static(module)
+        compiled = compile_annotated(module, config)
+        for backend in BACKENDS:
+            mem_s, arr_s, sarr_s = _fresh_memory()
+            static_machine = Machine(static_module, memory=mem_s,
+                                     step_limit=500_000, backend=backend)
+            mem_d, arr_d, sarr_d = _fresh_memory()
+            machine, _ = compiled.make_machine(memory=mem_d,
+                                               step_limit=500_000,
+                                               backend=backend)
+            for d1, d2 in DYNAMIC_ARGUMENTS:
+                expected = static_machine.run("f", s1, s2, d1, d2,
+                                              arr_s, sarr_s)
+                assert machine.run("f", s1, s2, d1, d2,
+                                   arr_d, sarr_d) == expected, backend
+                assert mem_d.read_array(arr_d, 8) \
+                    == mem_s.read_array(arr_s, 8), backend
 
     @settings(max_examples=40, deadline=None)
     @given(programs(policies=("cache_all",)), small_ints, small_ints)

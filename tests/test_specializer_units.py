@@ -96,11 +96,65 @@ class TestThreadJumps:
         code = self._code([
             BasicBlock("a", [Jump("b")]),
             BasicBlock("b", [Jump("c")]),
-            BasicBlock("c", [Return(None)]),
+            BasicBlock("c", [Move("x", Reg("y")), Return(None)]),
         ], entry="a")
         code.contexts[("lbl", frozenset(), (1,))] = "b"
         Specializer._thread_jumps(code, protected={"a"})
         assert code.contexts[("lbl", frozenset(), (1,))] == "c"
+
+    def test_context_of_a_deleted_block_is_dropped(self):
+        # ``a`` takes over ``c``'s return and ``c`` goes, so the contexts
+        # that named ``b`` or ``c`` name no block: a later batch must
+        # mint them afresh instead of jumping to a missing label.
+        code = self._code([
+            BasicBlock("a", [Jump("b")]),
+            BasicBlock("b", [Jump("c")]),
+            BasicBlock("c", [Return(None)]),
+        ], entry="a")
+        code.contexts[("lbl", frozenset(), (1,))] = "b"
+        code.contexts[("end", frozenset(), (1,))] = "c"
+        code.contexts[("top", frozenset(), ())] = "a"
+        Specializer._thread_jumps(code, protected={"a"})
+        assert set(code.function.blocks) == {"a"}
+        assert code.function.blocks["a"].instrs == [Return(None)]
+        assert code.contexts == {("top", frozenset(), ()): "a"}
+
+    def test_recorded_successors_are_threaded_like_jump_blocks(self):
+        # A compiled context that emitted nothing records its successor's
+        # label in place of a ``[Jump]`` block; a protected one becomes
+        # that block, in place.
+        def built(recorded: bool):
+            jumps = {"b": "c", "d": "e", "p": "e"}
+            blocks = {
+                "a": BasicBlock("a", [Jump("b")]),
+                "b": None,
+                "c": BasicBlock("c", [Move("x", Reg("y")), Jump("d")]),
+                "d": None,
+                "p": None,
+                "e": BasicBlock("e", [Return(None)]),
+            }
+            for label, target in jumps.items():
+                blocks[label] = (target if recorded
+                                 else BasicBlock(label, [Jump(target)]))
+            return self._code(list(blocks.values()), entry="a") \
+                if not recorded else self._recorded(blocks)
+
+        sides = [built(False), built(True)]
+        for code in sides:
+            Specializer._thread_jumps(code, protected={"a", "p"})
+        blocks = [[(label, block.instrs)
+                   for label, block in code.function.blocks.items()]
+                  for code in sides]
+        assert blocks[0] == blocks[1] == [
+            ("a", [Jump("c")]),
+            ("c", [Move("x", Reg("y")), Return(None)]),
+            ("p", [Return(None)]),
+        ]
+
+    def _recorded(self, blocks: dict):
+        code = self._code([], entry="a")
+        code.function.blocks = blocks
+        return code
 
     def test_cycle_of_jump_only_blocks_keeps_one(self):
         code = self._code([
